@@ -116,6 +116,9 @@ def cmd_phi4(args) -> int:
             else:
                 print(csv, end="")
             return 0
+        if args.N is None:
+            print("error: --N is required unless --ladder gives the cutoffs", file=sys.stderr)
+            return 2
         series = phi4.partition_ratio_series(args.d, args.N, args.order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi4", help="partition-ratio series and optional Monte Carlo")
     p.add_argument("--d", type=int, required=True, choices=[1, 2, 3])
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=int, default=None, help="cutoff; required without --ladder")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--mc", action="store_true")
     p.add_argument("--alpha", type=float, default=None)

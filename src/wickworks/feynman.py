@@ -12,7 +12,10 @@ sum is evaluated by series-parallel reduction of spectral weight arrays
 (convolution across parallel bundles, pointwise product along series chains),
 with a dedicated evaluator for the one irreducible core that quartic vacuum
 diagrams produce at order four (the K4 pattern) and a budgeted nested sum as
-the last resort. Renormalization follows the extraction-contraction coproduct:
+the last resort. The K4 evaluator's outer momentum loop visits one momentum
+per orbit of the hyperoctahedral group (coordinate permutations and sign
+flips), under which every weight array is invariant, and weights each term
+by the orbit size. Renormalization follows the extraction-contraction coproduct:
 divergent connected full subgraphs are extracted in all vertex-disjoint
 families, and the (twisted) antipode recursion assembles the subtracted
 valuation as an exact rational combination of diagram products before any
@@ -22,12 +25,11 @@ float is produced.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -661,18 +663,22 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _base_weight(dim: int, N: int, s: float) -> np.ndarray:
-    return ModeLattice(dim, N).inverse_weight_cube(s)
+    """lambda_k^(-s) on K_N; read-only, since every valuation shares the cached cube."""
+    cube = ModeLattice(dim, N).inverse_weight_cube(s)
+    cube.setflags(write=False)
+    return cube
 
 
 class ValuationBudgetError(ValueError):
     pass
 
 
-def _reduce_series_parallel(adj: dict, weights: dict):
+def _reduce_series_parallel(adj: dict, weights: dict, protected=()):
     """Merge parallel bundles and eliminate two-valent vertices in place.
 
     adj: vertex -> multiset of (neighbor, edge id); weights: edge id -> _Weight.
-    Returns when no move applies.
+    Vertices in `protected` (the terminals of a two-point diagram) are never
+    eliminated. Returns when no move applies.
     """
     changed = True
     while changed:
@@ -699,20 +705,21 @@ def _reduce_series_parallel(adj: dict, weights: dict):
         # series eliminations at two-valent vertices (keep at least 2 vertices)
         if len(adj) > 2:
             for v in list(adj):
-                if len(adj[v]) == 2:
-                    (u1, e1), (u2, e2) = adj[v]
-                    if u1 == v or u2 == v or e1 == e2:
-                        continue
-                    merged = weights[e1].series(weights[e2])
-                    del weights[e2]
-                    weights[e1] = merged
-                    adj[u1].remove((v, e1))
-                    adj[u2].remove((v, e2))
-                    adj[u1].append((u2, e1))
-                    adj[u2].append((u1, e1))
-                    del adj[v]
-                    changed = True
-                    break
+                if v in protected or len(adj[v]) != 2:
+                    continue
+                (u1, e1), (u2, e2) = adj[v]
+                if u1 == v or u2 == v or e1 == e2:
+                    continue
+                merged = weights[e1].series(weights[e2])
+                del weights[e2]
+                weights[e1] = merged
+                adj[u1].remove((v, e1))
+                adj[u2].remove((v, e2))
+                adj[u1].append((u2, e1))
+                adj[u2].append((u1, e1))
+                del adj[v]
+                changed = True
+                break
 
 
 def _valuate_k4(adj: dict, weights: dict) -> float:
@@ -721,7 +728,10 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     With loop momenta p = k(ab), q = k(ac), r = k(bc) and conservation fixing
     the rest, the sum becomes, for each p, a single lattice convolution:
     sum_m (F_ac shifted . F_ad)(m) conv (F_bc . F_bd shifted)(m) F_cd(m).
-    The outer loop runs over the bundle with the smallest support.
+    The outer loop runs over the bundle with the smallest support. Every weight
+    is invariant under coordinate permutations and sign flips (checked here),
+    so the sum over p depends only on its orbit: the loop visits one p per
+    orbit and multiplies by the orbit size.
     """
     vs = sorted(adj)
     pair_w = {}
@@ -741,24 +751,55 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     F_bc = pair_w[(min(b, c), max(b, c))]
     F_bd = pair_w[(min(b, dd), max(b, dd))]
     F_cd = pair_w[(min(c, dd), max(c, dd))]
+    for w in pair_w.values():
+        _check_hyperoctahedral(w.cube)
+    R = F_ab.radius
+    rad = F_ac.radius + F_bc.radius
+    r = min(rad, F_cd.radius)
+    F_cd_core = _crop(F_cd.cube, F_cd.radius, r)
     total = 0.0
-    for idx in np.ndindex(F_ab.cube.shape):
-        wp = F_ab.cube[idx]
+    for p, size in _orbits(F_ab.cube.ndim, R):
+        wp = float(F_ab.cube[tuple(c + R for c in p)])
         if wp == 0.0:
             continue
-        p = tuple(i - F_ab.radius for i in idx)
         minus_p = tuple(-c for c in p)
         # A(q) = F_ac(q) F_ad(p + q) on the F_ac box
         A = F_ac.cube * _shifted(F_ad, F_ac.radius, p)
         # B(r) = F_bc(r) F_bd(p - r) = F_bc(r) F_bd(r - p) by evenness
         B = F_bc.cube * _shifted(F_bd, F_bc.radius, minus_p)
         conv = convolve_cubes(A, B)
-        rad = F_ac.radius + F_bc.radius
-        r = min(rad, F_cd.radius)
-        total += wp * float(
-            np.sum(_crop(conv, rad, r) * _crop(F_cd.cube, F_cd.radius, r))
-        )
+        total += size * wp * float(np.sum(_crop(conv, rad, r) * F_cd_core))
     return total
+
+
+def _orbits(dim: int, radius: int):
+    """One momentum per hyperoctahedral orbit of the box [-radius, radius]^dim.
+
+    Yields (p, size) with p_0 >= p_1 >= ... >= 0 and size the number of box
+    points that coordinate permutations and sign flips carry p to.
+    """
+    for p in itertools.combinations_with_replacement(range(radius, -1, -1), dim):
+        perms = factorial(dim)
+        for c in set(p):
+            perms //= factorial(p.count(c))
+        yield p, perms << sum(1 for c in p if c)
+
+
+def _check_hyperoctahedral(cube: np.ndarray) -> None:
+    """Raise unless cube is invariant under the generators of B_d: a flip of
+    axis 0, a swap of axes 0 and 1 and a cyclic shift of the axes."""
+    dim = cube.ndim
+    images = [np.flip(cube, 0)]
+    if dim > 1:
+        images.append(np.swapaxes(cube, 0, 1))
+        images.append(np.moveaxis(cube, 0, -1))
+    scale = float(np.max(np.abs(cube)))
+    for image in images:
+        if float(np.max(np.abs(image - cube))) > 1e-12 * scale:
+            raise ValuationBudgetError(
+                "K4 weight is not invariant under coordinate permutations and sign "
+                "flips; the orbit loop would sum it wrongly"
+            )
 
 
 def _shifted(w: _Weight, target_radius: int, p: tuple) -> np.ndarray:
@@ -1042,8 +1083,7 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
             adj[i].append((j, eid))
             adj[j].append((i, eid))
             eid += 1
-    # protect the terminals from series elimination by tagging them
-    _reduce_series_parallel_protected(adj, weights, protected={a, b})
+    _reduce_series_parallel(adj, weights, protected={a, b})
     if len(adj) == 2 and len(weights) == 1:
         (w,) = weights.values()
         if any(abs(c) > w.radius for c in p):
@@ -1051,45 +1091,6 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
         inner_val = float(w.cube[tuple(c + w.radius for c in p)])
         return factor * wp * wp * inner_val
     raise ValuationBudgetError("external valuation needs a two-terminal reduction")
-
-
-def _reduce_series_parallel_protected(adj, weights, protected):
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            by_neighbor: dict = {}
-            for (u, eid) in adj[v]:
-                if u == v:
-                    continue
-                by_neighbor.setdefault(u, []).append(eid)
-            for u, eids in by_neighbor.items():
-                if len(eids) > 1 and u > v:
-                    merged = weights[eids[0]]
-                    for eid in eids[1:]:
-                        merged = merged.parallel(weights[eid])
-                    weights[eids[0]] = merged
-                    for eid in eids[1:]:
-                        del weights[eid]
-                        adj[v].remove((u, eid))
-                        adj[u].remove((v, eid))
-                    changed = True
-        for v in list(adj):
-            if v in protected or len(adj[v]) != 2:
-                continue
-            (u1, e1), (u2, e2) = adj[v]
-            if u1 == v or u2 == v or e1 == e2:
-                continue
-            merged = weights[e1].series(weights[e2])
-            del weights[e2]
-            weights[e1] = merged
-            adj[u1].remove((v, e1))
-            adj[u2].remove((v, e2))
-            adj[u1].append((u2, e1))
-            adj[u2].append((u1, e1))
-            del adj[v]
-            changed = True
-            break
 
 
 def diagram_sum_to_json(s: DiagramSum) -> list:

@@ -543,20 +543,3 @@ def coefficient_ladder_csv(d, Ns, order: int) -> str:
         row = [str(int(N))] + [repr(c.value) for c in series.coefficients]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def series_vs_mc_report(N: int, alphas, samples: int, seed: int) -> list[dict]:
-    """d = 1: MC estimates against the order-3 series, with remainder bands."""
-    series = partition_ratio_series(1, N, 3)
-    out = []
-    for i, alpha in enumerate(alphas):
-        est, se = mc_partition_ratio(1, N, alpha, samples, seed + i)
-        out.append(
-            {
-                "alpha": alpha,
-                "mc": est,
-                "stderr": se,
-                "series": series.value_at(alpha),
-            }
-        )
-    return out

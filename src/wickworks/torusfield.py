@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cosh, pi, sinh, sqrt
+from math import cosh, sinh, sqrt
 
 import numpy as np
 

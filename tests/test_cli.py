@@ -120,6 +120,27 @@ class TestPhi4Cmd:
         assert lines[0] == "N,c0,c1,c2"
         assert lines[1].startswith("2,") and lines[2].startswith("4,")
 
+    def test_ladder_order4_prints_plain_floats(self, capsys):
+        code, out, _ = run(capsys, "phi4", "--d", "1", "--N", "0", "--ladder", "4,8", "--order", "4")
+        assert code == 0
+        assert "np." not in out
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [len(row) for row in rows] == [6, 6]
+        for row in rows:
+            for cell in row[1:]:
+                float(cell)
+
+    def test_ladder_needs_no_N(self, capsys):
+        code, out, _ = run(capsys, "phi4", "--d", "1", "--order", "2", "--ladder", "2,4")
+        assert code == 0
+        assert out.splitlines()[0] == "N,c0,c1,c2"
+
+    def test_N_required_without_ladder(self, capsys):
+        code, out, err = run(capsys, "phi4", "--d", "1", "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert "--N" in err
+
     def test_order_budget_error(self, capsys):
         code, _, err = run(capsys, "phi4", "--d", "1", "--N", "2", "--order", "9")
         assert code == 2

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wickworks import feynman as fy
@@ -32,7 +33,7 @@ from wickworks.feynman import (
     weinberg_check,
 )
 from wickworks.pairings import enumerate_matchings
-from wickworks.torusfield import ModeLattice, wick_integral_variance
+from wickworks.torusfield import ModeLattice, convolve_cubes, wick_integral_variance
 
 
 def dumbbell() -> Diagram:
@@ -51,6 +52,26 @@ def k4_doubled() -> Diagram:
         4,
         [((0, 1), 2), ((2, 3), 2), ((0, 2), 1), ((0, 3), 1), ((1, 2), 1), ((1, 3), 1)],
     )
+
+
+def k4_doubled_per_momentum(d: int, N: int) -> float:
+    """Independent oracle for valuate(k4_doubled(), d, N): the K4 sum with the
+    outer momentum p on the single edge (0, 2) run over every point of K_N.
+
+    With q = k(0->1) and r = k(2->1), conservation leaves
+    sum_{p,q,r} F01(q) F03(p+q) F12(r) F23(r-p) F13(q+r).
+    """
+    base = ModeLattice(d, N).inverse_weight_cube()
+    single = fy._Weight(base, N)
+    double = fy._Weight(convolve_cubes(base, base), 2 * N)
+    core = (slice(2 * N, 4 * N + 1),) * d  # the K_N box inside the radius-3N result
+    total = 0.0
+    for idx in np.ndindex(base.shape):
+        p = tuple(i - N for i in idx)
+        A = double.cube * fy._shifted(single, 2 * N, p)
+        B = base * fy._shifted(double, N, tuple(-c for c in p))
+        total += base[idx] * float(np.sum(convolve_cubes(A, B)[core] * base))
+    return total
 
 
 def valuate_bruteforce(g: Diagram, d: int, N: int) -> float:
@@ -490,6 +511,45 @@ class TestValuate:
         )
         with pytest.raises(ValuationBudgetError):
             valuate(g, 2, 16)
+
+
+class TestK4Orbits:
+    def test_orbit_sizes_cover_the_ball_and_the_box(self):
+        for d in (1, 2, 3):
+            for N in (0, 1, 3, 8):
+                orbits = list(fy._orbits(d, N))
+                assert sum(size for p, size in orbits if sum(p) <= N) == len(
+                    ModeLattice(d, N).modes
+                )
+                assert sum(size for _, size in orbits) == (2 * N + 1) ** d
+
+    def test_k4_matches_per_momentum_loop(self):
+        for d, N in [(2, 3), (3, 2)]:
+            assert valuate(k4_doubled(), d, N) == pytest.approx(
+                k4_doubled_per_momentum(d, N), rel=1e-12
+            )
+
+    def test_asymmetric_weight_raises(self):
+        N = 2
+        base = ModeLattice(2, N).inverse_weight_cube()
+        skewed = base.copy()
+        skewed[N + 1, N] *= 1.5  # breaks the swap of the two axes
+        adj = {v: [] for v in range(4)}
+        weights = {}
+        for eid, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+            weights[eid] = fy._Weight(skewed if eid == 5 else base, N)
+            adj[i].append((j, eid))
+            adj[j].append((i, eid))
+        with pytest.raises(ValuationBudgetError):
+            fy._valuate_k4(adj, weights)
+
+    def test_returns_plain_float(self):
+        assert type(valuate(k4_doubled(), 1, 2)) is float
+
+    def test_base_cube_is_read_only(self):
+        cube = fy._base_weight(1, 4, 1.0)
+        with pytest.raises(ValueError):
+            cube[0] = 1.0
 
 
 class TestPositionMC:
