@@ -9,7 +9,7 @@ relabeling, which is what makes symmetry-factor bookkeeping exact.
 Valuation works in momentum space: each edge carries a mode in the l1 ball
 K_N with weight lambda_k^(-s), momentum is conserved at every vertex, and the
 sum is evaluated by series-parallel reduction of spectral weight arrays
-(convolution across parallel bundles, pointwise product along series chains),
+(one convolution per parallel bundle, pointwise product along series chains),
 with a dedicated evaluator for the one irreducible core that quartic vacuum
 diagrams produce at order four (the K4 pattern) and a budgeted nested sum as
 the last resort. The K4 evaluator's outer momentum loop visits one momentum
@@ -649,10 +649,6 @@ class _Weight:
         b = _crop(other.cube, other.radius, r)
         return _Weight(a * b, r)
 
-    def parallel(self, other: "_Weight") -> "_Weight":
-        """Total momentum splits between the strands: linear convolution."""
-        return _Weight(convolve_cubes(self.cube, other.cube), self.radius + other.radius)
-
 
 def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
     if radius == target:
@@ -692,11 +688,14 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()):
                 by_neighbor.setdefault(u, []).append(eid)
             for u, eids in by_neighbor.items():
                 if len(eids) > 1 and u > v:
-                    merged = weights[eids[0]]
-                    for eid in eids[1:]:
-                        merged = merged.parallel(weights[eid])
+                    # total momentum splits between the strands: one n-ary
+                    # linear convolution of the whole bundle
+                    bundle = [weights[eid] for eid in eids]
                     keep = eids[0]
-                    weights[keep] = merged
+                    weights[keep] = _Weight(
+                        convolve_cubes(*(w.cube for w in bundle)),
+                        sum(w.radius for w in bundle),
+                    )
                     for eid in eids[1:]:
                         del weights[eid]
                         adj[v].remove((u, eid))

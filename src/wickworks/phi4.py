@@ -108,7 +108,8 @@ def partition_ratio_series(d, N: int, order: int) -> ExpansionSeries:
     for n in range(order + 1):
         diagrams = _quartic_diagrams(n)
         pref = Fraction((-1) ** n, factorial(n))
-        value = float(pref) * _series_value(diagrams, d, N)
+        # + 0.0: a negative prefactor times a vanishing valuation is -0.0
+        value = float(pref) * _series_value(diagrams, d, N) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
 
@@ -142,12 +143,22 @@ def _renormalized_ratio_series(N: int, order: int) -> ExpansionSeries:
     return series
 
 
+# Order 5 brings vacuum cores that neither series-parallel reduction, the K4
+# evaluator nor the nested sum can valuate, so every series stops at order 4.
+MAX_VALUATION_ORDER = 4
+
+
 def _check_order(order: int):
     budget = fy.enumeration_budget()
     if order > budget:
         raise ValueError(
             f"order {order} beyond the enumeration budget {budget} "
             "(set WICKWORKS_BUDGET to raise it)"
+        )
+    if order > MAX_VALUATION_ORDER:
+        raise ValueError(
+            f"order {order} beyond the valuation limit: diagrams are valuated "
+            f"up to perturbative order {MAX_VALUATION_ORDER}"
         )
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -176,7 +187,7 @@ def log_partition_series(d, N: int, order: int, route: str = "connected") -> Exp
     series = ExpansionSeries(d, N, order, "log-wick")
     for n, diagrams in enumerate(sums):
         pref = Fraction((-1) ** n, factorial(n))
-        value = float(pref) * _series_value(diagrams, d, N)
+        value = float(pref) * _series_value(diagrams, d, N) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
 
@@ -264,7 +275,7 @@ def two_point_series(d, N: int, order: int, x, y) -> ExpansionSeries:
             for g, c in sorted(
                 diagrams.terms.items(), key=lambda item: item[0].canonical_key()
             )
-        )
+        ) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
 
@@ -365,7 +376,7 @@ def _bphz_log_coefficients(N: int, order: int) -> list[float]:
         total = 0.0
         for g, c in sorted(conn.terms.items(), key=lambda i: i[0].canonical_key()):
             total += float(c) * fy.bphz_valuate(g, 3, N)
-        out[n] = float(pref) * total
+        out[n] = float(pref) * total + 0.0
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -353,24 +354,58 @@ def batch_amplitudes(
 # exact lattice convolutions
 
 
-def convolve_cubes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of centered cubes via FFT with full padding."""
-    d = a.ndim
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    axes = tuple(range(d))
-    fa = np.fft.rfftn(a, out_shape, axes=axes)
-    fb = np.fft.rfftn(b, out_shape, axes=axes)
-    return np.fft.irfftn(fa * fb, out_shape, axes=axes)
+def _smooth_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length pocketfft transforms without
+    falling back to Bluestein's algorithm."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def convolve_cubes(*cubes: np.ndarray) -> np.ndarray:
+    """Exact linear convolution of any number of centered cubes via FFT.
+
+    The output side per axis is the sum of the input sides minus (n - 1). The
+    transforms run on the smallest 5-smooth length at least that long, so the
+    cyclic convolution has no wraparound and cropping it back gives the linear
+    one. Inputs are matched by identity: each distinct array is transformed
+    once and its spectrum raised to its multiplicity, so an m-fold bundle of
+    one cube costs one forward and one inverse transform. The spectra are
+    multiplied into one accumulator in place, so at most two padded spectra
+    are alive at once. No input is written to.
+    """
+    if not cubes:
+        raise ValueError("need at least one cube")
+    out_shape = tuple(sum(sides) - (len(cubes) - 1) for sides in zip(*(c.shape for c in cubes)))
+    fft_shape = tuple(_smooth_len(n) for n in out_shape)
+    axes = tuple(range(len(out_shape)))
+    distinct = {id(cube): cube for cube in cubes}
+    mults = Counter(id(cube) for cube in cubes)
+    acc = None
+    for key, cube in distinct.items():
+        spec = np.fft.rfftn(cube, fft_shape, axes=axes)
+        if mults[key] > 1:
+            np.power(spec, mults[key], out=spec)
+        if acc is None:
+            acc = spec
+        else:
+            acc *= spec
+        del spec  # free it before the next forward transform allocates
+    out = np.fft.irfftn(acc, fft_shape, axes=axes)
+    return out[tuple(slice(0, n) for n in out_shape)]
 
 
 def iterated_self_convolution(cube: np.ndarray, n: int) -> np.ndarray:
-    """(n-1)-fold linear self-convolution: the n-th convolution power."""
+    """The n-th convolution power of cube, as one n-ary convolution."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = cube
-    for _ in range(n - 1):
-        out = convolve_cubes(out, cube)
-    return out
+    return convolve_cubes(*[cube] * n)
 
 
 def _center_value(cube: np.ndarray) -> float:
@@ -382,7 +417,7 @@ def wick_integral_variance(d: int, N: int, n: int) -> float:
     """n! * sum over k_1+...+k_n = 0 (each k_i in K_N) of prod 1/lambda_{k_i}.
 
     This is the variance of integral :field^n: for the truncated free field,
-    computed by n-1 lattice convolutions of the inverse-weight array.
+    computed as the n-th convolution power of the inverse-weight array.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,30 @@ class TestPhi4Cmd:
         code, _, err = run(capsys, "phi4", "--d", "1", "--N", "2", "--order", "9")
         assert code == 2
         assert "budget" in err
+
+    def test_order_beyond_valuation_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("WICKWORKS_BUDGET", "5")
+        code, out, err = run(capsys, "phi4", "--d", "1", "--N", "4", "--order", "5")
+        assert code == 2
+        assert out == ""
+        assert "valuation limit" in err and "order 4" in err
+
+    def test_diagrams_past_valuation_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("WICKWORKS_BUDGET", "5")
+        code, out, _ = run(capsys, "diagrams", "5", "4")
+        assert code == 0
+        assert json.loads(out)["classes"]
+
+    def test_no_signed_zero(self, capsys):
+        signed_zero = re.compile(r"-0\.0(?![0-9e])")
+        code, out, _ = run(capsys, "phi4", "--d", "1", "--ladder", "4,8", "--order", "4")
+        assert code == 0
+        assert not signed_zero.search(out)
+        assert out.splitlines()[1].split(",")[2] == "0.0"
+        code, out, _ = run(capsys, "phi4", "--d", "1", "--N", "4", "--order", "4")
+        assert code == 0
+        assert not signed_zero.search(out)
+        assert json.loads(out)["series"]["coefficients"][1]["value"] == 0.0
 
 
 class TestField:

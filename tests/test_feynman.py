@@ -648,3 +648,27 @@ def test_enumeration_budget_env(monkeypatch):
     monkeypatch.setenv("WICKWORKS_BUDGET", "nope")
     with pytest.raises(ValueError):
         fy.enumeration_budget()
+
+
+def test_fft_lengths_are_5_smooth(monkeypatch):
+    # torusfield looks the transforms up on np.fft at each call
+    shapes = []
+
+    def recording(fn):
+        def wrapper(a, s=None, axes=None, **kwargs):
+            shapes.append(tuple(s))
+            return fn(a, s, axes=axes, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfftn", recording(np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "irfftn", recording(np.fft.irfftn))
+    valuate(banana(4), 3, 24)
+    valuate(k4_doubled(), 3, 2)
+    assert shapes
+    for shape in shapes:
+        for n in shape:
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            assert n == 1, shape

@@ -217,6 +217,12 @@ class TestCommutativity:
         assert row["bphz_route"] != 0.0
         assert row["relative"] < 1e-10
 
+    def test_no_signed_zero(self):
+        # a negative prefactor times a vanishing valuation must not print -0.0
+        for row in wick_map_commutativity_check(4, order=3):
+            for key in ("mixed_route", "bphz_route"):
+                assert math.copysign(1.0, row[key]) > 0 or row[key] != 0.0, row
+
     def test_vertex_degree_formula(self):
         assert quartic_vertex_degree(4) == 1
         assert quartic_vertex_degree(3) == 0

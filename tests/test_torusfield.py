@@ -333,6 +333,58 @@ class TestWickIntegralVariance:
             wick_integral_variance(1, 4, 1)
 
 
+class TestConvolveCubes:
+    @staticmethod
+    def is_smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    def test_smooth_len(self):
+        for n in range(1, 401):
+            m = tf._smooth_len(n)
+            assert m >= n and self.is_smooth(m), n
+            assert not any(self.is_smooth(k) for k in range(n, m)), n
+
+    def test_nary_matches_chained_pairwise(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3):
+            a, b, c = (rng.standard_normal((side,) * d) for side in (9, 17, 9))
+            got = tf.convolve_cubes(a, b, c)
+            want = tf.convolve_cubes(tf.convolve_cubes(a, b), c)
+            assert got.shape == (33,) * d
+            scale = float(np.max(np.abs(want)))
+            assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, d
+
+    def test_nary_matches_direct_sum(self):
+        a = np.array([1.0, 2.0, 3.0])
+        b = np.array([0.5, -1.0])
+        want = np.convolve(np.convolve(a, b), a)
+        assert np.allclose(tf.convolve_cubes(a, b, a), want, rtol=0, atol=1e-13)
+
+    def test_identity_power_path(self):
+        a = ModeLattice(2, 6).inverse_weight_cube()
+        power = tf.convolve_cubes(a, a, a)
+        distinct = tf.convolve_cubes(a, a.copy(), a.copy())
+        scale = float(np.max(np.abs(distinct)))
+        assert float(np.max(np.abs(power - distinct))) <= 1e-13 * scale
+
+    def test_read_only_input_untouched(self):
+        a = ModeLattice(3, 3).inverse_weight_cube()
+        a.setflags(write=False)
+        before = a.copy()
+        tf.convolve_cubes(a, a, a, a)
+        tf.convolve_cubes(a, a.copy())
+        assert np.array_equal(a, before)
+
+    def test_variance_matches_exact_at_rational_coupling(self):
+        # Fraction(float) is the float's exact value, so both routes see one coupling
+        for d, N, n in [(1, 5, 3), (2, 3, 4), (3, 2, 3)]:
+            exact = wick_integral_variance_exact(d, N, n, Fraction(tf.TWO_PI**d))
+            assert wick_integral_variance(d, N, n) == pytest.approx(float(exact), rel=1e-12)
+
+
 class TestYoung:
     def test_preconditions(self):
         with pytest.raises(ValueError):
