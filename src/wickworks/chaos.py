@@ -352,17 +352,6 @@ def _shuffle_positions(n: int, p: int):
     return itertools.combinations(range(n), p)
 
 
-def _compose(slots_k, k_tuple, rest_tuple, n):
-    out = [None] * n
-    rest = iter(rest_tuple)
-    for pos, val in zip(slots_k, k_tuple):
-        out[pos] = val
-    for i in range(n):
-        if out[i] is None:
-            out[i] = next(rest)
-    return tuple(out)
-
-
 def contract(f, g, p: int):
     """Contraction f *_p g; tensor product when p = 0.
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import feynman as fy
@@ -32,14 +30,6 @@ def _json_default(obj):
     if isinstance(obj, Fraction):
         return [obj.numerator, obj.denominator]
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def parallel_map(fn, items, threads: int):
-    """Ordered map over independent tasks; results do not depend on threads."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def cmd_hermite(args) -> int:
@@ -264,9 +254,7 @@ def _verify_checks(fast: bool):
 
 def cmd_verify(args) -> int:
     checks = _verify_checks(args.fast)
-    results = parallel_map(
-        lambda pair: (pair[0], bool(pair[1]())), checks, args.threads
-    )
+    results = [(name, bool(check())) for name, check in checks]
     failed = 0
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -280,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wickworks",
         description="Exact Wiener-chaos algebra and perturbative quartic expansions",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="cap for worker threads (results are thread-count independent)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,18 +8,19 @@ relabeling, which is what makes symmetry-factor bookkeeping exact.
 
 Valuation works in momentum space: each edge carries a mode in the l1 ball
 K_N with weight lambda_k^(-s), momentum is conserved at every vertex, and the
-sum is evaluated by series-parallel reduction of spectral weight arrays
-(one convolution per parallel bundle, pointwise product along series chains),
-with a dedicated evaluator for the one irreducible core that quartic vacuum
-diagrams produce at order four (the K4 pattern) and a budgeted nested sum as
-the last resort. The K4 evaluator's outer momentum loop visits one momentum
-per orbit of the hyperoctahedral group (coordinate permutations and sign
-flips), under which every weight array is invariant, and weights each term
-by the orbit size. Renormalization follows the extraction-contraction coproduct:
-divergent connected full subgraphs are extracted in all vertex-disjoint
-families, and the (twisted) antipode recursion assembles the subtracted
-valuation as an exact rational combination of diagram products before any
-float is produced.
+sum is evaluated by series, parallel and pendant reduction of spectral weight
+arrays (one convolution per parallel bundle, pointwise product along series
+chains, the zero-momentum weight for a pendant edge), with a dedicated
+evaluator for the K4 core. These moves reduce exactly the graphs without a K4
+minor (Duffin 1965), so a leftover core has every degree >= 3: on four
+vertices it is K4, and a larger one is rejected. The K4 evaluator's outer
+momentum loop visits one momentum per orbit of the hyperoctahedral group
+(coordinate permutations and sign flips), under which every weight array is
+invariant, and weights each term by the orbit size. Renormalization follows
+the extraction-contraction coproduct: divergent connected full subgraphs are
+extracted in all vertex-disjoint families, and the (twisted) antipode
+recursion assembles the subtracted valuation as an exact rational combination
+of diagram products before any float is produced.
 """
 
 from __future__ import annotations
@@ -669,13 +670,16 @@ class ValuationBudgetError(ValueError):
     pass
 
 
-def _reduce_series_parallel(adj: dict, weights: dict, protected=()):
-    """Merge parallel bundles and eliminate two-valent vertices in place.
+def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> float:
+    """Merge parallel bundles and eliminate pendant and two-valent vertices in place.
 
     adj: vertex -> multiset of (neighbor, edge id); weights: edge id -> _Weight.
+    A pendant edge carries zero momentum, so removing it multiplies the value
+    by its weight at the origin; the product of those factors is returned.
     Vertices in `protected` (the terminals of a two-point diagram) are never
     eliminated. Returns when no move applies.
     """
+    factor = 1.0
     changed = True
     while changed:
         changed = False
@@ -683,8 +687,6 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()):
         for v in list(adj):
             by_neighbor: dict = {}
             for (u, eid) in adj[v]:
-                if u == v:
-                    continue
                 by_neighbor.setdefault(u, []).append(eid)
             for u, eids in by_neighbor.items():
                 if len(eids) > 1 and u > v:
@@ -701,24 +703,26 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()):
                         adj[v].remove((u, eid))
                         adj[u].remove((v, eid))
                     changed = True
-        # series eliminations at two-valent vertices (keep at least 2 vertices)
+        # pendant and series eliminations (keep at least 2 vertices)
         if len(adj) > 2:
             for v in list(adj):
-                if v in protected or len(adj[v]) != 2:
+                if v in protected or len(adj[v]) > 2:
                     continue
-                (u1, e1), (u2, e2) = adj[v]
-                if u1 == v or u2 == v or e1 == e2:
-                    continue
-                merged = weights[e1].series(weights[e2])
-                del weights[e2]
-                weights[e1] = merged
-                adj[u1].remove((v, e1))
-                adj[u2].remove((v, e2))
-                adj[u1].append((u2, e1))
-                adj[u2].append((u1, e1))
+                if len(adj[v]) == 1:
+                    ((u, e),) = adj[v]
+                    factor *= weights.pop(e).center()
+                    adj[u].remove((v, e))
+                else:
+                    (u1, e1), (u2, e2) = adj[v]
+                    weights[e1] = weights[e1].series(weights.pop(e2))
+                    adj[u1].remove((v, e1))
+                    adj[u2].remove((v, e2))
+                    adj[u1].append((u2, e1))
+                    adj[u2].append((u1, e1))
                 del adj[v]
                 changed = True
                 break
+    return factor
 
 
 def _valuate_k4(adj: dict, weights: dict) -> float:
@@ -738,8 +742,6 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         for (u, eid) in adj[v]:
             if u > v:
                 pair_w[(v, u)] = weights[eid]
-    if len(pair_w) != 6:
-        raise ValuationBudgetError("irreducible core is not the K4 pattern")
     # choose the outer pair as the smallest-support bundle
     outer = min(pair_w, key=lambda k: pair_w[k].cube.size)
     a, b = outer
@@ -821,12 +823,17 @@ def _shifted(w: _Weight, target_radius: int, p: tuple) -> np.ndarray:
     return out
 
 
-def _valuate_connected(g: Diagram, d, N: int) -> float:
-    dim = _lattice_dim(d)
-    s = _edge_exponent(d)
-    if g.nvertices == 1:
-        return 1.0
-    base = _base_weight(dim, N, s)
+def _reduced(g: Diagram, d, N: int, protected=()):
+    """Give every line of g the base weight and reduce the graph.
+
+    Returns (factor, adj, weights): the product of the pendant factors and
+    the reduced core, in the layout of _reduce_series_parallel.
+    """
+    if g.has_loop():
+        raise ValueError(
+            "self-contractions cannot be valuated; Wick-ordered vertices have none"
+        )
+    base = _base_weight(_lattice_dim(d), N, _edge_exponent(d))
     adj: dict = {v: [] for v in range(g.nvertices)}
     weights: dict = {}
     eid = 0
@@ -836,88 +843,22 @@ def _valuate_connected(g: Diagram, d, N: int) -> float:
             adj[i].append((j, eid))
             adj[j].append((i, eid))
             eid += 1
-    _reduce_series_parallel(adj, weights)
+    factor = _reduce_series_parallel(adj, weights, protected)
+    return factor, adj, weights
+
+
+def _valuate_connected(g: Diagram, d, N: int) -> float:
+    factor, adj, weights = _reduced(g, d, N)
     if len(adj) == 2 and len(weights) == 1:
         (w,) = weights.values()
-        return w.center()
-    if len(adj) == 4:
-        return _valuate_k4(adj, weights)
-    return _valuate_nested(adj, weights, dim, N)
-
-
-def _valuate_nested(adj: dict, weights: dict, dim: int, N: int) -> float:
-    """Budgeted fallback: enumerate loop momenta over spanning-tree complements."""
-    vs = sorted(adj)
-    edges = sorted(weights)
-    incidence = {e: [] for e in edges}
-    for v in vs:
-        for (u, e) in adj[v]:
-            if v < u:
-                incidence[e] = [v, u]
-    loops = len(edges) - len(vs) + 1
-    if loops > 3 or N > 16 or dim > 2:
-        raise ValuationBudgetError(
-            f"nested-sum budget exceeded (loops={loops}, N={N}, dim={dim})"
-        )
-    # spanning tree by BFS
-    tree = {}
-    visited = {vs[0]}
-    frontier = [vs[0]]
-    tree_edges = []
-    while frontier:
-        v = frontier.pop()
-        for (u, e) in adj[v]:
-            if u not in visited:
-                visited.add(u)
-                tree[u] = (v, e)
-                tree_edges.append(e)
-                frontier.append(u)
-    loop_edges = [e for e in edges if e not in tree_edges]
-    total = 0.0
-    side_indices = [
-        list(np.ndindex(weights[e].cube.shape)) for e in loop_edges
-    ]
-    for assignment in itertools.product(*side_indices):
-        moment = {}
-        w_prod = 1.0
-        ok = True
-        for e, idx in zip(loop_edges, assignment):
-            wv = float(weights[e].cube[idx])
-            if wv == 0.0:
-                ok = False
-                break
-            moment[e] = tuple(i - weights[e].radius for i in idx)
-            w_prod *= wv
-        if not ok:
-            continue
-        # solve tree-edge momenta by peeling leaves
-        flows = dict(moment)
-        residual = {v: [0] * dim for v in vs}
-        for e, p in moment.items():
-            a, b = incidence[e]
-            for ax in range(dim):
-                residual[a][ax] += p[ax]
-                residual[b][ax] -= p[ax]
-        order = [v for v in vs if v in tree]
-        for v in reversed(order):
-            parent, e = tree[v]
-            # oriented v -> parent the edge carries -residual[v]
-            p = tuple(-r for r in residual[v])
-            flows[e] = p
-            w = weights[e]
-            if any(abs(c) > w.radius for c in p):
-                ok = False
-                break
-            wv = float(w.cube[tuple(c + w.radius for c in p)])
-            if wv == 0.0:
-                ok = False
-                break
-            w_prod *= wv
-            for ax in range(dim):
-                residual[parent][ax] -= p[ax]
-        if ok:
-            total += w_prod
-    return total
+        return factor * w.center()
+    if len(adj) == 4 and len(weights) == 6:
+        return factor * _valuate_k4(adj, weights)
+    raise ValuationBudgetError(
+        f"irreducible core with {len(adj)} vertices and "
+        f"{len(weights) - len(adj) + 1} loops: only series-parallel cores and "
+        "the K4 core can be valuated"
+    )
 
 
 def valuate(g: Diagram, d, N: int) -> float:
@@ -1026,18 +967,15 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
 def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     """Two-terminal valuation at external momentum p (default: the zero mode).
 
-    The two labeled legs fix the momentum flowing through the diagram; the
-    internal part must reduce to a single effective bundle between the two
-    attachment vertices (true for every order <= 2 two-point diagram), and
-    the external propagators contribute one weight factor each.
+    The two labeled legs fix the momentum flowing through the diagram. With
+    the labeled vertices protected, the external component must reduce to a
+    single bundle between them (true for every order <= 2 two-point diagram);
+    that bundle, external propagators included, is read at p.
     """
     if len(g.labels) != 2:
         raise ValueError("need exactly two external legs")
     dim = _lattice_dim(d)
-    s = _edge_exponent(d)
-    if p is None:
-        p = (0,) * dim
-    p = tuple(int(c) for c in p)
+    p = (0,) * dim if p is None else tuple(int(c) for c in p)
     # vacuum components factor out of the external one
     comps = connected_components(g)
     vacuum = [c for c in comps if c.is_vacuum()]
@@ -1048,48 +986,13 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     for c in vacuum:
         factor *= valuate_cached(c, d, N)
     g = ext_comps[0]
-    ext = [v for v, _ in g.labels]
-    base = _base_weight(dim, N, s)
-    if sum(abs(c) for c in p) > N:
+    pendant, adj, weights = _reduced(g, d, N, protected={v for v, _ in g.labels})
+    if len(adj) != 2 or len(weights) != 1:
+        raise ValuationBudgetError("external valuation needs a two-terminal reduction")
+    (w,) = weights.values()
+    if any(abs(c) > w.radius for c in p):
         return 0.0
-    wp = float(base[tuple(c + N for c in p)])
-    # direct propagator between the two external vertices
-    if g.nvertices == 2 and len(g.edges) == 1:
-        return factor * wp
-    # strip the external vertices; remember where they attached
-    attach = []
-    for v in ext:
-        for (i, j), m in g.edges:
-            if v in (i, j):
-                attach.append(j if i == v else i)
-    internal = [v for v in range(g.nvertices) if v not in ext]
-    relabel = {v: i for i, v in enumerate(internal)}
-    inner = Diagram(
-        len(internal),
-        [
-            ((relabel[i], relabel[j]), m)
-            for (i, j), m in g.edges
-            if i not in ext and j not in ext
-        ],
-    )
-    a, b = relabel[attach[0]], relabel[attach[1]]
-    adj: dict = {v: [] for v in range(inner.nvertices)}
-    weights: dict = {}
-    eid = 0
-    for (i, j), m in inner.edges:
-        for _ in range(m):
-            weights[eid] = _Weight(base, N)
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
-            eid += 1
-    _reduce_series_parallel(adj, weights, protected={a, b})
-    if len(adj) == 2 and len(weights) == 1:
-        (w,) = weights.values()
-        if any(abs(c) > w.radius for c in p):
-            return 0.0
-        inner_val = float(w.cube[tuple(c + w.radius for c in p)])
-        return factor * wp * wp * inner_val
-    raise ValuationBudgetError("external valuation needs a two-terminal reduction")
+    return factor * pendant * float(w.cube[tuple(c + w.radius for c in p)])
 
 
 def diagram_sum_to_json(s: DiagramSum) -> list:

@@ -29,7 +29,9 @@ from . import feynman as fy
 from .cumulants import Functional, exp_star, log_star
 from .feynman import Diagram, DiagramSum, banana, double_triangle
 from .torusfield import (
+    GFF,
     ModeLattice,
+    batch_amplitudes,
     c_variance,
     green_truncated,
     grid_points,
@@ -143,8 +145,9 @@ def _renormalized_ratio_series(N: int, order: int) -> ExpansionSeries:
     return series
 
 
-# Order 5 brings vacuum cores that neither series-parallel reduction, the K4
-# evaluator nor the nested sum can valuate, so every series stops at order 4.
+# Order 5 brings vacuum diagrams, K5 among them, that series, parallel and
+# pendant reduction leaves with a core larger than K4, which no evaluator here
+# valuates, so every series stops at order 4.
 MAX_VALUATION_ORDER = 4
 
 
@@ -521,17 +524,12 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     pts = grid_points(d, grid)
     B = synthesis_matrix(lat, pts)
     cn = c_variance(d, N)
-    from .torusfield import mode_labels
-
-    weights = np.array([float(lat.lam(k)) ** -0.5 for k, _ in mode_labels(lat)])
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
     chunks = []
     remaining = samples
     for ss in seeds:
         take = min(MC_BLOCK, remaining)
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal((B.shape[1], take))
-        vals = B @ (weights[:, None] * z)
+        vals = B @ batch_amplitudes(lat, GFF, take, ss)
         x = integral_wick4(vals, cn)
         chunks.append(np.exp(-alpha * x))
         remaining -= take

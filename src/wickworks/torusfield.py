@@ -170,19 +170,9 @@ class FieldSample:
         self.lattice = lattice
         self.profile = profile
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.pos_modes = lattice.positive_modes()
-        zero = (0,) * lattice.d
-        labels = [(zero, "c")]
-        for k in self.pos_modes:
-            labels.append((k, "c"))
-            labels.append((k, "s"))
-        self.labels = labels
-        z = rng.standard_normal(len(labels))
-        weights = np.array(
-            [float(lattice.lam(k)) ** (-profile.exponent) for k, _ in labels]
-        )
-        self.amplitudes = dict(zip(labels, weights * z))
+        self.labels = mode_labels(lattice)
+        amplitudes = batch_amplitudes(lattice, profile, 1, seed)[:, 0]
+        self.amplitudes = dict(zip(self.labels, amplitudes))
 
     def variance_target(self) -> float:
         """E[field(x)^2] = sum over all of K_N of lambda^(-2 exponent)."""
@@ -207,10 +197,7 @@ class FieldSample:
     def evaluate_grid(self, M: int) -> np.ndarray:
         """Values on the uniform M^d grid (j/M), synthesized directly."""
         d = self.lattice.d
-        axes = np.arange(M) / M
-        grids = np.meshgrid(*([axes] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return self.evaluate(pts).reshape((M,) * d)
+        return self.evaluate(grid_points(d, M)).reshape((M,) * d)
 
 
 def sample_field(profile: SpectralProfile, lattice: ModeLattice, seed: int) -> FieldSample:
@@ -241,9 +228,7 @@ def testfunction_from_values(lattice: ModeLattice, func, grid: int | None = None
     d = lattice.d
     if grid is None:
         grid = 8 * max(lattice.N, 1)
-    axes = np.arange(grid) / grid
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = grid_points(d, grid)
     vals = np.array([func(p) for p in pts])
     out = {}
     zero = (0,) * d
@@ -334,12 +319,12 @@ def grid_points(d: int, M: int) -> np.ndarray:
 
 
 def batch_amplitudes(
-    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed: int
+    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed
 ) -> np.ndarray:
     """Weighted amplitudes for nsamples fields, shape (nmodes, nsamples).
 
     Column j is an independent field; the draw order is the fixed label order,
-    so results are deterministic under the seed.
+    so results are deterministic under the seed (an int or a SeedSequence).
     """
     labels = mode_labels(lattice)
     rng = np.random.default_rng(seed)

@@ -199,15 +199,10 @@ class TestField:
 
 class TestVerify:
     def test_fast_table_passes(self, capsys):
-        code, out, _ = run(capsys, "--threads", "2", "verify", "--fast")
+        code, out, _ = run(capsys, "verify", "--fast")
         assert code == 0
         assert "FAIL" not in out
         assert out.strip().endswith("checks passed")
-
-    def test_single_thread_same_result(self, capsys):
-        code, out, _ = run(capsys, "--threads", "1", "verify", "--fast")
-        assert code == 0
-        assert "FAIL" not in out
 
 
 class TestUsage:

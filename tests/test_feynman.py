@@ -513,6 +513,72 @@ class TestValuate:
             valuate(g, 2, 16)
 
 
+def star(leaves: int) -> Diagram:
+    """K_{1,leaves}: vertex 0 joined to `leaves` pendant vertices."""
+    return Diagram(leaves + 1, [((0, v), 1) for v in range(1, leaves + 1)])
+
+
+def k4() -> Diagram:
+    return Diagram(4, [((i, j), 1) for i, j in itertools.combinations(range(4), 2)])
+
+
+def k5() -> Diagram:
+    return Diagram(5, [((i, j), 1) for i, j in itertools.combinations(range(5), 2)])
+
+
+class TestPendantReduction:
+    def test_pendant_classes_match_bruteforce(self):
+        arities = [
+            [4, 1, 1, 1, 1],
+            [3, 3, 1, 1],
+            [4, 4, 1, 1],
+            [4, 3, 1],
+            [3, 1, 1, 1],
+            [4, 2, 1, 1],
+            [3, 3, 3, 1],
+            # a double edge to a two-valent vertex becomes a pendant bundle
+            # whose zero-momentum weight is not 1
+            [4, 2, 2],
+            [4, 4, 2, 2],
+        ]
+        for ar in arities:
+            for g in generate_diagrams(ar).terms:
+                for d, N in [(1, 2), (2, 1)]:
+                    got = valuate(g, d, N)
+                    assert got == pytest.approx(
+                        valuate_bruteforce(g, d, N), rel=1e-12
+                    ), (ar, g, d)
+
+    def test_stars_are_one(self):
+        # every pendant edge is pinned to the zero mode, whose weight is 1
+        for leaves in (3, 4):
+            for d, N in [(1, 4), (2, 3), (3, 2)]:
+                assert valuate(star(leaves), d, N) == 1.0
+
+    def test_pendant_edge_on_k4(self):
+        g = Diagram(5, list(k4().edges) + [((0, 4), 1)])
+        assert valuate(g, 3, 2) == valuate(k4(), 3, 2)
+
+    def test_leftover_core_is_named(self):
+        with pytest.raises(ValuationBudgetError, match="5 vertices and 6 loops"):
+            valuate(k5(), 2, 4)
+
+    def test_self_contractions_rejected(self):
+        looped = [
+            Diagram(1, [((0, 0), 2)]),
+            Diagram(2, [((0, 0), 1), ((0, 1), 2)]),
+        ]
+        for g in looped:
+            for d in (1, 3):
+                with pytest.raises(ValueError, match="self-contraction"):
+                    valuate(g, d, 4)
+        ext = Diagram(
+            3, [((0, 0), 1), ((0, 1), 1), ((0, 2), 1)], labels=[(1, "x"), (2, "y")]
+        )
+        with pytest.raises(ValueError, match="self-contraction"):
+            valuate_external(ext, 1, 4)
+
+
 class TestK4Orbits:
     def test_orbit_sizes_cover_the_ball_and_the_box(self):
         for d in (1, 2, 3):

@@ -455,14 +455,6 @@ class TestReproducibility:
         b = wick_integral_variance(2, 16, 3)
         assert a == b  # bitwise
 
-    def test_parallel_map_order_independent_of_threads(self):
-        from wickworks.cli import parallel_map
-
-        tasks = [(d, N, n) for d in (1, 2) for N in (2, 3) for n in (2, 3)]
-        serial = parallel_map(lambda t: wick_integral_variance(*t), tasks, 1)
-        threaded = parallel_map(lambda t: wick_integral_variance(*t), tasks, 4)
-        assert serial == threaded  # bitwise, fixed collection order
-
 
 class TestExport:
     def test_roundtrip_and_determinism(self, tmp_path):
