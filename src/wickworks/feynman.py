@@ -4,7 +4,10 @@ A diagram is a multigraph whose vertices are numbered 0..V-1; parallel edges
 are stored with multiplicities, and external legs are modeled as labeled
 arity-1 vertices (so a direct pairing of two external legs is just an edge
 between two labeled vertices). Equality and hashing go through a canonical
-relabeling, which is what makes symmetry-factor bookkeeping exact.
+key, which is what makes symmetry-factor bookkeeping exact: colour refinement
+plus individualization (McKay & Piperno 2014) builds a search tree of ordered
+vertex partitions, and the key is the smallest relabelled edge and label list
+over its discrete leaves, so no vertex permutation is enumerated.
 
 Valuation works in momentum space: each edge carries a mode in the l1 ball
 K_N with weight lambda_k^(-s), momentum is conserved at every vertex, and the
@@ -38,7 +41,11 @@ from .torusfield import ModeLattice, convolve_cubes
 
 
 def enumeration_budget(default: int = 4) -> int:
-    """Max perturbative order for diagram generation; WICKWORKS_BUDGET overrides."""
+    """Max perturbative order of the phi4 series; WICKWORKS_BUDGET overrides.
+
+    Only the series check it: generate_diagrams and the `diagrams` command
+    take no budget and generate any order they are asked for.
+    """
     raw = os.environ.get("WICKWORKS_BUDGET")
     if raw is None:
         return default
@@ -49,7 +56,12 @@ def enumeration_budget(default: int = 4) -> int:
 
 
 class Diagram:
-    """Multigraph with labeled external (arity-1) vertices, canonically keyed."""
+    """Multigraph with labeled external (arity-1) vertices, canonically keyed.
+
+    The key (n, edges, labels) is the minimum over the leaves of colour
+    refinement plus individualization (see _compute_key); canonical() returns
+    the diagram the key describes, already carrying that key.
+    """
 
     __slots__ = ("nvertices", "edges", "labels", "_key")
 
@@ -119,54 +131,69 @@ class Diagram:
         return self._key
 
     def _compute_key(self) -> tuple:
+        """Smallest relabelled (n, edges, labels) over an individualization tree.
+
+        Colour refinement gives each vertex the signature (own colour, sorted
+        multiset of (multiplicity, neighbour colour)) and re-ranks the colours
+        by signature until the number of cells stops growing; the ordered
+        partition it reaches does not depend on the input labelling. While a
+        cell has several vertices, each vertex of the first such cell is
+        individualized in turn (ranked just before its cell-mates) and the
+        partition refined again (McKay & Piperno 2014). Every discrete leaf
+        numbers the vertices by rank, and the key is the minimum over leaves.
+        """
         n = self.nvertices
         if n == 0:
             return (0, (), ())
         degs = self.degrees()
-        colors = {v: self._color(v, degs) for v in range(n)}
-        # Weisfeiler-Lehman refinement to shrink the permutation groups
-        for _ in range(2):
-            new = {}
-            for v in range(n):
-                nbrs = []
-                for (i, j), m in self.edges:
-                    if i == v:
-                        nbrs.append((m, colors[j]))
-                    if j == v and i != j:
-                        nbrs.append((m, colors[i]))
-                new[v] = (colors[v], tuple(sorted(nbrs)))
-            if len(set(new.values())) == len(set(colors.values())):
-                colors = new
-                break
-            colors = new
-        order = sorted(range(n), key=lambda v: (colors[v], v))
-        groups = []
-        for v in order:
-            if groups and colors[groups[-1][-1]] == colors[v]:
-                groups[-1].append(v)
-            else:
-                groups.append([v])
+        nbrs = [[] for _ in range(n)]
+        for (i, j), m in self.edges:
+            nbrs[i].append((m, j))
+            if i != j:
+                nbrs[j].append((m, i))
+
+        def refine(colour):
+            cells = len(set(colour))
+            while True:
+                sig = [
+                    (colour[v], tuple(sorted((m, colour[w]) for m, w in nbrs[v])))
+                    for v in range(n)
+                ]
+                rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+                colour = [rank[s] for s in sig]
+                if len(rank) == cells:
+                    return colour
+                cells = len(rank)
+
         best = None
-        for perm_parts in itertools.product(
-            *[itertools.permutations(g) for g in groups]
-        ):
-            flat = [v for part in perm_parts for v in part]
-            relabel = {old: new for new, old in enumerate(flat)}
+        stack = [[self._color(v, degs) for v in range(n)]]
+        while stack:
+            colour = refine(stack.pop())
+            if len(set(colour)) < n:
+                first = min(c for c in colour if colour.count(c) > 1)
+                for v in range(n):
+                    if colour[v] == first:
+                        stack.append(
+                            [2 * c + (c == first and w != v) for w, c in enumerate(colour)]
+                        )
+                continue
             edges = tuple(
                 sorted(
-                    ((min(relabel[i], relabel[j]), max(relabel[i], relabel[j])), m)
+                    ((min(colour[i], colour[j]), max(colour[i], colour[j])), m)
                     for (i, j), m in self.edges
                 )
             )
-            labels = tuple(sorted((relabel[v], label) for v, label in self.labels))
+            labels = tuple(sorted((colour[v], label) for v, label in self.labels))
             cand = (n, edges, labels)
             if best is None or cand < best:
                 best = cand
         return best
 
     def canonical(self) -> "Diagram":
-        n, edges, labels = self.canonical_key()
-        return Diagram(n, edges, labels, _canonical=True)
+        key = self.canonical_key()
+        g = Diagram(*key, _canonical=True)
+        g._key = key  # a canonical form is its own key
+        return g
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.canonical_key() == other.canonical_key()
@@ -643,6 +670,12 @@ class _Weight:
         idx = tuple(self.radius for _ in range(self.cube.ndim))
         return float(self.cube[idx])
 
+    def at(self, p) -> float:
+        """Weight at momentum p; 0.0 outside the cube."""
+        if any(abs(c) > self.radius for c in p):
+            return 0.0
+        return float(self.cube[tuple(c + self.radius for c in p)])
+
     def series(self, other: "_Weight") -> "_Weight":
         """Same momentum flows through both: pointwise product on the overlap."""
         r = min(self.radius, other.radius)
@@ -964,18 +997,18 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
     return est, stderr
 
 
-def valuate_external(g: Diagram, d, N: int, p=None) -> float:
-    """Two-terminal valuation at external momentum p (default: the zero mode).
+def _external_bundle(g: Diagram, d, N: int):
+    """Scale factor and reduced x-y bundle of a two-point diagram.
 
     The two labeled legs fix the momentum flowing through the diagram. With
     the labeled vertices protected, the external component must reduce to a
     single bundle between them (true for every order <= 2 two-point diagram);
-    that bundle, external propagators included, is read at p.
+    that bundle, external propagators included, does not depend on the
+    external momentum, so one reduction serves every mode. The scale factor
+    collects the vacuum components and the pendant factors.
     """
     if len(g.labels) != 2:
         raise ValueError("need exactly two external legs")
-    dim = _lattice_dim(d)
-    p = (0,) * dim if p is None else tuple(int(c) for c in p)
     # vacuum components factor out of the external one
     comps = connected_components(g)
     vacuum = [c for c in comps if c.is_vacuum()]
@@ -990,9 +1023,17 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     if len(adj) != 2 or len(weights) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")
     (w,) = weights.values()
-    if any(abs(c) > w.radius for c in p):
-        return 0.0
-    return factor * pendant * float(w.cube[tuple(c + w.radius for c in p)])
+    return factor * pendant, w
+
+
+def valuate_external(g: Diagram, d, N: int, p=None) -> float:
+    """Two-terminal valuation at external momentum p (default: the zero mode).
+
+    The reduced x-y bundle of _external_bundle, scaled and read at p.
+    """
+    scale, w = _external_bundle(g, d, N)
+    p = (0,) * _lattice_dim(d) if p is None else tuple(int(c) for c in p)
+    return scale * w.at(p)
 
 
 def diagram_sum_to_json(s: DiagramSum) -> list:

@@ -292,10 +292,10 @@ def _external_value(g: Diagram, d, N: int, x, y) -> float:
     if g.nvertices == 2 and len(g.edges) == 1:
         return green_truncated(diff, dim, N)
     # chain-type classes: sum over the external momentum of the two-terminal value
-    lat = ModeLattice(dim, N)
+    scale, w = fy._external_bundle(g, d, N)
     total = 0.0
-    for p in lat.modes:
-        val = fy.valuate_external(g, d, N, p=p)
+    for p in ModeLattice(dim, N).modes:
+        val = scale * w.at(p)
         if val:
             phase = 2.0 * math.pi * sum(pi * di for pi, di in zip(p, diff))
             total += val * math.cos(phase)

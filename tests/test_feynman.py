@@ -251,6 +251,102 @@ class TestGeneration:
         assert out.terms[disc] == 24
 
 
+def automorphism_count(g: Diagram) -> int:
+    """|Aut(g)| by brute force over vertex permutations fixing labelled vertices."""
+    fixed = {v for v, _ in g.labels}
+    edges = dict(g.edges)
+    count = 0
+    for perm in itertools.permutations(range(g.nvertices)):
+        if any(perm[v] != v for v in fixed):
+            continue
+        image = {(min(perm[i], perm[j]), max(perm[i], perm[j])): m for (i, j), m in g.edges}
+        count += image == edges
+    return count
+
+
+def prism() -> Diagram:
+    """Triangular prism: two triangles 0-1-2 and 3-4-5 joined by rungs i - i+3."""
+    return Diagram(
+        6,
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+    )
+
+
+def k33() -> Diagram:
+    return Diagram(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+class TestCanonicalLabelling:
+    # Oracle for the canonical classes: a class's matching count is
+    # prod n_g! * prod a_v! / (|Aut| * prod m_ij!), with n_g the size of each
+    # arity group of unlabelled vertices and Aut fixing the labelled ones.
+    # Merging two classes or splitting one breaks the equality.
+    @pytest.mark.parametrize(
+        "arities, labels",
+        [
+            ([4] * 5, ()),
+            ([4] * 6, ()),
+            ([3, 3, 3, 3], ()),
+            ([4, 4, 2], ()),
+            ([4, 3, 3, 2], ()),
+            ([3, 3, 1, 1], ()),
+            ([4, 4], ("x", "y")),
+        ],
+    )
+    def test_coefficients_from_automorphisms(self, arities, labels):
+        out = generate_diagrams(arities, labels)
+        assert out.terms
+        for g, coeff in out.terms.items():
+            labelled = {v for v, _ in g.labels}
+            degs = g.degrees()
+            groups = {}
+            for v in range(g.nvertices):
+                if v not in labelled:
+                    groups[degs[v]] = groups.get(degs[v], 0) + 1
+            num = math.prod(math.factorial(k) for k in groups.values())
+            num *= math.prod(math.factorial(a) for a in degs)
+            den = automorphism_count(g) * math.prod(math.factorial(m) for _, m in g.edges)
+            assert coeff == Fraction(num, den), g
+
+    def test_refinement_equivalent_pairs_are_distinct(self):
+        # each pair is regular with equal degrees, so colour refinement alone
+        # leaves one cell; only individualization tells them apart
+        assert prism() != k33()
+        doubled_hexagon = Diagram(6, [((i, (i + 1) % 6), 2) for i in range(6)])
+        two_doubled_triangles = Diagram(
+            6, [((0, 1), 2), ((1, 2), 2), ((0, 2), 2), ((3, 4), 2), ((4, 5), 2), ((3, 5), 2)]
+        )
+        assert doubled_hexagon != two_doubled_triangles
+        rng = random.Random(3)
+        for g in (prism(), k33(), doubled_hexagon, two_doubled_triangles):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            assert g.relabeled(dict(enumerate(perm))).canonical_key() == g.canonical_key()
+
+    def test_order6_keys_survive_relabelling(self):
+        rng = random.Random(6)
+        classes = generate_diagrams([4] * 6).terms
+        assert len(classes) == 24
+        for g in classes:
+            key = g.canonical_key()
+            for _ in range(20):
+                perm = list(range(g.nvertices))
+                rng.shuffle(perm)
+                assert g.relabeled(dict(enumerate(perm))).canonical_key() == key
+
+    def test_canonical_form_carries_its_key(self):
+        chain = Diagram(
+            4, [((0, 1), 3), ((0, 2), 1), ((1, 3), 1)], labels=[(2, "x"), (3, "y")]
+        )
+        for g in (dumbbell(), k4_doubled(), prism(), chain):
+            key = g.canonical_key()
+            c = g.canonical()
+            assert c._key == key
+            assert (c.nvertices, c.edges, c.labels) == key
+            c._key = None
+            assert c.canonical_key() == key
+
+
 class TestConnectivity:
     def test_connected(self):
         assert is_connected(banana(4))

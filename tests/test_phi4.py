@@ -20,7 +20,7 @@ from wickworks.phi4 import (
     two_point_series,
     wick_map_commutativity_check,
 )
-from wickworks.torusfield import c_variance, green_truncated
+from wickworks.torusfield import ModeLattice, c_variance, green_truncated
 
 
 class TestPartitionSeries:
@@ -174,6 +174,40 @@ class TestTwoPoint:
                         )
             total += (1.0 / float(lat.lam(p)) ** 2) * s3
         assert s.coefficient(2).value == pytest.approx(0.5 * 192 * total, rel=1e-10)
+
+
+    @pytest.mark.parametrize(
+        "args", [(1, 6, 2, 0.0, 0.3), (2, 4, 2, (0, 0), (0.3, 0.1))]
+    )
+    def test_one_reduction_per_diagram(self, monkeypatch, args):
+        # reference: one valuate_external call, hence one reduction, per mode
+        def per_mode(g, d, N, x, y):
+            dim = fy._lattice_dim(d)
+            xs = (float(x),) if dim == 1 else tuple(float(c) for c in x)
+            ys = (float(y),) if dim == 1 else tuple(float(c) for c in y)
+            diff = tuple(a - b for a, b in zip(xs, ys))
+            if g.nvertices == 2 and len(g.edges) == 1:
+                return green_truncated(diff, dim, N)
+            total = 0.0
+            for p in ModeLattice(dim, N).modes:
+                val = fy.valuate_external(g, d, N, p=p)
+                if val:
+                    phase = 2.0 * math.pi * sum(pi * di for pi, di in zip(p, diff))
+                    total += val * math.cos(phase)
+            return total
+
+        calls = []
+        convolve = fy.convolve_cubes
+        monkeypatch.setattr(
+            fy, "convolve_cubes", lambda *cubes: calls.append(1) or convolve(*cubes)
+        )
+        got = [c.value for c in two_point_series(*args).coefficients]
+        # the order-2 chain is the only class that needs a convolution
+        assert len(calls) == 1
+        monkeypatch.setattr(phi4, "_external_value", per_mode)
+        want = [c.value for c in two_point_series(*args).coefficients]
+        assert len(calls) > 10
+        assert repr(got) == repr(want)
 
 
 class TestCounterterms:
