@@ -210,14 +210,6 @@ def convolve(phi: Functional, psi: Functional) -> Functional:
     return phi._like(out)
 
 
-def conv_power(phi: Functional, p: int) -> Functional:
-    """p-fold star power, with phi^*0 the star-unit."""
-    out = Functional.unit(phi.degree, phi.zero, phi.one)
-    for _ in range(p):
-        out = convolve(out, phi)
-    return out
-
-
 def _products_over_compositions(phi: Functional, n: int, k: int, min_part: int):
     """sum over n_1+..+n_k = n, n_i >= min_part of n!/(prod n_i!) prod phi(x^n_i)."""
     acc = phi.zero

@@ -14,12 +14,15 @@ K_N with weight lambda_k^(-s), momentum is conserved at every vertex, and the
 sum is evaluated by series, parallel and pendant reduction of spectral weight
 arrays (one convolution per parallel bundle, pointwise product along series
 chains, the zero-momentum weight for a pendant edge), with a dedicated
-evaluator for the K4 core. These moves reduce exactly the graphs without a K4
-minor (Duffin 1965), so a leftover core has every degree >= 3: on four
-vertices it is K4, and a larger one is rejected. The K4 evaluator's outer
-momentum loop visits one momentum per orbit of the hyperoctahedral group
-(coordinate permutations and sign flips), under which every weight array is
-invariant, and weights each term by the orbit size. Renormalization follows
+evaluator for the K4 core. The reduction only records its moves; each reader
+then computes a bundle on the central window it uses (a single point for a
+vacuum value), on the shortest transform that window allows. These moves
+reduce exactly the graphs without a K4 minor (Duffin 1965), so a leftover
+core has every degree >= 3: on four vertices it is K4, and a larger one is
+rejected. The K4 evaluator's outer momentum loop visits one momentum per
+orbit of the hyperoctahedral group (coordinate permutations and sign flips),
+under which every weight array is invariant, and weights each term by the
+orbit size. Renormalization follows
 the extraction-contraction coproduct: divergent connected full subgraphs are
 extracted in all vertex-disjoint families, and the (twisted) antipode
 recursion assembles the subtracted valuation as an exact rational combination
@@ -428,6 +431,11 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
 
     out: dict[Diagram, Fraction] = {}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # in this lexicographic order, the pairs after (i, j) that still touch i
+    # are (i, j') with j' > j, and those touching j are (i', j) with
+    # i < i' < j and (j, j') with j' > j
+    later = [(n - 1 - j, n - 2 - i) for i, j in pairs]
+    cap = max(arities, default=0)
 
     def fill(idx, remaining, chosen):
         if idx == len(pairs):
@@ -444,9 +452,7 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
             return
         i, j = pairs[idx]
         # legs left on i or j must fit on pairs not yet filled
-        cap = max(arities)
-        later_i = sum(1 for (a, b) in pairs[idx + 1 :] if i in (a, b))
-        later_j = sum(1 for (a, b) in pairs[idx + 1 :] if j in (a, b))
+        later_i, later_j = later[idx]
         hi = min(remaining[i], remaining[j])
         for m in range(hi + 1):
             if remaining[i] - m > cap * later_i or remaining[j] - m > cap * later_j:
@@ -658,30 +664,66 @@ def _lattice_dim(d) -> int:
 
 
 class _Weight:
-    """Spectral weight array on a centered cube of given radius."""
+    """Spectral weight on a centered cube of given radius: a leaf array, or a
+    recorded bundle or series move on other weights.
 
-    __slots__ = ("cube", "radius")
+    The reducer records moves without computing them. A bundle (parallel
+    strands: the total momentum splits, so a linear convolution) has the sum
+    of its strands' radii; a series product (one momentum through both: the
+    pointwise product on the overlap) has the smaller radius. A reader asks
+    window(r) for the central box of radius r it needs, and only then do the
+    transforms run, each on the shortest length that leaves that box free of
+    wraparound.
+    """
 
-    def __init__(self, cube: np.ndarray, radius: int):
+    __slots__ = ("cube", "radius", "move", "parts")
+
+    def __init__(self, cube: np.ndarray | None, radius: int, move=None, parts=()):
         self.cube = cube
         self.radius = radius
+        self.move = move
+        self.parts = parts
+
+    @classmethod
+    def bundle(cls, parts) -> "_Weight":
+        return cls(None, sum(w.radius for w in parts), "bundle", tuple(parts))
+
+    def series(self, other: "_Weight") -> "_Weight":
+        return _Weight(None, min(self.radius, other.radius), "series", (self, other))
+
+    def window(self, r: int) -> np.ndarray:
+        """The weight on the centered box of radius r <= self.radius.
+
+        A bundle read at r needs strand i only up to min(r_i, r + sum of the
+        other strands' radii): larger momenta on it cannot come back into
+        the box.
+        """
+        if self.move is None:
+            return _crop(self.cube, self.radius, r)
+        if self.move == "series":
+            # read at its own radius, a product reads its parts whole, so a
+            # whole read (the two-point series) runs every transform on its
+            # full linear length
+            a, b = self.parts
+            ra, rb = (r, r) if r < self.radius else (a.radius, b.radius)
+            return _crop(a.window(ra), ra, r) * _crop(b.window(rb), rb, r)
+        total = self.radius
+        return convolve_cubes(
+            *(w.window(min(w.radius, r + total - w.radius)) for w in self.parts), radius=r
+        )
+
+    def leaf(self) -> "_Weight":
+        """The whole weight, computed, as a leaf."""
+        return _Weight(self.window(self.radius), self.radius)
 
     def center(self) -> float:
-        idx = tuple(self.radius for _ in range(self.cube.ndim))
-        return float(self.cube[idx])
+        return self.window(0).item()
 
     def at(self, p) -> float:
-        """Weight at momentum p; 0.0 outside the cube."""
+        """Weight of a leaf at momentum p; 0.0 outside the cube."""
         if any(abs(c) > self.radius for c in p):
             return 0.0
         return float(self.cube[tuple(c + self.radius for c in p)])
-
-    def series(self, other: "_Weight") -> "_Weight":
-        """Same momentum flows through both: pointwise product on the overlap."""
-        r = min(self.radius, other.radius)
-        a = _crop(self.cube, self.radius, r)
-        b = _crop(other.cube, other.radius, r)
-        return _Weight(a * b, r)
 
 
 def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
@@ -703,16 +745,18 @@ class ValuationBudgetError(ValueError):
     pass
 
 
-def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> float:
+def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> list:
     """Merge parallel bundles and eliminate pendant and two-valent vertices in place.
 
     adj: vertex -> multiset of (neighbor, edge id); weights: edge id -> _Weight.
-    A pendant edge carries zero momentum, so removing it multiplies the value
-    by its weight at the origin; the product of those factors is returned.
-    Vertices in `protected` (the terminals of a two-point diagram) are never
-    eliminated. Returns when no move applies.
+    Each merge or series move records a bundle or series node; nothing is
+    transformed here, so each reader later computes its node only on the
+    window it uses. A pendant edge carries zero momentum, so removing it
+    multiplies the value by its weight at the origin; the pendant weights are
+    returned. Vertices in `protected` (the terminals of a two-point diagram)
+    are never eliminated. Returns when no move applies.
     """
-    factor = 1.0
+    pendants = []
     changed = True
     while changed:
         changed = False
@@ -723,14 +767,7 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> float:
                 by_neighbor.setdefault(u, []).append(eid)
             for u, eids in by_neighbor.items():
                 if len(eids) > 1 and u > v:
-                    # total momentum splits between the strands: one n-ary
-                    # linear convolution of the whole bundle
-                    bundle = [weights[eid] for eid in eids]
-                    keep = eids[0]
-                    weights[keep] = _Weight(
-                        convolve_cubes(*(w.cube for w in bundle)),
-                        sum(w.radius for w in bundle),
-                    )
+                    weights[eids[0]] = _Weight.bundle([weights[eid] for eid in eids])
                     for eid in eids[1:]:
                         del weights[eid]
                         adj[v].remove((u, eid))
@@ -743,7 +780,7 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> float:
                     continue
                 if len(adj[v]) == 1:
                     ((u, e),) = adj[v]
-                    factor *= weights.pop(e).center()
+                    pendants.append(weights.pop(e))
                     adj[u].remove((v, e))
                 else:
                     (u1, e1), (u2, e2) = adj[v]
@@ -755,7 +792,7 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> float:
                 del adj[v]
                 changed = True
                 break
-    return factor
+    return pendants
 
 
 def _valuate_k4(adj: dict, weights: dict) -> float:
@@ -764,10 +801,11 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     With loop momenta p = k(ab), q = k(ac), r = k(bc) and conservation fixing
     the rest, the sum becomes, for each p, a single lattice convolution:
     sum_m (F_ac shifted . F_ad)(m) conv (F_bc . F_bd shifted)(m) F_cd(m).
-    The outer loop runs over the bundle with the smallest support. Every weight
-    is invariant under coordinate permutations and sign flips (checked here),
-    so the sum over p depends only on its orbit: the loop visits one p per
-    orbit and multiplies by the orbit size.
+    The outer loop runs over the bundle with the smallest support. Only the
+    central box of F_cd that the convolution reaches is computed and read.
+    Every weight is invariant under coordinate permutations and sign flips
+    (checked here), so the sum over p depends only on its orbit: the loop
+    visits one p per orbit and multiplies by the orbit size.
     """
     vs = sorted(adj)
     pair_w = {}
@@ -776,21 +814,19 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
             if u > v:
                 pair_w[(v, u)] = weights[eid]
     # choose the outer pair as the smallest-support bundle
-    outer = min(pair_w, key=lambda k: pair_w[k].cube.size)
+    outer = min(pair_w, key=lambda k: pair_w[k].radius)
     a, b = outer
     c, dd = [v for v in vs if v not in outer]
-    F_ab = pair_w[(a, b)]
-    F_ac = pair_w[(min(a, c), max(a, c))]
-    F_ad = pair_w[(min(a, dd), max(a, dd))]
-    F_bc = pair_w[(min(b, c), max(b, c))]
-    F_bd = pair_w[(min(b, dd), max(b, dd))]
+    F_ab, F_ac, F_ad, F_bc, F_bd = (
+        pair_w[(min(x, y), max(x, y))].leaf()
+        for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd))
+    )
     F_cd = pair_w[(min(c, dd), max(c, dd))]
-    for w in pair_w.values():
-        _check_hyperoctahedral(w.cube)
+    r = min(F_ac.radius + F_bc.radius, F_cd.radius)
+    F_cd_core = F_cd.window(r)
+    for cube in (F_ab.cube, F_ac.cube, F_ad.cube, F_bc.cube, F_bd.cube, F_cd_core):
+        _check_hyperoctahedral(cube)
     R = F_ab.radius
-    rad = F_ac.radius + F_bc.radius
-    r = min(rad, F_cd.radius)
-    F_cd_core = _crop(F_cd.cube, F_cd.radius, r)
     total = 0.0
     for p, size in _orbits(F_ab.cube.ndim, R):
         wp = float(F_ab.cube[tuple(c + R for c in p)])
@@ -801,8 +837,8 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         A = F_ac.cube * _shifted(F_ad, F_ac.radius, p)
         # B(r) = F_bc(r) F_bd(p - r) = F_bc(r) F_bd(r - p) by evenness
         B = F_bc.cube * _shifted(F_bd, F_bc.radius, minus_p)
-        conv = convolve_cubes(A, B)
-        total += size * wp * float(np.sum(_crop(conv, rad, r) * F_cd_core))
+        conv = convolve_cubes(A, B, radius=r)
+        total += size * wp * float(np.sum(conv * F_cd_core))
     return total
 
 
@@ -859,8 +895,8 @@ def _shifted(w: _Weight, target_radius: int, p: tuple) -> np.ndarray:
 def _reduced(g: Diagram, d, N: int, protected=()):
     """Give every line of g the base weight and reduce the graph.
 
-    Returns (factor, adj, weights): the product of the pendant factors and
-    the reduced core, in the layout of _reduce_series_parallel.
+    Returns (factor, adj, weights): the product of the pendant weights at the
+    origin and the reduced core, in the layout of _reduce_series_parallel.
     """
     if g.has_loop():
         raise ValueError(
@@ -876,7 +912,9 @@ def _reduced(g: Diagram, d, N: int, protected=()):
             adj[i].append((j, eid))
             adj[j].append((i, eid))
             eid += 1
-    factor = _reduce_series_parallel(adj, weights, protected)
+    factor = 1.0
+    for w in _reduce_series_parallel(adj, weights, protected):
+        factor *= w.center()
     return factor, adj, weights
 
 
@@ -1023,7 +1061,7 @@ def _external_bundle(g: Diagram, d, N: int):
     if len(adj) != 2 or len(weights) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")
     (w,) = weights.values()
-    return factor * pendant, w
+    return factor * pendant, w.leaf()
 
 
 def valuate_external(g: Diagram, d, N: int, p=None) -> float:

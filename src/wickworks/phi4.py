@@ -92,10 +92,6 @@ def _quartic_diagrams(n: int, m: int = 0) -> DiagramSum:
     return fy.generate_diagrams([4] * n + [2] * m)
 
 
-def _series_value(diagrams: DiagramSum, d, N) -> float:
-    return fy.valuate_sum(diagrams, d, N)
-
-
 def partition_ratio_series(d, N: int, order: int) -> ExpansionSeries:
     """Expansion of Z_alpha / Z_0 for the Wick-ordered quartic energy.
 
@@ -111,7 +107,7 @@ def partition_ratio_series(d, N: int, order: int) -> ExpansionSeries:
         diagrams = _quartic_diagrams(n)
         pref = Fraction((-1) ** n, factorial(n))
         # + 0.0: a negative prefactor times a vanishing valuation is -0.0
-        value = float(pref) * _series_value(diagrams, d, N) + 0.0
+        value = float(pref) * fy.valuate_sum(diagrams, d, N) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
 
@@ -190,7 +186,7 @@ def log_partition_series(d, N: int, order: int, route: str = "connected") -> Exp
     series = ExpansionSeries(d, N, order, "log-wick")
     for n, diagrams in enumerate(sums):
         pref = Fraction((-1) ** n, factorial(n))
-        value = float(pref) * _series_value(diagrams, d, N) + 0.0
+        value = float(pref) * fy.valuate_sum(diagrams, d, N) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
 
@@ -361,10 +357,10 @@ def _mixed_log_coefficients(N: int, order: int) -> list[float]:
             conn = _quartic_diagrams(k, m).filter_connected() if (k or m) else DiagramSum.zero()
             if not conn:
                 continue
-            weight = (
-                Fraction((-1) ** k, factorial(k)) * Fraction(1, factorial(m))
-            )
-            total += float(weight) * (-beta2) ** m * _series_value(conn, 3, N)
+            # the exact weight goes into the diagram sum, so classes that
+            # cancel in it cancel before any float is formed
+            weight = Fraction((-1) ** k, factorial(k)) * Fraction(1, factorial(m))
+            total += (-beta2) ** m * fy.valuate_sum(conn * weight, 3, N)
         total -= gamma.get(n, 0.0)
         out[n] = total
     return out

@@ -353,22 +353,41 @@ def _smooth_len(n: int) -> int:
         m += 1
 
 
-def convolve_cubes(*cubes: np.ndarray) -> np.ndarray:
+def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
     """Exact linear convolution of any number of centered cubes via FFT.
 
-    The output side per axis is the sum of the input sides minus (n - 1). The
-    transforms run on the smallest 5-smooth length at least that long, so the
-    cyclic convolution has no wraparound and cropping it back gives the linear
-    one. Inputs are matched by identity: each distinct array is transformed
-    once and its spectrum raised to its multiplicity, so an m-fold bundle of
-    one cube costs one forward and one inverse transform. The spectra are
+    The linear output side per axis is n_out = (sum of the input sides) -
+    (n - 1). With radius=None the whole output is returned; with a radius r,
+    only its central window of side 2r + 1 (the inputs must be odd-sided).
+    The transforms run on the smallest 5-smooth length L that holds every
+    input and leaves the window free of wraparound: a cyclic convolution of
+    length L keeps linear indices lo..hi clean when L >= hi + 1 and
+    L >= n_out - lo. For inputs whose radii sum to S that is L >= S + r + 1,
+    so a window read at its centre costs about half the full length per axis.
+    Inputs are matched by identity: each distinct array is transformed once
+    and its spectrum raised to its multiplicity, so an m-fold bundle of one
+    cube costs one forward and one inverse transform. The spectra are
     multiplied into one accumulator in place, so at most two padded spectra
     are alive at once. No input is written to.
     """
     if not cubes:
         raise ValueError("need at least one cube")
     out_shape = tuple(sum(sides) - (len(cubes) - 1) for sides in zip(*(c.shape for c in cubes)))
-    fft_shape = tuple(_smooth_len(n) for n in out_shape)
+    if radius is None:
+        window = [(0, n - 1) for n in out_shape]
+    elif all(n % 2 and 0 <= radius <= n // 2 for n in out_shape):
+        window = [(n // 2 - radius, n // 2 + radius) for n in out_shape]
+    else:
+        raise ValueError(
+            f"a window of radius {radius} needs odd-sided inputs whose radii sum to at least it"
+        )
+    fft_shape = tuple(
+        _smooth_len(max(hi + 1, n - lo, *(c.shape[ax] for c in cubes)))
+        for ax, ((lo, hi), n) in enumerate(zip(window, out_shape))
+    )
+    assert all(
+        L >= hi + 1 and L >= n - lo for L, (lo, hi), n in zip(fft_shape, window, out_shape)
+    ), "the window would wrap around"
     axes = tuple(range(len(out_shape)))
     distinct = {id(cube): cube for cube in cubes}
     mults = Counter(id(cube) for cube in cubes)
@@ -383,33 +402,21 @@ def convolve_cubes(*cubes: np.ndarray) -> np.ndarray:
             acc *= spec
         del spec  # free it before the next forward transform allocates
     out = np.fft.irfftn(acc, fft_shape, axes=axes)
-    return out[tuple(slice(0, n) for n in out_shape)]
-
-
-def iterated_self_convolution(cube: np.ndarray, n: int) -> np.ndarray:
-    """The n-th convolution power of cube, as one n-ary convolution."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return convolve_cubes(*[cube] * n)
-
-
-def _center_value(cube: np.ndarray) -> float:
-    idx = tuple(s // 2 for s in cube.shape)
-    return float(cube[idx])
+    return out[tuple(slice(lo, hi + 1) for lo, hi in window)]
 
 
 def wick_integral_variance(d: int, N: int, n: int) -> float:
     """n! * sum over k_1+...+k_n = 0 (each k_i in K_N) of prod 1/lambda_{k_i}.
 
     This is the variance of integral :field^n: for the truncated free field,
-    computed as the n-th convolution power of the inverse-weight array.
+    computed as the centre of the n-th convolution power of the inverse-weight
+    array: one n-ary convolution read at radius 0.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     lat = _lattice(d, N)
     cube = lat.inverse_weight_cube(1.0)
-    conv = iterated_self_convolution(cube, n)
-    return math.factorial(n) * _center_value(conv)
+    return math.factorial(n) * convolve_cubes(*[cube] * n, radius=0).item()
 
 
 def wick_integral_variance_bruteforce(d: int, N: int, n: int, coupling=None):

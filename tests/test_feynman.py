@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wickworks import feynman as fy
+from wickworks import torusfield as tf
 from wickworks.feynman import (
     EMPTY,
     Diagram,
@@ -826,6 +827,9 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
     monkeypatch.setattr(np.fft, "rfftn", recording(np.fft.rfftn))
     monkeypatch.setattr(np.fft, "irfftn", recording(np.fft.irfftn))
     valuate(banana(4), 3, 24)
+    # read at its centre, the radius-96 bundle needs a cyclic length of only
+    # 96 + 0 + 1 = 97, padded to 100 (the full linear side 193 would take 200)
+    assert shapes == [(100, 100, 100)] * 2
     valuate(k4_doubled(), 3, 2)
     assert shapes
     for shape in shapes:
@@ -834,3 +838,83 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
                 while n % p == 0:
                     n //= p
             assert n == 1, shape
+
+
+@pytest.fixture
+def full_length(monkeypatch):
+    """Reference valuation: every node computed whole and every convolution
+    run on its full linear length, then cut to the window the reader asked
+    for."""
+    window = fy._Weight.window
+    convolve = fy.convolve_cubes
+
+    def whole(self, r):
+        return fy._crop(window(self, self.radius), self.radius, r)
+
+    def full(*cubes, radius=None):
+        out = convolve(*cubes)
+        if radius is None:
+            return out
+        half = out.shape[0] // 2
+        return out[(slice(half - radius, half + radius + 1),) * out.ndim]
+
+    def run(g, d, N, fn=valuate):
+        with monkeypatch.context() as m:
+            m.setattr(fy._Weight, "window", whole)
+            m.setattr(fy, "convolve_cubes", full)
+            return fn(g, d, N)
+
+    return run
+
+
+def windowed_classes():
+    """Vacuum classes up to order 4: quartic, with mass insertions and with
+    the cubic pair of the counterterm families."""
+    arities = [[4] * n for n in (2, 3, 4)]
+    arities += [[4] * k + [2] * m for k, m in [(0, 2), (1, 1), (2, 1), (0, 3), (1, 2)]]
+    arities += [[3, 3], [3, 3, 4], [3, 3, 4, 4], [3, 3, 2, 2]]
+    # pendant edges and bundles, read at their centre
+    arities += [[4, 3, 1], [4, 4, 1, 1], [4, 4, 2, 2]]
+    return [g for ar in arities for g in generate_diagrams(ar).terms]
+
+
+class TestWindowedTransforms:
+    @pytest.mark.parametrize("d, Ns", [(1, (2, 5)), (2, (1, 3)), (3, (1, 2, 3))])
+    def test_matches_full_length_reference(self, full_length, d, Ns):
+        for g in windowed_classes():
+            for N in Ns:
+                want = full_length(g, d, N)
+                assert valuate(g, d, N) == pytest.approx(want, rel=1e-12), (g, d, N)
+
+    def test_whole_read_matches_full_length_to_the_bit(self, full_length):
+        # a read at a node's own radius (the two-point series reads every mode
+        # of its x-y bundle) computes every node whole, to the bit
+        for n in (1, 2):
+            for g in generate_diagrams([4] * n, ["x", "y"]).terms:
+                if len(connected_components(g)) > 1:
+                    continue
+                for d, N in [(1, 6), (2, 4), (3, 2)]:
+                    scale, w = fy._external_bundle(g, d, N)
+                    want_scale, want = full_length(g, d, N, fy._external_bundle)
+                    assert scale == want_scale
+                    assert np.array_equal(w.cube, want.cube), (g, d, N)
+
+    def test_matches_bruteforce(self):
+        for g in windowed_classes():
+            assert valuate(g, 1, 1) == pytest.approx(
+                valuate_bruteforce(g, 1, 1), rel=1e-12
+            ), g
+
+    def test_reference_transforms_whole(self, full_length, monkeypatch):
+        # the reference is not the windowed path in disguise
+        lengths = []
+        irfftn = np.fft.irfftn
+
+        def recording(a, s=None, axes=None, **kwargs):
+            lengths.append(s[0])
+            return irfftn(a, s, axes=axes, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", recording)
+        valuate(banana(4), 3, 3)
+        full_length(banana(4), 3, 3)
+        assert lengths == [tf._smooth_len(13), tf._smooth_len(25)]
