@@ -673,7 +673,8 @@ class _Weight:
     pointwise product on the overlap) has the smaller radius. A reader asks
     window(r) for the central box of radius r it needs, and only then do the
     transforms run, each on the shortest length that leaves that box free of
-    wraparound.
+    wraparound. A reader of a whole weight (the two-point series, five of the
+    K4 core's six bundles) asks leaf() instead.
     """
 
     __slots__ = ("cube", "radius", "move", "parts")
@@ -701,20 +702,26 @@ class _Weight:
         if self.move is None:
             return _crop(self.cube, self.radius, r)
         if self.move == "series":
-            # read at its own radius, a product reads its parts whole, so a
-            # whole read (the two-point series) runs every transform on its
-            # full linear length
+            # a pointwise product reads its parts on the same box, so a bundle
+            # under a series node transforms only on the length that box needs
             a, b = self.parts
-            ra, rb = (r, r) if r < self.radius else (a.radius, b.radius)
-            return _crop(a.window(ra), ra, r) * _crop(b.window(rb), rb, r)
+            return a.window(r) * b.window(r)
         total = self.radius
         return convolve_cubes(
             *(w.window(min(w.radius, r + total - w.radius)) for w in self.parts), radius=r
         )
 
     def leaf(self) -> "_Weight":
-        """The whole weight, computed, as a leaf."""
-        return _Weight(self.window(self.radius), self.radius)
+        """The whole weight, computed, as a leaf: every node under it on its
+        whole support, to the bit what full-length linear convolutions give."""
+        if self.move is None:
+            return self
+        if self.move == "series":
+            a, b = (w.leaf() for w in self.parts)
+            cube = _crop(a.cube, a.radius, self.radius) * _crop(b.cube, b.radius, self.radius)
+        else:
+            cube = convolve_cubes(*(w.leaf().cube for w in self.parts))
+        return _Weight(cube, self.radius)
 
     def center(self) -> float:
         return self.window(0).item()

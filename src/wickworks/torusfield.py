@@ -6,6 +6,11 @@ lambda_k = 1 + (2 pi)^d ||k||^2. Sampling uses a real cosine/sine basis with
 one independent standard normal per amplitude, so no Hermitian-coefficient
 bookkeeping is needed; all covariance targets below are stated in that basis.
 
+Fields reach the uniform M^d grid through one GridSynthesizer per (d, N, M),
+which sums the modes one axis at a time in small real matrix products; the
+dense synthesis_matrix (one row per point, one column per amplitude) serves
+arbitrary points and is the oracle the grid route is tested against.
+
 Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
 noise. Passing a Fraction `coupling` to ModeLattice switches the weights to
@@ -181,23 +186,17 @@ class FieldSample:
             float(self.lattice.lam(k)) ** (-2 * e) for k in self.lattice.modes
         )
 
+    def _amplitude_vector(self) -> np.ndarray:
+        return np.array([self.amplitudes[label] for label in self.labels])
+
     def evaluate(self, points) -> np.ndarray:
         """Direct synthesis at an array of points, shape (npoints, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.zeros(len(pts))
-        zero = (0,) * self.lattice.d
-        for (k, part), amp in self.amplitudes.items():
-            if k == zero:
-                vals += amp
-                continue
-            phase = TWO_PI * pts @ np.asarray(k, dtype=float)
-            vals += amp * math.sqrt(2.0) * (np.cos(phase) if part == "c" else np.sin(phase))
-        return vals
+        return synthesis_matrix(self.lattice, points) @ self._amplitude_vector()
 
     def evaluate_grid(self, M: int) -> np.ndarray:
-        """Values on the uniform M^d grid (j/M), synthesized directly."""
-        d = self.lattice.d
-        return self.evaluate(grid_points(d, M)).reshape((M,) * d)
+        """Values on the uniform M^d grid (j/M), synthesized axis by axis."""
+        synth = grid_synthesizer(self.lattice.d, self.lattice.N, M)
+        return synth(self._amplitude_vector()[:, None]).reshape(synth.shape)
 
 
 def sample_field(profile: SpectralProfile, lattice: ModeLattice, seed: int) -> FieldSample:
@@ -316,6 +315,82 @@ def grid_points(d: int, M: int) -> np.ndarray:
     axes = np.arange(M) / M
     grids = np.meshgrid(*([axes] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+class GridSynthesizer:
+    """Real-basis fields on the uniform M^d grid (j/M), summed one axis at a time.
+
+    With h_0 = a_0 and h_k = sqrt(2) (c_k - i s_k) on the positive
+    representatives, all of which have k_1 >= 0, a field is
+    Re sum_k h_k e^(2 pi i k.x). On the tensor grid that sum factors by axis:
+    the h_k are scattered into an (N+1) x (2N+1)^(d-1) coefficient array (one
+    cell each), the last axis is contracted with the M x (2N+1) matrix
+    e^(2 pi i k x), then the one before it, and the first (k_1 in [0, N])
+    keeps only the real part. Complex values are carried as a (re, im) axis of
+    real arrays, so every stage is a real matrix product: at d = 2, N = 16,
+    M = 65 two of about 146k multiply-adds per field, where the dense
+    synthesis_matrix product takes 2.3M.
+    """
+
+    def __init__(self, d: int, N: int, M: int):
+        K = 2 * N + 1
+        self.shape = (M,) * d
+        self._pair = 2 * K
+        self._half = 2 * (N + 1)
+        x = np.arange(M)
+
+        def angles(ks):
+            # reduce k x mod M exactly before scaling
+            return TWO_PI * (np.outer(x, ks) % M) / M
+
+        full = angles(np.arange(-N, N + 1))
+        # rows (re/im, x), columns (k, re/im): one complex multiply by e^(2 pi i k x)
+        mix = np.empty((2, M, K, 2))
+        mix[0, :, :, 0] = mix[1, :, :, 1] = np.cos(full)
+        mix[1, :, :, 0] = np.sin(full)
+        mix[0, :, :, 1] = -mix[1, :, :, 0]
+        self._mix = mix.reshape(2 * M, self._pair)
+        half = angles(np.arange(N + 1))
+        real = np.empty((M, N + 1, 2))
+        real[:, :, 0] = np.cos(half)
+        real[:, :, 1] = -np.sin(half)
+        self._real = real.reshape(M, self._half)
+        cells, scale = [], []
+        for k, part in mode_labels(_lattice(d, N)):
+            idx = k[0]
+            for c in k[1:]:
+                idx = idx * K + c + N
+            cells.append(2 * idx + (part == "s"))
+            scale.append(1.0 if not any(k) else math.sqrt(2.0) * (1 if part == "c" else -1))
+        self._cells = np.array(cells)
+        self._scale = np.array(scale)[:, None]
+        self._ncells = self._half * K ** (d - 1)
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        """Values of the fields with amplitude columns amps (mode_labels order),
+        shape (nfields, M^d): one row per field, grid points in C order."""
+        nfields = amps.shape[1]
+        state = np.zeros((nfields, self._ncells))
+        state[:, self._cells] = (amps * self._scale).T
+        rest = 1
+        # state axes: (field, k_1, ..., k_j, re/im, x_{j+1}, ..., x_d)
+        for _ in range(len(self.shape) - 1):
+            state = _contract(self._mix, state, self._pair, rest)
+            rest *= self.shape[0]
+        return _contract(self._real, state, self._half, rest).reshape(nfields, -1)
+
+
+def _contract(mat: np.ndarray, state: np.ndarray, pair: int, rest: int) -> np.ndarray:
+    """mat @ every (pair, rest) block of state, as one product when rest == 1."""
+    if rest == 1:
+        return state.reshape(-1, pair) @ mat.T
+    return np.matmul(mat, state.reshape(-1, pair, rest))
+
+
+@lru_cache(maxsize=None)
+def grid_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
+    """The GridSynthesizer of K_N in d dimensions on the M^d grid, built once."""
+    return GridSynthesizer(d, N, M)
 
 
 def batch_amplitudes(

@@ -918,3 +918,47 @@ class TestWindowedTransforms:
         valuate(banana(4), 3, 3)
         full_length(banana(4), 3, 3)
         assert lengths == [tf._smooth_len(13), tf._smooth_len(25)]
+
+
+class TestSeriesWindow:
+    def test_bundle_under_series_transforms_on_the_series_box(self, monkeypatch):
+        # a two-strand bundle whose strand is (triple bundle) x (single edge):
+        # the series node has radius N, so the triple bundle is needed on the
+        # box of radius N only, not on its whole radius 3N
+        N = 3
+        base = ModeLattice(1, N).inverse_weight_cube()
+
+        def build():
+            leaf = fy._Weight(base, N)
+            strand = fy._Weight.bundle([leaf, leaf, leaf]).series(leaf)
+            return fy._Weight.bundle([strand, leaf])
+
+        radii = []
+        convolve = fy.convolve_cubes
+
+        def recording(*cubes, radius=None):
+            radii.append((len(cubes), radius))
+            return convolve(*cubes, radius=radius)
+
+        reference = fy._crop(build().leaf().cube, 2 * N, 0).item()
+        monkeypatch.setattr(fy, "convolve_cubes", recording)
+        value = build().center()
+        assert radii == [(3, N), (2, 0)]
+        assert value == pytest.approx(reference, rel=1e-12)
+
+    def test_leaf_computes_every_node_whole(self, monkeypatch):
+        N = 2
+        base = ModeLattice(2, N).inverse_weight_cube()
+        leaf = fy._Weight(base, N)
+        w = fy._Weight.bundle([leaf, leaf, leaf]).series(leaf)
+        radii = []
+        convolve = fy.convolve_cubes
+        monkeypatch.setattr(
+            fy,
+            "convolve_cubes",
+            lambda *cubes, radius=None: radii.append(radius) or convolve(*cubes, radius=radius),
+        )
+        leaf = w.leaf()
+        assert radii == [None] and leaf.radius == N and leaf.cube.shape == (2 * N + 1,) * 2
+        np.testing.assert_allclose(leaf.cube, w.window(N), rtol=1e-12)
+        assert radii == [None, N]

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wickworks import feynman as fy
 from wickworks import phi4
+from wickworks import torusfield as tf
 from wickworks.feynman import DiagramSum, banana, double_triangle, sunset_with_tail
 from wickworks.phi4 import (
     counterterms_d3,
@@ -263,6 +265,21 @@ class TestCommutativity:
         assert row["bphz_route"] != 0.0
         assert row["relative"] < 1e-10
 
+    def test_relative_reads_roundoff_as_roundoff(self, monkeypatch):
+        # nudge gamma_3 by one ulp: the order-3 row keeps a residue the size
+        # of gamma_3's roundoff, which relative measures against the summands
+        exact = phi4.counterterms_d3
+
+        def nudged(alpha, N):
+            ct = exact(alpha, N)
+            ct.gamma_coeffs[3] = math.nextafter(ct.gamma_coeffs[3], math.inf)
+            return ct
+
+        monkeypatch.setattr(phi4, "counterterms_d3", nudged)
+        row = wick_map_commutativity_check(4, order=3)[3]
+        assert row["mixed_route"] != 0.0 and row["bphz_route"] == 0.0
+        assert 0.0 < row["relative"] < 1e-15
+
     def test_no_signed_zero(self):
         # a negative prefactor times a vanishing valuation must not print -0.0
         for row in wick_map_commutativity_check(4, order=3):
@@ -365,3 +382,57 @@ class TestMC:
     def test_rejects_d3(self):
         with pytest.raises(ValueError):
             mc_partition_ratio(3, 4, 0.1, samples=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            # values of the dense synthesis-matrix route, which drew the same stream
+            ((1, 4, 0.05, 500, 7), (1.0196473667484116, 0.009030500768774347)),
+            ((2, 4, 0.05, 2000, 3), (1.0157777156678627, 0.0038709704056035044)),
+            ((2, 4, 0.05, 1, 5), (0.8746506454650522, 0.0)),
+            ((2, 4, 0.05, 65, 5), (0.999460834477058, 0.020580566364874528)),
+            ((2, 4, 0.05, phi4.MC_BLOCK + 10, 5), (1.0154178403445682, 0.0037712036916311793)),
+        ],
+    )
+    def test_pinned_to_dense_synthesis(self, args, want):
+        assert mc_partition_ratio(*args) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("samples", [1, 65, phi4.MC_BLOCK + 10])
+    def test_partial_chunks_match_dense_route(self, samples):
+        # sample counts off the chunk width, against the dense route rebuilt here
+        d, N, alpha, seed = 2, 3, 0.05, 11
+        lat = ModeLattice(d, N)
+        B = tf.synthesis_matrix(lat, tf.grid_points(d, 4 * N + 1))
+        cn = c_variance(d, N)
+        draws = []
+        blocks = np.random.SeedSequence(seed).spawn(math.ceil(samples / phi4.MC_BLOCK))
+        for k, ss in enumerate(blocks):
+            take = min(phi4.MC_BLOCK, samples - k * phi4.MC_BLOCK)
+            v = B @ tf.batch_amplitudes(lat, tf.GFF, take, ss)
+            x = (v**4 - 6.0 * cn * v**2 + 3.0 * cn**2).mean(axis=0)
+            draws.extend(np.exp(-alpha * x))
+        est, se = mc_partition_ratio(d, N, alpha, samples, seed)
+        assert est == pytest.approx(float(np.mean(draws)), rel=1e-12)
+        if samples > 1:
+            assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
+
+    def test_never_builds_synthesis_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis_matrix called")
+
+        monkeypatch.setattr(tf, "synthesis_matrix", refuse)
+        # the guard is live: pointwise evaluation goes through it
+        with pytest.raises(AssertionError):
+            tf.sample_field(tf.GFF, ModeLattice(2, 2), seed=0).evaluate([[0.1, 0.2]])
+        est, _ = mc_partition_ratio(2, 4, 0.05, samples=200, seed=1)
+        assert est > 0
+
+    def test_fused_wick4_matches_expanded_form(self):
+        rng = np.random.default_rng(0)
+        for cn in (0.3, 1.7, 40.0):
+            v = math.sqrt(cn) * rng.standard_normal((4225, 70))
+            want = (v**4 - 6.0 * cn * v**2 + 3.0 * cn * cn).mean(axis=0)
+            kept = v.copy()
+            got = phi4.integral_wick4(v, cn)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * cn * cn)
+            assert np.array_equal(v, kept)  # the input is not written to

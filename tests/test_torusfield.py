@@ -497,3 +497,33 @@ class TestExport:
         header = tf.read_sample_header(str(p1))
         assert header["d"] == 2 and header["N"] == 3 and header["profile"] == "gff"
         assert header["seed"] == 99 and header["grid"] == 8
+
+
+class TestGridSynthesizer:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3, 8])
+    def test_matches_synthesis_matrix(self, d, N):
+        lat = ModeLattice(d, N)
+        amps = tf.batch_amplitudes(lat, GFF, 3, seed=10 * d + N)
+        for M in (4 * N + 1, 6):
+            got = tf.grid_synthesizer(d, N, M)(amps)
+            assert got.shape == (3, M**d)
+            pts = tf.grid_points(d, M)
+            # the dense matrix in row blocks, so d = 3, N = 8 stays small
+            for lo in range(0, len(pts), 4096):
+                want = tf.synthesis_matrix(lat, pts[lo : lo + 4096]) @ amps
+                scale = np.abs(want).max()
+                assert np.abs(got[:, lo : lo + 4096].T - want).max() <= 1e-12 * scale, (d, N, M)
+
+    def test_built_once_per_grid(self):
+        assert tf.grid_synthesizer(2, 3, 13) is tf.grid_synthesizer(2, 3, 13)
+        assert tf.grid_synthesizer(2, 3, 13) is not tf.grid_synthesizer(2, 3, 12)
+
+    @pytest.mark.parametrize("d, N, M", [(1, 5, 12), (2, 3, 13), (3, 2, 7)])
+    def test_evaluate_grid_matches_pointwise(self, d, N, M):
+        s = sample_field(GFF, ModeLattice(d, N), seed=4)
+        grid = s.evaluate_grid(M)
+        assert grid.shape == (M,) * d
+        np.testing.assert_allclose(
+            grid.ravel(), s.evaluate(tf.grid_points(d, M)), rtol=0, atol=1e-12 * np.abs(grid).max()
+        )
