@@ -62,6 +62,9 @@ def cmd_hermite(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
+    if args.n_vertices < 0:
+        print(f"error: n_vertices must be >= 0, got {args.n_vertices}", file=sys.stderr)
+        return 2
     arities = [args.arity] * args.n_vertices
     if sum(arities) % 2:
         print("error: odd total leg count has no pairings", file=sys.stderr)

@@ -7,7 +7,12 @@ between two labeled vertices). Equality and hashing go through a canonical
 key, which is what makes symmetry-factor bookkeeping exact: colour refinement
 plus individualization (McKay & Piperno 2014) builds a search tree of ordered
 vertex partitions, and the key is the smallest relabelled edge and label list
-over its discrete leaves, so no vertex permutation is enumerated.
+over its discrete leaves, so no vertex permutation is enumerated. The leaves
+that reach the key number |Aut|. Generation uses both: it adds one vertex at
+a time, keeps one canonical state per isomorphism class at every step
+(McKay 1998), and gives each class its matching count
+prod n_g! * prod a_v! / (|Aut| * prod m_ij!) without visiting its labelled
+presentations.
 
 Valuation works in momentum space: each edge carries a mode in the l1 ball
 K_N with weight lambda_k^(-s), momentum is conserved at every vertex, and the
@@ -62,8 +67,8 @@ class Diagram:
     """Multigraph with labeled external (arity-1) vertices, canonically keyed.
 
     The key (n, edges, labels) is the minimum over the leaves of colour
-    refinement plus individualization (see _compute_key); canonical() returns
-    the diagram the key describes, already carrying that key.
+    refinement plus individualization (see canonical_search); canonical()
+    returns the diagram the key describes, already carrying that key.
     """
 
     __slots__ = ("nvertices", "edges", "labels", "_key")
@@ -111,9 +116,6 @@ class Diagram:
     def has_loop(self) -> bool:
         return any(i == j for (i, j), _ in self.edges)
 
-    def external_labels(self) -> list:
-        return [label for _, label in self.labels]
-
     def is_vacuum(self) -> bool:
         return not self.labels
 
@@ -130,67 +132,10 @@ class Diagram:
 
     def canonical_key(self) -> tuple:
         if self._key is None:
-            self._key = self._compute_key()
+            degs = self.degrees()
+            colour = [self._color(v, degs) for v in range(self.nvertices)]
+            self._key = canonical_search(self.nvertices, self.edges, colour, self.labels)[0]
         return self._key
-
-    def _compute_key(self) -> tuple:
-        """Smallest relabelled (n, edges, labels) over an individualization tree.
-
-        Colour refinement gives each vertex the signature (own colour, sorted
-        multiset of (multiplicity, neighbour colour)) and re-ranks the colours
-        by signature until the number of cells stops growing; the ordered
-        partition it reaches does not depend on the input labelling. While a
-        cell has several vertices, each vertex of the first such cell is
-        individualized in turn (ranked just before its cell-mates) and the
-        partition refined again (McKay & Piperno 2014). Every discrete leaf
-        numbers the vertices by rank, and the key is the minimum over leaves.
-        """
-        n = self.nvertices
-        if n == 0:
-            return (0, (), ())
-        degs = self.degrees()
-        nbrs = [[] for _ in range(n)]
-        for (i, j), m in self.edges:
-            nbrs[i].append((m, j))
-            if i != j:
-                nbrs[j].append((m, i))
-
-        def refine(colour):
-            cells = len(set(colour))
-            while True:
-                sig = [
-                    (colour[v], tuple(sorted((m, colour[w]) for m, w in nbrs[v])))
-                    for v in range(n)
-                ]
-                rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-                colour = [rank[s] for s in sig]
-                if len(rank) == cells:
-                    return colour
-                cells = len(rank)
-
-        best = None
-        stack = [[self._color(v, degs) for v in range(n)]]
-        while stack:
-            colour = refine(stack.pop())
-            if len(set(colour)) < n:
-                first = min(c for c in colour if colour.count(c) > 1)
-                for v in range(n):
-                    if colour[v] == first:
-                        stack.append(
-                            [2 * c + (c == first and w != v) for w, c in enumerate(colour)]
-                        )
-                continue
-            edges = tuple(
-                sorted(
-                    ((min(colour[i], colour[j]), max(colour[i], colour[j])), m)
-                    for (i, j), m in self.edges
-                )
-            )
-            labels = tuple(sorted((colour[v], label) for v, label in self.labels))
-            cand = (n, edges, labels)
-            if best is None or cand < best:
-                best = cand
-        return best
 
     def canonical(self) -> "Diagram":
         key = self.canonical_key()
@@ -303,6 +248,73 @@ class Diagram:
         return "\n".join(lines)
 
 
+def canonical_search(n: int, edges, colour, labels=()) -> tuple[tuple, int]:
+    """Canonical key and automorphism count of a vertex-coloured multigraph.
+
+    `edges` holds ((i, j), m) pairs on vertices 0..n-1, `colour` gives each
+    vertex an initial colour (any mutually comparable values) and `labels`
+    holds (v, label) pairs. Colour refinement gives each vertex the signature
+    (own colour, sorted multiset of (multiplicity, neighbour colour)) and
+    re-ranks the colours by signature until the number of cells stops
+    growing; the ordered partition it reaches does not depend on the input
+    labelling. While a cell has several vertices, each vertex of the first
+    such cell is individualized in turn (ranked just before its cell-mates)
+    and the partition refined again (McKay & Piperno 2014). Every discrete
+    leaf numbers the vertices by rank, so vertex r carries the r-th smallest
+    initial colour, and the key is the smallest relabelled (n, edges, labels)
+    over the leaves. Distinct leaves are distinct numberings, two of them give
+    the same key exactly when they differ by an automorphism, and the
+    automorphisms permute the leaves freely; so the number of leaves that
+    reach the key, returned second, is |Aut| of the coloured, labelled graph.
+    """
+    if n == 0:
+        return (0, (), ()), 1
+    nbrs = [[] for _ in range(n)]
+    for (i, j), m in edges:
+        nbrs[i].append((m, j))
+        if i != j:
+            nbrs[j].append((m, i))
+
+    def refine(colour):
+        cells = len(set(colour))
+        while True:
+            sig = [
+                (colour[v], tuple(sorted((m, colour[w]) for m, w in nbrs[v])))
+                for v in range(n)
+            ]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            colour = [rank[s] for s in sig]
+            if len(rank) == cells:
+                return colour
+            cells = len(rank)
+
+    best, leaves = None, 0
+    stack = [list(colour)]
+    while stack:
+        colour = refine(stack.pop())
+        if len(set(colour)) < n:
+            first = min(c for c in colour if colour.count(c) > 1)
+            for v in range(n):
+                if colour[v] == first:
+                    stack.append(
+                        [2 * c + (c == first and w != v) for w, c in enumerate(colour)]
+                    )
+            continue
+        cand_edges = tuple(
+            sorted(
+                ((min(colour[i], colour[j]), max(colour[i], colour[j])), m)
+                for (i, j), m in edges
+            )
+        )
+        cand_labels = tuple(sorted((colour[v], label) for v, label in labels))
+        cand = (n, cand_edges, cand_labels)
+        if best is None or cand < best:
+            best, leaves = cand, 1
+        elif cand == best:
+            leaves += 1
+    return best, leaves
+
+
 EMPTY = Diagram(0, ())
 
 
@@ -396,9 +408,6 @@ class DiagramSum:
     def total_coefficient(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
 
-    def map_coefficients(self, fn) -> "DiagramSum":
-        return DiagramSum({g: fn(c) for g, c in self.terms.items()})
-
     def filter_connected(self) -> "DiagramSum":
         return DiagramSum({g: c for g, c in self.terms.items() if is_connected(g)})
 
@@ -416,59 +425,78 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     Vertices carry the given arities; each external label contributes one
     arity-1 labeled vertex. Self-pairings inside a vertex are excluded (the
     Wick-ordered powers have no self-contractions), and the coefficient of a
-    canonical class is the number of labeled leg matchings realizing it:
-    prod_v arity_v! / prod_{i<j} m_ij! summed over labeled presentations.
+    canonical class is the number of labeled leg matchings realizing it.
+
+    Classes are generated up to isomorphism, one vertex at a time: a state is
+    the multigraph induced on the vertices placed so far, each coloured by
+    (arity, label, legs still open), and the next vertex joins m_u <= open_u
+    legs to each earlier vertex u. A state with more open legs than the
+    arity still to come is dropped, and one state per canonical key is kept
+    at every step (McKay 1998, isomorph-free generation). A complete class
+    then gets
+
+        coeff = prod_g n_g! * prod_v a_v! / (|Aut| * prod_{i<j} m_ij!),
+
+    with n_g the size of each (arity, label) group of vertices and |Aut| the
+    leaf count of canonical_search.
     """
+    internal = len(vertex_arities)
     arities = list(vertex_arities) + [1] * len(external_labels)
     if any(a < 1 for a in arities):
         raise ValueError("arities must be >= 1")
     if sum(arities) % 2:
         raise ValueError("total leg count must be even")
     n = len(arities)
-    labels = [
-        (len(vertex_arities) + i, label) for i, label in enumerate(external_labels)
-    ]
+    names = [None] * internal + list(external_labels)
+    to_come = [sum(arities[t + 1 :]) for t in range(n)]
 
-    out: dict[Diagram, Fraction] = {}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # in this lexicographic order, the pairs after (i, j) that still touch i
-    # are (i, j') with j' > j, and those touching j are (i', j) with
-    # i < i' < j and (j, j') with j' > j
-    later = [(n - 1 - j, n - 2 - i) for i, j in pairs]
-    cap = max(arities, default=0)
+    # a state is (colours by vertex, edges, labels) in canonical numbering;
+    # the value is |Aut| of the coloured state
+    states = {((), (), ()): 1}
+    for t in range(n):
+        arity, name = arities[t], names[t]
+        # Diagram._color plus open legs, so a complete state's key is its
+        # Diagram key
+        colour_t = (arity, str(name or ""))
+        grown = {}
+        for colours, edges, labels in states:
+            open_legs = [c[2] for c in colours]
+            spare = sum(open_legs) + arity - to_come[t]
+            for take in _leg_choices(open_legs, arity):
+                # open legs after this step: sum(open) + arity - 2 * taken
+                if 2 * sum(take) < spare:
+                    continue
+                colour = [c[:2] + (c[2] - m,) for c, m in zip(colours, take)]
+                colour.append(colour_t + (arity - sum(take),))
+                new_edges = edges + tuple(((u, t), m) for u, m in enumerate(take) if m)
+                new_labels = labels + ((t, name),) if t >= internal else labels
+                key, aut = canonical_search(t + 1, new_edges, colour, new_labels)
+                grown.setdefault((tuple(sorted(colour)), key[1], key[2]), aut)
+        states = grown
 
-    def fill(idx, remaining, chosen):
-        if idx == len(pairs):
-            if any(remaining):
-                return
-            count = 1
-            for a in arities:
-                count *= factorial(a)
-            for m in chosen.values():
-                count //= factorial(m)
-            g = Diagram(n, [((i, j), m) for (i, j), m in chosen.items() if m], labels)
-            key = g.canonical()
-            out[key] = out.get(key, Fraction(0)) + count
-            return
-        i, j = pairs[idx]
-        # legs left on i or j must fit on pairs not yet filled
-        later_i, later_j = later[idx]
-        hi = min(remaining[i], remaining[j])
-        for m in range(hi + 1):
-            if remaining[i] - m > cap * later_i or remaining[j] - m > cap * later_j:
-                continue
-            remaining[i] -= m
-            remaining[j] -= m
-            if m:
-                chosen[(i, j)] = m
-            fill(idx + 1, remaining, chosen)
-            if m:
-                del chosen[(i, j)]
-            remaining[i] += m
-            remaining[j] += m
-
-    fill(0, list(arities), {})
+    groups: dict = {}
+    for t, (a, name) in enumerate(zip(arities, names)):
+        group = (a, t >= internal, name)
+        groups[group] = groups.get(group, 0) + 1
+    numerator = math.prod(factorial(k) for k in groups.values())
+    numerator *= math.prod(factorial(a) for a in arities)
+    out = {}
+    for (_, edges, labels), aut in states.items():
+        key = (n, edges, labels)
+        g = Diagram(*key, _canonical=True)
+        g._key = key
+        out[g] = Fraction(numerator, aut * math.prod(factorial(m) for _, m in edges))
     return DiagramSum(out)
+
+
+def _leg_choices(open_legs, arity):
+    """Tuples m with 0 <= m_u <= open_legs[u] and sum(m) <= arity."""
+    if not open_legs:
+        yield ()
+        return
+    for m in range(min(open_legs[0], arity) + 1):
+        for rest in _leg_choices(open_legs[1:], arity - m):
+            yield (m,) + rest
 
 
 def connected_components(g: Diagram) -> list[Diagram]:

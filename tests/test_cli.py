@@ -72,6 +72,12 @@ class TestDiagrams:
         assert code == 2
         assert "pairings" in err
 
+    def test_negative_vertex_count_rejected(self, capsys):
+        code, out, err = run(capsys, "diagrams", "--", "-2", "4")
+        assert code == 2
+        assert out == ""
+        assert "n_vertices" in err and "-2" in err
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "diagrams", "2", "4", "--format", "dot")
         assert code == 0

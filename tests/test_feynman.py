@@ -348,6 +348,149 @@ class TestCanonicalLabelling:
             assert c.canonical_key() == key
 
 
+def labelled_matching_sum(vertex_arities, external_labels=()) -> DiagramSum:
+    """Brute-force oracle for generate_diagrams over labelled presentations.
+
+    Walks every loop-free multigraph on the numbered vertices (each external
+    label one arity-1 vertex), each vertex in turn pairing its open legs with
+    later vertices, and credits it prod_v a_v! / prod_{i<j} m_ij! leg
+    matchings. Presentations are sorted into classes by applying every vertex
+    permutation that keeps arity and label, so only one canonical key per
+    class is computed, when the sum is built; two classes sharing a key fail
+    the assertion at the end.
+    """
+    arities = list(vertex_arities) + [1] * len(external_labels)
+    n = len(arities)
+    labels = [(len(vertex_arities) + i, label) for i, label in enumerate(external_labels)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: p for p, pair in enumerate(pairs)}
+    groups = {}
+    for v, colour in enumerate([(a, None) for a in vertex_arities] +
+                               [(1, label) for label in external_labels]):
+        groups.setdefault(colour, []).append(v)
+    # image[k, p]: where vertex permutation k sends pair p
+    image = []
+    for images in itertools.product(*(itertools.permutations(vs) for vs in groups.values())):
+        perm = list(range(n))
+        for vs, img in zip(groups.values(), images):
+            for v, w in zip(vs, img):
+                perm[v] = w
+        image.append([index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs])
+    image = np.array(image, dtype=np.intp).reshape(len(image), len(pairs))
+    rows = np.arange(len(image))[:, None]
+    matchings = math.prod(math.factorial(a) for a in arities)
+    mult = np.zeros(len(pairs), dtype=np.uint8)
+    remaining = list(arities)
+    which, reps, totals = {}, [], []
+
+    def fill(i, first, den):
+        # vertices before i are saturated, i pairs its legs with j >= first,
+        # and den is prod m_ij! over the pairs chosen so far
+        while i < n and not remaining[i]:
+            i, first = i + 1, i + 2
+        if i == n:
+            cls = which.get(mult.tobytes())
+            if cls is None:
+                cls = len(reps)
+                orbit = np.zeros_like(image, dtype=np.uint8)
+                orbit[rows, image] = mult
+                for row in orbit:
+                    which[row.tobytes()] = cls
+                edges = [(pair, int(m)) for pair, m in zip(pairs, mult) if m]
+                reps.append(Diagram(n, edges, labels))
+                totals.append(0)
+            totals[cls] += matchings // den
+            return
+        if remaining[i] > sum(remaining[first:]):
+            return
+        for j in range(first, n):
+            p = index[i, j]
+            for m in range(1, min(remaining[i], remaining[j]) + 1):
+                remaining[i] -= m
+                remaining[j] -= m
+                mult[p] = m
+                fill(i, j + 1, den * math.factorial(m))
+                remaining[i] += m
+                remaining[j] += m
+            mult[p] = 0
+
+    fill(0, 1, 1)
+    out = DiagramSum(zip(reps, totals))
+    assert len(out.terms) == len(reps)
+    return out
+
+
+def matchings_without_self_pairs(arities) -> int:
+    """Perfect matchings of all legs with no pair inside one vertex.
+
+    Inclusion-exclusion over k_v forced self-pairs at each vertex v:
+    sum prod_v (-1)^k_v C(a_v, 2 k_v) (2 k_v - 1)!! * (L - 2K - 1)!!.
+    """
+    def double_factorial(m):
+        return math.prod(range(m, 0, -2))
+
+    legs = sum(arities)
+    total = 0
+    for ks in itertools.product(*(range(a // 2 + 1) for a in arities)):
+        term = double_factorial(legs - 2 * sum(ks) - 1)
+        for a, k in zip(arities, ks):
+            term *= (-1) ** k * math.comb(a, 2 * k) * double_factorial(2 * k - 1)
+        total += term
+    return total
+
+
+class TestIsomorphFreeGeneration:
+    @pytest.mark.parametrize(
+        "arities, labels",
+        [([4] * n, ()) for n in range(4, 8)]
+        + [
+            ([4] * 4 + [2] * 2, ()),
+            ([4] * 5 + [2] * 3, ()),
+            ([3, 3, 1, 1], ()),
+            ([4, 4], ("x", "x")),
+            ([4] * 4, ("x", "y", "x", "y")),
+            ([], ()),
+            ([4], ()),
+            ([1], ("x",)),
+            ([], ("x", "y")),
+        ]
+        + [([4] * n, ("x", "y")) for n in range(1, 5)],
+    )
+    def test_matches_labelled_enumeration(self, arities, labels):
+        assert generate_diagrams(arities, labels) == labelled_matching_sum(arities, labels)
+
+    def test_arity_and_parity_errors(self):
+        for arities, labels in [([4, 0, 2], ()), ([4, -1, 3], ()), ([3], ()), ([4], ("x",))]:
+            with pytest.raises(ValueError):
+                generate_diagrams(arities, labels)
+
+    def test_order_seven(self):
+        out = generate_diagrams([4] * 7)
+        assert len(out.terms) == 60
+        assert out.total_coefficient() == matchings_without_self_pairs([4] * 7)
+
+    def test_keys_far_fewer_than_labelled_presentations(self, monkeypatch):
+        # labelled enumeration keys 3 379 presentations at order 6
+        calls = []
+        search = fy.canonical_search
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return search(*args, **kw)
+
+        monkeypatch.setattr(fy, "canonical_search", counted)
+        assert len(generate_diagrams([4] * 6).terms) == 24
+        assert 0 < len(calls) < 1000
+
+    def test_leaf_count_is_automorphism_count(self):
+        for g in (prism(), k33(), dumbbell(), k4_doubled(), double_triangle(), banana(4)):
+            degs = g.degrees()
+            colour = [g._color(v, degs) for v in range(g.nvertices)]
+            key, aut = fy.canonical_search(g.nvertices, g.edges, colour, g.labels)
+            assert key == g.canonical_key()
+            assert aut == automorphism_count(g)
+
+
 class TestConnectivity:
     def test_connected(self):
         assert is_connected(banana(4))
