@@ -61,10 +61,6 @@ class MultiIndex:
     def degree_of(self, i: int) -> int:
         return dict(self.entries).get(i, 0)
 
-    def as_tuple(self, dim: int) -> tuple[int, ...]:
-        d = dict(self.entries)
-        return tuple(d.get(i, 0) for i in range(dim))
-
     def sorted_indices(self) -> tuple[int, ...]:
         return tuple(i for i, e in self.entries for _ in range(e))
 
@@ -227,10 +223,6 @@ class ChaosElement:
     def constant(cls, dim: int, c) -> "ChaosElement":
         return cls(dim, {MultiIndex(): c})
 
-    @classmethod
-    def hermite_of_coordinate(cls, dim: int, n: int, i: int) -> "ChaosElement":
-        return cls(dim, {MultiIndex({i: n}): 1} if n else {MultiIndex(): 1})
-
     def __add__(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -261,11 +253,6 @@ class ChaosElement:
 
     def grades(self) -> set[int]:
         return {k.order for k in self.coeffs}
-
-    def grade_part(self, n: int) -> "ChaosElement":
-        return ChaosElement(
-            self.dim, {k: c for k, c in self.coeffs.items() if k.order == n}
-        )
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -464,28 +451,34 @@ def chaos_multiply(F: ChaosElement, G: ChaosElement, route: str = "direct") -> C
     raise ValueError(f"unknown route {route!r}")
 
 
+def _apply_degree_table(term: dict, i: int, table: dict) -> dict:
+    """Give coordinate i of every multi-index in term each degree of a
+    univariate table {degree: weight}, scaling the coefficient by the weight.
+
+    Sums start from 0 * c, so float coefficients stay floats.
+    """
+    out = {}
+    for k, c in term.items():
+        for deg, w in table.items():
+            entries = dict(k.entries)
+            if deg:
+                entries[i] = deg
+            kk = MultiIndex(entries)
+            out[kk] = out.get(kk, 0 * c) + c * w
+    return out
+
+
 def _multiply_direct(F: ChaosElement, G: ChaosElement) -> ChaosElement:
-    out = ChaosElement(F.dim)
+    out = {}
     for k1, c1 in F.coeffs.items():
         for k2, c2 in G.coeffs.items():
             term = {MultiIndex(): c1 * c2}
-            for i in sorted(
-                set(dict(k1.entries)) | set(dict(k2.entries))
-            ):
-                n, m = k1.degree_of(i), k2.degree_of(i)
-                lin = polyalg.hermite_product(n, m)
-                new_term = {}
-                for k, c in term.items():
-                    for deg, w in lin.items():
-                        entries = dict(k.entries)
-                        if deg:
-                            entries[i] = deg
-                        kk = MultiIndex(entries)
-                        new_term[kk] = new_term.get(kk, 0 * c) + c * w
-                term = new_term
+            for i in sorted(set(dict(k1.entries)) | set(dict(k2.entries))):
+                lin = polyalg.hermite_product(k1.degree_of(i), k2.degree_of(i))
+                term = _apply_degree_table(term, i, lin)
             for k, c in term.items():
-                out.coeffs[k] = out.coeffs.get(k, 0 * c) + c
-    return ChaosElement(F.dim, out.coeffs)
+                out[k] = out.get(k, 0 * c) + c
+    return ChaosElement(F.dim, out)
 
 
 def _multiply_contraction(F: ChaosElement, G: ChaosElement) -> ChaosElement:
@@ -521,25 +514,15 @@ def ou_semigroup(F: ChaosElement, t: float) -> ChaosElement:
 
 def from_polynomial(poly: MultivarPoly) -> ChaosElement:
     """Rewrite a polynomial in X_0..X_{N-1} in the Hermite product basis."""
-    out = ChaosElement(poly.nvars)
+    out = {}
     for expo, c in poly.terms.items():
         term = {MultiIndex(): Fraction(c)}
         for i, a in enumerate(expo):
-            if a == 0:
-                continue
-            conv = polyalg.monomial_to_hermite(a)
-            new_term = {}
-            for k, cc in term.items():
-                for deg, w in conv.items():
-                    entries = dict(k.entries)
-                    if deg:
-                        entries[i] = deg
-                    kk = MultiIndex(entries)
-                    new_term[kk] = new_term.get(kk, Fraction(0)) + cc * w
-            term = new_term
+            if a:
+                term = _apply_degree_table(term, i, polyalg.monomial_to_hermite(a))
         for k, cc in term.items():
-            out.coeffs[k] = out.coeffs.get(k, Fraction(0)) + cc
-    return ChaosElement(poly.nvars, out.coeffs)
+            out[k] = out.get(k, Fraction(0)) + cc
+    return ChaosElement(poly.nvars, out)
 
 
 def mehler_mc(

@@ -17,7 +17,7 @@ from . import feynman as fy
 from . import phi4, polyalg, torusfield
 
 
-def _emit(payload: dict, out: str | None, fmt: str = "json") -> None:
+def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     if out:
         with open(out, "w") as fh:

@@ -6,6 +6,9 @@ other type supporting +, * and multiplication by Fraction (diagram sums use
 this to run the linked-cluster theorem through log*). The binomial
 convolution, star-inverse, exp*/log*, the moment-cumulant relations and the
 Wick map are all finite exact computations at a fixed truncation degree.
+exp*, log* and the star-inverse are one composition pass, `_compose`, that
+differ only in the weight each part count k receives: 1/k!, (-1)^(k+1)/k
+and (-1)^k.
 """
 
 from __future__ import annotations
@@ -133,13 +136,13 @@ class RingElem:
 
 
 @lru_cache(maxsize=None)
-def compositions(n: int, min_part: int = 1) -> tuple[tuple[int, ...], ...]:
-    """All ordered compositions of n into parts >= min_part."""
+def compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All ordered compositions of n into positive parts."""
     if n == 0:
         return ((),)
     out = []
-    for first in range(min_part, n + 1):
-        for rest in compositions(n - first, min_part):
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -210,32 +213,35 @@ def convolve(phi: Functional, psi: Functional) -> Functional:
     return phi._like(out)
 
 
-def _products_over_compositions(phi: Functional, n: int, k: int, min_part: int):
-    """sum over n_1+..+n_k = n, n_i >= min_part of n!/(prod n_i!) prod phi(x^n_i)."""
-    acc = phi.zero
-    for comp in compositions(n, min_part):
-        if len(comp) != k:
-            continue
-        weight = factorial(n)
-        prod = phi.one
-        for part in comp:
-            weight //= factorial(part)
-            prod = prod * phi.values[part]
-        acc = acc + prod * Fraction(weight)
-    return acc
+def _compose(phi: Functional, weight) -> list:
+    """[sum_k weight(k) sum_{n_1+..+n_k=n, n_i>=1} n!/(prod n_i!) prod phi(x^n_i)]_n
+    for n = 1..D, in one pass over the compositions of each n.
+
+    Products are bucketed by part count in composition order and the buckets
+    are added in increasing k, so every exact value is summed in one fixed order.
+    """
+    out = []
+    for n in range(1, phi.degree + 1):
+        buckets = [phi.zero] * (n + 1)
+        for comp in compositions(n):
+            multinomial = factorial(n)
+            prod = phi.one
+            for part in comp:
+                multinomial //= factorial(part)
+                prod = prod * phi.values[part]
+            buckets[len(comp)] = buckets[len(comp)] + prod * Fraction(multinomial)
+        acc = phi.zero
+        for k in range(1, n + 1):
+            acc = acc + buckets[k] * weight(k)
+        out.append(acc)
+    return out
 
 
 def conv_inverse(phi: Functional) -> Functional:
     """Star-inverse of phi with phi(x^0) = 1, by the alternating composition sum."""
     if phi.values[0] != phi.one:
         raise ValueError("conv_inverse requires phi(x^0) = 1")
-    out = [phi.one]
-    for n in range(1, phi.degree + 1):
-        acc = phi.zero
-        for k in range(1, n + 1):
-            acc = acc + _products_over_compositions(phi, n, k, 1) * Fraction((-1) ** k)
-        out.append(acc)
-    return phi._like(out)
+    return phi._like([phi.one] + _compose(phi, lambda k: Fraction((-1) ** k)))
 
 
 def conv_inverse_neumann(phi: Functional) -> Functional:
@@ -262,30 +268,14 @@ def exp_star(phi: Functional) -> Functional:
     """exp*(phi)(x^n) = sum_k (1/k!) sum_{n_1+..+n_k=n, n_i>=1} multinomial * prod phi."""
     if phi.values[0] != phi.zero:
         raise ValueError("exp_star requires phi(x^0) = 0")
-    out = [phi.one]
-    for n in range(1, phi.degree + 1):
-        acc = phi.zero
-        for k in range(1, n + 1):
-            acc = acc + _products_over_compositions(phi, n, k, 1) * Fraction(
-                1, factorial(k)
-            )
-        out.append(acc)
-    return phi._like(out)
+    return phi._like([phi.one] + _compose(phi, lambda k: Fraction(1, factorial(k))))
 
 
 def log_star(phi: Functional) -> Functional:
     """log*(phi)(x^n) = sum_k ((-1)^(k+1)/k) sum over compositions, inverse of exp*."""
     if phi.values[0] != phi.one:
         raise ValueError("log_star requires phi(x^0) = 1")
-    out = [phi.zero]
-    for n in range(1, phi.degree + 1):
-        acc = phi.zero
-        for k in range(1, n + 1):
-            acc = acc + _products_over_compositions(phi, n, k, 1) * Fraction(
-                (-1) ** (k + 1), k
-            )
-        out.append(acc)
-    return phi._like(out)
+    return phi._like([phi.zero] + _compose(phi, lambda k: Fraction((-1) ** (k + 1), k)))
 
 
 def moments_from_cumulants(kappa: Functional) -> Functional:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -46,21 +45,6 @@ from math import factorial
 import numpy as np
 
 from .torusfield import ModeLattice, convolve_cubes
-
-
-def enumeration_budget(default: int = 4) -> int:
-    """Max perturbative order of the phi4 series; WICKWORKS_BUDGET overrides.
-
-    Only the series check it: generate_diagrams and the `diagrams` command
-    take no budget and generate any order they are asked for.
-    """
-    raw = os.environ.get("WICKWORKS_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"WICKWORKS_BUDGET must be an integer, got {raw!r}") from exc
 
 
 class Diagram:
@@ -1021,15 +1005,8 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     acc = DiagramSum.zero()
     for pair in ck_coproduct(g, d):
         left = DiagramSum.unit()
-        skip = False
         for gl, cl in pair.left.terms.items():
-            twisted = twisted_antipode(gl, d)
-            if not twisted and gl.nvertices:
-                skip = True
-                break
-            left = left * twisted * cl
-        if skip:
-            continue
+            left = left * twisted_antipode(gl, d) * cl
         acc = acc + left * pair.right
     return valuate_sum(acc, d, N)
 

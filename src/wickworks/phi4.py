@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 
 from . import feynman as fy
-from .cumulants import Functional, exp_star, log_star
+from .cumulants import Functional, conv_inverse, convolve, exp_star, log_star
 from .feynman import Diagram, DiagramSum, banana, double_triangle
 from .torusfield import (
     GFF,
@@ -147,12 +147,6 @@ MAX_VALUATION_ORDER = 4
 
 
 def _check_order(order: int):
-    budget = fy.enumeration_budget()
-    if order > budget:
-        raise ValueError(
-            f"order {order} beyond the enumeration budget {budget} "
-            "(set WICKWORKS_BUDGET to raise it)"
-        )
     if order > MAX_VALUATION_ORDER:
         raise ValueError(
             f"order {order} beyond the valuation limit: diagrams are valuated "
@@ -160,6 +154,11 @@ def _check_order(order: int):
         )
     if order < 0:
         raise ValueError("order must be >= 0")
+
+
+def _diagram_functional(values: list[DiagramSum]) -> Functional:
+    """A functional whose value ring is diagram sums."""
+    return Functional(values, zero=DiagramSum.zero(), one=DiagramSum.unit())
 
 
 def log_partition_series(d, N: int, order: int, route: str = "connected") -> ExpansionSeries:
@@ -174,11 +173,7 @@ def log_partition_series(d, N: int, order: int, route: str = "connected") -> Exp
         sums = [_quartic_diagrams(n).filter_connected() for n in range(order + 1)]
         sums[0] = DiagramSum.zero()
     elif route == "logstar":
-        full = Functional(
-            [_quartic_diagrams(n) for n in range(order + 1)],
-            zero=DiagramSum.zero(),
-            one=DiagramSum.unit(),
-        )
+        full = _diagram_functional([_quartic_diagrams(n) for n in range(order + 1)])
         sums = log_star(full).values
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -193,11 +188,7 @@ def log_partition_series(d, N: int, order: int, route: str = "connected") -> Exp
 def exp_of_log_series(d, N: int, order: int) -> list[DiagramSum]:
     """exp* of the connected series; must reproduce the full coefficients."""
     connected = log_partition_series(d, N, order, route="connected")
-    psi = Functional(
-        [c.diagrams for c in connected.coefficients],
-        zero=DiagramSum.zero(),
-        one=DiagramSum.unit(),
-    )
+    psi = _diagram_functional([c.diagrams for c in connected.coefficients])
     return exp_star(psi).values
 
 
@@ -243,30 +234,16 @@ def two_point_series(d, N: int, order: int, x, y) -> ExpansionSeries:
     """G_2(x, y) through the stated order (<= 2 in this version).
 
     The full expectation over diagrams with two external legs is divided by
-    the vacuum series at the DiagramSum level, which cancels every term with
-    a vacuum component; what survives at order two is the chain class, whose
-    value is synthesized from the mode sum at the requested points.
+    the vacuum series in the star algebra of diagram sums (the star quotient,
+    see _two_point_sums), which cancels every class with a vacuum component;
+    what survives at order two is the chain class, whose value is synthesized
+    from the mode sum at the requested points.
     """
     if order > 2:
         raise ValueError("two-point series supports order <= 2")
     _check_order(order)
-    numerator = []
-    for n in range(order + 1):
-        if n == 0:
-            direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
-            numerator.append(DiagramSum.of(direct))
-        else:
-            numerator.append(fy.generate_diagrams([4] * n, ["x", "y"]))
-    vacuum = [_quartic_diagrams(n) for n in range(order + 1)]
-    # series division g = numerator / vacuum in the diagram-sum ring
-    quotient: list[DiagramSum] = []
-    for n in range(order + 1):
-        acc = numerator[n]
-        for k in range(n):
-            acc = acc - quotient[k] * vacuum[n - k]
-        quotient.append(acc)  # vacuum[0] is the unit
     series = ExpansionSeries(d, N, order, "two-point")
-    for n, diagrams in enumerate(quotient):
+    for n, diagrams in enumerate(_two_point_sums(order)):
         pref = Fraction((-1) ** n, factorial(n))
         value = float(pref) * math.fsum(
             float(c) * _external_value(g, d, N, x, y)
@@ -276,6 +253,22 @@ def two_point_series(d, N: int, order: int, x, y) -> ExpansionSeries:
         ) + 0.0
         series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
     return series
+
+
+def _two_point_sums(order: int) -> list[DiagramSum]:
+    """Per-order diagram sums of G_2: numerator * vacuum^(-1) in the star algebra.
+
+    Both series are exponential generating series in -alpha whose n-th value
+    is the order-n matching sum, so their quotient is the binomial convolution
+    of the numerator with the star-inverse of the vacuum. It keeps only the
+    classes whose every component touches an external leg.
+    """
+    direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+    numerator = [DiagramSum.of(direct)] + [
+        fy.generate_diagrams([4] * n, ["x", "y"]) for n in range(1, order + 1)
+    ]
+    vacuum = _diagram_functional([_quartic_diagrams(n) for n in range(order + 1)])
+    return convolve(_diagram_functional(numerator), conv_inverse(vacuum)).values
 
 
 def _external_value(g: Diagram, d, N: int, x, y) -> float:

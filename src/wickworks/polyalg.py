@@ -117,13 +117,6 @@ class Polynomial:
             acc = acc * x + (c if isinstance(x, Fraction) else float(c))
         return acc
 
-    def eval_exact(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
@@ -250,75 +243,31 @@ def apply_operator(op: str, p: Polynomial) -> Polynomial:
     raise ValueError(f"unknown operator {op!r}; expected one of {_OPERATORS}")
 
 
-class BivariatePoly:
-    """Sparse bivariate polynomial in (x, y) with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[key] = c
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariatePoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, BivariatePoly):
-            out = {}
-            for (i, j), a in self.coeffs.items():
-                for (k, l), b in other.coeffs.items():
-                    key = (i + k, j + l)
-                    out[key] = out.get(key, Fraction(0)) + a * b
-            return BivariatePoly(out)
-        return BivariatePoly({k: c * Fraction(other) for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def from_univariate(cls, p: Polynomial, var: int) -> "BivariatePoly":
-        """Embed p(x) as a polynomial in variable 0 (x) or 1 (y)."""
-        key = (lambda i: (i, 0)) if var == 0 else (lambda i: (0, i))
-        return cls({key(i): c for i, c in enumerate(p.coeffs) if c})
-
-    def substitute_sum(self) -> "BivariatePoly":
-        """Interpret a univariate embedding p(x) as p(x+y); only for var-0 input."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j != 0:
-                raise ValueError("substitute_sum expects a pure-x polynomial")
-            for k in range(i + 1):
-                key = (k, i - k)
-                out[key] = out.get(key, Fraction(0)) + c * comb(i, k)
-        return BivariatePoly(out)
-
-
 def hermite_binomial_lhs_rhs(n: int, sigma1sq, sigma2sq):
     """Both sides of H_n(x+y; s1+s2) = sum_m C(n,m) H_m(x;s1) H_{n-m}(y;s2).
 
-    Returns the two expanded bivariate polynomials; the tests assert equality.
+    Returns the two expanded sides as two-variable `pairings.MultivarPoly`
+    in (x, y); the tests assert equality. Import kept local as in
+    hermite_from_matchings.
     """
+    from .pairings import MultivarPoly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     s1, s2 = Fraction(sigma1sq), Fraction(sigma2sq)
-    lhs = BivariatePoly.from_univariate(hermite_scaled(n, s1 + s2), 0).substitute_sum()
-    rhs = BivariatePoly()
+    lhs = MultivarPoly(
+        2,
+        {
+            (k, i - k): c * comb(i, k)
+            for i, c in enumerate(hermite_scaled(n, s1 + s2).coeffs)
+            for k in range(i + 1)
+        },
+    )
+    rhs = MultivarPoly(2)
     for m in range(n + 1):
-        term = BivariatePoly.from_univariate(hermite_scaled(m, s1), 0) * BivariatePoly.from_univariate(
-            hermite_scaled(n - m, s2), 1
-        )
-        rhs = rhs + comb(n, m) * term
+        hx = MultivarPoly(2, {(i, 0): c for i, c in enumerate(hermite_scaled(m, s1).coeffs)})
+        hy = MultivarPoly(2, {(0, j): c for j, c in enumerate(hermite_scaled(n - m, s2).coeffs)})
+        rhs = rhs + comb(n, m) * (hx * hy)
     return lhs, rhs
 
 

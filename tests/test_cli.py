@@ -148,20 +148,13 @@ class TestPhi4Cmd:
         assert out == ""
         assert "--N" in err
 
-    def test_order_budget_error(self, capsys):
-        code, _, err = run(capsys, "phi4", "--d", "1", "--N", "2", "--order", "9")
-        assert code == 2
-        assert "budget" in err
-
-    def test_order_beyond_valuation_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("WICKWORKS_BUDGET", "5")
+    def test_order_beyond_valuation_limit(self, capsys):
         code, out, err = run(capsys, "phi4", "--d", "1", "--N", "4", "--order", "5")
         assert code == 2
         assert out == ""
         assert "valuation limit" in err and "order 4" in err
 
-    def test_diagrams_past_valuation_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("WICKWORKS_BUDGET", "5")
+    def test_diagrams_past_valuation_limit(self, capsys):
         code, out, _ = run(capsys, "diagrams", "5", "4")
         assert code == 0
         assert json.loads(out)["classes"]

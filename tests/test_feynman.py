@@ -946,16 +946,6 @@ class TestExternal:
         assert got == pytest.approx(valuate(banana(4), 1, 3), rel=1e-12)
 
 
-def test_enumeration_budget_env(monkeypatch):
-    monkeypatch.delenv("WICKWORKS_BUDGET", raising=False)
-    assert fy.enumeration_budget() == 4
-    monkeypatch.setenv("WICKWORKS_BUDGET", "5")
-    assert fy.enumeration_budget() == 5
-    monkeypatch.setenv("WICKWORKS_BUDGET", "nope")
-    with pytest.raises(ValueError):
-        fy.enumeration_budget()
-
-
 def test_fft_lengths_are_5_smooth(monkeypatch):
     # torusfield looks the transforms up on np.fft at each call
     shapes = []

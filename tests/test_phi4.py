@@ -53,11 +53,6 @@ class TestPartitionSeries:
         assert blob["order"] == 2
         assert blob["coefficients"][2]["prefactor"] == [1, 2]
 
-    def test_budget(self, monkeypatch):
-        monkeypatch.setenv("WICKWORKS_BUDGET", "2")
-        with pytest.raises(ValueError):
-            partition_ratio_series(1, 4, 3)
-
     def test_d3_low_orders_vanish(self):
         # with counterterms the alpha^2 and alpha^3 coefficients of the ratio
         # series are log-exact: log Z starts at alpha^4, so the ratio's low
@@ -212,6 +207,39 @@ class TestTwoPoint:
         want = [c.value for c in two_point_series(*args).coefficients]
         assert len(calls) > 10
         assert repr(got) == repr(want)
+
+
+def _plain_division(order):
+    """The ordinary power-series division of the matching sums, without the
+    binomial weights of the star quotient."""
+    direct = fy.Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+    numerator = [DiagramSum.of(direct)] + [
+        fy.generate_diagrams([4] * n, ["x", "y"]) for n in range(1, order + 1)
+    ]
+    vacuum = [phi4._quartic_diagrams(n) for n in range(order + 1)]
+    quotient = []
+    for n in range(order + 1):
+        acc = numerator[n]
+        for k in range(n):
+            acc = acc - quotient[k] * vacuum[n - k]
+        quotient.append(acc)
+    return quotient
+
+
+class TestTwoPointDivision:
+    def test_order4_classes_are_connected(self):
+        sums = phi4._two_point_sums(4)
+        assert sums[4]
+        assert all(fy.is_connected(g) for g in sums[4].terms)
+
+    def test_low_orders_match_plain_division(self):
+        assert phi4._two_point_sums(3) == _plain_division(3)
+
+    def test_plain_division_keeps_a_vacuum_class_at_order4(self):
+        (chain,) = phi4._two_point_sums(2)[2].terms
+        stray = chain.disjoint_union(banana(4))
+        assert _plain_division(4)[4].terms.get(stray) == 23040
+        assert stray not in phi4._two_point_sums(4)[4].terms
 
 
 class TestCounterterms:
