@@ -112,6 +112,11 @@ def cmd_phi4(args) -> int:
         if args.N is None:
             print("error: --N is required unless --ladder gives the cutoffs", file=sys.stderr)
             return 2
+        if args.mc:
+            if args.alpha is None or args.samples is None or args.seed is None:
+                print("error: --mc needs --alpha, --samples and --seed", file=sys.stderr)
+                return 2
+            phi4.check_mc_arguments(args.d, args.alpha, args.samples, args.seed)
         series = phi4.partition_ratio_series(args.d, args.N, args.order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -124,9 +129,6 @@ def cmd_phi4(args) -> int:
             "gamma": {str(k): v for k, v in ct.gamma_coeffs.items()},
         }
     if args.mc:
-        if args.alpha is None or args.samples is None or args.seed is None:
-            print("error: --mc needs --alpha, --samples and --seed", file=sys.stderr)
-            return 2
         est, se = phi4.mc_partition_ratio(
             args.d, args.N, args.alpha, args.samples, args.seed
         )

@@ -105,6 +105,31 @@ class TestPhi4Cmd:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("--d", "2", "--alpha", "nan", "--seed", "1"), "alpha"),
+            (("--d", "2", "--alpha", "-5", "--seed", "1"), "alpha"),
+            (("--d", "2", "--alpha", "inf", "--seed", "1"), "alpha"),
+            (("--d", "2", "--alpha", "0.05", "--seed", "-3"), "seed"),
+            (("--d", "3", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
+        ],
+    )
+    def test_mc_rejects_arguments_before_the_series(self, capsys, monkeypatch, argv, name):
+        from wickworks import phi4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("series work before the --mc arguments were checked")
+
+        monkeypatch.setattr(phi4, "partition_ratio_series", refuse)
+        monkeypatch.setattr(phi4, "counterterms_d3", refuse)
+        code, out, err = run(
+            capsys, "phi4", "--N", "4", "--order", "2", "--mc", "--samples", "200", *argv
+        )
+        assert code == 2
+        assert out == ""
+        assert name in err
+
     def test_mc_path(self, capsys):
         code, out, _ = run(
             capsys,

@@ -444,6 +444,42 @@ class TestMC:
         if samples > 1:
             assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
 
+    @pytest.mark.parametrize("samples", [1, 65, phi4.MC_BLOCK + 10])
+    def test_partial_chunks_match_dense_route_d1(self, samples):
+        # at d = 1 the two interleaved (2N+1)-grids form the uniform (4N+2)-grid;
+        # the oracle is the dense route on the (4N+1)-grid, and N = 16 is where
+        # the unshifted (2N+1)-grid alone is off by 0.3%
+        d, N, alpha, seed = 1, 16, 0.05, 12
+        lat = ModeLattice(d, N)
+        B = tf.synthesis_matrix(lat, tf.grid_points(d, 4 * N + 1))
+        cn = c_variance(d, N)
+        draws = []
+        blocks = np.random.SeedSequence(seed).spawn(math.ceil(samples / phi4.MC_BLOCK))
+        for k, ss in enumerate(blocks):
+            take = min(phi4.MC_BLOCK, samples - k * phi4.MC_BLOCK)
+            v = B @ tf.batch_amplitudes(lat, tf.GFF, take, ss)
+            x = (v**4 - 6.0 * cn * v**2 + 3.0 * cn**2).mean(axis=0)
+            draws.extend(np.exp(-alpha * x))
+        est, se = mc_partition_ratio(d, N, alpha, samples, seed)
+        assert est == pytest.approx(float(np.mean(draws)), rel=1e-12)
+        if samples > 1:
+            assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(alpha=-5.0), "alpha"),
+            (dict(alpha=math.nan), "alpha"),
+            (dict(alpha=math.inf), "alpha"),
+            (dict(seed=-3), "seed"),
+            (dict(samples=0), "samples"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs, name):
+        args = dict(d=1, N=4, alpha=0.05, samples=10, seed=0) | kwargs
+        with pytest.raises(ValueError, match=name):
+            mc_partition_ratio(**args)
+
     def test_never_builds_synthesis_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("synthesis_matrix called")

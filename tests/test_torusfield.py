@@ -507,17 +507,29 @@ class TestGridSynthesizer:
         amps = tf.batch_amplitudes(lat, GFF, 3, seed=10 * d + N)
         for M in (4 * N + 1, 6):
             got = tf.grid_synthesizer(d, N, M)(amps)
-            assert got.shape == (3, M**d)
+            assert got.shape == (M**d, 3)
             pts = tf.grid_points(d, M)
             # the dense matrix in row blocks, so d = 3, N = 8 stays small
             for lo in range(0, len(pts), 4096):
                 want = tf.synthesis_matrix(lat, pts[lo : lo + 4096]) @ amps
                 scale = np.abs(want).max()
-                assert np.abs(got[:, lo : lo + 4096].T - want).max() <= 1e-12 * scale, (d, N, M)
+                assert np.abs(got[lo : lo + 4096] - want).max() <= 1e-12 * scale, (d, N, M)
 
     def test_built_once_per_grid(self):
         assert tf.grid_synthesizer(2, 3, 13) is tf.grid_synthesizer(2, 3, 13)
         assert tf.grid_synthesizer(2, 3, 13) is not tf.grid_synthesizer(2, 3, 12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_shifted_matches_synthesis_matrix(self, d, N):
+        lat = ModeLattice(d, N)
+        amps = tf.batch_amplitudes(lat, GFF, 3, seed=40 + 10 * d + N)
+        M = 2 * N + 1
+        got = tf.grid_synthesizer(d, N, M, shifted=True)(amps)
+        want = tf.synthesis_matrix(lat, tf.grid_points(d, M) + 0.5 / M) @ amps
+        assert got.shape == want.shape == (M**d, 3)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert tf.grid_synthesizer(d, N, M, shifted=True) is not tf.grid_synthesizer(d, N, M)
 
     @pytest.mark.parametrize("d, N, M", [(1, 5, 12), (2, 3, 13), (3, 2, 7)])
     def test_evaluate_grid_matches_pointwise(self, d, N, M):
@@ -527,3 +539,27 @@ class TestGridSynthesizer:
         np.testing.assert_allclose(
             grid.ravel(), s.evaluate(tf.grid_points(d, M)), rtol=0, atol=1e-12 * np.abs(grid).max()
         )
+
+
+def _union_mean(d, N, k):
+    """Mean of e^(2 pi i k.x) over the grids j/M and (j + 1/2)/M, M = 2N + 1."""
+    M = 2 * N + 1
+    pts = np.concatenate([tf.grid_points(d, M), tf.grid_points(d, M) + 0.5 / M])
+    return np.exp(2j * np.pi * pts @ np.asarray(k, dtype=float)).mean()
+
+
+class TestTwoOffsetRule:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_exact_through_degree_4N(self, d, N):
+        for k in tf._l1_ball(d, 4 * N):
+            if any(k):
+                assert abs(_union_mean(d, N, k)) <= 1e-13, (d, N, k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3])
+    def test_first_alias_beyond_4N(self, d, N):
+        # |k|_1 = 4N + 2: both offsets see the mode with phase 1
+        M = 2 * N + 1
+        k = (2 * M,) if d == 1 else (M, M) + (0,) * (d - 2)
+        assert abs(_union_mean(d, N, k) - 1) <= 1e-13
