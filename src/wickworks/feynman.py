@@ -27,11 +27,13 @@ core has every degree >= 3: on four vertices it is K4, and a larger one is
 rejected. The K4 evaluator's outer momentum loop visits one momentum per
 orbit of the hyperoctahedral group (coordinate permutations and sign flips),
 under which every weight array is invariant, and weights each term by the
-orbit size. Renormalization follows
-the extraction-contraction coproduct: divergent connected full subgraphs are
-extracted in all vertex-disjoint families, and the (twisted) antipode
-recursion assembles the subtracted valuation as an exact rational combination
-of diagram products before any float is produced.
+orbit size. Each term is the mean of a trigonometric polynomial over two
+interleaved grids, a rank-2 lattice rule (Sloan & Joe 1994) sized to
+integrate it exactly. Renormalization follows the extraction-contraction
+coproduct: divergent connected full subgraphs are extracted in all
+vertex-disjoint families, and the (twisted) antipode recursion assembles the
+subtracted valuation as an exact rational combination of diagram products
+before any float is produced.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import factorial
 
 import numpy as np
 
-from .torusfield import ModeLattice, convolve_cubes
+from .torusfield import ModeLattice, _smooth_len, convolve_cubes, lattice_rule_size
 
 
 class Diagram:
@@ -818,13 +820,25 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     """Evaluate the irreducible 4-vertex complete-graph core.
 
     With loop momenta p = k(ab), q = k(ac), r = k(bc) and conservation fixing
-    the rest, the sum becomes, for each p, a single lattice convolution:
-    sum_m (F_ac shifted . F_ad)(m) conv (F_bc . F_bd shifted)(m) F_cd(m).
-    The outer loop runs over the bundle with the smallest support. Only the
-    central box of F_cd that the convolution reaches is computed and read.
-    Every weight is invariant under coordinate permutations and sign flips
-    (checked here), so the sum over p depends only on its orbit: the loop
-    visits one p per orbit and multiplies by the orbit size.
+    the rest, the value is sum_p F_ab(p) V_p with
+    V_p = sum_{q,r} A_p(q) B_p(r) F_cd(q + r), A_p(q) = F_ac(q) F_ad(p + q)
+    and B_p(r) = F_bc(r) F_bd(r - p) (F_bd is even). The outer loop runs over
+    the bundle with the smallest support. Every weight is invariant under
+    coordinate permutations and sign flips (checked here), so the sum over p
+    depends only on its orbit: the loop visits one p per orbit and multiplies
+    by the orbit size.
+
+    V_p is the constant term of a_p b_p f, the product of the trigonometric
+    polynomials of A_p, B_p and F_cd. Each weight lives on the l1 ball of its
+    radius, and F_cd is read only on the ball of radius
+    r = min(R_ac + R_bc, R_cd) that q + r reaches, so the product has l1
+    degree at most R_ac + R_bc + r. The two-grid lattice rule of
+    torusfield.lattice_rule_size, on a 5-smooth M, integrates it exactly:
+    V_p is the mean of a_p b_p f over both grids, with no linear convolution
+    and no inverse transform. The degree is taken from the radii, and the
+    roundoff that FFT-built bundles carry off their balls is zeroed, so the
+    rule is exact for what is summed. A_p and B_p are sliced on their box
+    intersections and share one complex transform per grid (_packed_mean).
     """
     vs = sorted(adj)
     pair_w = {}
@@ -842,23 +856,138 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     )
     F_cd = pair_w[(min(c, dd), max(c, dd))]
     r = min(F_ac.radius + F_bc.radius, F_cd.radius)
-    F_cd_core = F_cd.window(r)
-    for cube in (F_ab.cube, F_ac.cube, F_ad.cube, F_bc.cube, F_bd.cube, F_cd_core):
-        _check_hyperoctahedral(cube)
-    R = F_ab.radius
+    # zero the roundoff off each l1 ball, so the degree below bounds the sum
+    cubes = [(w.cube, w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)] + [(F_cd.window(r), r)]
+    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
+        _Weight(cube * _l1_mask(cube.ndim, radius), radius) for cube, radius in cubes
+    )
+    for w in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd):
+        _check_hyperoctahedral(w.cube)
+    dim = F_ab.cube.ndim
+    M = _smooth_len(lattice_rule_size(F_ac.radius + F_bc.radius + r))
+    # f on both grids, once; it is real, since F_cd is real and even
+    S = _block(M, dim, 2 * r + 1)
+    S[0].real[_extent([(-r, r)] * dim)] = F_cd.cube
+    f = _rule_spectra(S, M)
+    for axis in range(dim):
+        f *= _offset_phase(-r, M).reshape((2,) + (1,) * axis + (M,) + (1,) * (dim - 1 - axis))
+    f = f.real
+    # A_p and B_p blocks, each at most `side` long on every axis
+    side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1
     total = 0.0
-    for p, size in _orbits(F_ab.cube.ndim, R):
-        wp = float(F_ab.cube[tuple(c + R for c in p)])
+    for p, size in _orbits(dim, F_ab.radius):
+        wp = F_ab.at(p)
         if wp == 0.0:
             continue
-        minus_p = tuple(-c for c in p)
-        # A(q) = F_ac(q) F_ad(p + q) on the F_ac box
-        A = F_ac.cube * _shifted(F_ad, F_ac.radius, p)
-        # B(r) = F_bc(r) F_bd(p - r) = F_bc(r) F_bd(r - p) by evenness
-        B = F_bc.cube * _shifted(F_bd, F_bc.radius, minus_p)
-        conv = convolve_cubes(A, B, radius=r)
-        total += size * wp * float(np.sum(conv * F_cd_core))
-    return total
+        # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
+        box_a = [_overlap(F_ac.radius, F_ad.radius, -t) for t in p]
+        box_b = [_overlap(F_bc.radius, F_bd.radius, t) for t in p]
+        S = _block(M, dim, side)
+        np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=S[0].real[_extent(box_a)])
+        minus_p = [-t for t in p]
+        np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=S[0].imag[_extent(box_b)])
+        offsets = [la + lb for (la, _), (lb, _) in zip(box_a, box_b)]
+        total += size * wp * _packed_mean(_rule_spectra(S, M), f, offsets)
+    return total / (4 * M**dim)
+
+
+def _overlap(R: int, R_other: int, shift: int) -> tuple[int, int]:
+    """The range [-R, R] & ([-R_other, R_other] + shift) on one axis; never
+    empty here, since the boxes are centred and |shift| <= R_other."""
+    return max(-R, shift - R_other), min(R, shift + R_other)
+
+
+def _box(w: _Weight, box, p=None) -> np.ndarray:
+    """w(q + p) for q on the box [lo, hi] per axis (p = 0 when omitted)."""
+    p = p or [0] * len(box)
+    R = w.radius
+    return w.cube[tuple(slice(lo + t + R, hi + t + R + 1) for (lo, hi), t in zip(box, p))]
+
+
+def _extent(box) -> tuple:
+    """The slices that put a block on the box [lo, hi] per axis at index 0."""
+    return tuple(slice(0, hi - lo + 1) for lo, hi in box)
+
+
+@lru_cache(maxsize=None)
+def _l1_mask(dim: int, radius: int) -> np.ndarray:
+    """Indicator of |k|_1 <= radius on the centred box of that radius."""
+    dist = np.abs(np.arange(-radius, radius + 1))
+    mask = sum(np.ix_(*([dist] * dim))) <= radius
+    mask.setflags(write=False)
+    return mask
+
+
+def _block(M: int, dim: int, side: int) -> np.ndarray:
+    """Zeroed complex (2, L, ..., L) array, L the least multiple of M >= side:
+    room for one block (in [0]) and its half-cell-shifted copy (in [1])."""
+    L = M * -(-side // M)
+    return np.zeros((2,) + (L,) * dim, complex)
+
+
+def _rule_spectra(S: np.ndarray, M: int) -> np.ndarray:
+    """Transforms on both grids of the block in S[0], shape (2, M, ..., M).
+
+    S[0][i] holds the coefficient of the momentum lo + i. Row g of the result
+    is sum_i S[0][i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
+    at x_j = (j + g/2)/M, short of the offset phase exp(-2 pi i lo.x_j)
+    (_offset_phase). The half-cell factor exp(-pi i i/M) is applied on the
+    unfolded block, and a side longer than M is then folded onto M by a
+    reshape-sum of its aliases.
+    """
+    L, dim = S.shape[1], S.ndim - 1
+    np.multiply(S[0], _half_cell(L, M, dim), out=S[1])
+    if L > M:
+        S = S.reshape((2,) + (L // M, M) * dim).sum(axis=tuple(range(1, 2 * dim, 2)))
+    return np.fft.fftn(S, axes=tuple(range(1, dim + 1)))
+
+
+def _packed_mean(spec: np.ndarray, f: np.ndarray, offsets) -> float:
+    """4 M^d times the two-grid mean of a b f (overwrites spec).
+
+    spec holds Z, the _rule_spectra transforms of the packed block A + i B,
+    and offsets the sums lo_A + lo_B of the two blocks' lower corners. Both
+    grids are symmetric under x -> -x, and a(-x) = conj a(x) for real A, so
+    a = (Z(x) + conj Z(-x))/2 and b = (Z(x) - conj Z(-x))/2i up to their
+    offset phases. With f real and even, the sum of a b f over a grid is then
+    Im sum_x psi(x) Z(x)^2 f(x) / 2, psi = exp(-2 pi i (lo_A + lo_B).x): one
+    transform serves both blocks, and the separable psi is contracted one
+    axis at a time.
+    """
+    M = f.shape[-1]
+    np.square(spec, out=spec)
+    spec *= f
+    T = spec
+    for t in reversed(offsets):
+        T = np.matmul(T.reshape(2, -1, M), _offset_phase(t, M)[:, :, None])
+    return float(T.sum().imag)
+
+
+@lru_cache(maxsize=None)
+def _offset_phase(lo: int, M: int) -> np.ndarray:
+    """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and shifted
+    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
+    g = np.arange(2)[:, None]
+    out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
+    out.setflags(write=False)
+    return out
+
+
+def _cis(num, den: int) -> np.ndarray:
+    """exp(-2 pi i num / den) for integer num, reduced mod den exactly."""
+    return np.exp(-2j * math.pi * (np.asarray(num) % den) / den)
+
+
+@lru_cache(maxsize=None)
+def _half_cell(L: int, M: int, dim: int) -> np.ndarray:
+    """exp(-pi i (i_1 + ... + i_d)/M) on the L^d block: the half-cell shift of
+    the second grid, which flips sign on every M-block of the index."""
+    axis = _cis(np.arange(L), 2 * M)
+    out = axis
+    for _ in range(dim - 1):
+        out = np.multiply.outer(out, axis)
+    out.setflags(write=False)
+    return out
 
 
 def _orbits(dim: int, radius: int):
@@ -889,26 +1018,6 @@ def _check_hyperoctahedral(cube: np.ndarray) -> None:
                 "K4 weight is not invariant under coordinate permutations and sign "
                 "flips; the orbit loop would sum it wrongly"
             )
-
-
-def _shifted(w: _Weight, target_radius: int, p: tuple) -> np.ndarray:
-    """Array S with S[q] = w(q + p) on the centered box of target_radius."""
-    dim = w.cube.ndim
-    side = 2 * target_radius + 1
-    out = np.zeros((side,) * dim)
-    src = []
-    dst = []
-    for ax in range(dim):
-        lo = -target_radius + p[ax]
-        hi = target_radius + p[ax]
-        lo_c = max(lo, -w.radius)
-        hi_c = min(hi, w.radius)
-        if lo_c > hi_c:
-            return out
-        src.append(slice(lo_c + w.radius, hi_c + w.radius + 1))
-        dst.append(slice(lo_c - p[ax] + target_radius, hi_c - p[ax] + target_radius + 1))
-    out[tuple(dst)] = w.cube[tuple(src)]
-    return out
 
 
 def _reduced(g: Diagram, d, N: int, protected=()):

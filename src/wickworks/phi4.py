@@ -35,6 +35,7 @@ from .torusfield import (
     c_variance,
     green_truncated,
     grid_synthesizer,
+    lattice_rule_size,
 )
 
 
@@ -537,13 +538,11 @@ def check_mc_arguments(d: int, alpha: float, samples: int, seed: int) -> None:
 def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     """Monte Carlo of E[exp(-alpha integral :field^4:)] for d in {1, 2}.
 
-    Fields are sampled spectrally. The quartic Wick integral is the mean over
-    two interleaved M^d grids, M = 2N + 1: the points j/M and (j + 1/2)/M on
-    every axis, a rank-2 lattice rule (Sloan & Joe 1994). For 0 < |k|_1 <= 4N
-    the mean of e^(2 pi i k.x) over the union is exactly 0: a grid mean
-    survives only for k = +-M e_j, where the half-cell shift contributes
-    (1 + (-1))/2. So the rule integrates the degree-4N trigonometric
-    polynomial exactly, on half the points of the uniform (4N+1)^d grid.
+    Fields are sampled spectrally. The quartic Wick integral is a
+    trigonometric polynomial of l1 degree 4N, so it is the exact mean over
+    the two interleaved M^d grids j/M and (j + 1/2)/M with
+    M = lattice_rule_size(4N) = 2N + 1 (see there for why): half the points
+    of the uniform (4N+1)^d grid.
     Splitting rule: draws proceed in fixed blocks of MC_BLOCK samples whose
     generators are SeedSequence(seed).spawn children in block order, so a
     given (config, seed) always produces the same stream. Each block's
@@ -556,7 +555,7 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     """
     check_mc_arguments(d, alpha, samples, seed)
     lat = ModeLattice(d, N)
-    M = 2 * N + 1
+    M = lattice_rule_size(4 * N)
     plain, shifted = grid_synthesizer(d, N, M), grid_synthesizer(d, N, M, True)
     cn = c_variance(d, N)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))

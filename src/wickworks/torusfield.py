@@ -320,6 +320,22 @@ def grid_points(d: int, M: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def lattice_rule_size(deg: int) -> int:
+    """Least M with deg < 2M: the two interleaved M^d grids j/M and
+    (j + 1/2)/M (a rank-2 lattice rule, Sloan & Joe 1994) then integrate
+    every trigonometric polynomial of l1 degree <= deg exactly.
+
+    For k != 0 in Z^d, the mean of e^(2 pi i k.x) over the plain grid is 1
+    when every k_j is a multiple of M and 0 otherwise. Writing k = M m, the
+    half-cell shift multiplies that mean by e^(pi i (m_1 + ... + m_d)), so
+    the mean over the union is (1 + (-1)^(m_1 + ... + m_d)) / 2. For
+    0 < |k|_1 < 2M the only survivors have |m|_1 = 1, an odd sum, and the
+    union mean is 0. The rule is tight: k = 2M e_1 has union mean 1. Any
+    larger M (say a 5-smooth FFT length) is exact too.
+    """
+    return deg // 2 + 1
+
+
 def _axis_angles(M: int, ks, shifted: bool) -> np.ndarray:
     """2 pi k x at the axis coordinates x = (2j + shifted) / 2M (rows j,
     columns k), with (2j + shifted) k reduced mod 2M exactly before scaling."""

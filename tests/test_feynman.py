@@ -55,6 +55,26 @@ def k4_doubled() -> Diagram:
     )
 
 
+def _shifted(w: fy._Weight, target_radius: int, p: tuple) -> np.ndarray:
+    """Array S with S[q] = w(q + p) on the centered box of target_radius."""
+    dim = w.cube.ndim
+    side = 2 * target_radius + 1
+    out = np.zeros((side,) * dim)
+    src = []
+    dst = []
+    for ax in range(dim):
+        lo = -target_radius + p[ax]
+        hi = target_radius + p[ax]
+        lo_c = max(lo, -w.radius)
+        hi_c = min(hi, w.radius)
+        if lo_c > hi_c:
+            return out
+        src.append(slice(lo_c + w.radius, hi_c + w.radius + 1))
+        dst.append(slice(lo_c - p[ax] + target_radius, hi_c - p[ax] + target_radius + 1))
+    out[tuple(dst)] = w.cube[tuple(src)]
+    return out
+
+
 def k4_doubled_per_momentum(d: int, N: int) -> float:
     """Independent oracle for valuate(k4_doubled(), d, N): the K4 sum with the
     outer momentum p on the single edge (0, 2) run over every point of K_N.
@@ -69,8 +89,8 @@ def k4_doubled_per_momentum(d: int, N: int) -> float:
     total = 0.0
     for idx in np.ndindex(base.shape):
         p = tuple(i - N for i in idx)
-        A = double.cube * fy._shifted(single, 2 * N, p)
-        B = base * fy._shifted(double, N, tuple(-c for c in p))
+        A = double.cube * _shifted(single, 2 * N, p)
+        B = base * _shifted(double, N, tuple(-c for c in p))
         total += base[idx] * float(np.sum(convolve_cubes(A, B)[core] * base))
     return total
 
@@ -830,10 +850,16 @@ class TestK4Orbits:
                 assert sum(size for _, size in orbits) == (2 * N + 1) ** d
 
     def test_k4_matches_per_momentum_loop(self):
-        for d, N in [(2, 3), (3, 2)]:
+        for d, N in [(1, 5), (2, 3), (3, 2)]:
             assert valuate(k4_doubled(), d, N) == pytest.approx(
                 k4_doubled_per_momentum(d, N), rel=1e-12
             )
+
+    def test_k4_at_zero_cutoff(self):
+        # N = 0 leaves the zero mode alone: every weight is 1, the lattice
+        # rule has M = 1, and the core is exactly 1
+        for d in (1, 2, 3):
+            assert valuate(k4_doubled(), d, 0) == 1.0
 
     def test_asymmetric_weight_raises(self):
         N = 2
@@ -947,25 +973,37 @@ class TestExternal:
 
 
 def test_fft_lengths_are_5_smooth(monkeypatch):
-    # torusfield looks the transforms up on np.fft at each call
+    # torusfield and feynman look the transforms up on np.fft at each call
     shapes = []
 
-    def recording(fn):
+    def recording(name, fn):
         def wrapper(a, s=None, axes=None, **kwargs):
-            shapes.append(tuple(s))
+            if s is None:
+                a = np.asarray(a)
+                s = a.shape if axes is None else [a.shape[ax] for ax in axes]
+            shapes.append((name, tuple(s)))
             return fn(a, s, axes=axes, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.fft, "rfftn", recording(np.fft.rfftn))
-    monkeypatch.setattr(np.fft, "irfftn", recording(np.fft.irfftn))
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
     valuate(banana(4), 3, 24)
     # read at its centre, the radius-96 bundle needs a cyclic length of only
     # 96 + 0 + 1 = 97, padded to 100 (the full linear side 193 would take 200)
-    assert shapes == [(100, 100, 100)] * 2
-    valuate(k4_doubled(), 3, 2)
-    assert shapes
-    for shape in shapes:
+    assert shapes == [("rfftn", (100, 100, 100)), ("irfftn", (100, 100, 100))]
+    shapes.clear()
+    N = 2
+    valuate(k4_doubled(), 3, N)
+    # the K4 core's lattice rule: outer pair on a single edge (radius N), so
+    # R_ac = 2N (a double), R_bc = N and F_cd (a single) read at r = N; its
+    # size comes from these radii, not from the roundoff FFT-built bundles
+    # carry off their l1 balls, which would double it
+    M = tf._smooth_len(tf.lattice_rule_size(2 * N + N + N))
+    assert M == 5
+    rule = [s for name, s in shapes if name == "fftn"]
+    assert rule and set(rule) == {(M,) * 3}
+    for _, shape in shapes:
         for n in shape:
             for p in (2, 3, 5):
                 while n % p == 0:

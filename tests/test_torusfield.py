@@ -541,11 +541,15 @@ class TestGridSynthesizer:
         )
 
 
-def _union_mean(d, N, k):
-    """Mean of e^(2 pi i k.x) over the grids j/M and (j + 1/2)/M, M = 2N + 1."""
-    M = 2 * N + 1
+def _rule_mean(d, M, k):
+    """Mean of e^(2 pi i k.x) over the grids j/M and (j + 1/2)/M."""
     pts = np.concatenate([tf.grid_points(d, M), tf.grid_points(d, M) + 0.5 / M])
     return np.exp(2j * np.pi * pts @ np.asarray(k, dtype=float)).mean()
+
+
+def _union_mean(d, N, k):
+    """The two-grid mean at M = 2N + 1, the Monte Carlo path's grid."""
+    return _rule_mean(d, 2 * N + 1, k)
 
 
 class TestTwoOffsetRule:
@@ -563,3 +567,29 @@ class TestTwoOffsetRule:
         M = 2 * N + 1
         k = (2 * M,) if d == 1 else (M, M) + (0,) * (d - 2)
         assert abs(_union_mean(d, N, k) - 1) <= 1e-13
+
+
+class TestLatticeRuleSize:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("deg", range(9))
+    def test_exact_through_deg(self, d, deg):
+        M = tf.lattice_rule_size(deg)
+        for k in tf._l1_ball(d, deg):
+            if any(k):
+                assert abs(_rule_mean(d, M, k)) <= 1e-13, (d, deg, k)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("deg", range(9))
+    def test_tight(self, d, deg):
+        # the rule fails at |k|_1 = 2M: both grids see 2M e_1 with phase 1
+        M = tf.lattice_rule_size(deg)
+        assert abs(_rule_mean(d, M, (2 * M,) + (0,) * (d - 1)) - 1) <= 1e-13
+        # and M is the least exact size: the rule of size M - 1 fails within deg
+        if M > 1:
+            k = (2 * (M - 1),) + (0,) * (d - 1)
+            assert sum(k) <= deg
+            assert abs(_rule_mean(d, M - 1, k) - 1) <= 1e-13
+
+    def test_monte_carlo_grid(self):
+        for N in range(20):
+            assert tf.lattice_rule_size(4 * N) == 2 * N + 1
