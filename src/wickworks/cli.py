@@ -101,7 +101,12 @@ def cmd_diagrams(args) -> int:
 def cmd_phi4(args) -> int:
     try:
         if args.ladder:
-            cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
+            try:
+                cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
+            except ValueError:
+                raise ValueError(
+                    f"--ladder takes a comma list of integer cutoffs, got {args.ladder!r}"
+                ) from None
             csv = phi4.coefficient_ladder_csv(args.d, cutoffs, args.order)
             if args.out:
                 with open(args.out, "w") as fh:
@@ -144,6 +149,10 @@ def cmd_phi4(args) -> int:
 
 
 def cmd_field(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.profile == "fractional":
         profile = torusfield.SpectralProfile("fractional", args.s)
     else:

@@ -46,7 +46,14 @@ from math import factorial
 
 import numpy as np
 
-from .torusfield import ModeLattice, _smooth_len, convolve_cubes, lattice_rule_size
+from .torusfield import (
+    ModeLattice,
+    _ball,
+    _smooth_len,
+    convolve_cubes,
+    inverse_weight_cube,
+    lattice_rule_size,
+)
 
 
 class Diagram:
@@ -689,22 +696,43 @@ class _Weight:
     transforms run, each on the shortest length that leaves that box free of
     wraparound. A reader of a whole weight (the two-point series, five of the
     K4 core's six bundles) asks leaf() instead.
+
+    Within one valuation the reducer shares nodes: a move it records twice on
+    the same parts, in the same order, is one node (see _reduced). Each node
+    keeps what it computed, one window per radius and its leaf, so a shared
+    node is transformed once per radius however many readers it has. The
+    nodes, and with them these caches, die with the valuation.
     """
 
-    __slots__ = ("cube", "radius", "move", "parts")
+    __slots__ = ("cube", "radius", "move", "parts", "_windows", "_leaf")
 
     def __init__(self, cube: np.ndarray | None, radius: int, move=None, parts=()):
         self.cube = cube
         self.radius = radius
         self.move = move
         self.parts = parts
+        self._windows: dict = {}
+        self._leaf = None
 
     @classmethod
-    def bundle(cls, parts) -> "_Weight":
-        return cls(None, sum(w.radius for w in parts), "bundle", tuple(parts))
+    def bundle(cls, parts, nodes: dict | None = None) -> "_Weight":
+        parts = tuple(parts)
+        return cls._node("bundle", sum(w.radius for w in parts), parts, nodes)
 
-    def series(self, other: "_Weight") -> "_Weight":
-        return _Weight(None, min(self.radius, other.radius), "series", (self, other))
+    def series(self, other: "_Weight", nodes: dict | None = None) -> "_Weight":
+        return self._node("series", min(self.radius, other.radius), (self, other), nodes)
+
+    @classmethod
+    def _node(cls, move: str, radius: int, parts: tuple, nodes: dict | None) -> "_Weight":
+        """A new node, or the one nodes already holds under the key
+        (move, parts). The key keeps the order of the parts, which sets the
+        order of the strands into convolve_cubes and so the roundoff."""
+        if nodes is None:
+            return cls(None, radius, move, parts)
+        key = (move, parts)
+        if key not in nodes:
+            nodes[key] = cls(None, radius, move, parts)
+        return nodes[key]
 
     def window(self, r: int) -> np.ndarray:
         """The weight on the centered box of radius r <= self.radius.
@@ -713,6 +741,11 @@ class _Weight:
         other strands' radii): larger momenta on it cannot come back into
         the box.
         """
+        if r not in self._windows:
+            self._windows[r] = self._compute_window(r)
+        return self._windows[r]
+
+    def _compute_window(self, r: int) -> np.ndarray:
         if self.move is None:
             return _crop(self.cube, self.radius, r)
         if self.move == "series":
@@ -730,12 +763,14 @@ class _Weight:
         whole support, to the bit what full-length linear convolutions give."""
         if self.move is None:
             return self
-        if self.move == "series":
-            a, b = (w.leaf() for w in self.parts)
-            cube = _crop(a.cube, a.radius, self.radius) * _crop(b.cube, b.radius, self.radius)
-        else:
-            cube = convolve_cubes(*(w.leaf().cube for w in self.parts))
-        return _Weight(cube, self.radius)
+        if self._leaf is None:
+            if self.move == "series":
+                a, b = (w.leaf() for w in self.parts)
+                cube = _crop(a.cube, a.radius, self.radius) * _crop(b.cube, b.radius, self.radius)
+            else:
+                cube = convolve_cubes(*(w.leaf().cube for w in self.parts))
+            self._leaf = _Weight(cube, self.radius)
+        return self._leaf
 
     def center(self) -> float:
         return self.window(0).item()
@@ -757,7 +792,7 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _base_weight(dim: int, N: int, s: float) -> np.ndarray:
     """lambda_k^(-s) on K_N; read-only, since every valuation shares the cached cube."""
-    cube = ModeLattice(dim, N).inverse_weight_cube(s)
+    cube = inverse_weight_cube(dim, N, s)
     cube.setflags(write=False)
     return cube
 
@@ -766,16 +801,16 @@ class ValuationBudgetError(ValueError):
     pass
 
 
-def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> list:
+def _reduce_series_parallel(adj: dict, weights: dict, nodes: dict, protected=()) -> list:
     """Merge parallel bundles and eliminate pendant and two-valent vertices in place.
 
     adj: vertex -> multiset of (neighbor, edge id); weights: edge id -> _Weight.
-    Each merge or series move records a bundle or series node; nothing is
-    transformed here, so each reader later computes its node only on the
-    window it uses. A pendant edge carries zero momentum, so removing it
-    multiplies the value by its weight at the origin; the pendant weights are
-    returned. Vertices in `protected` (the terminals of a two-point diagram)
-    are never eliminated. Returns when no move applies.
+    Each merge or series move records a bundle or series node, shared through
+    nodes (see _Weight); nothing is transformed here, so each reader later
+    computes its node only on the window it uses. A pendant edge carries zero
+    momentum, so removing it multiplies the value by its weight at the origin;
+    the pendant weights are returned. Vertices in `protected` (the terminals
+    of a two-point diagram) are never eliminated. Returns when no move applies.
     """
     pendants = []
     changed = True
@@ -788,7 +823,7 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> list:
                 by_neighbor.setdefault(u, []).append(eid)
             for u, eids in by_neighbor.items():
                 if len(eids) > 1 and u > v:
-                    weights[eids[0]] = _Weight.bundle([weights[eid] for eid in eids])
+                    weights[eids[0]] = _Weight.bundle([weights[eid] for eid in eids], nodes)
                     for eid in eids[1:]:
                         del weights[eid]
                         adj[v].remove((u, eid))
@@ -805,7 +840,7 @@ def _reduce_series_parallel(adj: dict, weights: dict, protected=()) -> list:
                     adj[u].remove((v, e))
                 else:
                     (u1, e1), (u2, e2) = adj[v]
-                    weights[e1] = weights[e1].series(weights.pop(e2))
+                    weights[e1] = weights[e1].series(weights.pop(e2), nodes)
                     adj[u1].remove((v, e1))
                     adj[u2].remove((v, e2))
                     adj[u1].append((u2, e1))
@@ -912,8 +947,7 @@ def _extent(box) -> tuple:
 @lru_cache(maxsize=None)
 def _l1_mask(dim: int, radius: int) -> np.ndarray:
     """Indicator of |k|_1 <= radius on the centred box of that radius."""
-    dist = np.abs(np.arange(-radius, radius + 1))
-    mask = sum(np.ix_(*([dist] * dim))) <= radius
+    _, mask = _ball(dim, radius)
     mask.setflags(write=False)
     return mask
 
@@ -1025,23 +1059,28 @@ def _reduced(g: Diagram, d, N: int, protected=()):
 
     Returns (factor, adj, weights): the product of the pendant weights at the
     origin and the reduced core, in the layout of _reduce_series_parallel.
+    Every line shares one leaf, and the table of shared nodes lives only
+    here: its key is (dim, N, s) of _base_weight for the leaf and
+    (move, parts) for a recorded move.
     """
     if g.has_loop():
         raise ValueError(
             "self-contractions cannot be valuated; Wick-ordered vertices have none"
         )
-    base = _base_weight(_lattice_dim(d), N, _edge_exponent(d))
+    key = (_lattice_dim(d), N, _edge_exponent(d))
+    leaf = _Weight(_base_weight(*key), N)
+    nodes = {key: leaf}
     adj: dict = {v: [] for v in range(g.nvertices)}
     weights: dict = {}
     eid = 0
     for (i, j), m in g.edges:
         for _ in range(m):
-            weights[eid] = _Weight(base, N)
+            weights[eid] = leaf
             adj[i].append((j, eid))
             adj[j].append((i, eid))
             eid += 1
     factor = 1.0
-    for w in _reduce_series_parallel(adj, weights, protected):
+    for w in _reduce_series_parallel(adj, weights, nodes, protected):
         factor *= w.center()
     return factor, adj, weights
 

@@ -31,6 +31,7 @@ from .feynman import Diagram, DiagramSum, banana, double_triangle
 from .torusfield import (
     GFF,
     ModeLattice,
+    amplitude_weights,
     batch_amplitudes,
     c_variance,
     green_truncated,
@@ -558,11 +559,12 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     M = lattice_rule_size(4 * N)
     plain, shifted = grid_synthesizer(d, N, M), grid_synthesizer(d, N, M, True)
     cn = c_variance(d, N)
+    weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
     draws = np.empty(samples)
     start = 0
     for ss in seeds:
-        amps = batch_amplitudes(lat, GFF, min(MC_BLOCK, samples - start), ss)
+        amps = batch_amplitudes(lat, GFF, min(MC_BLOCK, samples - start), ss, weights)
         for j in range(0, amps.shape[1], _MC_CHUNK):
             cols = amps[:, j : j + _MC_CHUNK]
             wick4 = integral_wick4(plain(cols), cn) + integral_wick4(shifted(cols), cn)

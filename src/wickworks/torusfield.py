@@ -55,10 +55,7 @@ class ModeLattice:
     """
 
     def __init__(self, d: int, N: int, coupling=None):
-        if d not in (1, 2, 3):
-            raise ValueError("d must be 1, 2 or 3")
-        if N < 0:
-            raise ValueError("N must be >= 0")
+        _check_lattice(d, N)
         self.d = d
         self.N = N
         self.coupling = (TWO_PI**d) if coupling is None else coupling
@@ -89,12 +86,7 @@ class ModeLattice:
 
     def inverse_weight_cube(self, s: float = 1.0) -> np.ndarray:
         """Array of lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N."""
-        side = 2 * self.N + 1
-        cube = np.zeros((side,) * self.d)
-        for k in self.modes:
-            idx = tuple(c + self.N for c in k)
-            cube[idx] = float(self.lam(k)) ** (-float(s))
-        return cube
+        return inverse_weight_cube(self.d, self.N, s, self.coupling)
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +94,48 @@ def _lattice(d: int, N: int) -> ModeLattice:
     return ModeLattice(d, N)
 
 
+def _check_lattice(d: int, N: int) -> None:
+    if d not in (1, 2, 3):
+        raise ValueError("d must be 1, 2 or 3")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+
+
+def _ball(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """|k|^2 on the centered box [-N, N]^d, and the indicator of K_N on it.
+
+    On K_N, |k|^2 <= |k|_1^2 <= N^2, so a table over n = 0..N^2 indexed by
+    the masked |k|^2 holds every weight the ball needs.
+    """
+    _check_lattice(d, N)
+    axes = np.ix_(*[np.arange(-N, N + 1)] * d)
+    return sum(a * a for a in axes), sum(np.abs(a) for a in axes) <= N
+
+
+def inverse_weight_cube(d: int, N: int, s: float = 1.0, coupling=None) -> np.ndarray:
+    """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N.
+
+    Each value is looked up by |k|^2 in _weight_table, so a Fraction coupling
+    stays exact until float(). The table keeps Python's float pow: np.power
+    can differ from it in the last bit.
+    """
+    norm2, ball = _ball(d, N)
+    cube = np.zeros(norm2.shape)
+    cube[ball] = _weight_table(TWO_PI**d if coupling is None else coupling, N, s)[norm2[ball]]
+    return cube
+
+
+def _weight_table(coupling, N: int, s: float) -> np.ndarray:
+    """lambda^(-s) for |k|^2 = 0..N^2, each float(1 + coupling |k|^2) ** (-float(s))."""
+    return np.array([float(1 + coupling * n) ** (-float(s)) for n in range(N * N + 1)])
+
+
 def c_variance(d: int, N: int) -> float:
     """C_N = sum over K_N of 1/lambda_k, the truncated-field variance."""
-    lat = _lattice(d, N)
-    return math.fsum(1.0 / float(lat.lam(k)) for k in lat.modes)
+    norm2, ball = _ball(d, N)
+    coupling = TWO_PI**d
+    table = np.array([1.0 / float(1 + coupling * n) for n in range(N * N + 1)])
+    return math.fsum(table[norm2[ball]].tolist())
 
 
 def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
@@ -416,20 +446,26 @@ def grid_synthesizer(d: int, N: int, M: int, shifted: bool = False) -> GridSynth
     return GridSynthesizer(d, N, M, shifted)
 
 
+def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:
+    """lambda_k^(-exponent) per real-basis amplitude, in mode_labels order."""
+    keys = np.array([k for k, _ in mode_labels(lattice)]).reshape(-1, lattice.d)
+    return _weight_table(lattice.coupling, lattice.N, exponent)[(keys * keys).sum(axis=1)]
+
+
 def batch_amplitudes(
-    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed
+    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed, weights=None
 ) -> np.ndarray:
     """Weighted amplitudes for nsamples fields, shape (nmodes, nsamples).
 
     Column j is an independent field; the draw order is the fixed label order,
     so results are deterministic under the seed (an int or a SeedSequence).
+    A caller drawing many blocks of one lattice passes weights, the
+    amplitude_weights(lattice, profile.exponent) it built once.
     """
-    labels = mode_labels(lattice)
+    if weights is None:
+        weights = amplitude_weights(lattice, profile.exponent)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((len(labels), nsamples))
-    weights = np.array(
-        [float(lattice.lam(k)) ** (-profile.exponent) for k, _ in labels]
-    )
+    z = rng.standard_normal((len(weights), nsamples))
     z *= weights[:, None]  # in place: the draws are not needed again
     return z
 

@@ -167,6 +167,15 @@ class TestPhi4Cmd:
         assert code == 0
         assert out.splitlines()[0] == "N,c0,c1,c2"
 
+    def test_ladder_parse_error_names_the_flag(self, capsys, tmp_path):
+        out = tmp_path / "ladder.csv"
+        code, stdout, err = run(
+            capsys, "phi4", "--d", "1", "--order", "2", "--ladder", "2,x", "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert "--ladder" in err and "'2,x'" in err
+
     def test_N_required_without_ladder(self, capsys):
         code, out, err = run(capsys, "phi4", "--d", "1", "--order", "2")
         assert code == 2
@@ -219,6 +228,26 @@ class TestField:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "grid, seed, message",
+        [
+            ("0", "1", "--grid must be >= 1, got 0"),
+            ("-3", "1", "--grid must be >= 1, got -3"),
+            ("8", "-1", "--seed must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_grid_and_seed_before_sampling(self, capsys, tmp_path, grid, seed, message):
+        out = tmp_path / "field.csv"
+        code, stdout, err = run(
+            capsys,
+            "field", "--profile", "gff", "--d", "2", "--N", "3",
+            "--grid", grid, "--seed", seed, "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert message in err
 
 
 class TestVerify:

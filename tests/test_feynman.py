@@ -1133,3 +1133,60 @@ class TestSeriesWindow:
         assert radii == [None] and leaf.radius == N and leaf.cube.shape == (2 * N + 1,) * 2
         np.testing.assert_allclose(leaf.cube, w.window(N), rtol=1e-12)
         assert radii == [None, N]
+
+
+def bubble_ring() -> Diagram:
+    """Three vertices joined pairwise by double lines: the order-3 ring of bubbles."""
+    return Diagram(3, [((0, 1), 2), ((1, 2), 2), ((0, 2), 2)])
+
+
+class TestSharedNodes:
+    def test_each_node_transforms_once_per_radius(self, monkeypatch):
+        # the three bubbles F*F are one node B (radius 2N): the ring reduces to
+        # the bundle of B and the series node B.B, read at its centre, so the
+        # only transforms are B on its whole radius and that bundle at 0
+        N = 4
+        calls, transforms = [], []
+        convolve = fy.convolve_cubes
+
+        def recording(*cubes, radius=None):
+            calls.append((len(cubes), radius))
+            return convolve(*cubes, radius=radius)
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                transforms.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(fy, "convolve_cubes", recording)
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        first = valuate(bubble_ring(), 3, N)
+        assert calls == [(2, 2 * N), (2, 0)]
+        per_valuation = len(transforms)
+        # a second valuation starts from nothing: the same calls and transforms
+        second = valuate(bubble_ring(), 3, N)
+        assert calls == [(2, 2 * N), (2, 0)] * 2
+        assert len(transforms) == 2 * per_valuation
+        assert second == first
+
+    def test_shared_value_matches_unshared_nodes(self):
+        # the same ring built by hand with a fresh node per move
+        N = 4
+        base = fy._base_weight(3, N, 1.0)
+        bubbles = [fy._Weight.bundle([fy._Weight(base, N)] * 2) for _ in range(3)]
+        ring = fy._Weight.bundle([bubbles[0], bubbles[1].series(bubbles[2])])
+        assert valuate(bubble_ring(), 3, N) == ring.center()
+
+    def test_table_keeps_the_order_of_the_parts(self):
+        nodes: dict = {}
+        a = fy._Weight(np.ones(3), 1)
+        b = fy._Weight(np.ones(5), 2)
+        ab = fy._Weight.bundle([a, b], nodes)
+        assert fy._Weight.bundle((a, b), nodes) is ab
+        assert fy._Weight.bundle([b, a], nodes) is not ab
+        assert a.series(b, nodes) is a.series(b, nodes)
+        assert a.series(b, nodes) is not ab
+        assert fy._Weight.bundle([a, b]) is not ab

@@ -57,6 +57,51 @@ class TestLattice:
             ModeLattice(1, -1)
 
 
+def per_mode_cube(lat: ModeLattice, s) -> np.ndarray:
+    """The per-mode loop inverse_weight_cube replaced, kept as its reference."""
+    side = 2 * lat.N + 1
+    cube = np.zeros((side,) * lat.d)
+    for k in lat.modes:
+        idx = tuple(c + lat.N for c in k)
+        cube[idx] = float(lat.lam(k)) ** (-float(s))
+    return cube
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 5, 12])
+    @pytest.mark.parametrize("s", [1.0, 0.75])
+    def test_cube_matches_per_mode_loop_to_the_bit(self, d, N, s):
+        want = per_mode_cube(ModeLattice(d, N), s)
+        assert np.array_equal(tf.inverse_weight_cube(d, N, s), want)
+        assert np.array_equal(ModeLattice(d, N).inverse_weight_cube(s), want)
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 5), (3, 3)])
+    def test_cube_with_fraction_coupling(self, d, N):
+        lat = ModeLattice(d, N, coupling=Fraction(7, 3))
+        for s in (1, 0.75):
+            assert np.array_equal(lat.inverse_weight_cube(s), per_mode_cube(lat, s))
+
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 4), (3, 3)])
+    def test_amplitude_weights_match_per_label_loop(self, d, N):
+        lat = ModeLattice(d, N)
+        for profile in (GFF, WHITE, SpectralProfile("fractional", 0.75)):
+            want = [float(lat.lam(k)) ** (-profile.exponent) for k, _ in tf.mode_labels(lat)]
+            assert tf.amplitude_weights(lat, profile.exponent).tolist() == want
+
+    def test_passed_weights_give_the_same_draws(self):
+        lat = ModeLattice(2, 4)
+        weights = tf.amplitude_weights(lat, GFF.exponent)
+        a = tf.batch_amplitudes(lat, GFF, 5, seed=7)
+        b = tf.batch_amplitudes(lat, GFF, 5, seed=7, weights=weights)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 40), (2, 12), (3, 6)])
+    def test_c_variance_matches_per_mode_fsum(self, d, N):
+        lat = ModeLattice(d, N)
+        assert c_variance(d, N) == math.fsum(1.0 / float(lat.lam(k)) for k in lat.modes)
+
+
 class TestVariance:
     def test_d1_n0(self):
         assert c_variance(1, 0) == 1.0
