@@ -100,13 +100,15 @@ def cmd_diagrams(args) -> int:
 
 def cmd_phi4(args) -> int:
     try:
-        if args.ladder:
+        if args.ladder is not None:
             try:
                 cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
             except ValueError:
+                cutoffs = []
+            if not cutoffs:
                 raise ValueError(
                     f"--ladder takes a comma list of integer cutoffs, got {args.ladder!r}"
-                ) from None
+                )
             csv = phi4.coefficient_ladder_csv(args.d, cutoffs, args.order)
             if args.out:
                 with open(args.out, "w") as fh:

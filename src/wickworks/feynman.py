@@ -21,7 +21,8 @@ arrays (one convolution per parallel bundle, pointwise product along series
 chains, the zero-momentum weight for a pendant edge), with a dedicated
 evaluator for the K4 core. The reduction only records its moves; each reader
 then computes a bundle on the central window it uses (a single point for a
-vacuum value), on the shortest transform that window allows. These moves
+vacuum value, the whole weight for the K4 core and the two-point series), on
+the shortest transform that window allows. These moves
 reduce exactly the graphs without a K4 minor (Duffin 1965), so a leftover
 core has every degree >= 3: on four vertices it is K4, and a larger one is
 rejected. The K4 evaluator's outer momentum loop visits one momentum per
@@ -50,6 +51,7 @@ from .torusfield import (
     ModeLattice,
     _ball,
     _smooth_len,
+    as_point,
     convolve_cubes,
     inverse_weight_cube,
     lattice_rule_size,
@@ -685,8 +687,8 @@ def _lattice_dim(d) -> int:
 
 
 class _Weight:
-    """Spectral weight on a centered cube of given radius: a leaf array, or a
-    recorded bundle or series move on other weights.
+    """Spectral weight on a centered cube of given radius: a given array, or
+    a recorded bundle or series move on other weights.
 
     The reducer records moves without computing them. A bundle (parallel
     strands: the total momentum splits, so a linear convolution) has the sum
@@ -694,17 +696,18 @@ class _Weight:
     pointwise product on the overlap) has the smaller radius. A reader asks
     window(r) for the central box of radius r it needs, and only then do the
     transforms run, each on the shortest length that leaves that box free of
-    wraparound. A reader of a whole weight (the two-point series, five of the
-    K4 core's six bundles) asks leaf() instead.
+    wraparound. window(r) is the only read: a reader of a whole weight (the
+    two-point series, five of the K4 core's six bundles) asks it for r =
+    radius.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
-    keeps what it computed, one window per radius and its leaf, so a shared
-    node is transformed once per radius however many readers it has. The
+    keeps what it computed, one window per radius, so a shared node is
+    transformed once per radius however many readers it has. The
     nodes, and with them these caches, die with the valuation.
     """
 
-    __slots__ = ("cube", "radius", "move", "parts", "_windows", "_leaf")
+    __slots__ = ("cube", "radius", "move", "parts", "_windows")
 
     def __init__(self, cube: np.ndarray | None, radius: int, move=None, parts=()):
         self.cube = cube
@@ -712,7 +715,6 @@ class _Weight:
         self.move = move
         self.parts = parts
         self._windows: dict = {}
-        self._leaf = None
 
     @classmethod
     def bundle(cls, parts, nodes: dict | None = None) -> "_Weight":
@@ -758,28 +760,8 @@ class _Weight:
             *(w.window(min(w.radius, r + total - w.radius)) for w in self.parts), radius=r
         )
 
-    def leaf(self) -> "_Weight":
-        """The whole weight, computed, as a leaf: every node under it on its
-        whole support, to the bit what full-length linear convolutions give."""
-        if self.move is None:
-            return self
-        if self._leaf is None:
-            if self.move == "series":
-                a, b = (w.leaf() for w in self.parts)
-                cube = _crop(a.cube, a.radius, self.radius) * _crop(b.cube, b.radius, self.radius)
-            else:
-                cube = convolve_cubes(*(w.leaf().cube for w in self.parts))
-            self._leaf = _Weight(cube, self.radius)
-        return self._leaf
-
     def center(self) -> float:
         return self.window(0).item()
-
-    def at(self, p) -> float:
-        """Weight of a leaf at momentum p; 0.0 outside the cube."""
-        if any(abs(c) > self.radius for c in p):
-            return 0.0
-        return float(self.cube[tuple(c + self.radius for c in p)])
 
 
 def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
@@ -885,14 +867,14 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     outer = min(pair_w, key=lambda k: pair_w[k].radius)
     a, b = outer
     c, dd = [v for v in vs if v not in outer]
-    F_ab, F_ac, F_ad, F_bc, F_bd = (
-        pair_w[(min(x, y), max(x, y))].leaf()
-        for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd))
+    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
+        pair_w[(min(x, y), max(x, y))]
+        for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd), (c, dd))
     )
-    F_cd = pair_w[(min(c, dd), max(c, dd))]
     r = min(F_ac.radius + F_bc.radius, F_cd.radius)
     # zero the roundoff off each l1 ball, so the degree below bounds the sum
-    cubes = [(w.cube, w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)] + [(F_cd.window(r), r)]
+    cubes = [(w.window(w.radius), w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)]
+    cubes.append((F_cd.window(r), r))
     F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
         _Weight(cube * _l1_mask(cube.ndim, radius), radius) for cube, radius in cubes
     )
@@ -911,7 +893,7 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1
     total = 0.0
     for p, size in _orbits(dim, F_ab.radius):
-        wp = F_ab.at(p)
+        wp = float(F_ab.cube[tuple(t + F_ab.radius for t in p)])
         if wp == 0.0:
             continue
         # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
@@ -1059,8 +1041,8 @@ def _reduced(g: Diagram, d, N: int, protected=()):
 
     Returns (factor, adj, weights): the product of the pendant weights at the
     origin and the reduced core, in the layout of _reduce_series_parallel.
-    Every line shares one leaf, and the table of shared nodes lives only
-    here: its key is (dim, N, s) of _base_weight for the leaf and
+    Every line shares one base node, and the table of shared nodes lives
+    only here: its key is (dim, N, s) of _base_weight for the base node and
     (move, parts) for a recorded move.
     """
     if g.has_loop():
@@ -1068,14 +1050,14 @@ def _reduced(g: Diagram, d, N: int, protected=()):
             "self-contractions cannot be valuated; Wick-ordered vertices have none"
         )
     key = (_lattice_dim(d), N, _edge_exponent(d))
-    leaf = _Weight(_base_weight(*key), N)
-    nodes = {key: leaf}
+    base = _Weight(_base_weight(*key), N)
+    nodes = {key: base}
     adj: dict = {v: [] for v in range(g.nvertices)}
     weights: dict = {}
     eid = 0
     for (i, j), m in g.edges:
         for _ in range(m):
-            weights[eid] = leaf
+            weights[eid] = base
             adj[i].append((j, eid))
             adj[j].append((i, eid))
             eid += 1
@@ -1196,7 +1178,8 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
 
 
 def _external_bundle(g: Diagram, d, N: int):
-    """Scale factor and reduced x-y bundle of a two-point diagram.
+    """Scale factor and reduced x-y weight of a two-point diagram, the weight
+    read whole: a centered cube of the radius of its support.
 
     The two labeled legs fix the momentum flowing through the diagram. With
     the labeled vertices protected, the external component must reduce to a
@@ -1221,17 +1204,22 @@ def _external_bundle(g: Diagram, d, N: int):
     if len(adj) != 2 or len(weights) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")
     (w,) = weights.values()
-    return factor * pendant, w.leaf()
+    return factor * pendant, w.window(w.radius)
 
 
 def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     """Two-terminal valuation at external momentum p (default: the zero mode).
 
-    The reduced x-y bundle of _external_bundle, scaled and read at p.
+    The reduced x-y cube of _external_bundle, scaled and read at p; 0.0
+    outside it.
     """
-    scale, w = _external_bundle(g, d, N)
-    p = (0,) * _lattice_dim(d) if p is None else tuple(int(c) for c in p)
-    return scale * w.at(p)
+    dim = _lattice_dim(d)
+    p = (0,) * dim if p is None else tuple(int(c) for c in as_point(p, dim))
+    scale, cube = _external_bundle(g, d, N)
+    R = cube.shape[0] // 2
+    if any(abs(c) > R for c in p):
+        return 0.0
+    return scale * float(cube[tuple(c + R for c in p)])
 
 
 def diagram_sum_to_json(s: DiagramSum) -> list:

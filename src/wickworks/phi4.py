@@ -33,8 +33,9 @@ from .torusfield import (
     ModeLattice,
     amplitude_weights,
     batch_amplitudes,
+    as_point,
     c_variance,
-    green_truncated,
+    cosine_sum,
     grid_synthesizer,
     lattice_rule_size,
 )
@@ -274,22 +275,12 @@ def _two_point_sums(order: int) -> list[DiagramSum]:
 
 
 def _external_value(g: Diagram, d, N: int, x, y) -> float:
-    """Position-space value of a two-external-leg diagram at (x, y)."""
+    """Position-space value of a two-external-leg diagram at (x, y): the
+    cosine sum of its reduced x-y weight at x - y."""
     dim = fy._lattice_dim(d)
-    xs = (float(x),) if dim == 1 else tuple(float(c) for c in x)
-    ys = (float(y),) if dim == 1 else tuple(float(c) for c in y)
-    diff = tuple(a - b for a, b in zip(xs, ys))
-    if g.nvertices == 2 and len(g.edges) == 1:
-        return green_truncated(diff, dim, N)
-    # chain-type classes: sum over the external momentum of the two-terminal value
-    scale, w = fy._external_bundle(g, d, N)
-    total = 0.0
-    for p in ModeLattice(dim, N).modes:
-        val = scale * w.at(p)
-        if val:
-            phase = 2.0 * math.pi * sum(pi * di for pi, di in zip(p, diff))
-            total += val * math.cos(phase)
-    return total
+    diff = tuple(a - b for a, b in zip(as_point(x, dim), as_point(y, dim)))
+    scale, cube = fy._external_bundle(g, d, N)
+    return scale * cosine_sum(cube, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ arbitrary points and is the oracle the grid route is tested against.
 
 Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
-noise. Passing a Fraction `coupling` to ModeLattice switches the weights to
+noise. Weights are looked up by |k|^2, and one cosine sum (cosine_sum) gives
+the Green function and every two-point value in position space. Passing a Fraction `coupling` to ModeLattice switches the weights to
 exact rationals, which the convolution-vs-brute-force identities use.
 """
 
@@ -147,16 +148,31 @@ def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
     return total
 
 
-def green_truncated(x, d: int, N: int) -> float:
-    """G_N(x) = sum over K_N of cos(2 pi k.x)/lambda_k (sines cancel by k <-> -k)."""
-    lat = _lattice(d, N)
+def as_point(x, d: int) -> tuple[float, ...]:
+    """x as a tuple of d floats; a bare number is a point of the circle (d = 1)."""
     xs = tuple(float(c) for c in x) if hasattr(x, "__len__") else (float(x),)
     if len(xs) != d:
-        raise ValueError("point dimension mismatch")
-    return math.fsum(
-        math.cos(TWO_PI * sum(ki * xi for ki, xi in zip(k, xs))) / float(lat.lam(k))
-        for k in lat.modes
-    )
+        raise ValueError(f"point {x!r} has {len(xs)} coordinates, but the lattice dimension is {d}")
+    return xs
+
+
+def cosine_sum(cube: np.ndarray, x) -> float:
+    """sum over the l1 ball K_R of cube[k] cos(2 pi k.x), by math.fsum, for a
+    centered cube of radius R that is even under k -> -k (sines cancel).
+
+    Only the ball is summed: FFT-built weights carry roundoff off it. The
+    phase of each k is summed axis by axis, as the scalar k.x would be.
+    """
+    d, R = cube.ndim, cube.shape[0] // 2
+    xs = as_point(x, d)
+    _, ball = _ball(d, R)
+    phase = sum(k * xi for k, xi in zip(np.ix_(*[np.arange(-R, R + 1)] * d), xs))
+    return math.fsum((cube * np.cos(TWO_PI * phase))[ball].tolist())
+
+
+def green_truncated(x, d: int, N: int) -> float:
+    """G_N(x) = sum over K_N of cos(2 pi k.x)/lambda_k (sines cancel by k <-> -k)."""
+    return cosine_sum(inverse_weight_cube(d, N, 1.0), x)
 
 
 def green_exact_1d(x: float) -> float:
@@ -214,10 +230,8 @@ class FieldSample:
 
     def variance_target(self) -> float:
         """E[field(x)^2] = sum over all of K_N of lambda^(-2 exponent)."""
-        e = self.profile.exponent
-        return math.fsum(
-            float(self.lattice.lam(k)) ** (-2 * e) for k in self.lattice.modes
-        )
+        cube = self.lattice.inverse_weight_cube(2 * self.profile.exponent)
+        return math.fsum(cube.ravel().tolist())  # the cube is zero off K_N
 
     def _amplitude_vector(self) -> np.ndarray:
         return np.array([self.amplitudes[label] for label in self.labels])
@@ -280,8 +294,7 @@ def sobolev_sum(s: float, d: int, N: int, profile: SpectralProfile) -> float:
         expo = s - 1.0
     else:
         raise ValueError("sobolev_sum supports the white and gff profiles")
-    lat = _lattice(d, N)
-    return math.fsum(float(lat.lam(k)) ** expo for k in lat.modes)
+    return math.fsum(inverse_weight_cube(d, N, -expo).ravel().tolist())
 
 
 def wick_power_field(sample: FieldSample, n: int, grid: int) -> np.ndarray:

@@ -176,6 +176,12 @@ class TestPhi4Cmd:
         assert stdout == "" and not out.exists()
         assert "--ladder" in err and "'2,x'" in err
 
+    def test_empty_ladder_is_rejected(self, capsys):
+        code, stdout, err = run(capsys, "phi4", "--d", "1", "--ladder", ",", "--order", "2")
+        assert code == 2
+        assert stdout == ""
+        assert "--ladder" in err and "','" in err
+
     def test_N_required_without_ladder(self, capsys):
         code, out, err = run(capsys, "phi4", "--d", "1", "--order", "2")
         assert code == 2

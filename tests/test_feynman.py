@@ -965,6 +965,12 @@ class TestExternal:
                     )
         assert valuate_external(chain, 1, 4, p=p) == pytest.approx(wp * wp * s3, rel=1e-11)
 
+    def test_momentum_dimension_is_checked(self):
+        g = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+        for p in [(1,), (1, 0, 0)]:
+            with pytest.raises(ValueError, match="lattice dimension is 2"):
+                valuate_external(g, 2, 4, p=p)
+
     def test_vacuum_factor(self):
         direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
         g = direct.disjoint_union(banana(4))
@@ -1057,18 +1063,17 @@ class TestWindowedTransforms:
                 want = full_length(g, d, N)
                 assert valuate(g, d, N) == pytest.approx(want, rel=1e-12), (g, d, N)
 
-    def test_whole_read_matches_full_length_to_the_bit(self, full_length):
-        # a read at a node's own radius (the two-point series reads every mode
-        # of its x-y bundle) computes every node whole, to the bit
+    def test_whole_read_matches_full_length(self, full_length):
+        # the two-point series reads every mode of its x-y weight
         for n in (1, 2):
             for g in generate_diagrams([4] * n, ["x", "y"]).terms:
                 if len(connected_components(g)) > 1:
                     continue
                 for d, N in [(1, 6), (2, 4), (3, 2)]:
-                    scale, w = fy._external_bundle(g, d, N)
+                    scale, cube = fy._external_bundle(g, d, N)
                     want_scale, want = full_length(g, d, N, fy._external_bundle)
                     assert scale == want_scale
-                    assert np.array_equal(w.cube, want.cube), (g, d, N)
+                    np.testing.assert_allclose(cube, want, rtol=1e-12, err_msg=f"{g} {d} {N}")
 
     def test_matches_bruteforce(self):
         for g in windowed_classes():
@@ -1111,28 +1116,13 @@ class TestSeriesWindow:
             radii.append((len(cubes), radius))
             return convolve(*cubes, radius=radius)
 
-        reference = fy._crop(build().leaf().cube, 2 * N, 0).item()
+        # every node whole, on full-length convolutions
+        strand = fy._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
+        reference = fy._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
         monkeypatch.setattr(fy, "convolve_cubes", recording)
         value = build().center()
         assert radii == [(3, N), (2, 0)]
         assert value == pytest.approx(reference, rel=1e-12)
-
-    def test_leaf_computes_every_node_whole(self, monkeypatch):
-        N = 2
-        base = ModeLattice(2, N).inverse_weight_cube()
-        leaf = fy._Weight(base, N)
-        w = fy._Weight.bundle([leaf, leaf, leaf]).series(leaf)
-        radii = []
-        convolve = fy.convolve_cubes
-        monkeypatch.setattr(
-            fy,
-            "convolve_cubes",
-            lambda *cubes, radius=None: radii.append(radius) or convolve(*cubes, radius=radius),
-        )
-        leaf = w.leaf()
-        assert radii == [None] and leaf.radius == N and leaf.cube.shape == (2 * N + 1,) * 2
-        np.testing.assert_allclose(leaf.cube, w.window(N), rtol=1e-12)
-        assert radii == [None, N]
 
 
 def bubble_ring() -> Diagram:

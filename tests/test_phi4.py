@@ -134,6 +134,26 @@ class TestTwoPoint:
             green_truncated(0.3, 1, 8), rel=1e-12
         )
 
+    def test_order0_fractional_d_uses_the_edge_exponent(self):
+        # at 3 < d < 4 every edge, the direct propagator included, carries
+        # lambda^(-(5 - d)/2), not the lambda^(-1) of green_truncated
+        d, N, x, y = 3.5, 4, (0.1, 0.2, 0.0), (0.4, 0.1, 0.7)
+        lat = ModeLattice(3, N)
+        diff = [a - b for a, b in zip(x, y)]
+        want = math.fsum(
+            float(lat.lam(k)) ** (-(5 - d) / 2)
+            * math.cos(2 * math.pi * sum(ki * di for ki, di in zip(k, diff)))
+            for k in lat.modes
+        )
+        got = two_point_series(d, N, 0, x, y).coefficient(0).value
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got != pytest.approx(green_truncated(diff, 3, N), rel=1e-3)
+
+    def test_point_dimension_is_checked(self):
+        for x, y in [((0, 0, 0.5), (0.3, 0.1)), ((0, 0), (0.3,))]:
+            with pytest.raises(ValueError, match="lattice dimension is 2"):
+                two_point_series(2, 4, 2, x, y)
+
     def test_order1_vanishes(self):
         s = two_point_series(1, 6, 1, 0.0, 0.25)
         assert s.coefficient(1).diagrams == DiagramSum.zero()
@@ -177,21 +197,15 @@ class TestTwoPoint:
         "args", [(1, 6, 2, 0.0, 0.3), (2, 4, 2, (0, 0), (0.3, 0.1))]
     )
     def test_one_reduction_per_diagram(self, monkeypatch, args):
-        # reference: one valuate_external call, hence one reduction, per mode
+        # reference: one valuate_external call, hence one reduction, per mode,
+        # summed by the same cosine sum
         def per_mode(g, d, N, x, y):
             dim = fy._lattice_dim(d)
-            xs = (float(x),) if dim == 1 else tuple(float(c) for c in x)
-            ys = (float(y),) if dim == 1 else tuple(float(c) for c in y)
-            diff = tuple(a - b for a, b in zip(xs, ys))
-            if g.nvertices == 2 and len(g.edges) == 1:
-                return green_truncated(diff, dim, N)
-            total = 0.0
+            diff = tuple(a - b for a, b in zip(tf.as_point(x, dim), tf.as_point(y, dim)))
+            cube = np.zeros((2 * N + 1,) * dim)
             for p in ModeLattice(dim, N).modes:
-                val = fy.valuate_external(g, d, N, p=p)
-                if val:
-                    phase = 2.0 * math.pi * sum(pi * di for pi, di in zip(p, diff))
-                    total += val * math.cos(phase)
-            return total
+                cube[tuple(c + N for c in p)] = fy.valuate_external(g, d, N, p=p)
+            return tf.cosine_sum(cube, diff)
 
         calls = []
         convolve = fy.convolve_cubes

@@ -99,7 +99,18 @@ class TestWeightTables:
     @pytest.mark.parametrize("d, N", [(1, 0), (1, 40), (2, 12), (3, 6)])
     def test_c_variance_matches_per_mode_fsum(self, d, N):
         lat = ModeLattice(d, N)
+
+        def per_mode(expo):
+            return math.fsum(float(lat.lam(k)) ** expo for k in lat.modes)
+
         assert c_variance(d, N) == math.fsum(1.0 / float(lat.lam(k)) for k in lat.modes)
+        # sobolev_sum and variance_target read the same |k|^2 table
+        for s in (-1.5, -1.0, -0.25, 0.0, 0.5, 1.0):
+            assert sobolev_sum(s, d, N, WHITE) == per_mode(s)
+            assert sobolev_sum(s, d, N, GFF) == per_mode(s - 1.0)
+        for profile in (GFF, WHITE, SpectralProfile("fractional", 0.75)):
+            sample = FieldSample(lat, profile, seed=0)
+            assert sample.variance_target() == per_mode(-2 * profile.exponent)
 
 
 class TestVariance:
@@ -130,6 +141,25 @@ class TestGreen:
         for d, N in [(1, 6), (2, 4), (3, 2)]:
             x = 0.0 if d == 1 else (0.0,) * d
             assert green_truncated(x, d, N) == pytest.approx(c_variance(d, N), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cosine_sum_matches_per_mode_loop(self, d):
+        # the per-mode loop green_truncated replaced, kept as its reference;
+        # cube * cos is not cos / lambda, so the last bit may move
+        rng = np.random.default_rng(d)
+        for N in (0, 1, 5, 12):
+            lat = ModeLattice(d, N)
+            for _ in range(6):
+                x = tuple(rng.uniform(-1.0, 1.0, d))
+                want = math.fsum(
+                    math.cos(tf.TWO_PI * sum(ki * xi for ki, xi in zip(k, x))) / float(lat.lam(k))
+                    for k in lat.modes
+                )
+                assert abs(green_truncated(x, d, N) - want) <= 2.2e-16 * abs(want), (x, N)
+
+    def test_point_dimension_is_checked(self):
+        with pytest.raises(ValueError, match="lattice dimension is 2"):
+            green_truncated((0.1, 0.2, 0.3), 2, 4)
 
     def test_even(self):
         assert green_truncated(0.3, 1, 8) == pytest.approx(
