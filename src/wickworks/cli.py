@@ -101,6 +101,11 @@ def cmd_diagrams(args) -> int:
 def cmd_phi4(args) -> int:
     try:
         if args.ladder is not None:
+            if args.mc:
+                raise ValueError("--mc cannot run with --ladder, which prints only the series")
+            if args.N is not None:
+                print(f"warning: --ladder sets the cutoffs; --N {args.N} is ignored",
+                      file=sys.stderr)
             try:
                 cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
             except ValueError:

@@ -20,9 +20,10 @@ sum is evaluated by series, parallel and pendant reduction of spectral weight
 arrays (one convolution per parallel bundle, pointwise product along series
 chains, the zero-momentum weight for a pendant edge), with a dedicated
 evaluator for the K4 core. The reduction only records its moves; each reader
-then computes a bundle on the central window it uses (a single point for a
-vacuum value, the whole weight for the K4 core and the two-point series), on
-the shortest transform that window allows. These moves
+then computes a bundle on the central window it uses (the whole weight for
+the K4 core and the two-point series), on the shortest transform that window
+allows, and a vacuum value reads a bundle at its centre as a constant term,
+with no convolution. These moves
 reduce exactly the graphs without a K4 minor (Duffin 1965), so a leftover
 core has every degree >= 3: on four vertices it is K4, and a larger one is
 rejected. The K4 evaluator's outer momentum loop visits one momentum per
@@ -49,9 +50,14 @@ import numpy as np
 
 from .torusfield import (
     ModeLattice,
-    _ball,
+    _crop,
+    _l1_mask,
+    _offset_phase,
+    _phase_sum,
+    _rule_spectra,
     _smooth_len,
     as_point,
+    constant_term,
     convolve_cubes,
     inverse_weight_cube,
     lattice_rule_size,
@@ -698,7 +704,11 @@ class _Weight:
     transforms run, each on the shortest length that leaves that box free of
     wraparound. window(r) is the only read: a reader of a whole weight (the
     two-point series, five of the K4 core's six bundles) asks it for r =
-    radius.
+    radius. A bundle read at its centre (r = 0: a vacuum value, a pendant
+    edge, a series product under either) is the constant term of its
+    strands' product, torusfield.constant_term: a dot product of two
+    strands on their common box, or the two-grid lattice rule the K4 core
+    uses for three or more, with no convolution and no inverse transform.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
@@ -756,19 +766,13 @@ class _Weight:
             a, b = self.parts
             return a.window(r) * b.window(r)
         total = self.radius
-        return convolve_cubes(
-            *(w.window(min(w.radius, r + total - w.radius)) for w in self.parts), radius=r
-        )
+        strands = [w.window(min(w.radius, r + total - w.radius)) for w in self.parts]
+        if r == 0:
+            return np.full((1,) * strands[0].ndim, constant_term(*strands))
+        return convolve_cubes(*strands, radius=r)
 
     def center(self) -> float:
         return self.window(0).item()
-
-
-def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
-    if radius == target:
-        return cube
-    sl = slice(radius - target, radius + target + 1)
-    return cube[tuple(sl for _ in range(cube.ndim))]
 
 
 @lru_cache(maxsize=None)
@@ -883,13 +887,11 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     dim = F_ab.cube.ndim
     M = _smooth_len(lattice_rule_size(F_ac.radius + F_bc.radius + r))
     # f on both grids, once; it is real, since F_cd is real and even
-    S = _block(M, dim, 2 * r + 1)
-    S[0].real[_extent([(-r, r)] * dim)] = F_cd.cube
-    f = _rule_spectra(S, M)
+    f = _rule_spectra(F_cd.cube, M)
     for axis in range(dim):
         f *= _offset_phase(-r, M).reshape((2,) + (1,) * axis + (M,) + (1,) * (dim - 1 - axis))
     f = f.real
-    # A_p and B_p blocks, each at most `side` long on every axis
+    # A_p and B_p share one block, `side` long on every axis
     side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1
     total = 0.0
     for p, size in _orbits(dim, F_ab.radius):
@@ -899,12 +901,12 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
         box_a = [_overlap(F_ac.radius, F_ad.radius, -t) for t in p]
         box_b = [_overlap(F_bc.radius, F_bd.radius, t) for t in p]
-        S = _block(M, dim, side)
-        np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=S[0].real[_extent(box_a)])
+        block = np.zeros((side,) * dim, complex)
+        np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=block.real[_extent(box_a)])
         minus_p = [-t for t in p]
-        np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=S[0].imag[_extent(box_b)])
+        np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=block.imag[_extent(box_b)])
         offsets = [la + lb for (la, _), (lb, _) in zip(box_a, box_b)]
-        total += size * wp * _packed_mean(_rule_spectra(S, M), f, offsets)
+        total += size * wp * _packed_mean(_rule_spectra(block, M), f, offsets)
     return total / (4 * M**dim)
 
 
@@ -926,38 +928,6 @@ def _extent(box) -> tuple:
     return tuple(slice(0, hi - lo + 1) for lo, hi in box)
 
 
-@lru_cache(maxsize=None)
-def _l1_mask(dim: int, radius: int) -> np.ndarray:
-    """Indicator of |k|_1 <= radius on the centred box of that radius."""
-    _, mask = _ball(dim, radius)
-    mask.setflags(write=False)
-    return mask
-
-
-def _block(M: int, dim: int, side: int) -> np.ndarray:
-    """Zeroed complex (2, L, ..., L) array, L the least multiple of M >= side:
-    room for one block (in [0]) and its half-cell-shifted copy (in [1])."""
-    L = M * -(-side // M)
-    return np.zeros((2,) + (L,) * dim, complex)
-
-
-def _rule_spectra(S: np.ndarray, M: int) -> np.ndarray:
-    """Transforms on both grids of the block in S[0], shape (2, M, ..., M).
-
-    S[0][i] holds the coefficient of the momentum lo + i. Row g of the result
-    is sum_i S[0][i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
-    at x_j = (j + g/2)/M, short of the offset phase exp(-2 pi i lo.x_j)
-    (_offset_phase). The half-cell factor exp(-pi i i/M) is applied on the
-    unfolded block, and a side longer than M is then folded onto M by a
-    reshape-sum of its aliases.
-    """
-    L, dim = S.shape[1], S.ndim - 1
-    np.multiply(S[0], _half_cell(L, M, dim), out=S[1])
-    if L > M:
-        S = S.reshape((2,) + (L // M, M) * dim).sum(axis=tuple(range(1, 2 * dim, 2)))
-    return np.fft.fftn(S, axes=tuple(range(1, dim + 1)))
-
-
 def _packed_mean(spec: np.ndarray, f: np.ndarray, offsets) -> float:
     """4 M^d times the two-grid mean of a b f (overwrites spec).
 
@@ -968,42 +938,11 @@ def _packed_mean(spec: np.ndarray, f: np.ndarray, offsets) -> float:
     offset phases. With f real and even, the sum of a b f over a grid is then
     Im sum_x psi(x) Z(x)^2 f(x) / 2, psi = exp(-2 pi i (lo_A + lo_B).x): one
     transform serves both blocks, and the separable psi is contracted one
-    axis at a time.
+    axis at a time (_phase_sum).
     """
-    M = f.shape[-1]
     np.square(spec, out=spec)
     spec *= f
-    T = spec
-    for t in reversed(offsets):
-        T = np.matmul(T.reshape(2, -1, M), _offset_phase(t, M)[:, :, None])
-    return float(T.sum().imag)
-
-
-@lru_cache(maxsize=None)
-def _offset_phase(lo: int, M: int) -> np.ndarray:
-    """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and shifted
-    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
-    g = np.arange(2)[:, None]
-    out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
-    out.setflags(write=False)
-    return out
-
-
-def _cis(num, den: int) -> np.ndarray:
-    """exp(-2 pi i num / den) for integer num, reduced mod den exactly."""
-    return np.exp(-2j * math.pi * (np.asarray(num) % den) / den)
-
-
-@lru_cache(maxsize=None)
-def _half_cell(L: int, M: int, dim: int) -> np.ndarray:
-    """exp(-pi i (i_1 + ... + i_d)/M) on the L^d block: the half-cell shift of
-    the second grid, which flips sign on every M-block of the index."""
-    axis = _cis(np.arange(L), 2 * M)
-    out = axis
-    for _ in range(dim - 1):
-        out = np.multiply.outer(out, axis)
-    out.setflags(write=False)
-    return out
+    return _phase_sum(spec, offsets).imag
 
 
 def _orbits(dim: int, radius: int):

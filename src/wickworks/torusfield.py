@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from math import cosh, sinh, sqrt
 
 import numpy as np
@@ -379,6 +379,112 @@ def lattice_rule_size(deg: int) -> int:
     return deg // 2 + 1
 
 
+def constant_term(*cubes: np.ndarray) -> float:
+    """sum over k_1 + ... + k_n = 0 of prod_i cube_i(k_i), for centered
+    odd-sided cubes, each supported on the l1 ball of its radius.
+
+    This is the constant term of the product of their trigonometric
+    polynomials. Two cubes give the dot product of a and the reversed b on
+    their common box, summed pairwise. More give the mean of the product
+    over the two grids of lattice_rule_size, sized by the sum of the radii:
+    each distinct cube is masked to its l1 ball (FFT-built cubes carry
+    roundoff off it, which the rule's degree does not cover), transformed
+    once per grid and raised to its multiplicity.
+    """
+    radii = [c.shape[0] // 2 for c in cubes]
+    if len(cubes) == 2:
+        a, b = (_crop(c, R, min(radii)) for c, R in zip(cubes, radii))
+        return float(np.sum(a * np.flip(b)))  # pairwise: a running dot loses ~1e-13
+    dim = cubes[0].ndim
+    M = _smooth_len(lattice_rule_size(sum(radii)))
+    mults = Counter(id(c) for c in cubes)
+    acc = None
+    for c in {id(c): c for c in cubes}.values():
+        spec = _rule_spectra(c * _l1_mask(dim, c.shape[0] // 2), M)
+        if mults[id(c)] > 1:
+            np.power(spec, mults[id(c)], out=spec)
+        acc = spec if acc is None else np.multiply(acc, spec, out=acc)
+    return _phase_sum(acc, [-sum(radii)] * dim).real / (2 * M**dim)
+
+
+def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
+    """The central box of radius target of a centred cube of the given radius."""
+    if radius == target:
+        return cube
+    sl = slice(radius - target, radius + target + 1)
+    return cube[tuple(sl for _ in range(cube.ndim))]
+
+
+def _rule_spectra(block: np.ndarray, M: int) -> np.ndarray:
+    """Transforms on both grids of a block, shape (2, M, ..., M).
+
+    block[i] holds the coefficient of the momentum lo + i. Row g of the result
+    is sum_i block[i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
+    at x_j = (j + g/2)/M, short of the offset phase exp(-2 pi i lo.x_j)
+    (_offset_phase). A block longer than M is folded onto the M^d grid
+    block by block: the plain row sums the aliases, and the shifted row
+    alternates their signs, since the half-cell factor exp(-pi i i/M) flips
+    sign from one M-block of an index to the next; the factor itself is then
+    applied on the folded block, one axis at a time. Nothing larger than
+    the block and the (2, M, ..., M) result is built.
+    """
+    dim = block.ndim
+    out = np.zeros((2,) + (M,) * dim, complex)
+    for corner in product(*(range(0, side, M) for side in block.shape)):
+        src = tuple(slice(c, c + M) for c in corner)
+        dst = tuple(slice(0, min(M, side - c)) for c, side in zip(corner, block.shape))
+        out[0][dst] += block[src]
+        if sum(corner) // M % 2:
+            out[1][dst] -= block[src]
+        else:
+            out[1][dst] += block[src]
+    for axis in range(dim):
+        out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
+    return np.fft.fftn(out, axes=tuple(range(1, dim + 1)))
+
+
+def _phase_sum(T: np.ndarray, offsets) -> complex:
+    """sum over both grids of T(x) exp(-2 pi i lo.x), for T of shape
+    (2, M, ..., M) and lo = offsets: the separable phase is contracted one
+    axis at a time (overwrites nothing)."""
+    M = T.shape[-1]
+    for t in reversed(offsets):
+        T = np.matmul(T.reshape(2, -1, M), _offset_phase(t, M)[:, :, None])
+    return complex(T.sum())
+
+
+@lru_cache(maxsize=None)
+def _offset_phase(lo: int, M: int) -> np.ndarray:
+    """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and shifted
+    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
+    g = np.arange(2)[:, None]
+    out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
+    out.setflags(write=False)
+    return out
+
+
+def _cis(num, den: int) -> np.ndarray:
+    """exp(-2 pi i num / den) for integer num, reduced mod den exactly."""
+    return np.exp(-2j * math.pi * (np.asarray(num) % den) / den)
+
+
+@lru_cache(maxsize=None)
+def _half_cell(M: int) -> np.ndarray:
+    """exp(-pi i i/M) for i = 0..M-1: the half-cell shift of the second grid
+    on one axis."""
+    out = _cis(np.arange(M), 2 * M)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _l1_mask(dim: int, radius: int) -> np.ndarray:
+    """Indicator of |k|_1 <= radius on the centred box of that radius."""
+    _, mask = _ball(dim, radius)
+    mask.setflags(write=False)
+    return mask
+
+
 def _axis_angles(M: int, ks, shifted: bool) -> np.ndarray:
     """2 pi k x at the axis coordinates x = (2j + shifted) / 2M (rows j,
     columns k), with (2j + shifted) k reduced mod 2M exactly before scaling."""
@@ -511,7 +617,8 @@ def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
     input and leaves the window free of wraparound: a cyclic convolution of
     length L keeps linear indices lo..hi clean when L >= hi + 1 and
     L >= n_out - lo. For inputs whose radii sum to S that is L >= S + r + 1,
-    so a window read at its centre costs about half the full length per axis.
+    so a small window costs about half the full length per axis (a read at
+    the centre alone is constant_term, with no inverse transform).
     Inputs are matched by identity: each distinct array is transformed once
     and its spectrum raised to its multiplicity, so an m-fold bundle of one
     cube costs one forward and one inverse transform. The spectra are
@@ -557,14 +664,14 @@ def wick_integral_variance(d: int, N: int, n: int) -> float:
     """n! * sum over k_1+...+k_n = 0 (each k_i in K_N) of prod 1/lambda_{k_i}.
 
     This is the variance of integral :field^n: for the truncated free field,
-    computed as the centre of the n-th convolution power of the inverse-weight
-    array: one n-ary convolution read at radius 0.
+    computed as the constant term of the n-th power of the inverse-weight
+    array's trigonometric polynomial (constant_term).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     lat = _lattice(d, N)
     cube = lat.inverse_weight_cube(1.0)
-    return math.factorial(n) * convolve_cubes(*[cube] * n, radius=0).item()
+    return math.factorial(n) * constant_term(*[cube] * n)
 
 
 def wick_integral_variance_bruteforce(d: int, N: int, n: int, coupling=None):

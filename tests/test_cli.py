@@ -182,6 +182,24 @@ class TestPhi4Cmd:
         assert stdout == ""
         assert "--ladder" in err and "','" in err
 
+    def test_ladder_rejects_mc(self, capsys, tmp_path):
+        out = tmp_path / "ladder.csv"
+        code, stdout, err = run(
+            capsys, "phi4", "--d", "2", "--ladder", "2,3", "--mc", "--alpha", "0.1",
+            "--samples", "10", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert "--mc" in err and "--ladder" in err
+
+    def test_ladder_names_the_ignored_N(self, capsys):
+        code, stdout, err = run(
+            capsys, "phi4", "--d", "1", "--N", "9", "--ladder", "2,4", "--order", "2"
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in stdout.splitlines()[1:]] == ["2", "4"]
+        assert "--N 9" in err and "--ladder" in err
+
     def test_N_required_without_ladder(self, capsys):
         code, out, err = run(capsys, "phi4", "--d", "1", "--order", "2")
         assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -995,9 +996,9 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
     for name in ("rfftn", "irfftn", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
     valuate(banana(4), 3, 24)
-    # read at its centre, the radius-96 bundle needs a cyclic length of only
-    # 96 + 0 + 1 = 97, padded to 100 (the full linear side 193 would take 200)
-    assert shapes == [("rfftn", (100, 100, 100)), ("irfftn", (100, 100, 100))]
+    # read at its centre, the radius-96 bundle is a constant term: the lattice
+    # rule for degree 96 needs M = 49, padded to 50, and no inverse transform
+    assert shapes == [("fftn", (50, 50, 50))]
     shapes.clear()
     N = 2
     valuate(k4_doubled(), 3, N)
@@ -1093,7 +1094,7 @@ class TestWindowedTransforms:
         monkeypatch.setattr(np.fft, "irfftn", recording)
         valuate(banana(4), 3, 3)
         full_length(banana(4), 3, 3)
-        assert lengths == [tf._smooth_len(13), tf._smooth_len(25)]
+        assert lengths == [tf._smooth_len(25)]
 
 
 class TestSeriesWindow:
@@ -1121,7 +1122,7 @@ class TestSeriesWindow:
         reference = fy._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
         monkeypatch.setattr(fy, "convolve_cubes", recording)
         value = build().center()
-        assert radii == [(3, N), (2, 0)]
+        assert radii == [(3, N)]
         assert value == pytest.approx(reference, rel=1e-12)
 
 
@@ -1134,7 +1135,7 @@ class TestSharedNodes:
     def test_each_node_transforms_once_per_radius(self, monkeypatch):
         # the three bubbles F*F are one node B (radius 2N): the ring reduces to
         # the bundle of B and the series node B.B, read at its centre, so the
-        # only transforms are B on its whole radius and that bundle at 0
+        # only transforms are B on its whole radius; that bundle at 0 is a dot
         N = 4
         calls, transforms = [], []
         convolve = fy.convolve_cubes
@@ -1154,11 +1155,11 @@ class TestSharedNodes:
         for name in ("rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         first = valuate(bubble_ring(), 3, N)
-        assert calls == [(2, 2 * N), (2, 0)]
+        assert calls == [(2, 2 * N)]
         per_valuation = len(transforms)
         # a second valuation starts from nothing: the same calls and transforms
         second = valuate(bubble_ring(), 3, N)
-        assert calls == [(2, 2 * N), (2, 0)] * 2
+        assert calls == [(2, 2 * N)] * 2
         assert len(transforms) == 2 * per_valuation
         assert second == first
 
@@ -1180,3 +1181,91 @@ class TestSharedNodes:
         assert a.series(b, nodes) is a.series(b, nodes)
         assert a.series(b, nodes) is not ab
         assert fy._Weight.bundle([a, b]) is not ab
+
+
+def valuate_loop_sum(g: Diagram, d: int, N: int) -> float:
+    """Independent oracle for connected diagrams too large to enumerate
+    whole: valuate_bruteforce's sum, taken over the conserving edge-momentum
+    assignments only. Each assignment of the edges off a spanning tree (one
+    mode of K_N per edge) fixes the tree edges by conservation, solved leaf
+    by leaf; a tree edge outside K_N contributes nothing."""
+    lat = ModeLattice(d, N)
+    modes = np.array(lat.modes).reshape(-1, d)
+    weights = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
+    table = np.zeros((2 * N + 1,) * d)
+    table[tuple((modes + N).T)] = weights
+    root = list(range(g.nvertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    tree, chords = [], []
+    for i, j in (e for e, m in g.edges for _ in range(m)):
+        if find(i) == find(j):
+            chords.append((i, j))
+        else:
+            root[find(i)] = find(j)
+            tree.append((i, j))
+    idx = np.indices((len(modes),) * len(chords)).reshape(len(chords), -1)
+    value = np.prod(weights[idx], axis=0)
+    # an edge (i, j) carrying k adds k to the residue of i and -k to that of j
+    residue = np.zeros((g.nvertices, idx.shape[1], d), dtype=np.int64)
+    for (i, j), column in zip(chords, idx):
+        residue[i] += modes[column]
+        residue[j] -= modes[column]
+    while tree:
+        count = Counter(v for e in tree for v in e)
+        i, j = e = next(e for e in tree if 1 in (count[e[0]], count[e[1]]))
+        tree.remove(e)
+        k = -residue[i] if count[i] == 1 else residue[j]  # the leaf's residue to 0
+        inside = np.all(np.abs(k) <= N, axis=1)
+        value *= np.where(inside, table[tuple(np.clip(k + N, 0, 2 * N).T)], 0.0)
+        residue[i] += k
+        residue[j] -= k
+    return math.fsum(value.tolist())
+
+
+class TestCentreRead:
+    """A bundle read at its centre is a constant term: a dot product for two
+    strands, the two-grid lattice rule for more."""
+
+    cases = [banana(m) for m in (2, 3, 4, 5)] + [bubble_ring()]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_matches_bruteforce(self, d, N):
+        for g in self.cases:
+            edges = sum(m for _, m in g.edges)
+            if len(ModeLattice(d, N).modes) ** edges <= 20000:
+                want = valuate_bruteforce(g, d, N)
+            else:
+                want = valuate_loop_sum(g, d, N)
+            assert valuate(g, d, N) == pytest.approx(want, rel=1e-12), (g, d, N)
+
+    def test_loop_sum_is_the_bruteforce_sum(self):
+        for g in self.cases + [double_triangle(), k4_doubled(), sunset_with_tail()]:
+            for d, N in [(1, 1), (1, 2), (2, 1), (3, 1)]:
+                if len(ModeLattice(d, N).modes) ** sum(m for _, m in g.edges) <= 20000:
+                    want = valuate_bruteforce(g, d, N)
+                    assert valuate_loop_sum(g, d, N) == pytest.approx(want, rel=1e-13), (g, d, N)
+
+    def test_fold_runs(self, monkeypatch):
+        # banana(3) at N = 2: the rule for degree 6 has M = 4, shorter than
+        # the strand side 5, so each axis folds its alias back onto M
+        N = 2
+        M = tf._smooth_len(tf.lattice_rule_size(3 * N))
+        assert M < 2 * N + 1
+        shapes = []
+        fftn = np.fft.fftn
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return fftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", recording)
+        for d in (1, 2, 3):
+            got = valuate(banana(3), d, N)
+            assert got == pytest.approx(valuate_bruteforce(banana(3), d, N), rel=1e-12), d
+        assert shapes == [(2,) + (M,) * d for d in (1, 2, 3)]

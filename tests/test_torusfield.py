@@ -668,3 +668,26 @@ class TestLatticeRuleSize:
     def test_monte_carlo_grid(self):
         for N in range(20):
             assert tf.lattice_rule_size(4 * N) == 2 * N + 1
+
+
+class TestConstantTerm:
+    def test_matches_full_convolution_centre(self):
+        # cubes with no symmetry, on l1 balls of unequal radii; a repeated
+        # array is transformed once, and a side longer than M folds
+        rng = np.random.default_rng(5)
+        radii_sets = [(0, 0), (2, 5), (1, 1, 1), (3, 1, 0), (2, 2, 2, 2), (4, 1, 2, 0, 3)]
+        for d in (1, 2, 3):
+            for radii in radii_sets:
+                cubes = [rng.standard_normal((2 * r + 1,) * d) * tf._l1_mask(d, r) for r in radii]
+                for args in (cubes, cubes[:1] * len(cubes)):
+                    full = tf.convolve_cubes(*args)
+                    S = full.shape[0] // 2
+                    want = full[(S,) * d]
+                    scale = float(np.max(np.abs(full)))
+                    assert abs(tf.constant_term(*args) - want) <= 1e-13 * scale, (d, radii)
+
+    def test_rule_reads_only_the_l1_balls(self):
+        # roundoff off a ball lies beyond the rule's degree and is dropped
+        a = ModeLattice(2, 3).inverse_weight_cube()
+        noisy = a + 1e-3 * (1 - tf._l1_mask(2, 3))
+        assert tf.constant_term(noisy, a, a) == tf.constant_term(a.copy(), a, a)
