@@ -99,6 +99,17 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_phi4(args) -> int:
+    if not args.mc:
+        ignored = [
+            f"--{name} {value}"
+            for name, value in (("alpha", args.alpha), ("samples", args.samples), ("seed", args.seed))
+            if value is not None
+        ]
+        if ignored:
+            *rest, last = ignored
+            names = f"{', '.join(rest)} and {last}" if rest else last
+            print(f"warning: {names} {'are' if rest else 'is'} ignored without --mc",
+                  file=sys.stderr)
     try:
         if args.ladder is not None:
             if args.mc:

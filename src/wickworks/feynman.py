@@ -21,9 +21,10 @@ arrays (one convolution per parallel bundle, pointwise product along series
 chains, the zero-momentum weight for a pendant edge), with a dedicated
 evaluator for the K4 core. The reduction only records its moves; each reader
 then computes a bundle on the central window it uses (the whole weight for
-the K4 core and the two-point series), on the shortest transform that window
-allows, and a vacuum value reads a bundle at its centre as a constant term,
-with no convolution. These moves
+the K4 core and the two-point series) by the two-grid lattice rule of
+torusfield.convolution_window, on the smallest grid exact for that window,
+and a vacuum value reads a bundle at its centre as a constant term, with no
+inverse transform. These moves
 reduce exactly the graphs without a K4 minor (Duffin 1965), so a leftover
 core has every degree >= 3: on four vertices it is K4, and a larger one is
 rejected. The K4 evaluator's outer momentum loop visits one momentum per
@@ -58,7 +59,7 @@ from .torusfield import (
     _smooth_len,
     as_point,
     constant_term,
-    convolve_cubes,
+    convolution_window,
     inverse_weight_cube,
     lattice_rule_size,
 )
@@ -701,14 +702,25 @@ class _Weight:
     of its strands' radii; a series product (one momentum through both: the
     pointwise product on the overlap) has the smaller radius. A reader asks
     window(r) for the central box of radius r it needs, and only then do the
-    transforms run, each on the shortest length that leaves that box free of
-    wraparound. window(r) is the only read: a reader of a whole weight (the
-    two-point series, five of the K4 core's six bundles) asks it for r =
-    radius. A bundle read at its centre (r = 0: a vacuum value, a pendant
-    edge, a series product under either) is the constant term of its
-    strands' product, torusfield.constant_term: a dot product of two
-    strands on their common box, or the two-grid lattice rule the K4 core
-    uses for three or more, with no convolution and no inverse transform.
+    transforms run. window(r) is the only read: a reader of a whole weight
+    (the two-point series, five of the K4 core's six bundles) asks it for
+    r = radius. A bundle read at its centre (r = 0: a vacuum value, a
+    pendant edge, a series product under either) is the constant term of
+    its strands' product, torusfield.constant_term: a dot product of two
+    strands on their common box, or the two-grid lattice rule for three or
+    more, with no inverse transform. Any other window is
+    torusfield.convolution_window, the same rule on the grid exact for the
+    box, with one inverse transform.
+
+    Both reads need every strand even under k -> -k, and every weight is:
+    the base cube depends on |k|^2, and bundles and series products of even
+    weights are even. They also read each strand only on the l1 ball of the
+    radius it was read at, which is all that the window's own l1 ball of
+    radius r draws on. Every reader in turn uses only the l1 ball of radius
+    r of a window(r) (a whole read is its support, and the K4 core masks
+    F_cd to it), so a window's entries off that ball, which need not match
+    the linear convolution when a strand was cut to a smaller box, are
+    never read.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
@@ -738,7 +750,7 @@ class _Weight:
     def _node(cls, move: str, radius: int, parts: tuple, nodes: dict | None) -> "_Weight":
         """A new node, or the one nodes already holds under the key
         (move, parts). The key keeps the order of the parts, which sets the
-        order of the strands into convolve_cubes and so the roundoff."""
+        order of the strands into their transforms and so the roundoff."""
         if nodes is None:
             return cls(None, radius, move, parts)
         key = (move, parts)
@@ -762,14 +774,14 @@ class _Weight:
             return _crop(self.cube, self.radius, r)
         if self.move == "series":
             # a pointwise product reads its parts on the same box, so a bundle
-            # under a series node transforms only on the length that box needs
+            # under a series node transforms only on the grid that box needs
             a, b = self.parts
             return a.window(r) * b.window(r)
         total = self.radius
         strands = [w.window(min(w.radius, r + total - w.radius)) for w in self.parts]
         if r == 0:
             return np.full((1,) * strands[0].ndim, constant_term(*strands))
-        return convolve_cubes(*strands, radius=r)
+        return convolution_window(*strands, radius=r)
 
     def center(self) -> float:
         return self.window(0).item()
@@ -891,8 +903,11 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     for axis in range(dim):
         f *= _offset_phase(-r, M).reshape((2,) + (1,) * axis + (M,) + (1,) * (dim - 1 - axis))
     f = f.real
-    # A_p and B_p share one block, `side` long on every axis
+    # A_p and B_p share one block, `side` long on every axis; the block and
+    # its spectra are buffers of the core, refilled per orbit
     side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1
+    block = np.empty((side,) * dim, complex)
+    spec = np.empty((2,) + (M,) * dim, complex)
     total = 0.0
     for p, size in _orbits(dim, F_ab.radius):
         wp = float(F_ab.cube[tuple(t + F_ab.radius for t in p)])
@@ -901,12 +916,12 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
         box_a = [_overlap(F_ac.radius, F_ad.radius, -t) for t in p]
         box_b = [_overlap(F_bc.radius, F_bd.radius, t) for t in p]
-        block = np.zeros((side,) * dim, complex)
+        block.fill(0)
         np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=block.real[_extent(box_a)])
         minus_p = [-t for t in p]
         np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=block.imag[_extent(box_b)])
         offsets = [la + lb for (la, _), (lb, _) in zip(box_a, box_b)]
-        total += size * wp * _packed_mean(_rule_spectra(block, M), f, offsets)
+        total += size * wp * _packed_mean(_rule_spectra(block, M, spec), f, offsets)
     return total / (4 * M**dim)
 
 
@@ -966,9 +981,11 @@ def _check_hyperoctahedral(cube: np.ndarray) -> None:
     if dim > 1:
         images.append(np.swapaxes(cube, 0, 1))
         images.append(np.moveaxis(cube, 0, -1))
-    scale = float(np.max(np.abs(cube)))
+    diff = np.abs(cube)  # one scratch array for every image
+    scale = float(np.max(diff))
     for image in images:
-        if float(np.max(np.abs(image - cube))) > 1e-12 * scale:
+        np.subtract(image, cube, out=diff)
+        if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
             raise ValuationBudgetError(
                 "K4 weight is not invariant under coordinate permutations and sign "
                 "flips; the orbit loop would sum it wrongly"

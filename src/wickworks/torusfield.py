@@ -385,26 +385,161 @@ def constant_term(*cubes: np.ndarray) -> float:
 
     This is the constant term of the product of their trigonometric
     polynomials. Two cubes give the dot product of a and the reversed b on
-    their common box, summed pairwise. More give the mean of the product
-    over the two grids of lattice_rule_size, sized by the sum of the radii:
-    each distinct cube is masked to its l1 ball (FFT-built cubes carry
-    roundoff off it, which the rule's degree does not cover), transformed
-    once per grid and raised to its multiplicity.
+    their common box, summed pairwise, whatever their symmetry. Three or
+    more must each be even under k -> -k, as every reducer weight is: their
+    constant term is convolution_window at radius 0, the mean of the
+    product over the two grids of lattice_rule_size, sized by the sum of the
+    radii, with no inverse transform.
     """
-    radii = [c.shape[0] // 2 for c in cubes]
     if len(cubes) == 2:
+        radii = [c.shape[0] // 2 for c in cubes]
         a, b = (_crop(c, R, min(radii)) for c, R in zip(cubes, radii))
         return float(np.sum(a * np.flip(b)))  # pairwise: a running dot loses ~1e-13
+    return convolution_window(*cubes, radius=0).item()
+
+
+def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
+    """The central box of radius r of the linear convolution W of centered
+    odd-sided cubes, each even under k -> -k and supported on the l1 ball of
+    its radius (the roundoff FFT-built cubes carry off it is masked away).
+
+    The box is read off the cubes' trigonometric polynomials on the two
+    grids j/M and (j + 1/2)/M. By the rank-2 lattice rule (see
+    lattice_rule_size), the mean over both grids of their product times
+    exp(2 pi i k.x) is the sum of W(k + M m) over m in Z^d with an even
+    m_1 + ... + m_d. An alias m != 0 has |k + M m|_1 >= 2M - |k|_1, beyond
+    the support |k|_1 <= S of W (S the sum of the radii) once
+    2M > S + |k|_1. So M, the least 5-smooth length above
+    (S + min(d r, S)) / 2, reads every box entry with |k|_1 <= S exactly;
+    the entries beyond are 0 and are set so. At r = 0 the box is the
+    constant term, the mean itself, with no inverse transform.
+
+    An even cube has a real polynomial on both grids, so one complex FFT
+    gives both (_grid_values). Inputs are matched by identity: each distinct
+    array is transformed once and raised to its multiplicity. The products P
+    (plain grid) and Q (shifted grid) share one inverse FFT of P + iQ, which
+    _grid_window separates and untwists into the box. Of the box's size only
+    the box itself and a boolean mask for the zeros are built. Raises
+    ValueError for a cube that is not even to roundoff.
+    """
     dim = cubes[0].ndim
-    M = _smooth_len(lattice_rule_size(sum(radii)))
+    S = sum(c.shape[0] // 2 for c in cubes)
+    if not 0 <= radius <= S:
+        raise ValueError(f"a window of radius {radius} needs cubes whose radii sum to at least it")
+    M = _smooth_len((S + min(dim * radius, S)) // 2 + 1)
     mults = Counter(id(c) for c in cubes)
     acc = None
     for c in {id(c): c for c in cubes}.values():
-        spec = _rule_spectra(c * _l1_mask(dim, c.shape[0] // 2), M)
+        _check_even(c)
+        grids = _grid_values(c, M)
         if mults[id(c)] > 1:
-            np.power(spec, mults[id(c)], out=spec)
-        acc = spec if acc is None else np.multiply(acc, spec, out=acc)
-    return _phase_sum(acc, [-sum(radii)] * dim).real / (2 * M**dim)
+            np.power(grids.real, mults[id(c)], out=grids.real)
+            np.power(grids.imag, mults[id(c)], out=grids.imag)
+        if acc is None:
+            acc = grids
+        else:
+            np.multiply(acc.real, grids.real, out=acc.real)
+            np.multiply(acc.imag, grids.imag, out=acc.imag)
+        del grids  # free it before the next transform allocates
+    if radius == 0:
+        return np.full((1,) * dim, (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim))
+    return _grid_window(np.fft.ifftn(acc, out=acc), radius, S)
+
+
+def _check_even(cube: np.ndarray) -> None:
+    """Raise ValueError unless cube(-k) = cube(k) to roundoff."""
+    diff = np.abs(cube)  # the one scratch array
+    scale = float(np.max(diff))
+    np.subtract(cube, np.flip(cube), out=diff)
+    if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
+        raise ValueError(
+            f"a cube of shape {cube.shape} is not even under k -> -k; the two-grid "
+            "lattice rule reads only even cubes"
+        )
+
+
+def _fold(block: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Add a block whose index i holds momentum lo + i on every axis onto
+    the length-M grids out[0] and out[1] at index (lo + i) mod M: out[0]
+    sums the aliases, and out[1] gives each the sign (-1)^(n_1 + ... + n_d),
+    n = floor((lo + i) / M) per axis, as the half-cell factor
+    exp(-pi i (lo + i)/M) flips sign from one alias to the next."""
+    M, hi = out.shape[-1], lo + block.shape[0] - 1
+    runs = []  # per alias n on one axis: block slice, grid slice, n mod 2
+    for n in range(lo // M, hi // M + 1):
+        a, b = max(lo, n * M), min(hi, n * M + M - 1)
+        runs.append((slice(a - lo, b - lo + 1), slice(a - n * M, b - n * M + 1), n % 2))
+    for parts in product(runs, repeat=block.ndim):
+        src = tuple(s for s, _, _ in parts)
+        dst = tuple(t for _, t, _ in parts)
+        out[0][dst] += block[src]
+        if sum(odd for _, _, odd in parts) % 2:
+            out[1][dst] -= block[src]
+        else:
+            out[1][dst] += block[src]
+
+
+def _grid_values(cube: np.ndarray, M: int) -> np.ndarray:
+    """The polynomial of an even cube, masked to its l1 ball, on both grids:
+    u + iv with u(j) = sum_k c(k) exp(-2 pi i k.j/M) and v(j) the same at
+    j + 1/2, both real since c is even.
+
+    One FFT of fold(c) + i fold(c tau), tau(k) = exp(-pi i (k_1 + ... +
+    k_d)/M) taken at the true momentum, gives u + iv: fold puts momentum k at
+    index k mod M, where tau(k) is tau(k mod M) times (-1)^(n_1 + ... + n_d),
+    n = floor(k / M). So the shifted fold alternates the signs of the
+    aliases and takes the factor tau one axis at a time.
+    """
+    dim, R = cube.ndim, cube.shape[0] // 2
+    folds = np.zeros((2,) + (M,) * dim)
+    _fold(cube * _l1_mask(dim, R), -R, folds)
+    # i fold(c tau): the factor i rides on the first axis's half-cell factor
+    half = _half_cell(M)
+    out = np.multiply(folds[1], (1j * half).reshape((M,) + (1,) * (dim - 1)))
+    for axis in range(1, dim):
+        out *= half.reshape((M,) + (1,) * (dim - 1 - axis))
+    out.real += folds[0]
+    del folds
+    return np.fft.fftn(out, out=out)
+
+
+def _grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
+    """The box of radius r from Y = ifftn(P + iQ) (overwritten), for real
+    products P and Q on the plain and the shifted grid (_grid_values).
+
+    With A = ifftn(P) and B = ifftn(Q), the box value at k is
+    (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. Hermitian
+    separation gives 2A = Y(k) + conj Y(-k) and 2iB = Y(k) - conj Y(-k), and
+    both terms are real: A since P is even on the plain grid, conj tau B
+    since Q is even on the shifted one. Per axis, momenta 0..r sit at
+    indices 0..r and -r..-1 at M - r..M - 1 (r < M), where conj tau flips
+    sign, so the box is 2^d slice copies of (2A +- Im conj tau 2iB) / 4
+    with the untwist applied once, one axis at a time. Box entries with
+    |k|_1 > S are then set to 0.
+    """
+    dim, M = Y.ndim, Y.shape[0]
+    mirror = np.roll(np.flip(Y), 1, axis=tuple(range(dim)))  # Y(-k)
+    np.conjugate(mirror, out=mirror)
+    even = np.add(Y.real, mirror.real)  # 2A
+    np.subtract(Y, mirror, out=Y)  # 2iB
+    del mirror
+    untwist = np.conj(_half_cell(M))
+    for axis in range(dim):
+        Y *= untwist.reshape((M,) + (1,) * (dim - 1 - axis))
+    odd = Y.imag  # Im conj tau 2iB, on indices 0..M-1
+    even *= 0.25
+    odd *= 0.25
+    box = np.empty((2 * r + 1,) * dim)
+    halves = [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
+    for parts in product(halves, repeat=dim):
+        dst = tuple(t for t, _, _ in parts)
+        src = tuple(s for _, s, _ in parts)
+        combine = np.subtract if sum(neg for _, _, neg in parts) % 2 else np.add
+        combine(even[src], odd[src], out=box[dst])
+    if dim * r > S:
+        inside = _l1_within(dim, r, S)
+        box[np.logical_not(inside, out=inside)] = 0.0
+    return box
 
 
 def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
@@ -415,32 +550,28 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
     return cube[tuple(sl for _ in range(cube.ndim))]
 
 
-def _rule_spectra(block: np.ndarray, M: int) -> np.ndarray:
-    """Transforms on both grids of a block, shape (2, M, ..., M).
+def _rule_spectra(block: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Transforms on both grids of a block, shape (2, M, ..., M), written to
+    out when given (a complex buffer of that shape, reused by a caller that
+    transforms many blocks) and otherwise to a new array.
 
     block[i] holds the coefficient of the momentum lo + i. Row g of the result
     is sum_i block[i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
     at x_j = (j + g/2)/M, short of the offset phase exp(-2 pi i lo.x_j)
     (_offset_phase). A block longer than M is folded onto the M^d grid
-    block by block: the plain row sums the aliases, and the shifted row
-    alternates their signs, since the half-cell factor exp(-pi i i/M) flips
-    sign from one M-block of an index to the next; the factor itself is then
+    (_fold, with the index i as the momentum); the half-cell factor is then
     applied on the folded block, one axis at a time. Nothing larger than
     the block and the (2, M, ..., M) result is built.
     """
     dim = block.ndim
-    out = np.zeros((2,) + (M,) * dim, complex)
-    for corner in product(*(range(0, side, M) for side in block.shape)):
-        src = tuple(slice(c, c + M) for c in corner)
-        dst = tuple(slice(0, min(M, side - c)) for c, side in zip(corner, block.shape))
-        out[0][dst] += block[src]
-        if sum(corner) // M % 2:
-            out[1][dst] -= block[src]
-        else:
-            out[1][dst] += block[src]
+    if out is None:
+        out = np.zeros((2,) + (M,) * dim, complex)
+    else:
+        out.fill(0)
+    _fold(block, 0, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
-    return np.fft.fftn(out, axes=tuple(range(1, dim + 1)))
+    return np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)
 
 
 def _phase_sum(T: np.ndarray, offsets) -> complex:
@@ -480,9 +611,18 @@ def _half_cell(M: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _l1_mask(dim: int, radius: int) -> np.ndarray:
     """Indicator of |k|_1 <= radius on the centred box of that radius."""
-    _, mask = _ball(dim, radius)
+    mask = _l1_within(dim, radius, radius)
     mask.setflags(write=False)
     return mask
+
+
+def _l1_within(dim: int, radius: int, bound: int) -> np.ndarray:
+    """Indicator of |k|_1 <= bound on the centred box of the given radius,
+    compared axis against the rest, so that no integer array of the box's
+    size is built."""
+    a = np.abs(np.arange(-radius, radius + 1))
+    rest = sum(np.ix_(*[a] * (dim - 1)))  # |k|_1 over the first dim - 1 axes
+    return np.expand_dims(rest, -1) <= bound - a
 
 
 def _axis_angles(M: int, ks, shifted: bool) -> np.ndarray:
@@ -610,15 +750,17 @@ def _smooth_len(n: int) -> int:
 def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
     """Exact linear convolution of any number of centered cubes via FFT.
 
-    The linear output side per axis is n_out = (sum of the input sides) -
-    (n - 1). With radius=None the whole output is returned; with a radius r,
-    only its central window of side 2r + 1 (the inputs must be odd-sided).
+    This is the reference the tests hold convolution_window and
+    constant_term against; the valuation does not call it. It needs no
+    symmetry of its inputs and no l1 support. The linear output side per
+    axis is n_out = (sum of the input sides) - (n - 1). With radius=None
+    the whole output is returned; with a radius r, only its central window
+    of side 2r + 1 (the inputs must be odd-sided).
     The transforms run on the smallest 5-smooth length L that holds every
     input and leaves the window free of wraparound: a cyclic convolution of
     length L keeps linear indices lo..hi clean when L >= hi + 1 and
     L >= n_out - lo. For inputs whose radii sum to S that is L >= S + r + 1,
-    so a small window costs about half the full length per axis (a read at
-    the centre alone is constant_term, with no inverse transform).
+    so a small window costs about half the full length per axis.
     Inputs are matched by identity: each distinct array is transformed once
     and its spectrum raised to its multiplicity, so an m-fold bundle of one
     cube costs one forward and one inverse transform. The spectra are

@@ -200,6 +200,25 @@ class TestPhi4Cmd:
         assert [line.split(",")[0] for line in stdout.splitlines()[1:]] == ["2", "4"]
         assert "--N 9" in err and "--ladder" in err
 
+    def test_series_names_the_flags_ignored_without_mc(self, capsys):
+        argv = ("phi4", "--d", "1", "--N", "4", "--order", "2")
+        code, plain, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *argv, "--alpha", "0.1", "--samples", "50", "--seed", "3")
+        assert code == 0
+        assert out == plain
+        assert "--alpha 0.1, --samples 50 and --seed 3 are ignored without --mc" in err
+
+    def test_ladder_names_the_flags_ignored_without_mc(self, capsys):
+        argv = ("phi4", "--d", "1", "--ladder", "2,4", "--order", "2")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--seed", "5")
+        assert code == 0
+        assert out == plain
+        assert "--seed 5 is ignored without --mc" in err
+        assert "--alpha" not in err and "--samples" not in err
+
     def test_N_required_without_ladder(self, capsys):
         code, out, err = run(capsys, "phi4", "--d", "1", "--order", "2")
         assert code == 2

@@ -876,6 +876,31 @@ class TestK4Orbits:
         with pytest.raises(ValuationBudgetError):
             fy._valuate_k4(adj, weights)
 
+    def test_orbit_transforms_share_one_buffer(self, monkeypatch):
+        # a core of six single edges (no bundle to transform): one transform
+        # of F_cd, then one per orbit with a nonzero outer weight, each
+        # written into the same buffer of the core
+        N = 2
+        base = fy._base_weight(3, N, 1.0)
+        adj, weights = {v: [] for v in range(4)}, {}
+        for eid, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+            weights[eid] = fy._Weight(base, N)
+            adj[i].append((j, eid))
+            adj[j].append((i, eid))
+        outs = []
+        fftn = np.fft.fftn
+
+        def recording(a, *args, **kwargs):
+            outs.append(kwargs.get("out"))  # the array itself, so no id is reused
+            return fftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", recording)
+        fy._valuate_k4(adj, weights)
+        f_out, *per_orbit = outs
+        assert len(per_orbit) == sum(1 for p, _ in fy._orbits(3, N) if sum(p) <= N)
+        assert per_orbit[0] is not None and per_orbit[0] is not f_out
+        assert len({id(out) for out in per_orbit}) == 1
+
     def test_returns_plain_float(self):
         assert type(valuate(k4_doubled(), 1, 2)) is float
 
@@ -985,10 +1010,11 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
 
     def recording(name, fn):
         def wrapper(a, s=None, axes=None, **kwargs):
+            shape = s
             if s is None:
                 a = np.asarray(a)
-                s = a.shape if axes is None else [a.shape[ax] for ax in axes]
-            shapes.append((name, tuple(s)))
+                shape = a.shape if axes is None else [a.shape[ax] for ax in axes]
+            shapes.append((name, tuple(shape)))
             return fn(a, s, axes=axes, **kwargs)
 
         return wrapper
@@ -1024,22 +1050,19 @@ def full_length(monkeypatch):
     run on its full linear length, then cut to the window the reader asked
     for."""
     window = fy._Weight.window
-    convolve = fy.convolve_cubes
 
     def whole(self, r):
         return fy._crop(window(self, self.radius), self.radius, r)
 
-    def full(*cubes, radius=None):
-        out = convolve(*cubes)
-        if radius is None:
-            return out
+    def full(*cubes, radius):
+        out = convolve_cubes(*cubes)
         half = out.shape[0] // 2
         return out[(slice(half - radius, half + radius + 1),) * out.ndim]
 
     def run(g, d, N, fn=valuate):
         with monkeypatch.context() as m:
             m.setattr(fy._Weight, "window", whole)
-            m.setattr(fy, "convolve_cubes", full)
+            m.setattr(fy, "convolution_window", full)
             return fn(g, d, N)
 
     return run
@@ -1083,18 +1106,34 @@ class TestWindowedTransforms:
             ), g
 
     def test_reference_transforms_whole(self, full_length, monkeypatch):
-        # the reference is not the windowed path in disguise
-        lengths = []
-        irfftn = np.fft.irfftn
+        # the reference is not the windowed path in disguise: the windowed
+        # path reads a centre with no window and the ring's bubble B on its
+        # whole radius 2N by the lattice rule, with no real inverse transform;
+        # the reference convolves every bundle on its full linear length
+        windows, lengths = [], []
+        convolution_window, irfftn = fy.convolution_window, np.fft.irfftn
+
+        def window(*cubes, radius):
+            windows.append((len(cubes), radius))
+            return convolution_window(*cubes, radius=radius)
 
         def recording(a, s=None, axes=None, **kwargs):
             lengths.append(s[0])
             return irfftn(a, s, axes=axes, **kwargs)
 
+        monkeypatch.setattr(fy, "convolution_window", window)
         monkeypatch.setattr(np.fft, "irfftn", recording)
         valuate(banana(4), 3, 3)
+        assert windows == [] and lengths == []
         full_length(banana(4), 3, 3)
-        assert lengths == [tf._smooth_len(25)]
+        assert windows == [] and lengths == [tf._smooth_len(25)]
+        N = 3
+        lengths.clear()
+        valuate(bubble_ring(), 3, N)
+        assert windows == [(2, 2 * N)] and lengths == []
+        full_length(bubble_ring(), 3, N)
+        assert windows == [(2, 2 * N)]
+        assert lengths == [tf._smooth_len(4 * N + 1), tf._smooth_len(8 * N + 1)]
 
 
 class TestSeriesWindow:
@@ -1111,16 +1150,16 @@ class TestSeriesWindow:
             return fy._Weight.bundle([strand, leaf])
 
         radii = []
-        convolve = fy.convolve_cubes
+        convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius=None):
+        def recording(*cubes, radius):
             radii.append((len(cubes), radius))
-            return convolve(*cubes, radius=radius)
+            return convolution_window(*cubes, radius=radius)
 
         # every node whole, on full-length convolutions
         strand = fy._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
         reference = fy._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
-        monkeypatch.setattr(fy, "convolve_cubes", recording)
+        monkeypatch.setattr(fy, "convolution_window", recording)
         value = build().center()
         assert radii == [(3, N)]
         assert value == pytest.approx(reference, rel=1e-12)
@@ -1138,11 +1177,11 @@ class TestSharedNodes:
         # only transforms are B on its whole radius; that bundle at 0 is a dot
         N = 4
         calls, transforms = [], []
-        convolve = fy.convolve_cubes
+        convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius=None):
+        def recording(*cubes, radius):
             calls.append((len(cubes), radius))
-            return convolve(*cubes, radius=radius)
+            return convolution_window(*cubes, radius=radius)
 
         def counting(fn):
             def wrapper(*args, **kwargs):
@@ -1151,8 +1190,8 @@ class TestSharedNodes:
 
             return wrapper
 
-        monkeypatch.setattr(fy, "convolve_cubes", recording)
-        for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(fy, "convolution_window", recording)
+        for name in ("fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         first = valuate(bubble_ring(), 3, N)
         assert calls == [(2, 2 * N)]
@@ -1268,4 +1307,4 @@ class TestCentreRead:
         for d in (1, 2, 3):
             got = valuate(banana(3), d, N)
             assert got == pytest.approx(valuate_bruteforce(banana(3), d, N), rel=1e-12), d
-        assert shapes == [(2,) + (M,) * d for d in (1, 2, 3)]
+        assert shapes == [(M,) * d for d in (1, 2, 3)]

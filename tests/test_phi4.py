@@ -208,11 +208,11 @@ class TestTwoPoint:
             return tf.cosine_sum(cube, diff)
 
         calls = []
-        convolve = fy.convolve_cubes
+        convolution_window = fy.convolution_window
         monkeypatch.setattr(
             fy,
-            "convolve_cubes",
-            lambda *cubes, **kw: calls.append(1) or convolve(*cubes, **kw),
+            "convolution_window",
+            lambda *cubes, **kw: calls.append(1) or convolution_window(*cubes, **kw),
         )
         got = [c.value for c in two_point_series(*args).coefficients]
         # the order-2 chain is the only class that needs a convolution

@@ -670,15 +670,22 @@ class TestLatticeRuleSize:
             assert tf.lattice_rule_size(4 * N) == 2 * N + 1
 
 
+def even_cube(rng, d, radius):
+    """A random cube, even under k -> -k, on the l1 ball of its radius."""
+    c = rng.standard_normal((2 * radius + 1,) * d)
+    return (c + np.flip(c)) * tf._l1_mask(d, radius)
+
+
 class TestConstantTerm:
     def test_matches_full_convolution_centre(self):
-        # cubes with no symmetry, on l1 balls of unequal radii; a repeated
-        # array is transformed once, and a side longer than M folds
+        # even cubes (the rule's domain) with no other symmetry, on l1 balls
+        # of unequal radii; a repeated array is transformed once, and a side
+        # longer than M folds
         rng = np.random.default_rng(5)
         radii_sets = [(0, 0), (2, 5), (1, 1, 1), (3, 1, 0), (2, 2, 2, 2), (4, 1, 2, 0, 3)]
         for d in (1, 2, 3):
             for radii in radii_sets:
-                cubes = [rng.standard_normal((2 * r + 1,) * d) * tf._l1_mask(d, r) for r in radii]
+                cubes = [even_cube(rng, d, r) for r in radii]
                 for args in (cubes, cubes[:1] * len(cubes)):
                     full = tf.convolve_cubes(*args)
                     S = full.shape[0] // 2
@@ -691,3 +698,56 @@ class TestConstantTerm:
         a = ModeLattice(2, 3).inverse_weight_cube()
         noisy = a + 1e-3 * (1 - tf._l1_mask(2, 3))
         assert tf.constant_term(noisy, a, a) == tf.constant_term(a.copy(), a, a)
+
+    def test_rejects_a_cube_that_is_not_even(self):
+        a = ModeLattice(2, 2).inverse_weight_cube()
+        lopsided = a.copy()
+        lopsided[1, 2] += 1e-6
+        with pytest.raises(ValueError, match=r"shape \(5, 5\) is not even"):
+            tf.constant_term(a, a, lopsided)
+        # two cubes are a dot product, which needs no symmetry
+        assert tf.constant_term(a, lopsided) == pytest.approx(tf.constant_term(a, a), abs=1e-5)
+
+
+class TestConvolutionWindow:
+    """convolution_window against the padded-FFT reference convolve_cubes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_convolve_cubes(self, d):
+        rng = np.random.default_rng(7 + d)
+        base = ModeLattice(d, 2).inverse_weight_cube()
+        bubble = tf.convolution_window(base, base, radius=4)  # a reducer's whole read
+        radii_sets = [(0,), (3,), (1, 6), (2, 2, 0), (6, 1, 1), (1, 2, 1, 3)]
+        cases = [[even_cube(rng, d, r) for r in radii] for radii in radii_sets]
+        cases += [[base] * 4, [bubble, base, base], [bubble, bubble], [bubble, base, bubble]]
+        folds = off_ball = 0
+        for cubes in cases:
+            for args in (cubes, cubes[:1] * len(cubes)):
+                full = tf.convolve_cubes(*args)
+                S = full.shape[0] // 2
+                scale = float(np.max(np.abs(full)))
+                for r in sorted(r for r in {0, 1, S // 3, S // 2, S} if r <= S):
+                    M = tf._smooth_len((S + min(d * r, S)) // 2 + 1)
+                    folds += max(c.shape[0] // 2 for c in args) >= M
+                    got = tf.convolution_window(*args, radius=r)
+                    want = full[(slice(S - r, S + r + 1),) * d]
+                    assert got.shape == want.shape, (d, S, r)
+                    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, (d, S, r)
+                    # entries beyond the support |k|_1 <= S are exactly 0
+                    off = sum(np.abs(a) for a in np.ix_(*[np.arange(-r, r + 1)] * d)) > S
+                    off_ball += int(off.sum())
+                    assert np.all(got[off] == 0.0), (d, S, r)
+        assert folds
+        assert off_ball or d == 1
+
+    def test_rejects_a_cube_that_is_not_even(self):
+        a = ModeLattice(3, 1).inverse_weight_cube()
+        lopsided = a.copy()
+        lopsided[0, 1, 1] = 0.5
+        with pytest.raises(ValueError, match=r"shape \(3, 3, 3\) is not even"):
+            tf.convolution_window(a, lopsided, radius=1)
+
+    def test_radius_within_the_support(self):
+        a = ModeLattice(1, 2).inverse_weight_cube()
+        with pytest.raises(ValueError, match="radius 5"):
+            tf.convolution_window(a, a, radius=5)
