@@ -216,10 +216,6 @@ class ChaosElement:
                         self.coeffs[k] = c
 
     @classmethod
-    def coordinate(cls, dim: int, i: int) -> "ChaosElement":
-        return cls(dim, {MultiIndex({i: 1}): 1})
-
-    @classmethod
     def constant(cls, dim: int, c) -> "ChaosElement":
         return cls(dim, {MultiIndex(): c})
 

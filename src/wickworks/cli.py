@@ -17,13 +17,17 @@ from . import feynman as fy
 from . import phi4, polyalg, torusfield
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+def _write(text: str, out: str | None) -> None:
+    """text and a final newline, to the file out or else to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_default), out)
 
 
 def _json_default(obj):
@@ -52,12 +56,7 @@ def cmd_hermite(args) -> int:
             args.out,
         )
     else:
-        line = poly.pretty()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(line + "\n")
-        else:
-            print(line)
+        _write(poly.pretty(), args.out)
     return 0
 
 
@@ -77,12 +76,7 @@ def cmd_diagrams(args) -> int:
             f"// coefficient {c}\n" + g.to_dot(f"g{i}")
             for i, (g, c) in enumerate(sorted(sums.terms.items(), key=lambda t: t[0].canonical_key()))
         ]
-        text = "\n".join(blocks)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(blocks), args.out)
         return 0
     _emit(
         {
@@ -126,11 +120,7 @@ def cmd_phi4(args) -> int:
                     f"--ladder takes a comma list of integer cutoffs, got {args.ladder!r}"
                 )
             csv = phi4.coefficient_ladder_csv(args.d, cutoffs, args.order)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(csv)
-            else:
-                print(csv, end="")
+            _write(csv.removesuffix("\n"), args.out)
             return 0
         if args.N is None:
             print("error: --N is required unless --ladder gives the cutoffs", file=sys.stderr)

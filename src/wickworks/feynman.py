@@ -52,8 +52,8 @@ import numpy as np
 from .torusfield import (
     ModeLattice,
     _crop,
+    _grid_values,
     _l1_mask,
-    _offset_phase,
     _phase_sum,
     _rule_spectra,
     _smooth_len,
@@ -898,11 +898,9 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         _check_hyperoctahedral(w.cube)
     dim = F_ab.cube.ndim
     M = _smooth_len(lattice_rule_size(F_ac.radius + F_bc.radius + r))
-    # f on both grids, once; it is real, since F_cd is real and even
-    f = _rule_spectra(F_cd.cube, M)
-    for axis in range(dim):
-        f *= _offset_phase(-r, M).reshape((2,) + (1,) * axis + (M,) + (1,) * (dim - 1 - axis))
-    f = f.real
+    # f on the plain and the shifted grid, once: real, since F_cd is even
+    f = _grid_values(F_cd.cube, M)
+    f = np.stack((f.real, f.imag))
     # A_p and B_p share one block, `side` long on every axis; the block and
     # its spectra are buffers of the core, refilled per orbit
     side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1

@@ -299,10 +299,6 @@ class CountertermSet:
     def beta(self) -> float:
         return sum(c * self.alpha**n for n, c in self.beta_coeffs.items())
 
-    @property
-    def gamma(self) -> float:
-        return sum(c * self.alpha**n for n, c in self.gamma_coeffs.items())
-
 
 def counterterms_d3(alpha: float, N: int) -> CountertermSet:
     """Mass and energy counterterms: beta = 48 a^2 Pi(3-banana),

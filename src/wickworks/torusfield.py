@@ -13,11 +13,18 @@ amplitudes the l1 ball holds, and returns one column per field. The dense
 synthesis_matrix (one row per point, one column per amplitude) serves
 arbitrary points and is the oracle the grid route is tested against.
 
+One builder, _l1_within (cached as _l1_mask), gives K_N for everything
+here: the mode list (the mask's true entries in C order, which is
+lexicographic, so mode_labels and the seeded amplitude stream keep one
+order), the weight cubes and the masks the sums and the lattice rule read.
+
 Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
-noise. Weights are looked up by |k|^2, and one cosine sum (cosine_sum) gives
-the Green function and every two-point value in position space. Passing a Fraction `coupling` to ModeLattice switches the weights to
-exact rationals, which the convolution-vs-brute-force identities use.
+noise. Weights are looked up by |k|^2, C_N is the fsum of the weight cube,
+and one cosine sum (cosine_sum) gives the Green function and every
+two-point value in position space. Passing a Fraction `coupling` to
+ModeLattice switches the weights to exact rationals, which the
+convolution-vs-brute-force identities use.
 """
 
 from __future__ import annotations
@@ -37,15 +44,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def _l1_ball(d: int, N: int) -> list[tuple[int, ...]]:
-    def rec(dim, budget):
-        if dim == 0:
-            yield ()
-            return
-        for first in range(-budget, budget + 1):
-            for rest in rec(dim - 1, budget - abs(first)):
-                yield (first,) + rest
-
-    return sorted(rec(d, N))
+    """K_N in lexicographic order: the C order of the mask's true entries."""
+    return [tuple(k) for k in (np.argwhere(_l1_mask(d, N)) - N).tolist()]
 
 
 class ModeLattice:
@@ -66,24 +66,13 @@ class ModeLattice:
         norm2 = sum(int(c) ** 2 for c in k)
         return 1 + self.coupling * norm2
 
-    def weight(self, k, s=1.0):
-        """lambda_k^(-s); exact when both the coupling and s are rational."""
-        lam = self.lam(k)
-        if isinstance(lam, Fraction) and isinstance(s, int):
-            return Fraction(1) / lam**s
-        return float(lam) ** (-float(s))
-
     def positive_modes(self) -> list[tuple[int, ...]]:
-        """One representative per +-k pair: first nonzero coordinate positive."""
-        out = []
-        for k in self.modes:
-            for c in k:
-                if c > 0:
-                    out.append(k)
-                    break
-                if c < 0:
-                    break
-        return out
+        """One representative per +-k pair: first nonzero coordinate positive.
+
+        The sorted ball is symmetric under k -> -k with 0 in the middle, and
+        the modes after 0 are exactly those whose first nonzero coordinate is
+        positive."""
+        return self.modes[len(self.modes) // 2 + 1 :]
 
     def inverse_weight_cube(self, s: float = 1.0) -> np.ndarray:
         """Array of lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N."""
@@ -102,25 +91,17 @@ def _check_lattice(d: int, N: int) -> None:
         raise ValueError("N must be >= 0")
 
 
-def _ball(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """|k|^2 on the centered box [-N, N]^d, and the indicator of K_N on it.
-
-    On K_N, |k|^2 <= |k|_1^2 <= N^2, so a table over n = 0..N^2 indexed by
-    the masked |k|^2 holds every weight the ball needs.
-    """
-    _check_lattice(d, N)
-    axes = np.ix_(*[np.arange(-N, N + 1)] * d)
-    return sum(a * a for a in axes), sum(np.abs(a) for a in axes) <= N
-
-
 def inverse_weight_cube(d: int, N: int, s: float = 1.0, coupling=None) -> np.ndarray:
     """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N.
 
-    Each value is looked up by |k|^2 in _weight_table, so a Fraction coupling
-    stays exact until float(). The table keeps Python's float pow: np.power
-    can differ from it in the last bit.
+    Each value is looked up by |k|^2 in _weight_table (on K_N, |k|^2 <=
+    |k|_1^2 <= N^2), so a Fraction coupling stays exact until float(). The
+    table keeps Python's float pow: np.power can differ from it in the last
+    bit.
     """
-    norm2, ball = _ball(d, N)
+    _check_lattice(d, N)
+    norm2 = sum(a * a for a in np.ix_(*[np.arange(-N, N + 1)] * d))
+    ball = _l1_mask(d, N)
     cube = np.zeros(norm2.shape)
     cube[ball] = _weight_table(TWO_PI**d if coupling is None else coupling, N, s)[norm2[ball]]
     return cube
@@ -133,10 +114,7 @@ def _weight_table(coupling, N: int, s: float) -> np.ndarray:
 
 def c_variance(d: int, N: int) -> float:
     """C_N = sum over K_N of 1/lambda_k, the truncated-field variance."""
-    norm2, ball = _ball(d, N)
-    coupling = TWO_PI**d
-    table = np.array([1.0 / float(1 + coupling * n) for n in range(N * N + 1)])
-    return math.fsum(table[norm2[ball]].tolist())
+    return math.fsum(inverse_weight_cube(d, N, 1.0).ravel().tolist())  # zero off K_N
 
 
 def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
@@ -165,9 +143,8 @@ def cosine_sum(cube: np.ndarray, x) -> float:
     """
     d, R = cube.ndim, cube.shape[0] // 2
     xs = as_point(x, d)
-    _, ball = _ball(d, R)
     phase = sum(k * xi for k, xi in zip(np.ix_(*[np.arange(-R, R + 1)] * d), xs))
-    return math.fsum((cube * np.cos(TWO_PI * phase))[ball].tolist())
+    return math.fsum((cube * np.cos(TWO_PI * phase))[_l1_mask(d, R)].tolist())
 
 
 def green_truncated(x, d: int, N: int) -> float:
@@ -385,8 +362,10 @@ def constant_term(*cubes: np.ndarray) -> float:
 
     This is the constant term of the product of their trigonometric
     polynomials. Two cubes give the dot product of a and the reversed b on
-    their common box, summed pairwise, whatever their symmetry. Three or
-    more must each be even under k -> -k, as every reducer weight is: their
+    their common box, whatever their symmetry: each slab along the first
+    axis is summed pairwise (a running dot loses ~1e-13) and the slab sums
+    by math.fsum, so no product of the box's size is built. Three or more
+    must each be even under k -> -k, as every reducer weight is: their
     constant term is convolution_window at radius 0, the mean of the
     product over the two grids of lattice_rule_size, sized by the sum of the
     radii, with no inverse transform.
@@ -394,7 +373,8 @@ def constant_term(*cubes: np.ndarray) -> float:
     if len(cubes) == 2:
         radii = [c.shape[0] // 2 for c in cubes]
         a, b = (_crop(c, R, min(radii)) for c, R in zip(cubes, radii))
-        return float(np.sum(a * np.flip(b)))  # pairwise: a running dot loses ~1e-13
+        fb = np.flip(b)
+        return math.fsum(float(np.sum(a[i] * fb[i])) for i in range(len(a)))
     return convolution_window(*cubes, radius=0).item()
 
 
@@ -550,10 +530,10 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
     return cube[tuple(sl for _ in range(cube.ndim))]
 
 
-def _rule_spectra(block: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
+def _rule_spectra(block: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
     """Transforms on both grids of a block, shape (2, M, ..., M), written to
-    out when given (a complex buffer of that shape, reused by a caller that
-    transforms many blocks) and otherwise to a new array.
+    out (a complex buffer of that shape, reused by a caller that transforms
+    many blocks).
 
     block[i] holds the coefficient of the momentum lo + i. Row g of the result
     is sum_i block[i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
@@ -564,10 +544,7 @@ def _rule_spectra(block: np.ndarray, M: int, out: np.ndarray | None = None) -> n
     the block and the (2, M, ..., M) result is built.
     """
     dim = block.ndim
-    if out is None:
-        out = np.zeros((2,) + (M,) * dim, complex)
-    else:
-        out.fill(0)
+    out.fill(0)
     _fold(block, 0, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))

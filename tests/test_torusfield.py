@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +46,18 @@ class TestLattice:
         neg = {tuple(-c for c in k) for k in pos}
         assert pos.isdisjoint(neg)
         assert len(pos) * 2 + 1 == len(lat.modes)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", range(7))
+    def test_modes_match_sorted_brute_force(self, d, N):
+        # mode_labels, and with them the seed stream, follow this order
+        ball = sorted(
+            k for k in itertools.product(range(-N, N + 1), repeat=d) if sum(map(abs, k)) <= N
+        )
+        lat = ModeLattice(d, N)
+        assert lat.modes == ball
+        first_nonzero_positive = [k for k in ball if next((c for c in k if c), 0) > 0]
+        assert lat.positive_modes() == first_nonzero_positive
 
     def test_weights_positive(self):
         lat = ModeLattice(3, 2)
@@ -96,7 +110,7 @@ class TestWeightTables:
         b = tf.batch_amplitudes(lat, GFF, 5, seed=7, weights=weights)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("d, N", [(1, 0), (1, 40), (2, 12), (3, 6)])
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 40), (1, 128), (2, 12), (2, 16), (3, 6)])
     def test_c_variance_matches_per_mode_fsum(self, d, N):
         lat = ModeLattice(d, N)
 
@@ -698,6 +712,28 @@ class TestConstantTerm:
         a = ModeLattice(2, 3).inverse_weight_cube()
         noisy = a + 1e-3 * (1 - tf._l1_mask(2, 3))
         assert tf.constant_term(noisy, a, a) == tf.constant_term(a.copy(), a, a)
+
+    @pytest.mark.parametrize("d, radii", [(1, (7, 3)), (2, (2, 6)), (3, (5, 4))])
+    def test_two_cubes_match_fsum_of_the_product(self, d, radii):
+        # no symmetry and no l1 support: the common box, b reversed
+        rng = np.random.default_rng(11)
+        a, b = (rng.standard_normal((2 * R + 1,) * d) for R in radii)
+        r = min(radii)
+        a_box, b_box = (tf._crop(c, R, r) for c, R in zip((a, b), radii))
+        terms = (a_box * np.flip(b_box)).ravel().tolist()
+        got = tf.constant_term(a, b)
+        assert abs(got - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
+
+    def test_two_cubes_build_no_product_of_the_box(self):
+        rng = np.random.default_rng(12)
+        a, b = (rng.standard_normal((41,) * 3) for _ in range(2))
+        tracemalloc.start()
+        try:
+            tf.constant_term(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes
 
     def test_rejects_a_cube_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
