@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -286,6 +287,19 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _series_dimension(text: str):
+    """phi4's --d: 1, 2 or 3 as an int (so 3.0 reads as 3), or a float in (3, 4)."""
+    try:
+        d = float(text)
+    except ValueError:
+        d = math.nan
+    if d in (1, 2, 3):
+        return int(d)
+    if 3 < d < 4:
+        return d
+    raise argparse.ArgumentTypeError(f"takes 1, 2, 3 or a dimension in (3, 4), got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wickworks",
@@ -309,7 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagrams)
 
     p = sub.add_parser("phi4", help="partition-ratio series and optional Monte Carlo")
-    p.add_argument("--d", type=int, required=True, choices=[1, 2, 3])
+    p.add_argument(
+        "--d",
+        type=_series_dimension,
+        required=True,
+        help="1, 2 or 3, or a fractional 3 < d < 4: the plain Wick series with edge "
+        "weight lambda^-(5-d)/2 and no counterterm block (no --mc)",
+    )
     p.add_argument("--N", type=int, default=None, help="cutoff; required without --ladder")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--mc", action="store_true")

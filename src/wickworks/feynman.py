@@ -53,7 +53,6 @@ from .torusfield import (
     ModeLattice,
     _crop,
     _grid_values,
-    _l1_mask,
     _phase_sum,
     _rule_spectra,
     _smooth_len,
@@ -717,10 +716,10 @@ class _Weight:
     weights are even. They also read each strand only on the l1 ball of the
     radius it was read at, which is all that the window's own l1 ball of
     radius r draws on. Every reader in turn uses only the l1 ball of radius
-    r of a window(r) (a whole read is its support, and the K4 core masks
-    F_cd to it), so a window's entries off that ball, which need not match
-    the linear convolution when a strand was cut to a smaller box, are
-    never read.
+    r of a window(r) (a whole read is its support, and _grid_values masks
+    the K4 core's F_cd to it), so a window's entries off that ball, which
+    need not match the linear convolution when a strand was cut to a
+    smaller box, are never read.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
@@ -868,9 +867,12 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     degree at most R_ac + R_bc + r. The two-grid lattice rule of
     torusfield.lattice_rule_size, on a 5-smooth M, integrates it exactly:
     V_p is the mean of a_p b_p f over both grids, with no linear convolution
-    and no inverse transform. The degree is taken from the radii, and the
-    roundoff that FFT-built bundles carry off their balls is zeroed, so the
-    rule is exact for what is summed. A_p and B_p are sliced on their box
+    and no inverse transform. The degree is taken from the radii, and every
+    window is read as it comes: a whole read is exactly zero off its l1 ball
+    (the base cube is zero off K_N, convolution_window sets the entries
+    beyond its strands' radii to 0, and a series node is a product with a
+    whole read), and _grid_values masks F_cd to its ball, so the rule is
+    exact for what is summed. A_p and B_p are sliced on their box
     intersections and share one complex transform per grid (_packed_mean).
     """
     vs = sorted(adj)
@@ -888,12 +890,8 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
         for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd), (c, dd))
     )
     r = min(F_ac.radius + F_bc.radius, F_cd.radius)
-    # zero the roundoff off each l1 ball, so the degree below bounds the sum
-    cubes = [(w.window(w.radius), w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)]
-    cubes.append((F_cd.window(r), r))
-    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
-        _Weight(cube * _l1_mask(cube.ndim, radius), radius) for cube, radius in cubes
-    )
+    reads = [(w, w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)] + [(F_cd, r)]
+    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (_Weight(w.window(rw), rw) for w, rw in reads)
     for w in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd):
         _check_hyperoctahedral(w.cube)
     dim = F_ab.cube.ndim

@@ -97,49 +97,40 @@ def _quartic_diagrams(n: int, m: int = 0) -> DiagramSum:
 def partition_ratio_series(d, N: int, order: int) -> ExpansionSeries:
     """Expansion of Z_alpha / Z_0 for the Wick-ordered quartic energy.
 
-    At d = 3 the counterterms are included: the series is exp(-gamma) times
-    the mixed-moment expansion with the mass insertion beta. At d = 1, 2 it is
-    the plain Wick-variant series.
+    Every coefficient stores the order-n quartic matchings and the prefactor
+    (-1)^n / n!. At d = 3 the counterterms are included: the values are those
+    of exp* of the renormalized log-series (_mixed_log_coefficients, which
+    starts at alpha^4), so they stay bounded in the cutoff. At any other d
+    (1, 2, or 3 < d < 4) it is the plain Wick-variant series.
     """
     _check_order(order)
+    sums = [_quartic_diagrams(n) for n in range(order + 1)]
     if d == 3:
-        return _renormalized_ratio_series(N, order)
-    series = ExpansionSeries(d, N, order, "wick")
-    for n in range(order + 1):
-        diagrams = _quartic_diagrams(n)
-        pref = Fraction((-1) ** n, factorial(n))
-        # + 0.0: a negative prefactor times a vanishing valuation is -0.0
-        value = float(pref) * fy.valuate_sum(diagrams, d, N) + 0.0
-        series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
-    return series
+        logc, _ = _mixed_log_coefficients(N, order)
+        # exp* of the functional n! c_n, taken exactly so that each value is
+        # rounded once: n! c_n / n! in floats can move the last bit
+        psi = Functional([factorial(n) * Fraction(c) for n, c in enumerate(logc)])
+        values = [float(v / factorial(n)) for n, v in enumerate(exp_star(psi).values)]
+        return _series(3, N, order, "renormalized", sums, values)
+    return _series(d, N, order, "wick", sums, _signed(fy.valuate_sum(s, d, N) for s in sums))
 
 
-def _renormalized_ratio_series(N: int, order: int) -> ExpansionSeries:
-    """Z-ratio at d = 3: exponential of the counterterm-subtracted log-series.
+def _prefactor(n: int) -> Fraction:
+    return Fraction((-1) ** n, factorial(n))
 
-    The stored diagrams are the quartic-vertex matchings of each order; the
-    numeric coefficients come from exponentiating the renormalized log-series
-    (which starts at alpha^4), so they stay bounded in the cutoff.
-    """
-    logc, _ = _mixed_log_coefficients(N, order)
-    values = [0.0] * (order + 1)
-    values[0] = 1.0
-    # exp of a truncated series: v_n = (1/n) sum_{j>=1} j c_j v_{n-j}
-    for n in range(1, order + 1):
-        acc = 0.0
-        for j in range(1, n + 1):
-            acc += j * logc[j] * values[n - j]
-        values[n] = acc / n
-    series = ExpansionSeries(3, N, order, "renormalized")
-    for n in range(order + 1):
-        series.coefficients.append(
-            SeriesCoefficient(
-                n,
-                Fraction((-1) ** n, factorial(n)),
-                _quartic_diagrams(n),
-                values[n],
-            )
-        )
+
+def _signed(values) -> list[float]:
+    """The prefactor of each order n times the n-th of the given values."""
+    # + 0.0: a negative prefactor times a vanishing valuation is -0.0
+    return [float(_prefactor(n)) * v + 0.0 for n, v in enumerate(values)]
+
+
+def _series(d, N: int, order: int, variant: str, sums, values) -> ExpansionSeries:
+    """The series whose order-n coefficient has the diagram sum sums[n], the
+    prefactor (-1)^n / n! and the value values[n]."""
+    series = ExpansionSeries(d, N, order, variant)
+    for n, (diagrams, value) in enumerate(zip(sums, values, strict=True)):
+        series.coefficients.append(SeriesCoefficient(n, _prefactor(n), diagrams, value))
     return series
 
 
@@ -180,12 +171,7 @@ def log_partition_series(d, N: int, order: int, route: str = "connected") -> Exp
         sums = log_star(full).values
     else:
         raise ValueError(f"unknown route {route!r}")
-    series = ExpansionSeries(d, N, order, "log-wick")
-    for n, diagrams in enumerate(sums):
-        pref = Fraction((-1) ** n, factorial(n))
-        value = float(pref) * fy.valuate_sum(diagrams, d, N) + 0.0
-        series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
-    return series
+    return _series(d, N, order, "log-wick", sums, _signed(fy.valuate_sum(s, d, N) for s in sums))
 
 
 def exp_of_log_series(d, N: int, order: int) -> list[DiagramSum]:
@@ -245,17 +231,15 @@ def two_point_series(d, N: int, order: int, x, y) -> ExpansionSeries:
     if order > 2:
         raise ValueError("two-point series supports order <= 2")
     _check_order(order)
-    series = ExpansionSeries(d, N, order, "two-point")
-    for n, diagrams in enumerate(_two_point_sums(order)):
-        pref = Fraction((-1) ** n, factorial(n))
-        value = float(pref) * math.fsum(
+    sums = _two_point_sums(order)
+    values = _signed(
+        math.fsum(
             float(c) * _external_value(g, d, N, x, y)
-            for g, c in sorted(
-                diagrams.terms.items(), key=lambda item: item[0].canonical_key()
-            )
-        ) + 0.0
-        series.coefficients.append(SeriesCoefficient(n, pref, diagrams, value))
-    return series
+            for g, c in sorted(s.terms.items(), key=lambda item: item[0].canonical_key())
+        )
+        for s in sums
+    )
+    return _series(d, N, order, "two-point", sums, values)
 
 
 def _two_point_sums(order: int) -> list[DiagramSum]:
@@ -342,7 +326,7 @@ def _mixed_log_coefficients(N: int, order: int) -> tuple[list[float], list[float
                 continue
             # the exact weight goes into the diagram sum, so classes that
             # cancel in it cancel before any float is formed
-            weight = Fraction((-1) ** k, factorial(k)) * Fraction(1, factorial(m))
+            weight = _prefactor(k) * Fraction(1, factorial(m))
             term = (-beta2) ** m * fy.valuate_sum(conn * weight, 3, N)
             total += term
             scale += abs(term)
@@ -359,7 +343,7 @@ def _bphz_log_coefficients(N: int, order: int) -> tuple[list[float], list[float]
     scales = [0.0] * (order + 1)
     for n in range(1, order + 1):
         conn = _quartic_diagrams(n).filter_connected()
-        pref = Fraction((-1) ** n, factorial(n))
+        pref = _prefactor(n)
         total = scale = 0.0
         for g, c in sorted(conn.terms.items(), key=lambda i: i[0].canonical_key()):
             term = float(c) * fy.bphz_valuate(g, 3, N)
@@ -380,8 +364,7 @@ def wick_map_commutativity_check(N: int, order: int = 4) -> list[dict]:
     |term| (|gamma_n| included), so a roundoff residue on a row whose exact
     value is 0 reads about 1e-16 rather than 1, and an exact zero reads 0.0.
     """
-    if order > 4:
-        raise ValueError("commutativity check supports order <= 4")
+    _check_order(order)
     mixed, mixed_scales = _mixed_log_coefficients(N, order)
     bphz, bphz_scales = _bphz_log_coefficients(N, order)
     report = []
@@ -463,13 +446,13 @@ def divergent_families_at(d) -> dict[int, bool]:
     }
 
 
-def sigma_counterterm(d, N: int, n: int, normalization: float = 1.0) -> float:
+def sigma_counterterm(d, N: int, n: int) -> float:
     """Model mass-insertion constants for fractional d (one concrete choice).
 
     sigma_2 is pinned by the d = 3 mass counterterm (beta = a^2/2 sigma_2
-    means sigma_2 = -96 Pi(3-banana)); higher orders valuate the minimal
-    subdivergence families with an adjustable normalization, and are expected
-    to diverge like N^(2 - (4-d) n).
+    means sigma_2 = -96 Pi(3-banana)); a higher order n is the plain sum of
+    the divergent minimal subdivergence families of n vertices, expected to
+    diverge like N^(2 - (4-d) n).
     """
     if n < 2:
         raise ValueError("mass insertions start at order 2")
@@ -478,9 +461,7 @@ def sigma_counterterm(d, N: int, n: int, normalization: float = 1.0) -> float:
     for g in fams:
         if fy.degree(g, d) <= 0:
             total += fy.valuate_cached(g, d, N)
-    if n == 2:
-        return -96.0 * total
-    return normalization * total
+    return -96.0 * total if n == 2 else total
 
 
 # ---------------------------------------------------------------------------

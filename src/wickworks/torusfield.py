@@ -724,20 +724,15 @@ def _smooth_len(n: int) -> int:
         m += 1
 
 
-def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
+def convolve_cubes(*cubes: np.ndarray) -> np.ndarray:
     """Exact linear convolution of any number of centered cubes via FFT.
 
     This is the reference the tests hold convolution_window and
     constant_term against; the valuation does not call it. It needs no
-    symmetry of its inputs and no l1 support. The linear output side per
-    axis is n_out = (sum of the input sides) - (n - 1). With radius=None
-    the whole output is returned; with a radius r, only its central window
-    of side 2r + 1 (the inputs must be odd-sided).
-    The transforms run on the smallest 5-smooth length L that holds every
-    input and leaves the window free of wraparound: a cyclic convolution of
-    length L keeps linear indices lo..hi clean when L >= hi + 1 and
-    L >= n_out - lo. For inputs whose radii sum to S that is L >= S + r + 1,
-    so a small window costs about half the full length per axis.
+    symmetry of its inputs and no l1 support, and it returns the whole
+    convolution: n_out = (sum of the input sides) - (n - 1) per axis, with
+    the transforms on the smallest 5-smooth length that holds n_out, so no
+    output entry wraps around.
     Inputs are matched by identity: each distinct array is transformed once
     and its spectrum raised to its multiplicity, so an m-fold bundle of one
     cube costs one forward and one inverse transform. The spectra are
@@ -747,21 +742,7 @@ def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
     if not cubes:
         raise ValueError("need at least one cube")
     out_shape = tuple(sum(sides) - (len(cubes) - 1) for sides in zip(*(c.shape for c in cubes)))
-    if radius is None:
-        window = [(0, n - 1) for n in out_shape]
-    elif all(n % 2 and 0 <= radius <= n // 2 for n in out_shape):
-        window = [(n // 2 - radius, n // 2 + radius) for n in out_shape]
-    else:
-        raise ValueError(
-            f"a window of radius {radius} needs odd-sided inputs whose radii sum to at least it"
-        )
-    fft_shape = tuple(
-        _smooth_len(max(hi + 1, n - lo, *(c.shape[ax] for c in cubes)))
-        for ax, ((lo, hi), n) in enumerate(zip(window, out_shape))
-    )
-    assert all(
-        L >= hi + 1 and L >= n - lo for L, (lo, hi), n in zip(fft_shape, window, out_shape)
-    ), "the window would wrap around"
+    fft_shape = tuple(_smooth_len(n) for n in out_shape)
     axes = tuple(range(len(out_shape)))
     distinct = {id(cube): cube for cube in cubes}
     mults = Counter(id(cube) for cube in cubes)
@@ -776,7 +757,7 @@ def convolve_cubes(*cubes: np.ndarray, radius: int | None = None) -> np.ndarray:
             acc *= spec
         del spec  # free it before the next forward transform allocates
     out = np.fft.irfftn(acc, fft_shape, axes=axes)
-    return out[tuple(slice(lo, hi + 1) for lo, hi in window)]
+    return out[tuple(slice(0, n) for n in out_shape)]
 
 
 def wick_integral_variance(d: int, N: int, n: int) -> float:

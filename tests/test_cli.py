@@ -100,6 +100,27 @@ class TestPhi4Cmd:
         assert "counterterms" in data
         assert "2" in data["counterterms"]["beta"]
 
+    @pytest.mark.parametrize("d", ["3", "3.0"])
+    def test_integral_d_prints_an_int(self, capsys, d):
+        code, out, _ = run(capsys, "phi4", "--d", d, "--N", "2", "--order", "2")
+        assert code == 0
+        assert type(json.loads(out)["series"]["d"]) is int
+
+    def test_fractional_d_prints_the_plain_series(self, capsys):
+        code, out, _ = run(capsys, "phi4", "--d", "3.5", "--N", "4", "--order", "4")
+        data = json.loads(out)
+        assert code == 0
+        assert data["series"]["d"] == 3.5
+        assert data["series"]["variant"] == "wick"
+        assert "counterterms" not in data
+
+    @pytest.mark.parametrize("d", ["4", "2.5", "x"])
+    def test_d_outside_the_series_range_names_the_flag(self, capsys, d):
+        with pytest.raises(SystemExit) as exc:
+            main(["phi4", "--d", d, "--N", "4", "--order", "2"])
+        assert exc.value.code == 2
+        assert "--d" in capsys.readouterr().err
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run(capsys, "phi4", "--d", "1", "--N", "4", "--mc")
         assert code == 2
@@ -113,6 +134,7 @@ class TestPhi4Cmd:
             (("--d", "2", "--alpha", "inf", "--seed", "1"), "alpha"),
             (("--d", "2", "--alpha", "0.05", "--seed", "-3"), "seed"),
             (("--d", "3", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
+            (("--d", "3.5", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
         ],
     )
     def test_mc_rejects_arguments_before_the_series(self, capsys, monkeypatch, argv, name):

@@ -856,6 +856,22 @@ class TestK4Orbits:
                 k4_doubled_per_momentum(d, N), rel=1e-12
             )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_whole_reads_are_zero_off_their_balls(self, d):
+        # the K4 core reads five of its six windows whole, with no mask, so
+        # the lattice rule's degree bound needs them exactly zero off the l1
+        # ball: a leaf, two- and three-strand bundles, and a series node
+        # whose first part (the three-strand bundle) is not read whole
+        N = 3
+        nodes: dict = {}
+        leaf = fy._Weight(fy._base_weight(d, N, fy._edge_exponent(d)), N)
+        two = fy._Weight.bundle([leaf, leaf], nodes)
+        three = fy._Weight.bundle([leaf, two, leaf], nodes)
+        for w in (leaf, two, three, three.series(two, nodes)):
+            cube = w.window(w.radius)
+            assert np.any(cube != 0.0)
+            assert np.all(cube[~tf._l1_mask(d, w.radius)] == 0.0), (d, w.move, w.radius)
+
     def test_k4_at_zero_cutoff(self):
         # N = 0 leaves the zero mode alone: every weight is 1, the lattice
         # rule has M = 1, and the core is exactly 1

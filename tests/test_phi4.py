@@ -73,6 +73,32 @@ class TestRenormalizedSeries:
         v = [partition_ratio_series(3, N, 4).coefficient(4).value for N in (2, 3)]
         assert abs(v[1] - v[0]) < 0.1 * abs(v[1])
 
+    @staticmethod
+    def truncated_exp(logc):
+        """exp of a truncated series by v_n = (1/n) sum_{j>=1} j c_j v_{n-j}."""
+        values = [1.0] + [0.0] * (len(logc) - 1)
+        for n in range(1, len(logc)):
+            acc = 0.0
+            for j in range(1, n + 1):
+                acc += j * logc[j] * values[n - j]
+            values[n] = acc / n
+        return values
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("N", [2, 4, 8, 16])
+    def test_exp_star_keeps_the_recursion_bits(self, N, order):
+        logc, _ = phi4._mixed_log_coefficients(N, order)
+        got = [c.value for c in partition_ratio_series(3, N, order).coefficients]
+        assert list(map(float.hex, got)) == list(map(float.hex, self.truncated_exp(logc)))
+
+    def test_exp_star_is_the_exponential(self, monkeypatch):
+        # a log-series with every low coefficient nonzero, which the d = 3
+        # one never has: exp* still agrees with the recursion to roundoff
+        logc = [0.0, 0.3, -1.7, 2.5, 11.0]
+        monkeypatch.setattr(phi4, "_mixed_log_coefficients", lambda N, order: (logc, None))
+        got = [c.value for c in partition_ratio_series(3, 4, 4).coefficients]
+        assert got == pytest.approx(self.truncated_exp(logc), rel=1e-15, abs=0)
+
 
 class TestLinkedCluster:
     def test_routes_agree_exactly(self):
@@ -300,6 +326,10 @@ class TestCommutativity:
                 assert row[key] == 0.0, row
         series = partition_ratio_series(3, N, 3)
         assert [c.value for c in series.coefficients[1:]] == [0.0, 0.0, 0.0]
+
+    def test_order5_is_beyond_the_valuation_limit(self):
+        with pytest.raises(ValueError, match="valuation limit"):
+            wick_map_commutativity_check(4, 5)
 
     def test_order4_routes_agree(self):
         report = wick_map_commutativity_check(4, order=4)
