@@ -34,9 +34,11 @@ orbit size. Each term is the mean of a trigonometric polynomial over two
 interleaved grids, a rank-2 lattice rule (Sloan & Joe 1994) sized to
 integrate it exactly. Renormalization follows the extraction-contraction
 coproduct: divergent connected full subgraphs are extracted in all
-vertex-disjoint families, and the (twisted) antipode recursion assembles the
-subtracted valuation as an exact rational combination of diagram products
-before any float is produced.
+vertex-disjoint families (spinneys), and the (twisted) antipode recursion
+assembles the subtracted valuation as an exact rational combination of
+diagram products before any float is produced. One extraction pass serves
+the coproduct and both antipodes: it yields each spinney's parts with the
+contraction of the rest.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class Diagram:
             for v in range(nvertices):
                 if degs[v] == 0:
                     raise ValueError(f"vertex {v} is isolated")
-        self._key = None
+        # a canonical form is its own key
+        self._key = (nvertices, self.edges, self.labels) if _canonical else None
 
     # -- structure ---------------------------------------------------------
 
@@ -139,10 +142,7 @@ class Diagram:
         return self._key
 
     def canonical(self) -> "Diagram":
-        key = self.canonical_key()
-        g = Diagram(*key, _canonical=True)
-        g._key = key  # a canonical form is its own key
-        return g
+        return Diagram(*self.canonical_key(), _canonical=True)
 
     def __eq__(self, other):
         return isinstance(other, Diagram) and self.canonical_key() == other.canonical_key()
@@ -483,9 +483,7 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     numerator *= math.prod(factorial(a) for a in arities)
     out = {}
     for (_, edges, labels), aut in states.items():
-        key = (n, edges, labels)
-        g = Diagram(*key, _canonical=True)
-        g._key = key
+        g = Diagram(n, edges, labels, _canonical=True)
         out[g] = Fraction(numerator, aut * math.prod(factorial(m) for _, m in edges))
     return DiagramSum(out)
 
@@ -550,11 +548,12 @@ def proper_divergent_subgraphs(g: Diagram, d) -> list[tuple[frozenset, Diagram]]
     """Connected full subgraphs on >= 2 vertices with deg <= 0, proper in g.
 
     Returned as (vertex set, induced diagram) pairs; these are the candidates
-    the extraction-contraction coproduct sums over.
+    the extraction-contraction coproduct sums over. The full subgraph on all
+    of g's vertices is g itself, so the sizes stop short of it.
     """
     out = []
     n = g.nvertices
-    for size in range(2, n + 1):
+    for size in range(2, n):
         for subset in itertools.combinations(range(n), size):
             inside = set(subset)
             touched = set()
@@ -565,11 +564,7 @@ def proper_divergent_subgraphs(g: Diagram, d) -> list[tuple[frozenset, Diagram]]
             if touched != inside:
                 continue  # an isolated vertex cannot join a full subgraph
             sub = g.induced(subset)
-            if sub.n_edges() == 0 or not is_connected(sub):
-                continue
-            if size == n and sub.n_edges() == g.n_edges():
-                continue  # the whole diagram is not a proper subgraph
-            if degree(sub, d) <= 0:
+            if is_connected(sub) and degree(sub, d) <= 0:
                 out.append((frozenset(subset), sub))
     return out
 
@@ -583,22 +578,30 @@ def weinberg_check(g: Diagram, d) -> bool:
     return degree(g, d) > 0 and not proper_divergent_subgraphs(g, d)
 
 
-def _spinneys(g: Diagram, d) -> list[list[tuple[frozenset, Diagram]]]:
-    """Nonempty families of pairwise vertex-disjoint divergent full subgraphs."""
+def _extractions(g: Diagram, d):
+    """Yield (parts, contracted) for each spinney of g: a nonempty family of
+    pairwise vertex-disjoint divergent full subgraphs, and g with each of
+    their vertex sets contracted to one vertex. This one pass serves the
+    coproduct and both antipodes."""
     candidates = proper_divergent_subgraphs(g, d)
-    out = []
 
-    def rec(start, used, current):
+    def rec(start, used, family):
         for idx in range(start, len(candidates)):
             vs, sub = candidates[idx]
             if vs & used:
                 continue
-            chosen = current + [(vs, sub)]
-            out.append(chosen)
-            rec(idx + 1, used | vs, chosen)
+            chosen = family + [(vs, sub)]
+            yield [s for _, s in chosen], g.contract([v for v, _ in chosen])
+            yield from rec(idx + 1, used | vs, chosen)
 
-    rec(0, frozenset(), [])
-    # a single part equal to the whole diagram was already excluded as improper
+    return rec(0, frozenset(), [])
+
+
+def _product(sums) -> DiagramSum:
+    """The product of DiagramSums, folded from the unit: the unit for none."""
+    out = DiagramSum.unit()
+    for s in sums:
+        out = out * s
     return out
 
 
@@ -626,52 +629,36 @@ def ck_coproduct(g: Diagram, d) -> list[TensorPair]:
     """Delta(Gamma) = Gamma x 1 + 1 x Gamma + sum over spinneys of parts x contraction."""
     if not is_connected(g):
         raise ValueError("the coproduct acts on connected diagrams")
-    terms = [
+    return [
         TensorPair(DiagramSum.of(g), DiagramSum.unit()),
         TensorPair(DiagramSum.unit(), DiagramSum.of(g)),
+    ] + [
+        TensorPair(_product(map(DiagramSum.of, parts)), DiagramSum.of(contracted))
+        for parts, contracted in _extractions(g, d)
     ]
-    for family in _spinneys(g, d):
-        left = DiagramSum.unit()
-        for _, sub in family:
-            left = left * DiagramSum.of(sub)
-        right = g.contract([vs for vs, _ in family])
-        terms.append(TensorPair(left, DiagramSum.of(right)))
-    return terms
 
 
 def _antipode_connected(g: Diagram, d, _depth=0) -> DiagramSum:
     if _depth > 16:
         raise RecursionError("antipode recursion budget exceeded")
     acc = DiagramSum.of(g, -1)
-    for family in _spinneys(g, d):
-        left = DiagramSum.unit()
-        for _, sub in family:
-            left = left * _antipode_connected(sub, d, _depth + 1)
-        right = g.contract([vs for vs, _ in family])
-        acc = acc - left * DiagramSum.of(right)
+    for parts, contracted in _extractions(g, d):
+        left = _product(_antipode_connected(sub, d, _depth + 1) for sub in parts)
+        acc = acc - left * DiagramSum.of(contracted)
     return acc
 
 
 def antipode(g: Diagram, d) -> DiagramSum:
     """A(Gamma) = -Gamma - sum A(extracted) . (contracted), multiplicative on unions."""
-    if g.nvertices == 0:
-        return DiagramSum.unit()
-    out = DiagramSum.unit()
-    for comp in connected_components(g):
-        out = out * _antipode_connected(comp, d)
-    return out
+    return _product(_antipode_connected(c, d) for c in connected_components(g))
 
 
 def twisted_antipode(g: Diagram, d) -> DiagramSum:
     """A tilde: the antipode gated by divergence, zero on deg > 0 components."""
-    if g.nvertices == 0:
-        return DiagramSum.unit()
-    out = DiagramSum.unit()
-    for comp in connected_components(g):
-        if degree(comp, d) > 0:
-            return DiagramSum.zero()
-        out = out * _antipode_connected(comp, d)
-    return out
+    comps = connected_components(g)
+    if any(degree(c, d) > 0 for c in comps):
+        return DiagramSum.zero()
+    return _product(_antipode_connected(c, d) for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -738,20 +725,18 @@ class _Weight:
         self._windows: dict = {}
 
     @classmethod
-    def bundle(cls, parts, nodes: dict | None = None) -> "_Weight":
+    def bundle(cls, parts, nodes: dict) -> "_Weight":
         parts = tuple(parts)
         return cls._node("bundle", sum(w.radius for w in parts), parts, nodes)
 
-    def series(self, other: "_Weight", nodes: dict | None = None) -> "_Weight":
+    def series(self, other: "_Weight", nodes: dict) -> "_Weight":
         return self._node("series", min(self.radius, other.radius), (self, other), nodes)
 
     @classmethod
-    def _node(cls, move: str, radius: int, parts: tuple, nodes: dict | None) -> "_Weight":
-        """A new node, or the one nodes already holds under the key
-        (move, parts). The key keeps the order of the parts, which sets the
-        order of the strands into their transforms and so the roundoff."""
-        if nodes is None:
-            return cls(None, radius, move, parts)
+    def _node(cls, move: str, radius: int, parts: tuple, nodes: dict) -> "_Weight":
+        """The node nodes holds under the key (move, parts), made on first use.
+        The key keeps the order of the parts, which sets the order of the
+        strands into their transforms and so the roundoff."""
         key = (move, parts)
         if key not in nodes:
             nodes[key] = cls(None, radius, move, parts)
@@ -1052,8 +1037,7 @@ def valuate(g: Diagram, d, N: int) -> float:
 
 @lru_cache(maxsize=None)
 def _valuate_cached(key, d, N) -> float:
-    g = Diagram(key[0], key[1], key[2], _canonical=True)
-    return valuate(g, d, N)
+    return valuate(Diagram(*key, _canonical=True), d, N)
 
 
 def valuate_cached(g: Diagram, d, N: int) -> float:
@@ -1086,9 +1070,7 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
         raise ValueError(f"unknown route {route!r}")
     acc = DiagramSum.zero()
     for pair in ck_coproduct(g, d):
-        left = DiagramSum.unit()
-        for gl, cl in pair.left.terms.items():
-            left = left * twisted_antipode(gl, d) * cl
+        left = _product(twisted_antipode(gl, d) * cl for gl, cl in pair.left.terms.items())
         acc = acc + left * pair.right
     return valuate_sum(acc, d, N)
 
