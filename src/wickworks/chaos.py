@@ -299,17 +299,12 @@ def inner(F: ChaosElement, G: ChaosElement):
     return total
 
 
-def wiener_isometry(f: SymTensor, normalized: bool = False) -> ChaosElement:
+def wiener_isometry(f: SymTensor) -> ChaosElement:
     """I-hat_n(f): linear extension of e_k -> Phi_k over the basis tensors.
 
-    The normalized variant I_n = I-hat_n / sqrt(n!) is irrational for most n,
-    so it is exposed only through squared quantities; requesting it raises.
+    The normalized I_n = I-hat_n / sqrt(n!) is irrational for most n, so it
+    is exposed only through squared quantities.
     """
-    if normalized:
-        raise ValueError(
-            "normalized isometry introduces sqrt(n!); use the unnormalized "
-            "variant and square inner products instead"
-        )
     out = {}
     n = f.rank
     for key, v in f.coeffs.items():
@@ -569,6 +564,7 @@ def moment_equivalence_report(F: ChaosElement, p: int):
     """Exact (E[F^{2p}], (2p-1)^{np} E[F^2]^p) for homogeneous F of grade n.
 
     The hypercontractive bound says lhs <= rhs; both sides are exact rationals.
+    E[F^{2p}] is read as E[P^2] = inner(P, P) with P = F^p.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -576,11 +572,6 @@ def moment_equivalence_report(F: ChaosElement, p: int):
         raise ValueError("moment equivalence applies to homogeneous elements")
     n = max(F.grades(), default=0)
     power = ChaosElement.constant(F.dim, 1)
-    for _ in range(2 * p):
+    for _ in range(p):
         power = _multiply_direct(power, F)
-    lhs = expectation(power)
-    f2 = ChaosElement.constant(F.dim, 1)
-    for _ in range(2):
-        f2 = _multiply_direct(f2, F)
-    rhs = Fraction(2 * p - 1) ** (n * p) * expectation(f2) ** p
-    return lhs, rhs
+    return inner(power, power), Fraction(2 * p - 1) ** (n * p) * inner(F, F) ** p

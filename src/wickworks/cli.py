@@ -39,8 +39,7 @@ def _json_default(obj):
 
 def cmd_hermite(args) -> int:
     if args.n > 64:
-        print("error: orders above 64 are not supported", file=sys.stderr)
-        return 2
+        raise ValueError("orders above 64 are not supported")
     if args.sigma2 is not None:
         poly = polyalg.hermite_scaled(args.n, Fraction(args.sigma2))
     else:
@@ -63,12 +62,10 @@ def cmd_hermite(args) -> int:
 
 def cmd_diagrams(args) -> int:
     if args.n_vertices < 0:
-        print(f"error: n_vertices must be >= 0, got {args.n_vertices}", file=sys.stderr)
-        return 2
+        raise ValueError(f"n_vertices must be >= 0, got {args.n_vertices}")
     arities = [args.arity] * args.n_vertices
     if sum(arities) % 2:
-        print("error: odd total leg count has no pairings", file=sys.stderr)
-        return 2
+        raise ValueError("odd total leg count has no pairings")
     sums = fy.generate_diagrams(arities)
     if args.connected:
         sums = sums.filter_connected()
@@ -105,36 +102,30 @@ def cmd_phi4(args) -> int:
             names = f"{', '.join(rest)} and {last}" if rest else last
             print(f"warning: {names} {'are' if rest else 'is'} ignored without --mc",
                   file=sys.stderr)
-    try:
-        if args.ladder is not None:
-            if args.mc:
-                raise ValueError("--mc cannot run with --ladder, which prints only the series")
-            if args.N is not None:
-                print(f"warning: --ladder sets the cutoffs; --N {args.N} is ignored",
-                      file=sys.stderr)
-            try:
-                cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
-            except ValueError:
-                cutoffs = []
-            if not cutoffs:
-                raise ValueError(
-                    f"--ladder takes a comma list of integer cutoffs, got {args.ladder!r}"
-                )
-            csv = phi4.coefficient_ladder_csv(args.d, cutoffs, args.order)
-            _write(csv.removesuffix("\n"), args.out)
-            return 0
-        if args.N is None:
-            print("error: --N is required unless --ladder gives the cutoffs", file=sys.stderr)
-            return 2
+    if args.ladder is not None:
         if args.mc:
-            if args.alpha is None or args.samples is None or args.seed is None:
-                print("error: --mc needs --alpha, --samples and --seed", file=sys.stderr)
-                return 2
-            phi4.check_mc_arguments(args.d, args.alpha, args.samples, args.seed)
-        series = phi4.partition_ratio_series(args.d, args.N, args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError("--mc cannot run with --ladder, which prints only the series")
+        if args.N is not None:
+            print(f"warning: --ladder sets the cutoffs; --N {args.N} is ignored",
+                  file=sys.stderr)
+        try:
+            cutoffs = [int(tok) for tok in args.ladder.split(",") if tok]
+        except ValueError:
+            cutoffs = []
+        if not cutoffs:
+            raise ValueError(
+                f"--ladder takes a comma list of integer cutoffs, got {args.ladder!r}"
+            )
+        csv = phi4.coefficient_ladder_csv(args.d, cutoffs, args.order)
+        _write(csv.removesuffix("\n"), args.out)
+        return 0
+    if args.N is None:
+        raise ValueError("--N is required unless --ladder gives the cutoffs")
+    if args.mc:
+        if args.alpha is None or args.samples is None or args.seed is None:
+            raise ValueError("--mc needs --alpha, --samples and --seed")
+        phi4.check_mc_arguments(args.d, args.alpha, args.samples, args.seed)
+    series = phi4.partition_ratio_series(args.d, args.N, args.order)
     payload = {"schema": 1, "series": series.to_json()}
     if args.d == 3:
         ct = phi4.counterterms_d3(args.alpha or 0.0, args.N)

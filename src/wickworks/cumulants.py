@@ -6,15 +6,13 @@ other type supporting +, * and multiplication by Fraction (diagram sums use
 this to run the linked-cluster theorem through log*). The binomial
 convolution, star-inverse, exp*/log*, the moment-cumulant relations and the
 Wick map are all finite exact computations at a fixed truncation degree.
-exp*, log* and the star-inverse are one composition pass, `_compose`, that
-differ only in the weight each part count k receives: 1/k!, (-1)^(k+1)/k
-and (-1)^k.
+exp*, log* and the star-inverse each run the moment-cumulant recursion
+(Peccati & Taqqu 2011), O(D^2) ring operations at truncation D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -135,18 +133,6 @@ class RingElem:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All ordered compositions of n into positive parts."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 class Functional:
     """Linear functional on R[x], truncated at degree D: values[n] = phi(x^n)."""
 
@@ -213,35 +199,16 @@ def convolve(phi: Functional, psi: Functional) -> Functional:
     return phi._like(out)
 
 
-def _compose(phi: Functional, weight) -> list:
-    """[sum_k weight(k) sum_{n_1+..+n_k=n, n_i>=1} n!/(prod n_i!) prod phi(x^n_i)]_n
-    for n = 1..D, in one pass over the compositions of each n.
-
-    Products are bucketed by part count in composition order and the buckets
-    are added in increasing k, so every exact value is summed in one fixed order.
-    """
-    out = []
-    for n in range(1, phi.degree + 1):
-        buckets = [phi.zero] * (n + 1)
-        for comp in compositions(n):
-            multinomial = factorial(n)
-            prod = phi.one
-            for part in comp:
-                multinomial //= factorial(part)
-                prod = prod * phi.values[part]
-            buckets[len(comp)] = buckets[len(comp)] + prod * Fraction(multinomial)
-        acc = phi.zero
-        for k in range(1, n + 1):
-            acc = acc + buckets[k] * weight(k)
-        out.append(acc)
-    return out
-
-
 def conv_inverse(phi: Functional) -> Functional:
-    """Star-inverse of phi with phi(x^0) = 1, by the alternating composition sum."""
+    """Star-inverse of phi with phi(x^0) = 1:
+    psi_0 = 1, psi_n = -sum_{k=1..n} C(n,k) phi_k psi_{n-k}."""
     if phi.values[0] != phi.one:
         raise ValueError("conv_inverse requires phi(x^0) = 1")
-    return phi._like([phi.one] + _compose(phi, lambda k: Fraction((-1) ** k)))
+    psi = [phi.one]
+    for n in range(1, phi.degree + 1):
+        terms = (phi.values[k] * psi[n - k] * Fraction(comb(n, k)) for k in range(1, n + 1))
+        psi.append(sum(terms, phi.zero) * Fraction(-1))
+    return phi._like(psi)
 
 
 def conv_inverse_neumann(phi: Functional) -> Functional:
@@ -265,17 +232,26 @@ def conv_inverse_neumann(phi: Functional) -> Functional:
 
 
 def exp_star(phi: Functional) -> Functional:
-    """exp*(phi)(x^n) = sum_k (1/k!) sum_{n_1+..+n_k=n, n_i>=1} multinomial * prod phi."""
+    """exp*(phi) = mu with mu_0 = 1, mu_n = sum_{k=1..n} C(n-1,k-1) phi_k mu_{n-k}."""
     if phi.values[0] != phi.zero:
         raise ValueError("exp_star requires phi(x^0) = 0")
-    return phi._like([phi.one] + _compose(phi, lambda k: Fraction(1, factorial(k))))
+    mu = [phi.one]
+    for n in range(1, phi.degree + 1):
+        terms = (phi.values[k] * mu[n - k] * Fraction(comb(n - 1, k - 1)) for k in range(1, n + 1))
+        mu.append(sum(terms, phi.zero))
+    return phi._like(mu)
 
 
 def log_star(phi: Functional) -> Functional:
-    """log*(phi)(x^n) = sum_k ((-1)^(k+1)/k) sum over compositions, inverse of exp*."""
+    """log*(phi) = kappa, the inverse of exp*: kappa_0 = 0,
+    kappa_n = phi_n - sum_{k=1..n-1} C(n-1,k-1) kappa_k phi_{n-k}."""
     if phi.values[0] != phi.one:
         raise ValueError("log_star requires phi(x^0) = 1")
-    return phi._like([phi.zero] + _compose(phi, lambda k: Fraction((-1) ** (k + 1), k)))
+    kappa = [phi.zero]
+    for n in range(1, phi.degree + 1):
+        terms = (kappa[k] * phi.values[n - k] * Fraction(comb(n - 1, k - 1)) for k in range(1, n))
+        kappa.append(phi.values[n] + sum(terms, phi.zero) * Fraction(-1))
+    return phi._like(kappa)
 
 
 def moments_from_cumulants(kappa: Functional) -> Functional:
@@ -329,25 +305,20 @@ def wick_map(kappa: Functional, n: int) -> RingPoly:
     standard Gaussian kappa this returns the Hermite polynomial H_n; for a
     symbolic second cumulant kappa(x^2) = s it returns H_n(x; s).
     """
-    _check_wick_preconditions(kappa, n)
-    mu_inv = exp_star(kappa.negate())
-    return RingPoly({n - k: mu_inv.values[k] * Fraction(comb(n, k)) for k in range(n + 1)})
-
-
-def wick_inverse_map(kappa: Functional, n: int) -> RingPoly:
-    """W^{-1}(x^n) = sum_k C(n,k) mu(x^k) x^{n-k} with mu = exp*(kappa)."""
-    _check_wick_preconditions(kappa, n)
-    mu = exp_star(kappa)
-    return RingPoly({n - k: mu.values[k] * Fraction(comb(n, k)) for k in range(n + 1)})
-
-
-def _check_wick_preconditions(kappa: Functional, n: int):
     if n > kappa.degree:
         raise ValueError("truncation degree too small")
     if kappa.values[0] != kappa.zero:
         raise ValueError("wick map requires kappa(x^0) = 0")
     if kappa.degree >= 1 and kappa.values[1] != kappa.zero:
         raise ValueError("wick map requires kappa(x^1) = 0")
+    mu_inv = exp_star(kappa.negate())
+    return RingPoly({n - k: mu_inv.values[k] * Fraction(comb(n, k)) for k in range(n + 1)})
+
+
+def wick_inverse_map(kappa: Functional, n: int) -> RingPoly:
+    """W^{-1}(x^n) = sum_k C(n,k) mu(x^k) x^{n-k} with mu = exp*(kappa): the
+    Wick map of -kappa."""
+    return wick_map(kappa.negate(), n)
 
 
 def bell_cumulants(n: int, sign: int = 1) -> Functional:
@@ -367,8 +338,6 @@ def complete_bell(n: int) -> RingPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return RingPoly({0: RingElem.scalar(1)})
     return wick_map(bell_cumulants(max(n, 2)), n)
 
 
@@ -380,8 +349,6 @@ def classical_bell(n: int) -> RingPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return RingPoly({0: RingElem.scalar(1)})
     return wick_map(bell_cumulants(max(n, 2), sign=-1), n)
 
 

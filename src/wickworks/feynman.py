@@ -516,7 +516,8 @@ def connected_components(g: Diagram) -> list[Diagram]:
     comps: dict[int, list[int]] = {}
     for v in range(g.nvertices):
         comps.setdefault(find(v), []).append(v)
-    return [g.induced(vs) for vs in comps.values()]
+    # a connected g is its own component and keeps any key it carries
+    return [g] if len(comps) == 1 else [g.induced(vs) for vs in comps.values()]
 
 
 def is_connected(g: Diagram) -> bool:

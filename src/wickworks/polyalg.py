@@ -151,15 +151,9 @@ def hermite(n: int) -> Polynomial:
 
 
 def hermite_explicit(n: int) -> Polynomial:
-    """H_n from the explicit sum n! sum_k (-1)^k / (2^k k! (n-2k)!) x^(n-2k)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = Fraction(
-            (-1) ** k * factorial(n), (2**k) * factorial(k) * factorial(n - 2 * k)
-        )
-    return Polynomial(coeffs)
+    """H_n from the explicit sum n! sum_k (-1)^k / (2^k k! (n-2k)!) x^(n-2k),
+    which is H_n(x; 1)."""
+    return hermite_scaled(n, 1)
 
 
 def gaussian_expectation(p: Polynomial) -> Fraction:

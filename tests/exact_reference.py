@@ -1,0 +1,90 @@
+"""Exact formulas as they were written before a shorter route replaced them.
+
+exp*, log* and the star-inverse are one pass over every composition of each
+degree, weighted by part count, as before each ran its own moment-cumulant
+recursion; the moment-equivalence report forms F^{2p} and F^2, as before it
+squared F^p. The arithmetic is kept exactly as it was, so the tests can hold
+`wickworks.cumulants` and `wickworks.chaos` to the same values under ==.
+Nothing here is called by the package.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from wickworks.chaos import ChaosElement, _multiply_direct, expectation
+from wickworks.cumulants import Functional
+
+
+@lru_cache(maxsize=None)
+def compositions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All ordered compositions of n into positive parts."""
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def _compose(phi: Functional, weight) -> list:
+    """[sum_k weight(k) sum_{n_1+..+n_k=n, n_i>=1} n!/(prod n_i!) prod phi(x^n_i)]_n
+    for n = 1..D, in one pass over the compositions of each n.
+
+    Products are bucketed by part count in composition order and the buckets
+    are added in increasing k, so every exact value is summed in one fixed order.
+    """
+    out = []
+    for n in range(1, phi.degree + 1):
+        buckets = [phi.zero] * (n + 1)
+        for comp in compositions(n):
+            multinomial = factorial(n)
+            prod = phi.one
+            for part in comp:
+                multinomial //= factorial(part)
+                prod = prod * phi.values[part]
+            buckets[len(comp)] = buckets[len(comp)] + prod * Fraction(multinomial)
+        acc = phi.zero
+        for k in range(1, n + 1):
+            acc = acc + buckets[k] * weight(k)
+        out.append(acc)
+    return out
+
+
+def conv_inverse(phi: Functional) -> Functional:
+    """Star-inverse of phi with phi(x^0) = 1, by the alternating composition sum."""
+    if phi.values[0] != phi.one:
+        raise ValueError("conv_inverse requires phi(x^0) = 1")
+    return phi._like([phi.one] + _compose(phi, lambda k: Fraction((-1) ** k)))
+
+
+def exp_star(phi: Functional) -> Functional:
+    """exp*(phi)(x^n) = sum_k (1/k!) sum_{n_1+..+n_k=n, n_i>=1} multinomial * prod phi."""
+    if phi.values[0] != phi.zero:
+        raise ValueError("exp_star requires phi(x^0) = 0")
+    return phi._like([phi.one] + _compose(phi, lambda k: Fraction(1, factorial(k))))
+
+
+def log_star(phi: Functional) -> Functional:
+    """log*(phi)(x^n) = sum_k ((-1)^(k+1)/k) sum over compositions, inverse of exp*."""
+    if phi.values[0] != phi.one:
+        raise ValueError("log_star requires phi(x^0) = 1")
+    return phi._like([phi.zero] + _compose(phi, lambda k: Fraction((-1) ** (k + 1), k)))
+
+
+def moment_equivalence_report(F: ChaosElement, p: int):
+    """(E[F^{2p}], (2p-1)^{np} E[F^2]^p) from the 2p-fold product, as before
+    the report squared F^p instead."""
+    n = max(F.grades(), default=0)
+    power = ChaosElement.constant(F.dim, 1)
+    for _ in range(2 * p):
+        power = _multiply_direct(power, F)
+    lhs = expectation(power)
+    f2 = ChaosElement.constant(F.dim, 1)
+    for _ in range(2):
+        f2 = _multiply_direct(f2, F)
+    rhs = Fraction(2 * p - 1) ** (n * p) * expectation(f2) ** p
+    return lhs, rhs

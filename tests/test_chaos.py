@@ -26,6 +26,8 @@ from wickworks.chaos import (
 )
 from wickworks.pairings import CovMatrix, MultivarPoly, gaussian_poly_expectation
 
+import exact_reference as ref
+
 
 def phi(dim, **kw):
     return ChaosElement(dim, {MultiIndex(kw.get("k", {})): kw.get("c", 1)})
@@ -88,10 +90,6 @@ class TestIsometry:
                 elif i == j:
                     expected = expected + ChaosElement(3, {MultiIndex({i: 2}): h[i] * g[i]})
         assert F == expected
-
-    def test_normalized_refused(self):
-        with pytest.raises(ValueError):
-            wiener_isometry(SymTensor(2, 2, {(0, 0): 1}), normalized=True)
 
     def test_rank_one_power_is_scaled_hermite(self):
         # I-hat_n(h^xn) = H_n(W(h); |h|^2): check via second moments
@@ -464,6 +462,27 @@ class TestMomentEquivalence:
             for p in (2, 3):
                 lhs, rhs = moment_equivalence_report(F, p)
                 assert lhs <= rhs
+
+    def test_matches_the_full_power_form(self):
+        # criterion 7's 100 cases: E[(F^p)^2] and E[F^2] from inner products
+        # against exact_reference's F^{2p} and F^2 products
+        rng = random.Random(977)
+        pools = {
+            n: [
+                MultiIndex(dict(zip(range(3), combo)))
+                for combo in itertools.product(range(n + 1), repeat=3)
+                if sum(combo) == n
+            ]
+            for n in (1, 2, 3)
+        }
+        for _ in range(100):
+            n = rng.choice([1, 2, 3])
+            support = rng.sample(pools[n], min(3, len(pools[n])))
+            F = ChaosElement(3, {k: Fraction(rng.randint(-3, 3)) for k in support})
+            if not F.coeffs:
+                continue
+            p = rng.choice([2, 3])
+            assert moment_equivalence_report(F, p) == ref.moment_equivalence_report(F, p)
 
     def test_rejects_inhomogeneous(self):
         F = ChaosElement(1, {MultiIndex({0: 1}): 1, MultiIndex({0: 2}): 1})

@@ -6,7 +6,9 @@ import pytest
 
 from wickworks import cumulants as cu
 from wickworks import polyalg
-from wickworks.cumulants import Functional, RingElem
+from wickworks.cumulants import Functional, RingElem, RingPoly
+
+import exact_reference as ref
 
 
 def random_functional(rng, D, first=None):
@@ -91,7 +93,7 @@ class TestInverse:
             assert cu.conv_inverse(phi) == cu.conv_inverse_neumann(phi)
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"conv_inverse requires phi\(x\^0\) = 1"):
             cu.conv_inverse(Functional([Fraction(2), Fraction(1)]))
 
 
@@ -121,10 +123,34 @@ class TestExpLog:
                 assert mu(2 * k + 1) == 0
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"exp_star requires phi\(x\^0\) = 0"):
             cu.exp_star(Functional([Fraction(1), Fraction(0)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"log_star requires phi\(x\^0\) = 1"):
             cu.log_star(Functional([Fraction(0), Fraction(0)]))
+
+
+class TestRecursionsMatchCompositionPass:
+    # exp*, log* and the star-inverse each run their own quadratic recursion;
+    # exact_reference keeps the composition pass they replaced, as the oracle.
+
+    def test_seeded_fraction_functionals(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            D = rng.randint(0, 9)
+            kappa = random_functional(rng, D, first=0)
+            assert cu.exp_star(kappa) == ref.exp_star(kappa)
+            phi = random_functional(rng, D, first=1)
+            assert cu.log_star(phi) == ref.log_star(phi)
+            assert cu.conv_inverse(phi) == ref.conv_inverse(phi)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bell_cumulants(self, sign):
+        for n in range(9):
+            kappa = cu.bell_cumulants(n, sign)
+            mu = cu.exp_star(kappa)
+            assert mu == ref.exp_star(kappa)
+            assert cu.log_star(mu) == ref.log_star(mu) == kappa
+            assert cu.conv_inverse(mu) == ref.conv_inverse(mu)
 
 
 class TestMomentCumulant:
@@ -200,11 +226,22 @@ class TestWickMap:
                 acc = {d: c for d, c in acc.items() if c}
                 assert acc == {n: Fraction(1)} if n else acc in ({0: Fraction(1)}, {})
 
+    def test_inverse_map_is_the_moment_sum(self):
+        # W^{-1}(x^n) = sum_k C(n,k) mu(x^k) x^{n-k} with mu = exp*(kappa)
+        for kappa in (cu.bell_cumulants(8), Functional.gaussian_cumulants(8)):
+            mu = ref.exp_star(kappa)
+            for n in range(9):
+                want = RingPoly({n - k: mu.values[k] * Fraction(comb(n, k)) for k in range(n + 1)})
+                assert cu.wick_inverse_map(kappa, n) == want
+
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            cu.wick_map(Functional([Fraction(1), Fraction(0), Fraction(1)]), 2)
-        with pytest.raises(ValueError):
-            cu.wick_map(Functional([Fraction(0), Fraction(1), Fraction(1)]), 2)
+        for wick in (cu.wick_map, cu.wick_inverse_map):
+            with pytest.raises(ValueError, match="truncation degree too small"):
+                wick(Functional.gaussian_cumulants(3), 4)
+            with pytest.raises(ValueError, match=r"wick map requires kappa\(x\^0\) = 0"):
+                wick(Functional([Fraction(1), Fraction(0), Fraction(1)]), 2)
+            with pytest.raises(ValueError, match=r"wick map requires kappa\(x\^1\) = 0"):
+                wick(Functional([Fraction(0), Fraction(1), Fraction(1)]), 2)
 
     def test_wick_exponential_series(self):
         # Lambda(W)(t) = exp(t x - K(t)) as a truncated series identity:
@@ -270,6 +307,11 @@ class TestBell:
             for d, c in cu.classical_bell(n).coeffs.items():
                 alt = alt + RingElem.coerce(c) * RingElem.symbol("x") ** d
             assert total == alt
+
+    def test_degree_zero_is_one(self):
+        one = RingPoly({0: RingElem.scalar(1)})
+        assert cu.complete_bell(0) == one
+        assert cu.classical_bell(0) == one
 
     def test_bell_range_check(self):
         with pytest.raises(ValueError):

@@ -518,6 +518,8 @@ class TestConnectivity:
     def test_connected(self):
         assert is_connected(banana(4))
         assert is_connected(double_triangle())
+        g = double_triangle().canonical()
+        assert connected_components(g)[0] is g
 
     def test_disconnected(self):
         g = banana(4).disjoint_union(banana(4))
@@ -528,6 +530,21 @@ class TestConnectivity:
         g = banana(3).disjoint_union(double_triangle())
         comps = connected_components(g)
         assert sorted(c.n_edges() for c in comps) == [3, 6]
+
+
+    def test_valuating_a_canonical_class_reuses_its_key(self, monkeypatch):
+        # a _valuate_cached miss on a connected class needs no canonical search
+        key = double_triangle().canonical_key()
+        search, calls = fy.canonical_search, []
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(fy, "canonical_search", counting)
+        value = fy._valuate_cached.__wrapped__(key, 3, 4)
+        assert calls == []
+        assert value == valuate(double_triangle(), 3, 4)
 
 
 class TestDegrees:

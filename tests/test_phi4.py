@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wickworks import cumulants as cu
 from wickworks import feynman as fy
 from wickworks import phi4
 from wickworks import torusfield as tf
@@ -23,6 +24,8 @@ from wickworks.phi4 import (
     wick_map_commutativity_check,
 )
 from wickworks.torusfield import ModeLattice, c_variance, green_truncated
+
+import exact_reference as ref
 
 
 class TestPartitionSeries:
@@ -99,6 +102,15 @@ class TestLinkedCluster:
         rebuilt = exp_of_log_series(1, 4, 4)
         for n in range(5):
             assert rebuilt[n] == full[n], n
+
+    def test_star_recursions_match_composition_pass(self):
+        # the diagram-sum ring through order 4: log*, the star-inverse and
+        # exp* of log* against the composition pass they replaced
+        full = phi4._diagram_functional([phi4._quartic_diagrams(n) for n in range(5)])
+        log = cu.log_star(full)
+        assert log == ref.log_star(full)
+        assert cu.conv_inverse(full) == ref.conv_inverse(full)
+        assert cu.exp_star(log) == ref.exp_star(log) == full
 
     def test_order4_disconnected_factor_three(self):
         full = phi4._quartic_diagrams(4)
