@@ -71,8 +71,7 @@ def cmd_diagrams(args) -> int:
         sums = sums.filter_connected()
     if args.format == "dot":
         blocks = [
-            f"// coefficient {c}\n" + g.to_dot(f"g{i}")
-            for i, (g, c) in enumerate(sorted(sums.terms.items(), key=lambda t: t[0].canonical_key()))
+            f"// coefficient {c}\n" + g.to_dot(f"g{i}") for i, (g, c) in enumerate(sums.sorted_terms())
         ]
         _write("\n".join(blocks), args.out)
         return 0

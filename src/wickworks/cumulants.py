@@ -211,26 +211,6 @@ def conv_inverse(phi: Functional) -> Functional:
     return phi._like(psi)
 
 
-def conv_inverse_neumann(phi: Functional) -> Functional:
-    """Same inverse through the Neumann series sum_k (unit - phi)^*k.
-
-    (unit - phi) kills degree 0, so the series is finite at fixed truncation;
-    kept as an independent route for the tests.
-    """
-    if phi.values[0] != phi.one:
-        raise ValueError("conv_inverse requires phi(x^0) = 1")
-    unit = Functional.unit(phi.degree, phi.zero, phi.one)
-    delta = unit._like(
-        [u + v * Fraction(-1) for u, v in zip(unit.values, phi.values)]
-    )
-    out = Functional.unit(phi.degree, phi.zero, phi.one)
-    power = Functional.unit(phi.degree, phi.zero, phi.one)
-    for _ in range(1, phi.degree + 1):
-        power = convolve(power, delta)
-        out = out._like([a + b for a, b in zip(out.values, power.values)])
-    return out
-
-
 def exp_star(phi: Functional) -> Functional:
     """exp*(phi) = mu with mu_0 = 1, mu_n = sum_{k=1..n} C(n-1,k-1) phi_k mu_{n-k}."""
     if phi.values[0] != phi.zero:

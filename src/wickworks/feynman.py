@@ -58,6 +58,7 @@ from .torusfield import (
     _phase_sum,
     _rule_spectra,
     _smooth_len,
+    _symmetric,
     as_point,
     constant_term,
     convolution_window,
@@ -408,6 +409,11 @@ class DiagramSum:
 
     def total_coefficient(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
+
+    def sorted_terms(self) -> list:
+        """The (diagram, coefficient) terms in canonical order, which fixes
+        the order of every sum over them."""
+        return sorted(self.terms.items(), key=lambda item: item[0].canonical_key())
 
     def filter_connected(self) -> "DiagramSum":
         return DiagramSum({g: c for g, c in self.terms.items() if is_connected(g)})
@@ -784,58 +790,48 @@ class ValuationBudgetError(ValueError):
     pass
 
 
-def _reduce_series_parallel(adj: dict, weights: dict, nodes: dict, protected=()) -> list:
-    """Merge parallel bundles and eliminate pendant and two-valent vertices in place.
+def _reduce_series_parallel(lines: dict, nodes: dict, protected=()) -> list:
+    """Eliminate pendant and two-valent vertices of a map of lines in place.
 
-    adj: vertex -> multiset of (neighbor, edge id); weights: edge id -> _Weight.
-    Each merge or series move records a bundle or series node, shared through
-    nodes (see _Weight); nothing is transformed here, so each reader later
-    computes its node only on the window it uses. A pendant edge carries zero
-    momentum, so removing it multiplies the value by its weight at the origin;
-    the pendant weights are returned. Vertices in `protected` (the terminals
-    of a two-point diagram) are never eliminated. Returns when no move applies.
+    lines: (u, v) with u < v -> the _Weight of every line between u and v,
+    parallel lines already one bundle. Each step takes the first vertex, in
+    vertex order, that is not in `protected` (the terminals of a two-point
+    diagram) and has at most two lines, until two vertices are left or none
+    qualifies. A pendant line carries zero momentum, so removing it
+    multiplies the value by its weight at the origin; the pendant weights
+    are returned. A two-valent vertex's lines p1, p2 become one series node,
+    stored under the pair of their far ends, or bundled as [old, new] with
+    the line that pair already has, in its place.
+
+    The map keeps the order its lines came in (_reduced enters them in
+    g.edges order), each new series line at the end. The lines at a vertex
+    are read in that order, so it fixes every recorded node, down to the
+    order of a bundle's strands, which sets the roundoff. Each move records
+    a bundle or series node, shared through nodes (see _Weight); nothing is
+    transformed here, so each reader later computes its node only on the
+    window it uses.
     """
     pendants = []
-    changed = True
-    while changed:
-        changed = False
-        # parallel merges
-        for v in list(adj):
-            by_neighbor: dict = {}
-            for (u, eid) in adj[v]:
-                by_neighbor.setdefault(u, []).append(eid)
-            for u, eids in by_neighbor.items():
-                if len(eids) > 1 and u > v:
-                    weights[eids[0]] = _Weight.bundle([weights[eid] for eid in eids], nodes)
-                    for eid in eids[1:]:
-                        del weights[eid]
-                        adj[v].remove((u, eid))
-                        adj[u].remove((v, eid))
-                    changed = True
-        # pendant and series eliminations (keep at least 2 vertices)
-        if len(adj) > 2:
-            for v in list(adj):
-                if v in protected or len(adj[v]) > 2:
-                    continue
-                if len(adj[v]) == 1:
-                    ((u, e),) = adj[v]
-                    pendants.append(weights.pop(e))
-                    adj[u].remove((v, e))
-                else:
-                    (u1, e1), (u2, e2) = adj[v]
-                    weights[e1] = weights[e1].series(weights.pop(e2), nodes)
-                    adj[u1].remove((v, e1))
-                    adj[u2].remove((v, e2))
-                    adj[u1].append((u2, e1))
-                    adj[u2].append((u1, e1))
-                del adj[v]
-                changed = True
-                break
-    return pendants
+    while True:
+        vertices = sorted({v for pair in lines for v in pair})
+        if len(vertices) <= 2:
+            return pendants
+        ends = ([pair for pair in lines if v in pair] for v in vertices if v not in protected)
+        at = next((pairs for pairs in ends if len(pairs) <= 2), None)
+        if at is None:
+            return pendants
+        if len(at) == 1:
+            pendants.append(lines.pop(at[0]))
+            continue
+        p1, p2 = at
+        new = lines.pop(p1).series(lines.pop(p2), nodes)
+        pair = tuple(sorted(set(p1) ^ set(p2)))
+        lines[pair] = _Weight.bundle([lines[pair], new], nodes) if pair in lines else new
 
 
-def _valuate_k4(adj: dict, weights: dict) -> float:
-    """Evaluate the irreducible 4-vertex complete-graph core.
+def _valuate_k4(lines: dict) -> float:
+    """Evaluate the irreducible 4-vertex complete-graph core, given as the
+    six-line map of _reduce_series_parallel.
 
     With loop momenta p = k(ab), q = k(ac), r = k(bc) and conservation fixing
     the rest, the value is sum_p F_ab(p) V_p with
@@ -861,18 +857,11 @@ def _valuate_k4(adj: dict, weights: dict) -> float:
     exact for what is summed. A_p and B_p are sliced on their box
     intersections and share one complex transform per grid (_packed_mean).
     """
-    vs = sorted(adj)
-    pair_w = {}
-    for v in vs:
-        for (u, eid) in adj[v]:
-            if u > v:
-                pair_w[(v, u)] = weights[eid]
-    # choose the outer pair as the smallest-support bundle
-    outer = min(pair_w, key=lambda k: pair_w[k].radius)
-    a, b = outer
-    c, dd = [v for v in vs if v not in outer]
+    # the outer pair is the smallest-support bundle, the first in the map on a tie
+    a, b = min(lines, key=lambda pair: lines[pair].radius)
+    c, dd = sorted({v for pair in lines for v in pair} - {a, b})
     F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
-        pair_w[(min(x, y), max(x, y))]
+        lines[(min(x, y), max(x, y))]
         for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd), (c, dd))
     )
     r = min(F_ac.radius + F_bc.radius, F_cd.radius)
@@ -958,26 +947,20 @@ def _orbits(dim: int, radius: int):
 def _check_hyperoctahedral(cube: np.ndarray) -> None:
     """Raise unless cube is invariant under the generators of B_d: a flip of
     axis 0, a swap of axes 0 and 1 and a cyclic shift of the axes."""
-    dim = cube.ndim
     images = [np.flip(cube, 0)]
-    if dim > 1:
-        images.append(np.swapaxes(cube, 0, 1))
-        images.append(np.moveaxis(cube, 0, -1))
-    diff = np.abs(cube)  # one scratch array for every image
-    scale = float(np.max(diff))
-    for image in images:
-        np.subtract(image, cube, out=diff)
-        if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
-            raise ValuationBudgetError(
-                "K4 weight is not invariant under coordinate permutations and sign "
-                "flips; the orbit loop would sum it wrongly"
-            )
+    if cube.ndim > 1:
+        images += [np.swapaxes(cube, 0, 1), np.moveaxis(cube, 0, -1)]
+    if not _symmetric(cube, *images):
+        raise ValuationBudgetError(
+            "K4 weight is not invariant under coordinate permutations and sign "
+            "flips; the orbit loop would sum it wrongly"
+        )
 
 
 def _reduced(g: Diagram, d, N: int, protected=()):
     """Give every line of g the base weight and reduce the graph.
 
-    Returns (factor, adj, weights): the product of the pendant weights at the
+    Returns (factor, lines): the product of the pendant weights at the
     origin and the reduced core, in the layout of _reduce_series_parallel.
     Every line shares one base node, and the table of shared nodes lives
     only here: its key is (dim, N, s) of _base_weight for the base node and
@@ -990,31 +973,25 @@ def _reduced(g: Diagram, d, N: int, protected=()):
     key = (_lattice_dim(d), N, _edge_exponent(d))
     base = _Weight(_base_weight(*key), N)
     nodes = {key: base}
-    adj: dict = {v: [] for v in range(g.nvertices)}
-    weights: dict = {}
-    eid = 0
-    for (i, j), m in g.edges:
-        for _ in range(m):
-            weights[eid] = base
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
-            eid += 1
+    lines = {pair: base if m == 1 else _Weight.bundle([base] * m, nodes) for pair, m in g.edges}
     factor = 1.0
-    for w in _reduce_series_parallel(adj, weights, nodes, protected):
+    for w in _reduce_series_parallel(lines, nodes, protected):
         factor *= w.center()
-    return factor, adj, weights
+    return factor, lines
 
 
 def _valuate_connected(g: Diagram, d, N: int) -> float:
-    factor, adj, weights = _reduced(g, d, N)
-    if len(adj) == 2 and len(weights) == 1:
-        (w,) = weights.values()
+    factor, lines = _reduced(g, d, N)
+    if len(lines) == 1:
+        (w,) = lines.values()
         return factor * w.center()
-    if len(adj) == 4 and len(weights) == 6:
-        return factor * _valuate_k4(adj, weights)
+    # six lines with every vertex at least three-valent: K4
+    if len(lines) == 6:
+        return factor * _valuate_k4(lines)
+    n = len({v for pair in lines for v in pair})
     raise ValuationBudgetError(
-        f"irreducible core with {len(adj)} vertices and "
-        f"{len(weights) - len(adj) + 1} loops: only series-parallel cores and "
+        f"irreducible core with {n} vertices and "
+        f"{len(lines) - n + 1} loops: only series-parallel cores and "
         "the K4 core can be valuated"
     )
 
@@ -1048,7 +1025,7 @@ def valuate_cached(g: Diagram, d, N: int) -> float:
 def valuate_sum(s: DiagramSum, d, N: int) -> float:
     """Valuation of a rational diagram combination, in canonical term order."""
     total = 0.0
-    for g, c in sorted(s.terms.items(), key=lambda item: item[0].canonical_key()):
+    for g, c in s.sorted_terms():
         total += float(c) * valuate_cached(g, d, N)
     return total
 
@@ -1135,10 +1112,10 @@ def _external_bundle(g: Diagram, d, N: int):
     for c in vacuum:
         factor *= valuate_cached(c, d, N)
     g = ext_comps[0]
-    pendant, adj, weights = _reduced(g, d, N, protected={v for v, _ in g.labels})
-    if len(adj) != 2 or len(weights) != 1:
+    pendant, lines = _reduced(g, d, N, protected={v for v, _ in g.labels})
+    if len(lines) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")
-    (w,) = weights.values()
+    (w,) = lines.values()
     return factor * pendant, w.window(w.radius)
 
 
@@ -1160,5 +1137,5 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
 def diagram_sum_to_json(s: DiagramSum) -> list:
     return [
         {"coefficient": [c.numerator, c.denominator], "diagram": g.to_dict()}
-        for g, c in sorted(s.terms.items(), key=lambda item: item[0].canonical_key())
+        for g, c in s.sorted_terms()
     ]

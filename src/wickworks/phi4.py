@@ -233,10 +233,7 @@ def two_point_series(d, N: int, order: int, x, y) -> ExpansionSeries:
     _check_order(order)
     sums = _two_point_sums(order)
     values = _signed(
-        math.fsum(
-            float(c) * _external_value(g, d, N, x, y)
-            for g, c in sorted(s.terms.items(), key=lambda item: item[0].canonical_key())
-        )
+        math.fsum(float(c) * _external_value(g, d, N, x, y) for g, c in s.sorted_terms())
         for s in sums
     )
     return _series(d, N, order, "two-point", sums, values)
@@ -345,7 +342,7 @@ def _bphz_log_coefficients(N: int, order: int) -> tuple[list[float], list[float]
         conn = _quartic_diagrams(n).filter_connected()
         pref = _prefactor(n)
         total = scale = 0.0
-        for g, c in sorted(conn.terms.items(), key=lambda i: i[0].canonical_key()):
+        for g, c in conn.sorted_terms():
             term = float(c) * fy.bphz_valuate(g, 3, N)
             total += term
             scale += abs(term)

@@ -426,12 +426,21 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     return _grid_window(np.fft.ifftn(acc, out=acc), radius, S)
 
 
-def _check_even(cube: np.ndarray) -> None:
-    """Raise ValueError unless cube(-k) = cube(k) to roundoff."""
+def _symmetric(cube: np.ndarray, *images) -> bool:
+    """Whether cube matches every image to roundoff: no entry of image - cube
+    above 1e-12 max|cube|."""
     diff = np.abs(cube)  # the one scratch array
     scale = float(np.max(diff))
-    np.subtract(cube, np.flip(cube), out=diff)
-    if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
+    for image in images:
+        np.subtract(image, cube, out=diff)
+        if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
+            return False
+    return True
+
+
+def _check_even(cube: np.ndarray) -> None:
+    """Raise ValueError unless cube(-k) = cube(k) to roundoff."""
+    if not _symmetric(cube, np.flip(cube)):
         raise ValueError(
             f"a cube of shape {cube.shape} is not even under k -> -k; the two-grid "
             "lattice rule reads only even cubes"

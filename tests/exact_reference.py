@@ -5,6 +5,7 @@ degree, weighted by part count, as before each ran its own moment-cumulant
 recursion; the moment-equivalence report forms F^{2p} and F^2, as before it
 squared F^p. The arithmetic is kept exactly as it was, so the tests can hold
 `wickworks.cumulants` and `wickworks.chaos` to the same values under ==.
+The Neumann series is one more independent route to the star-inverse.
 Nothing here is called by the package.
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from math import factorial
 
 from wickworks.chaos import ChaosElement, _multiply_direct, expectation
-from wickworks.cumulants import Functional
+from wickworks.cumulants import Functional, convolve
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +60,25 @@ def conv_inverse(phi: Functional) -> Functional:
     if phi.values[0] != phi.one:
         raise ValueError("conv_inverse requires phi(x^0) = 1")
     return phi._like([phi.one] + _compose(phi, lambda k: Fraction((-1) ** k)))
+
+
+def conv_inverse_neumann(phi: Functional) -> Functional:
+    """Same inverse through the Neumann series sum_k (unit - phi)^*k.
+
+    (unit - phi) kills degree 0, so the series is finite at fixed truncation.
+    """
+    if phi.values[0] != phi.one:
+        raise ValueError("conv_inverse requires phi(x^0) = 1")
+    unit = Functional.unit(phi.degree, phi.zero, phi.one)
+    delta = unit._like(
+        [u + v * Fraction(-1) for u, v in zip(unit.values, phi.values)]
+    )
+    out = Functional.unit(phi.degree, phi.zero, phi.one)
+    power = Functional.unit(phi.degree, phi.zero, phi.one)
+    for _ in range(1, phi.degree + 1):
+        power = convolve(power, delta)
+        out = out._like([a + b for a, b in zip(out.values, power.values)])
+    return out
 
 
 def exp_star(phi: Functional) -> Functional:

@@ -37,6 +37,7 @@ from wickworks.feynman import (
 from wickworks.pairings import enumerate_matchings
 
 import hopf_reference as ref
+import reduction_reference as red
 from wickworks.torusfield import ModeLattice, convolve_cubes, wick_integral_variance
 
 
@@ -914,6 +915,48 @@ class TestPendantReduction:
             valuate_external(ext, 1, 4)
 
 
+def node_tree(w) -> tuple | None:
+    """A recorded node as (move, parts) down to the base, which is None."""
+    return None if w.move is None else (w.move, tuple(node_tree(p) for p in w.parts))
+
+
+def reduction_cases() -> list[Diagram]:
+    """Every connected component of the vacuum classes through order 6 and
+    of the two-point classes through order 3, as generation labels it."""
+    classes = quartic_classes(range(1, 7)) + quartic_classes(range(1, 4), ("x", "y"))
+    return [c for g in classes for c in connected_components(g)]
+
+
+class TestOneMapOfLines:
+    # the reducer works on one map of lines; reduction_reference keeps the
+    # adjacency-list reducer it replaced, as the oracle
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_same_pendants_and_core(self, d, monkeypatch):
+        reduce = fy._reduce_series_parallel
+        pendants = []
+
+        def recording(*args):
+            pendants[:] = reduce(*args)
+            return pendants
+
+        monkeypatch.setattr(fy, "_reduce_series_parallel", recording)
+        for g in reduction_cases():
+            protected = {v for v, _ in g.labels}
+            _, lines = fy._reduced(g, d, 2, protected)
+            old_pendants, adj, weights = red._reduced(g, d, 2, protected)
+            old_core = {
+                (v, u): node_tree(weights[eid]) for v in adj for u, eid in adj[v] if u > v
+            }
+            assert [node_tree(w) for w in pendants] == [node_tree(w) for w in old_pendants], g
+            assert {pair: node_tree(w) for pair, w in lines.items()} == old_core, g
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_valuate_keeps_its_bits(self, d, N):
+        for g in quartic_classes(range(1, 5)):
+            assert valuate(g, d, N).hex() == red.valuate(g, d, N).hex(), g
+
+
 class TestK4Orbits:
     def test_orbit_sizes_cover_the_ball_and_the_box(self):
         for d in (1, 2, 3):
@@ -957,14 +1000,12 @@ class TestK4Orbits:
         base = ModeLattice(2, N).inverse_weight_cube()
         skewed = base.copy()
         skewed[N + 1, N] *= 1.5  # breaks the swap of the two axes
-        adj = {v: [] for v in range(4)}
-        weights = {}
-        for eid, (i, j) in enumerate(itertools.combinations(range(4), 2)):
-            weights[eid] = fy._Weight(skewed if eid == 5 else base, N)
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
+        lines = {
+            pair: fy._Weight(skewed if k == 5 else base, N)
+            for k, pair in enumerate(itertools.combinations(range(4), 2))
+        }
         with pytest.raises(ValuationBudgetError):
-            fy._valuate_k4(adj, weights)
+            fy._valuate_k4(lines)
 
     def test_orbit_transforms_share_one_buffer(self, monkeypatch):
         # a core of six single edges (no bundle to transform): one transform
@@ -972,11 +1013,7 @@ class TestK4Orbits:
         # written into the same buffer of the core
         N = 2
         base = fy._base_weight(3, N, 1.0)
-        adj, weights = {v: [] for v in range(4)}, {}
-        for eid, (i, j) in enumerate(itertools.combinations(range(4), 2)):
-            weights[eid] = fy._Weight(base, N)
-            adj[i].append((j, eid))
-            adj[j].append((i, eid))
+        lines = {pair: fy._Weight(base, N) for pair in itertools.combinations(range(4), 2)}
         outs = []
         fftn = np.fft.fftn
 
@@ -985,7 +1022,7 @@ class TestK4Orbits:
             return fftn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fftn", recording)
-        fy._valuate_k4(adj, weights)
+        fy._valuate_k4(lines)
         f_out, *per_orbit = outs
         assert len(per_orbit) == sum(1 for p, _ in fy._orbits(3, N) if sum(p) <= N)
         assert per_orbit[0] is not None and per_orbit[0] is not f_out
