@@ -3,7 +3,8 @@
 JSON is the canonical output (sorted keys, repr floats, so reruns with the
 same configuration and seed are byte-identical); CSV and DOT are projections.
 A `verify` subcommand runs the cross-module oracle table and exits nonzero on
-any failure. Exit codes: 0 success, 2 usage/validation errors.
+any failure. Exit codes: 0 success, 2 usage/validation errors, 1 when the
+reader closes standard output early (as `| head` does), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -351,7 +353,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # flush at exit cannot fail again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,10 +7,14 @@ between two labeled vertices). Equality and hashing go through a canonical
 key, which is what makes symmetry-factor bookkeeping exact: colour refinement
 plus individualization (McKay & Piperno 2014) builds a search tree of ordered
 vertex partitions, and the key is the smallest relabelled edge and label list
-over its discrete leaves, so no vertex permutation is enumerated. The leaves
-that reach the key number |Aut|. Generation uses both: it adds one vertex at
-a time, keeps one canonical state per isomorphism class at every step
-(McKay 1998), and gives each class its matching count
+over its discrete leaves, so no vertex permutation is enumerated. Two leaves
+with the same relabelled graph give an automorphism, and the search skips
+every subtree that the automorphisms found map onto one already searched;
+|Aut| is the product of the orbits along the first leaf's path
+(orbit-stabilizer). Generation uses the key, |Aut| and the automorphisms: it
+adds one vertex at a time, joins it to a state's open legs only up to the
+state's automorphisms, keeps one canonical state per isomorphism class at
+every step (McKay 1998), and gives each class its matching count
 prod n_g! * prod a_v! / (|Aut| * prod m_ij!) without visiting its labelled
 presentations.
 
@@ -250,7 +254,9 @@ class Diagram:
         return "\n".join(lines)
 
 
-def canonical_search(n: int, edges, colour, labels=()) -> tuple[tuple, int]:
+def canonical_search(
+    n: int, edges, colour, labels=(), automorphisms: list | None = None
+) -> tuple[tuple, int]:
     """Canonical key and automorphism count of a vertex-coloured multigraph.
 
     `edges` holds ((i, j), m) pairs on vertices 0..n-1, `colour` gives each
@@ -264,10 +270,22 @@ def canonical_search(n: int, edges, colour, labels=()) -> tuple[tuple, int]:
     and the partition refined again (McKay & Piperno 2014). Every discrete
     leaf numbers the vertices by rank, so vertex r carries the r-th smallest
     initial colour, and the key is the smallest relabelled (n, edges, labels)
-    over the leaves. Distinct leaves are distinct numberings, two of them give
-    the same key exactly when they differ by an automorphism, and the
-    automorphisms permute the leaves freely; so the number of leaves that
-    reach the key, returned second, is |Aut| of the coloured, labelled graph.
+    over the leaves.
+
+    Two leaves with the same relabelled graph differ by an automorphism, so
+    a leaf that repeats the first leaf or the best one so far yields one, and
+    the search returns to where the two paths part: the subtree there is the
+    automorphism's image of one already searched. A node skips every vertex
+    of its cell in the orbit of one it has searched, under the automorphisms
+    found that fix its path, so each skipped leaf is the image of a searched
+    one: the key is the minimum over all leaves, and the automorphisms found
+    generate Aut (McKay 1981).
+    |Aut| of the coloured, labelled graph, returned second, is the product
+    along the first leaf's path of the orbit of each individualized vertex
+    under the automorphisms that fix the vertices before it
+    (orbit-stabilizer). When `automorphisms` is a list, it receives these
+    generators as tuples p, with p[r] the image of vertex r in the key's
+    numbering.
     """
     if n == 0:
         return (0, (), ()), 1
@@ -277,44 +295,124 @@ def canonical_search(n: int, edges, colour, labels=()) -> tuple[tuple, int]:
         if i != j:
             nbrs[j].append((m, i))
 
-    def refine(colour):
-        cells = len(set(colour))
-        while True:
-            sig = [
-                (colour[v], tuple(sorted((m, colour[w]) for m, w in nbrs[v])))
-                for v in range(n)
-            ]
-            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-            colour = [rank[s] for s in sig]
-            if len(rank) == cells:
-                return colour
-            cells = len(rank)
+    def refine(colour, cells):
+        """Refinement rounds on an ordered partition, in place: cells maps the
+        position of each cell to its vertices, and colour[v] is the position
+        of v's cell. A signature sorts by own colour first, so a round splits
+        each cell where it stands, into fragments ranked by their vertices'
+        sorted (m, neighbour colour) lists, coded as m * n + colour: the
+        ordered partition that re-ranking every signature gives."""
+        while len(cells) < n:
+            splits = []
+            for p, cell in cells.items():
+                if len(cell) == 1:
+                    continue
+                sig = [tuple(sorted([m * n + colour[w] for m, w in nbrs[v]])) for v in cell]
+                if len(set(sig)) > 1:
+                    splits.append((p, sorted(zip(sig, cell))))
+            if not splits:
+                return
+            for p, ranked in splits:
+                start, last = p, ranked[0][0]
+                cells[p] = []
+                for s, v in ranked:
+                    if s != last:
+                        start, last = start + len(cells[start]), s
+                        cells[start] = []
+                    cells[start].append(v)
+                    colour[v] = start
 
-    best, leaves = None, 0
-    stack = [list(colour)]
-    while stack:
-        colour = refine(stack.pop())
-        if len(set(colour)) < n:
-            first = min(c for c in colour if colour.count(c) > 1)
-            for v in range(n):
-                if colour[v] == first:
-                    stack.append(
-                        [2 * c + (c == first and w != v) for w, c in enumerate(colour)]
-                    )
-            continue
-        cand_edges = tuple(
-            sorted(
-                ((min(colour[i], colour[j]), max(colour[i], colour[j])), m)
-                for (i, j), m in edges
-            )
-        )
-        cand_labels = tuple(sorted((colour[v], label) for v, label in labels))
-        cand = (n, cand_edges, cand_labels)
-        if best is None or cand < best:
-            best, leaves = cand, 1
-        elif cand == best:
-            leaves += 1
-    return best, leaves
+    gens = []  # automorphisms found, each as a tuple v -> image
+    path = []  # the vertices individualized on the way to the current node
+    first = best = None  # (relabelled graph, leaf numbering, path) of a leaf
+
+    def search(colour, cells) -> int:
+        """Search the subtree of the current node, and return the depth at
+        which to go on: len(path) when nothing was found, else the depth
+        where the paths of two leaves with the same relabelled graph part."""
+        nonlocal first, best
+        depth = len(path)
+        refine(colour, cells)
+        if len(cells) == n:
+            relabelled = []
+            for (i, j), m in edges:
+                a, b = colour[i], colour[j]
+                relabelled.append(((a, b) if a < b else (b, a), m))
+            cand_labels = tuple(sorted((colour[v], label) for v, label in labels))
+            leaf = ((n, tuple(sorted(relabelled)), cand_labels), colour, tuple(path))
+            if first is None:
+                first = best = leaf
+                return depth
+            for known in (first, best):
+                if leaf[0] == known[0]:
+                    vertex_of = [0] * n
+                    for v, r in enumerate(colour):
+                        vertex_of[r] = v
+                    gens.append(tuple(vertex_of[r] for r in known[1]))
+                    common = 0
+                    while known[2][common] == path[common]:
+                        common += 1
+                    return common
+            if leaf[0] < best[0]:
+                best = leaf
+            return depth
+        target = min(p for p, cell in cells.items() if len(cell) > 1)
+        done = []
+        for v in cells[target]:
+            if done and not _orbit(v, _fixing(gens, path)).isdisjoint(done):
+                continue
+            path.append(v)
+            # v keeps the cell's position, and its cell-mates move up one
+            mates = [u for u in cells[target] if u != v]
+            child = list(colour)
+            for u in mates:
+                child[u] = target + 1
+            back = search(child, {**cells, target: [v], target + 1: mates})
+            path.pop()
+            if back < depth:
+                return back
+            done.append(v)
+        return depth
+
+    order = sorted(range(n), key=colour.__getitem__)
+    position, cells = [0] * n, {}
+    for k, v in enumerate(order):
+        if k == 0 or colour[v] != colour[order[k - 1]]:
+            start = k
+            cells[start] = []
+        cells[start].append(v)
+        position[v] = start
+    search(position, cells)
+    aut = 1
+    for i, v in enumerate(first[2]):
+        aut *= len(_orbit(v, _fixing(gens, first[2][:i])))
+    if automorphisms is not None:
+        number = best[1]
+        for gen in gens:
+            image = [0] * n
+            for v, w in enumerate(gen):
+                image[number[v]] = number[w]
+            automorphisms.append(tuple(image))
+    return best[0], aut
+
+
+def _fixing(perms, points) -> list:
+    """The permutations that fix every one of points."""
+    return [p for p in perms if all(p[v] == v for v in points)]
+
+
+def _orbit(point, perms, image=lambda p, x: p[x]) -> set:
+    """The orbit of point under the group the permutations generate, each
+    acting as image(p, x); by default a vertex x goes to p[x]."""
+    orbit, todo = {point}, [point]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            y = image(p, x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 EMPTY = Diagram(0, ())
@@ -437,15 +535,18 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     Classes are generated up to isomorphism, one vertex at a time: a state is
     the multigraph induced on the vertices placed so far, each coloured by
     (arity, label, legs still open), and the next vertex joins m_u <= open_u
-    legs to each earlier vertex u. A state with more open legs than the
-    arity still to come is dropped, and one state per canonical key is kept
-    at every step (McKay 1998, isomorph-free generation). A complete class
-    then gets
+    legs to each earlier vertex u. Choices m that an automorphism of the
+    state maps onto each other give isomorphic states, so only the first of
+    each orbit, in lexicographic order, is searched; the state's search found
+    the generators, in its canonical numbering. A state with more open legs
+    than the arity still to come is dropped, and one state per canonical key
+    is kept at every step (McKay 1998, isomorph-free generation). A complete
+    class then gets
 
         coeff = prod_g n_g! * prod_v a_v! / (|Aut| * prod_{i<j} m_ij!),
 
-    with n_g the size of each (arity, label) group of vertices and |Aut| the
-    leaf count of canonical_search.
+    with n_g the size of each (arity, label) group of vertices and |Aut| from
+    canonical_search.
     """
     internal = len(vertex_arities)
     arities = list(vertex_arities) + [1] * len(external_labels)
@@ -458,27 +559,38 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     to_come = [sum(arities[t + 1 :]) for t in range(n)]
 
     # a state is (colours by vertex, edges, labels) in canonical numbering;
-    # the value is |Aut| of the coloured state
-    states = {((), (), ()): 1}
+    # the value is |Aut| of the coloured state and generators of Aut
+    states = {((), (), ()): (1, [])}
     for t in range(n):
         arity, name = arities[t], names[t]
         # Diagram._color plus open legs, so a complete state's key is its
         # Diagram key
         colour_t = (arity, str(name or ""))
         grown = {}
-        for colours, edges, labels in states:
+        for (colours, edges, labels), (_, gens) in states.items():
             open_legs = [c[2] for c in colours]
             spare = sum(open_legs) + arity - to_come[t]
-            for take in _leg_choices(open_legs, arity):
-                # open legs after this step: sum(open) + arity - 2 * taken
-                if 2 * sum(take) < spare:
+            # choices in the orbit of an earlier one are skipped: the first
+            # choice that reaches each new class is still searched, so the
+            # states keep their order
+            seen = set()
+            # open legs after this step, sum(open) + arity - 2 * sum(take),
+            # may not exceed the arity still to come
+            for take in _leg_choices(open_legs, (spare + 1) // 2, arity):
+                if take in seen:
                     continue
+                if gens:
+                    # the automorphism p moves the legs taken at p[u] to u
+                    seen |= _orbit(take, gens, lambda p, x: tuple([x[u] for u in p]))
                 colour = [c[:2] + (c[2] - m,) for c, m in zip(colours, take)]
                 colour.append(colour_t + (arity - sum(take),))
                 new_edges = edges + tuple(((u, t), m) for u, m in enumerate(take) if m)
                 new_labels = labels + ((t, name),) if t >= internal else labels
-                key, aut = canonical_search(t + 1, new_edges, colour, new_labels)
-                grown.setdefault((tuple(sorted(colour)), key[1], key[2]), aut)
+                found = []
+                key, aut = canonical_search(
+                    t + 1, new_edges, colour, new_labels, automorphisms=found
+                )
+                grown.setdefault((tuple(sorted(colour)), key[1], key[2]), (aut, found))
         states = grown
 
     groups: dict = {}
@@ -488,20 +600,24 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     numerator = math.prod(factorial(k) for k in groups.values())
     numerator *= math.prod(factorial(a) for a in arities)
     out = {}
-    for (_, edges, labels), aut in states.items():
+    for (_, edges, labels), (aut, _) in states.items():
         g = Diagram(n, edges, labels, _canonical=True)
         out[g] = Fraction(numerator, aut * math.prod(factorial(m) for _, m in edges))
     return DiagramSum(out)
 
 
-def _leg_choices(open_legs, arity):
-    """Tuples m with 0 <= m_u <= open_legs[u] and sum(m) <= arity."""
-    if not open_legs:
-        yield ()
-        return
-    for m in range(min(open_legs[0], arity) + 1):
-        for rest in _leg_choices(open_legs[1:], arity - m):
-            yield (m,) + rest
+def _leg_choices(open_legs, least, most) -> list:
+    """Tuples m, in lexicographic order, with 0 <= m_u <= open_legs[u] and
+    least <= sum(m) <= most."""
+    choices = [((), least, most)]  # prefix, least and most still to take
+    for u, cap in enumerate(open_legs):
+        rest = sum(open_legs[u + 1 :])
+        choices = [
+            (take + (m,), lo - m, hi - m)
+            for take, lo, hi in choices
+            for m in range(max(0, lo - rest), min(cap, hi) + 1)
+        ]
+    return [take for take, lo, _ in choices if lo <= 0]
 
 
 def connected_components(g: Diagram) -> list[Diagram]:

@@ -117,15 +117,6 @@ def c_variance(d: int, N: int) -> float:
     return math.fsum(inverse_weight_cube(d, N, 1.0).ravel().tolist())  # zero off K_N
 
 
-def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
-    """Exact-rational C_N for a rational stand-in coupling (test hook)."""
-    lat = ModeLattice(d, N, coupling=Fraction(coupling))
-    total = Fraction(0)
-    for k in lat.modes:
-        total += Fraction(1) / lat.lam(k)
-    return total
-
-
 def as_point(x, d: int) -> tuple[float, ...]:
     """x as a tuple of d floats; a bare number is a point of the circle (d = 1)."""
     xs = tuple(float(c) for c in x) if hasattr(x, "__len__") else (float(x),)
@@ -781,49 +772,6 @@ def wick_integral_variance(d: int, N: int, n: int) -> float:
     lat = _lattice(d, N)
     cube = lat.inverse_weight_cube(1.0)
     return math.factorial(n) * constant_term(*[cube] * n)
-
-
-def wick_integral_variance_bruteforce(d: int, N: int, n: int, coupling=None):
-    """Direct nested sum over the constrained tuples; exact with a rational coupling."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lat = ModeLattice(d, N, coupling=coupling)
-    exact = isinstance(lat.coupling, Fraction)
-    weights = {k: (Fraction(1) / lat.lam(k)) if exact else 1.0 / float(lat.lam(k)) for k in lat.modes}
-
-    def rec(depth, partial_sum):
-        if depth == n - 1:
-            last = tuple(-c for c in partial_sum)
-            return weights.get(last, Fraction(0) if exact else 0.0)
-        total = Fraction(0) if exact else 0.0
-        for k in lat.modes:
-            w = weights[k]
-            total += w * rec(depth + 1, tuple(p + c for p, c in zip(partial_sum, k)))
-        return total
-
-    zero = (0,) * d
-    base = Fraction(0) if exact else 0.0
-    for k in lat.modes:
-        base += weights[k] * rec(1, k)
-    return math.factorial(n) * base
-
-
-def wick_integral_variance_exact(d: int, N: int, n: int, coupling: Fraction) -> Fraction:
-    """Exact-rational convolution route, for comparison with the brute force."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lat = ModeLattice(d, N, coupling=Fraction(coupling))
-    weights = {k: Fraction(1) / lat.lam(k) for k in lat.modes}
-    conv = dict(weights)
-    for _ in range(n - 1):
-        nxt: dict = {}
-        for k1, w1 in conv.items():
-            for k2, w2 in weights.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
-        conv = nxt
-    zero = (0,) * d
-    return math.factorial(n) * conv.get(zero, Fraction(0))
 
 
 def young_sum_check(d: int, n: int, m: int, kmax: int, truncation: int | None = None):

@@ -5,18 +5,22 @@ degree, weighted by part count, as before each ran its own moment-cumulant
 recursion; the moment-equivalence report forms F^{2p} and F^2, as before it
 squared F^p. The arithmetic is kept exactly as it was, so the tests can hold
 `wickworks.cumulants` and `wickworks.chaos` to the same values under ==.
-The Neumann series is one more independent route to the star-inverse.
+The Neumann series is one more independent route to the star-inverse. The
+exact-rational C_N and the quartic-integral variance by nested sum and by
+dictionary convolution are the torusfield test hooks, moved here unchanged.
 Nothing here is called by the package.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from wickworks.chaos import ChaosElement, _multiply_direct, expectation
 from wickworks.cumulants import Functional, convolve
+from wickworks.torusfield import ModeLattice
 
 
 @lru_cache(maxsize=None)
@@ -108,3 +112,55 @@ def moment_equivalence_report(F: ChaosElement, p: int):
         f2 = _multiply_direct(f2, F)
     rhs = Fraction(2 * p - 1) ** (n * p) * expectation(f2) ** p
     return lhs, rhs
+
+
+def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
+    """Exact-rational C_N for a rational stand-in coupling (test hook)."""
+    lat = ModeLattice(d, N, coupling=Fraction(coupling))
+    total = Fraction(0)
+    for k in lat.modes:
+        total += Fraction(1) / lat.lam(k)
+    return total
+
+
+def wick_integral_variance_bruteforce(d: int, N: int, n: int, coupling=None):
+    """Direct nested sum over the constrained tuples; exact with a rational coupling."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    lat = ModeLattice(d, N, coupling=coupling)
+    exact = isinstance(lat.coupling, Fraction)
+    weights = {k: (Fraction(1) / lat.lam(k)) if exact else 1.0 / float(lat.lam(k)) for k in lat.modes}
+
+    def rec(depth, partial_sum):
+        if depth == n - 1:
+            last = tuple(-c for c in partial_sum)
+            return weights.get(last, Fraction(0) if exact else 0.0)
+        total = Fraction(0) if exact else 0.0
+        for k in lat.modes:
+            w = weights[k]
+            total += w * rec(depth + 1, tuple(p + c for p, c in zip(partial_sum, k)))
+        return total
+
+    zero = (0,) * d
+    base = Fraction(0) if exact else 0.0
+    for k in lat.modes:
+        base += weights[k] * rec(1, k)
+    return math.factorial(n) * base
+
+
+def wick_integral_variance_exact(d: int, N: int, n: int, coupling: Fraction) -> Fraction:
+    """Exact-rational convolution route, for comparison with the brute force."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    lat = ModeLattice(d, N, coupling=Fraction(coupling))
+    weights = {k: Fraction(1) / lat.lam(k) for k in lat.modes}
+    conv = dict(weights)
+    for _ in range(n - 1):
+        nxt: dict = {}
+        for k1, w1 in conv.items():
+            for k2, w2 in weights.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                nxt[key] = nxt.get(key, Fraction(0)) + w1 * w2
+        conv = nxt
+    zero = (0,) * d
+    return math.factorial(n) * conv.get(zero, Fraction(0))

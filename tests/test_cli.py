@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wickworks
 from wickworks.cli import main
 
 
@@ -82,6 +88,23 @@ class TestDiagrams:
         code, out, _ = run(capsys, "diagrams", "2", "4", "--format", "dot")
         assert code == 0
         assert "graph" in out and "--" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("7", "4"), "dff6d0284d4c8b7cb1c6b8f2f30f4e5c255952cf4a583b55ce664bb5fda1cd53"),
+            (
+                ("6", "4", "--format", "dot"),
+                "931f7edb266efc86ccb268a05bf64ad39f06ab87dfbc29a82e1be63eb0dd6875",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        # sha256 of the output before canonical_search pruned by automorphisms:
+        # the classes, their keys, coefficients and order may not move
+        code, out, _ = run(capsys, "diagrams", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPhi4Cmd:
@@ -343,3 +366,24 @@ class TestUsage:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "hermite", "3", "--out", str(tmp_path / "missing" / "h.txt"))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # the reader is gone before the first write, as with `diagrams 8 4 | head -c 10`
+        src = str(Path(wickworks.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wickworks.cli", "diagrams", "4", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""

@@ -36,6 +36,7 @@ from wickworks.feynman import (
 )
 from wickworks.pairings import enumerate_matchings
 
+import canonical_reference as canon
 import hopf_reference as ref
 import reduction_reference as red
 from wickworks.torusfield import ModeLattice, convolve_cubes, wick_integral_variance
@@ -100,27 +101,33 @@ def k4_doubled_per_momentum(d: int, N: int) -> float:
 
 
 def valuate_bruteforce(g: Diagram, d: int, N: int) -> float:
-    """Independent oracle: enumerate every edge-momentum assignment in K_N."""
+    """Independent oracle: enumerate every edge-momentum assignment in K_N.
+
+    The assignments run in chunks: np.indices ranges over the modes of the
+    last edges while the first edges hold one prefix. One incidence einsum
+    gives every vertex's net momentum, and math.fsum adds the weight products
+    of the assignments that conserve it everywhere."""
     lat = ModeLattice(d, N)
-    modes = lat.modes
-    weights = {k: 1.0 / float(lat.lam(k)) for k in modes}
+    modes = np.array(lat.modes).reshape(len(lat.modes), d)
+    weights = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
     edge_list = []
     for (i, j), m in g.edges:
         edge_list.extend([(i, j)] * m)
-    total = 0.0
-    for assign in itertools.product(modes, repeat=len(edge_list)):
-        res = [[0] * d for _ in range(g.nvertices)]
-        for (i, j), k in zip(edge_list, assign):
-            for ax in range(d):
-                res[i][ax] += k[ax]
-                res[j][ax] -= k[ax]
-        if any(any(r) for r in res):
-            continue
-        w = 1.0
-        for k in assign:
-            w *= weights[k]
-        total += w
-    return total
+    incidence = np.zeros((g.nvertices, len(edge_list)), dtype=int)
+    for e, (i, j) in enumerate(edge_list):
+        incidence[i, e] += 1
+        incidence[j, e] -= 1
+    M, tail = len(modes), 0
+    while tail < len(edge_list) and M ** (tail + 1) <= 2**15:
+        tail += 1
+    chunk = np.indices((M,) * tail).reshape(tail, M**tail)
+    terms = []
+    for prefix in itertools.product(range(M), repeat=len(edge_list) - tail):
+        assign = np.vstack([np.tile(np.array(prefix, dtype=int)[:, None], M**tail), chunk])
+        net = np.einsum("ve,ecx->vcx", incidence, modes[assign])
+        conserving = ~net.any(axis=(0, 2))
+        terms.extend(np.prod(weights[assign[:, conserving]], axis=0).tolist())
+    return math.fsum(terms)
 
 
 class TestDiagramBasics:
@@ -301,23 +308,23 @@ def k33() -> Diagram:
     return Diagram(6, [(i, j) for i in range(3) for j in range(3, 6)])
 
 
+COEFFICIENT_CASES = [
+    ([4] * 5, ()),
+    ([4] * 6, ()),
+    ([3, 3, 3, 3], ()),
+    ([4, 4, 2], ()),
+    ([4, 3, 3, 2], ()),
+    ([3, 3, 1, 1], ()),
+    ([4, 4], ("x", "y")),
+]
+
+
 class TestCanonicalLabelling:
     # Oracle for the canonical classes: a class's matching count is
     # prod n_g! * prod a_v! / (|Aut| * prod m_ij!), with n_g the size of each
     # arity group of unlabelled vertices and Aut fixing the labelled ones.
     # Merging two classes or splitting one breaks the equality.
-    @pytest.mark.parametrize(
-        "arities, labels",
-        [
-            ([4] * 5, ()),
-            ([4] * 6, ()),
-            ([3, 3, 3, 3], ()),
-            ([4, 4, 2], ()),
-            ([4, 3, 3, 2], ()),
-            ([3, 3, 1, 1], ()),
-            ([4, 4], ("x", "y")),
-        ],
-    )
+    @pytest.mark.parametrize("arities, labels", COEFFICIENT_CASES)
     def test_coefficients_from_automorphisms(self, arities, labels):
         out = generate_diagrams(arities, labels)
         assert out.terms
@@ -370,6 +377,66 @@ class TestCanonicalLabelling:
             assert (c.nvertices, c.edges, c.labels) == key
             c._key = None
             assert c.canonical_key() == key
+
+
+class TestPrunedSearch:
+    """canonical_search against the search that walks every leaf
+    (tests/canonical_reference.py): the same key and the same |Aut|."""
+
+    @pytest.mark.parametrize(
+        "arities, labels", [([4] * n, ()) for n in range(2, 8)] + COEFFICIENT_CASES
+    )
+    def test_every_searched_state_matches_the_reference(self, arities, labels):
+        calls = canon.recorded_searches(arities, labels)
+        assert calls
+        assert canon.disagreements(calls) == []
+
+    def test_relabelled_order6_classes_match_the_reference(self):
+        rng = random.Random(21)
+        for g in generate_diagrams([4] * 6).terms:
+            for _ in range(20):
+                perm = list(range(g.nvertices))
+                rng.shuffle(perm)
+                h = g.relabeled(dict(enumerate(perm)))
+                degs = h.degrees()
+                colour = [h._color(v, degs) for v in range(h.nvertices)]
+                got = fy.canonical_search(h.nvertices, h.edges, colour, h.labels)
+                assert got == canon.canonical_search(h.nvertices, h.edges, colour, h.labels)
+                assert got[0] == g.canonical_key()
+
+    def test_random_coloured_labelled_graphs_match_the_reference(self):
+        # loops, parallel lines, and colours and labels drawn independently
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            lines = Counter()
+            for _ in range(rng.randint(0, 2 * n)):
+                i, j = sorted((rng.randrange(n), rng.randrange(n)))
+                lines[i, j] += rng.randint(1, 2)
+            edges = tuple(sorted(lines.items()))
+            colour = [rng.randrange(2) for _ in range(n)]
+            labels = tuple((v, rng.choice("xy")) for v in range(n) if rng.random() < 0.3)
+            gens = []
+            got = fy.canonical_search(n, edges, colour, labels, automorphisms=gens)
+            assert got == canon.canonical_search(n, edges, colour, labels), (edges, colour, labels)
+            assert canon.generates(got[0], sorted(colour), gens, got[1])
+
+    @pytest.mark.parametrize(
+        "g, copies, aut", [(double_triangle(), 4, 6**4 * 24), (banana(4), 5, 2**5 * 120)]
+    )
+    def test_disjoint_unions_match_the_reference(self, g, copies, aut):
+        # |Aut| of k copies of G is |Aut G|^k k!
+        union = EMPTY
+        for _ in range(copies):
+            union = union.disjoint_union(g)
+        degs = union.degrees()
+        colour = [union._color(v, degs) for v in range(union.nvertices)]
+        args = (union.nvertices, union.edges, colour, union.labels)
+        gens = []
+        key, got = fy.canonical_search(*args, automorphisms=gens)
+        assert got == aut
+        assert (key, got) == canon.canonical_search(*args)
+        assert canon.generates(key, sorted(colour), gens, aut)
 
 
 def labelled_matching_sum(vertex_arities, external_labels=()) -> DiagramSum:
@@ -504,7 +571,9 @@ class TestIsomorphFreeGeneration:
 
         monkeypatch.setattr(fy, "canonical_search", counted)
         assert len(generate_diagrams([4] * 6).terms) == 24
-        assert 0 < len(calls) < 1000
+        # 713 when every leg choice of a state is searched, 482 up to the
+        # state's automorphisms
+        assert 0 < len(calls) <= 482
 
     def test_leaf_count_is_automorphism_count(self):
         for g in (prism(), k33(), dumbbell(), k4_doubled(), double_triangle(), banana(4)):

@@ -14,7 +14,6 @@ from wickworks.torusfield import (
     ModeLattice,
     SpectralProfile,
     c_variance,
-    c_variance_exact,
     gff1_increment_variance,
     green_exact_1d,
     green_truncated,
@@ -22,10 +21,14 @@ from wickworks.torusfield import (
     sample_field,
     sobolev_sum,
     wick_integral_variance,
-    wick_integral_variance_bruteforce,
-    wick_integral_variance_exact,
     wick_power_field,
     young_sum_check,
+)
+
+from exact_reference import (
+    c_variance_exact,
+    wick_integral_variance_bruteforce,
+    wick_integral_variance_exact,
 )
 
 
