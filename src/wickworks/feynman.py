@@ -136,13 +136,9 @@ class Diagram:
 
     # -- canonical form ----------------------------------------------------
 
-    def _color(self, v: int, degs) -> tuple:
-        return (degs[v], str(self.label_of(v) or ""))
-
     def canonical_key(self) -> tuple:
         if self._key is None:
-            degs = self.degrees()
-            colour = [self._color(v, degs) for v in range(self.nvertices)]
+            colour = [_colour(a, self.label_of(v)) for v, a in enumerate(self.degrees())]
             self._key = canonical_search(self.nvertices, self.edges, colour, self.labels)[0]
         return self._key
 
@@ -194,33 +190,18 @@ class Diagram:
         the new vertex's arity is the number of edges leaving the part.
         """
         parts = [frozenset(p) for p in parts]
-        seen = set()
-        for p in parts:
-            if seen & p:
-                raise ValueError("contraction parts must be disjoint")
-            seen |= p
-        where = {}
-        for idx, p in enumerate(parts):
-            for v in p:
-                where[v] = idx
-        outside = [v for v in range(self.nvertices) if v not in where]
-        relabel = {}
-        for idx in range(len(parts)):
-            relabel[("part", idx)] = idx
-        for pos, v in enumerate(outside):
-            relabel[("vertex", v)] = len(parts) + pos
-
-        def target(v):
-            return (
-                relabel[("part", where[v])] if v in where else relabel[("vertex", v)]
-            )
-
-        edges = []
-        for (i, j), m in self.edges:
-            if i in where and j in where and where[i] == where[j]:
-                continue
-            edges.append(((target(i), target(j)), m))
-        labels = [(target(v), label) for v, label in self.labels]
+        target = {v: idx for idx, p in enumerate(parts) for v in p}
+        if len(target) < sum(len(p) for p in parts):
+            raise ValueError("contraction parts must be disjoint")
+        outside = [v for v in range(self.nvertices) if v not in target]
+        target.update((v, len(parts) + pos) for pos, v in enumerate(outside))
+        # an edge inside a part goes; a loop at an outside vertex stays
+        edges = [
+            ((target[i], target[j]), m)
+            for (i, j), m in self.edges
+            if target[i] != target[j] or target[i] >= len(parts)
+        ]
+        labels = [(target[v], label) for v, label in self.labels]
         return Diagram(len(parts) + len(outside), edges, labels)
 
     # -- serialization -----------------------------------------------------
@@ -252,6 +233,12 @@ class Diagram:
             lines.extend([f"  v{i} -- v{j};"] * m)
         lines.append("}")
         return "\n".join(lines)
+
+
+def _colour(arity: int, label) -> tuple:
+    """A vertex's colour for canonical labelling: its arity and its label
+    (the empty string for an internal vertex)."""
+    return (arity, str(label or ""))
 
 
 def canonical_search(
@@ -563,9 +550,8 @@ def generate_diagrams(vertex_arities, external_labels=()) -> DiagramSum:
     states = {((), (), ()): (1, [])}
     for t in range(n):
         arity, name = arities[t], names[t]
-        # Diagram._color plus open legs, so a complete state's key is its
-        # Diagram key
-        colour_t = (arity, str(name or ""))
+        # _colour plus open legs, so a complete state's key is its Diagram key
+        colour_t = _colour(arity, name)
         grown = {}
         for (colours, edges, labels), (_, gens) in states.items():
             open_legs = [c[2] for c in colours]
@@ -1067,7 +1053,7 @@ def _check_hyperoctahedral(cube: np.ndarray) -> None:
     if cube.ndim > 1:
         images += [np.swapaxes(cube, 0, 1), np.moveaxis(cube, 0, -1)]
     if not _symmetric(cube, *images):
-        raise ValuationBudgetError(
+        raise ValueError(
             "K4 weight is not invariant under coordinate permutations and sign "
             "flips; the orbit loop would sum it wrongly"
         )

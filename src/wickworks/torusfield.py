@@ -22,9 +22,9 @@ Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
 noise. Weights are looked up by |k|^2, C_N is the fsum of the weight cube,
 and one cosine sum (cosine_sum) gives the Green function and every
-two-point value in position space. Passing a Fraction `coupling` to
-ModeLattice switches the weights to exact rationals, which the
-convolution-vs-brute-force identities use.
+two-point value in position space. The padded-FFT linear convolution
+convolve_cubes gives young_sum_check its constrained sums, and is the
+reference the windowed convolution_window is tested against.
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
 from math import cosh, sinh, sqrt
 
 import numpy as np
+
+from .polyalg import hermite_scaled
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,22 +50,16 @@ def _l1_ball(d: int, N: int) -> list[tuple[int, ...]]:
 
 
 class ModeLattice:
-    """Truncated Fourier lattice K_N in Z^d with weights lambda_k.
+    """Truncated Fourier lattice K_N in Z^d with weights lambda_k."""
 
-    coupling defaults to (2 pi)^d; a Fraction coupling keeps every weight an
-    exact rational (used by the exact convolution cross-checks).
-    """
-
-    def __init__(self, d: int, N: int, coupling=None):
+    def __init__(self, d: int, N: int):
         _check_lattice(d, N)
         self.d = d
         self.N = N
-        self.coupling = (TWO_PI**d) if coupling is None else coupling
         self.modes = _l1_ball(d, N)
 
     def lam(self, k) -> float:
-        norm2 = sum(int(c) ** 2 for c in k)
-        return 1 + self.coupling * norm2
+        return 1 + TWO_PI**self.d * sum(int(c) ** 2 for c in k)
 
     def positive_modes(self) -> list[tuple[int, ...]]:
         """One representative per +-k pair: first nonzero coordinate positive.
@@ -76,7 +71,7 @@ class ModeLattice:
 
     def inverse_weight_cube(self, s: float = 1.0) -> np.ndarray:
         """Array of lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N."""
-        return inverse_weight_cube(self.d, self.N, s, self.coupling)
+        return inverse_weight_cube(self.d, self.N, s)
 
 
 @lru_cache(maxsize=None)
@@ -91,25 +86,24 @@ def _check_lattice(d: int, N: int) -> None:
         raise ValueError("N must be >= 0")
 
 
-def inverse_weight_cube(d: int, N: int, s: float = 1.0, coupling=None) -> np.ndarray:
+def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:
     """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N.
 
     Each value is looked up by |k|^2 in _weight_table (on K_N, |k|^2 <=
-    |k|_1^2 <= N^2), so a Fraction coupling stays exact until float(). The
-    table keeps Python's float pow: np.power can differ from it in the last
-    bit.
+    |k|_1^2 <= N^2). The table keeps Python's float pow: np.power can differ
+    from it in the last bit.
     """
     _check_lattice(d, N)
     norm2 = sum(a * a for a in np.ix_(*[np.arange(-N, N + 1)] * d))
     ball = _l1_mask(d, N)
     cube = np.zeros(norm2.shape)
-    cube[ball] = _weight_table(TWO_PI**d if coupling is None else coupling, N, s)[norm2[ball]]
+    cube[ball] = _weight_table(d, N, s)[norm2[ball]]
     return cube
 
 
-def _weight_table(coupling, N: int, s: float) -> np.ndarray:
-    """lambda^(-s) for |k|^2 = 0..N^2, each float(1 + coupling |k|^2) ** (-float(s))."""
-    return np.array([float(1 + coupling * n) ** (-float(s)) for n in range(N * N + 1)])
+def _weight_table(d: int, N: int, s: float) -> np.ndarray:
+    """lambda^(-s) for |k|^2 = 0..N^2, each (1 + (2 pi)^d |k|^2) ** (-float(s))."""
+    return np.array([(1 + TWO_PI**d * n) ** (-float(s)) for n in range(N * N + 1)])
 
 
 def c_variance(d: int, N: int) -> float:
@@ -167,8 +161,8 @@ class SpectralProfile:
     def __post_init__(self):
         if self.kind not in ("white", "gff", "fractional"):
             raise ValueError(f"unknown profile {self.kind!r}")
-        if self.kind == "fractional" and self.s < 0:
-            raise ValueError("fractional exponent must be >= 0")
+        if self.kind == "fractional" and not (math.isfinite(self.s) and self.s >= 0):
+            raise ValueError(f"fractional exponent s must be finite and >= 0, got {self.s!r}")
 
     @property
     def exponent(self) -> float:
@@ -239,19 +233,18 @@ def testfunction_from_values(lattice: ModeLattice, func, grid: int | None = None
     pair_with_testfunction. Quadrature is exact for trig polynomials of
     per-axis degree < grid/2 ... good enough for smooth bumps.
     """
-    d = lattice.d
     if grid is None:
         grid = 8 * max(lattice.N, 1)
-    pts = grid_points(d, grid)
+    pts = grid_points(lattice.d, grid)
     vals = np.array([func(p) for p in pts])
-    out = {}
-    zero = (0,) * d
-    out[(zero, "c")] = float(vals.mean())
-    for k in lattice.positive_modes():
-        phase = TWO_PI * pts @ np.asarray(k, dtype=float)
-        out[(k, "c")] = float((vals * np.cos(phase)).mean() * math.sqrt(2.0))
-        out[(k, "s")] = float((vals * np.sin(phase)).mean() * math.sqrt(2.0))
-    return out
+    # synthesis_matrix rows in blocks: the whole (points x modes) matrix
+    # would take 1.7 GB at d = 3, N = 8 on the default grid
+    step = 4096
+    coeffs = sum(
+        synthesis_matrix(lattice, pts[i : i + step]).T @ vals[i : i + step]
+        for i in range(0, len(pts), step)
+    )
+    return dict(zip(mode_labels(lattice), (coeffs / len(pts)).tolist()))
 
 
 def sobolev_sum(s: float, d: int, N: int, profile: SpectralProfile) -> float:
@@ -274,16 +267,10 @@ def wick_power_field(sample: FieldSample, n: int, grid: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     values = sample.evaluate_grid(grid)
-    c = sample.variance_target()
     out = np.zeros_like(values)
-    for k in range(n // 2 + 1):
-        coeff = (
-            (-1) ** k
-            * math.factorial(n)
-            / (2**k * math.factorial(k) * math.factorial(n - 2 * k))
-            * c**k
-        )
-        out += coeff * values ** (n - 2 * k)
+    for i, coeff in enumerate(hermite_scaled(n, sample.variance_target()).coeffs):
+        if coeff:
+            out += float(coeff) * values**i
     return out
 
 
@@ -685,7 +672,7 @@ def grid_synthesizer(d: int, N: int, M: int, shifted: bool = False) -> GridSynth
 def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:
     """lambda_k^(-exponent) per real-basis amplitude, in mode_labels order."""
     keys = np.array([k for k, _ in mode_labels(lattice)]).reshape(-1, lattice.d)
-    return _weight_table(lattice.coupling, lattice.N, exponent)[(keys * keys).sum(axis=1)]
+    return _weight_table(lattice.d, lattice.N, exponent)[(keys * keys).sum(axis=1)]
 
 
 def batch_amplitudes(
@@ -727,12 +714,12 @@ def _smooth_len(n: int) -> int:
 def convolve_cubes(*cubes: np.ndarray) -> np.ndarray:
     """Exact linear convolution of any number of centered cubes via FFT.
 
-    This is the reference the tests hold convolution_window and
-    constant_term against; the valuation does not call it. It needs no
-    symmetry of its inputs and no l1 support, and it returns the whole
-    convolution: n_out = (sum of the input sides) - (n - 1) per axis, with
-    the transforms on the smallest 5-smooth length that holds n_out, so no
-    output entry wraps around.
+    young_sum_check reads its constrained sums from it, and the tests hold
+    convolution_window and constant_term against it; the valuation does not
+    call it. It needs no symmetry of its inputs and no l1 support, and it
+    returns the whole convolution: n_out = (sum of the input sides) - (n - 1)
+    per axis, with the transforms on the smallest 5-smooth length that holds
+    n_out, so no output entry wraps around.
     Inputs are matched by identity: each distinct array is transformed once
     and its spectrum raised to its multiplicity, so an m-fold bundle of one
     cube costs one forward and one inverse transform. The spectra are
@@ -793,27 +780,16 @@ def young_sum_check(d: int, n: int, m: int, kmax: int, truncation: int | None = 
         for k in _l1_ball(d, kmax)
         if any(k) and math.sqrt(sum(c * c for c in k)) <= kmax
     ]
-    side = 2 * truncation + 1
-    axes = np.arange(-truncation, truncation + 1)
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    norm = np.sqrt(sum(g.astype(float) ** 2 for g in grids))
+    norm = np.sqrt(sum(a * a for a in np.ix_(*[np.arange(-truncation, truncation + 1)] * d)))
     with np.errstate(divide="ignore"):
         inv_n = np.where(norm > 0, norm ** (-float(n)), 0.0)
         inv_m = np.where(norm > 0, norm ** (-float(m)), 0.0)
+    # the sum over k1 + k2 = k with both in the window, centred at 2 * truncation
+    conv = convolve_cubes(inv_n, inv_m)
     rows = []
     sup = 0.0
     for k in ks:
-        # inv_m shifted so index j reads ||k - j||^-m; out-of-window pairs drop
-        shifted = np.zeros_like(inv_m)
-        src = [slice(None)] * d
-        dst = [slice(None)] * d
-        for ax, kc in enumerate(k):
-            if kc >= 0:
-                src[ax], dst[ax] = slice(0, side - kc), slice(kc, side)
-            else:
-                src[ax], dst[ax] = slice(-kc, side), slice(0, side + kc)
-        shifted[tuple(src)] = inv_m[tuple(dst)]
-        total = float(np.sum(inv_n * shifted))
+        total = float(conv[tuple(2 * truncation + c for c in k)])
         nk = math.sqrt(sum(c * c for c in k))
         witness = total * nk ** (n + m - d)
         sup = max(sup, witness)

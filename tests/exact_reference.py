@@ -7,7 +7,8 @@ squared F^p. The arithmetic is kept exactly as it was, so the tests can hold
 `wickworks.cumulants` and `wickworks.chaos` to the same values under ==.
 The Neumann series is one more independent route to the star-inverse. The
 exact-rational C_N and the quartic-integral variance by nested sum and by
-dictionary convolution are the torusfield test hooks, moved here unchanged.
+dictionary convolution are the torusfield test hooks; each builds its weights
+1 / (1 + c |k|^2) over K_N itself, exact for a Fraction c.
 Nothing here is called by the package.
 """
 
@@ -20,7 +21,7 @@ from math import factorial
 
 from wickworks.chaos import ChaosElement, _multiply_direct, expectation
 from wickworks.cumulants import Functional, convolve
-from wickworks.torusfield import ModeLattice
+from wickworks.torusfield import TWO_PI, ModeLattice
 
 
 @lru_cache(maxsize=None)
@@ -114,37 +115,37 @@ def moment_equivalence_report(F: ChaosElement, p: int):
     return lhs, rhs
 
 
+def _inverse_weights(d: int, N: int, coupling) -> dict:
+    """1 / (1 + coupling |k|^2) for k in K_N, in mode order; exact for a
+    Fraction coupling, and 1 / lambda_k for coupling (2 pi)^d."""
+    return {k: 1 / (1 + coupling * sum(c * c for c in k)) for k in ModeLattice(d, N).modes}
+
+
 def c_variance_exact(d: int, N: int, coupling: Fraction) -> Fraction:
     """Exact-rational C_N for a rational stand-in coupling (test hook)."""
-    lat = ModeLattice(d, N, coupling=Fraction(coupling))
-    total = Fraction(0)
-    for k in lat.modes:
-        total += Fraction(1) / lat.lam(k)
-    return total
+    return sum(_inverse_weights(d, N, Fraction(coupling)).values(), Fraction(0))
 
 
 def wick_integral_variance_bruteforce(d: int, N: int, n: int, coupling=None):
-    """Direct nested sum over the constrained tuples; exact with a rational coupling."""
+    """Direct nested sum over the constrained tuples; exact with a rational
+    coupling, in floats for the default (2 pi)^d."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    lat = ModeLattice(d, N, coupling=coupling)
-    exact = isinstance(lat.coupling, Fraction)
-    weights = {k: (Fraction(1) / lat.lam(k)) if exact else 1.0 / float(lat.lam(k)) for k in lat.modes}
+    exact = isinstance(coupling, Fraction)
+    weights = _inverse_weights(d, N, TWO_PI**d if coupling is None else coupling)
 
     def rec(depth, partial_sum):
         if depth == n - 1:
             last = tuple(-c for c in partial_sum)
             return weights.get(last, Fraction(0) if exact else 0.0)
         total = Fraction(0) if exact else 0.0
-        for k in lat.modes:
-            w = weights[k]
+        for k, w in weights.items():
             total += w * rec(depth + 1, tuple(p + c for p, c in zip(partial_sum, k)))
         return total
 
-    zero = (0,) * d
     base = Fraction(0) if exact else 0.0
-    for k in lat.modes:
-        base += weights[k] * rec(1, k)
+    for k, w in weights.items():
+        base += w * rec(1, k)
     return math.factorial(n) * base
 
 
@@ -152,8 +153,7 @@ def wick_integral_variance_exact(d: int, N: int, n: int, coupling: Fraction) -> 
     """Exact-rational convolution route, for comparison with the brute force."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    lat = ModeLattice(d, N, coupling=Fraction(coupling))
-    weights = {k: Fraction(1) / lat.lam(k) for k in lat.modes}
+    weights = _inverse_weights(d, N, Fraction(coupling))
     conv = dict(weights)
     for _ in range(n - 1):
         nxt: dict = {}

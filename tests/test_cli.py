@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wickworks
+from wickworks import torusfield
 from wickworks.cli import main
 
 
@@ -317,6 +318,36 @@ class TestField:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+
+    def test_fractional_profile_reruns_match_the_library(self, capsys, tmp_path):
+        a, b, lib = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "lib.csv"
+        for path in (a, b):
+            code, _, _ = run(
+                capsys,
+                "field", "--profile", "fractional", "--s", "0.75", "--d", "2", "--N", "3",
+                "--grid", "8", "--seed", "5", "--out", str(path),
+            )
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+        header = json.loads(a.read_text().splitlines()[0])
+        assert header["profile"] == "fractional" and header["s"] == 0.75
+        profile = torusfield.SpectralProfile("fractional", 0.75)
+        sample = torusfield.sample_field(profile, torusfield.ModeLattice(2, 3), 5)
+        torusfield.write_sample(sample, str(lib), 8)
+        assert a.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-0.25"])
+    def test_fractional_rejects_a_bad_s(self, capsys, tmp_path, s):
+        # a nan exponent once sampled nan values under a non-JSON header
+        out = tmp_path / "field.csv"
+        code, stdout, err = run(
+            capsys,
+            "field", "--profile", "fractional", "--s", s, "--d", "1", "--N", "2",
+            "--grid", "4", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert "fractional exponent s must be finite and >= 0" in err
 
     @pytest.mark.parametrize(
         "grid, seed, message",

@@ -205,6 +205,21 @@ class TestDiagramBasics:
         dot = single_edge().to_dot()
         assert "graph" in dot and "v0 -- v1" in dot
 
+    def test_contract_numbering(self):
+        # parts first, then the outside vertices in order; the lines inside a
+        # part go, and a loop at an outside vertex stays
+        g = Diagram(
+            6,
+            [((0, 1), 2), ((1, 2), 1), ((2, 3), 1), ((3, 3), 1), ((3, 4), 1), ((0, 4), 1), ((4, 5), 1)],
+            labels=[(4, "x"), (5, "y")],
+        )
+        h = g.contract([{5}, {1, 0}])
+        assert h.nvertices == 5
+        assert h.edges == (((0, 4), 1), ((1, 2), 1), ((1, 4), 1), ((2, 3), 1), ((3, 3), 1), ((3, 4), 1))
+        assert h.labels == ((0, "y"), (4, "x"))
+        with pytest.raises(ValueError, match="disjoint"):
+            g.contract([{0, 1}, {1, 2}])
+
 
 class TestGeneration:
     def test_two_quartic_vertices(self):
@@ -281,6 +296,11 @@ class TestGeneration:
         direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
         disc = direct.disjoint_union(banana(4))
         assert out.terms[disc] == 24
+
+
+def vertex_colours(g: Diagram) -> list:
+    """The colours canonical_key hands canonical_search, one per vertex."""
+    return [fy._colour(a, g.label_of(v)) for v, a in enumerate(g.degrees())]
 
 
 def automorphism_count(g: Diagram) -> int:
@@ -398,8 +418,7 @@ class TestPrunedSearch:
                 perm = list(range(g.nvertices))
                 rng.shuffle(perm)
                 h = g.relabeled(dict(enumerate(perm)))
-                degs = h.degrees()
-                colour = [h._color(v, degs) for v in range(h.nvertices)]
+                colour = vertex_colours(h)
                 got = fy.canonical_search(h.nvertices, h.edges, colour, h.labels)
                 assert got == canon.canonical_search(h.nvertices, h.edges, colour, h.labels)
                 assert got[0] == g.canonical_key()
@@ -429,8 +448,7 @@ class TestPrunedSearch:
         union = EMPTY
         for _ in range(copies):
             union = union.disjoint_union(g)
-        degs = union.degrees()
-        colour = [union._color(v, degs) for v in range(union.nvertices)]
+        colour = vertex_colours(union)
         args = (union.nvertices, union.edges, colour, union.labels)
         gens = []
         key, got = fy.canonical_search(*args, automorphisms=gens)
@@ -577,8 +595,7 @@ class TestIsomorphFreeGeneration:
 
     def test_leaf_count_is_automorphism_count(self):
         for g in (prism(), k33(), dumbbell(), k4_doubled(), double_triangle(), banana(4)):
-            degs = g.degrees()
-            colour = [g._color(v, degs) for v in range(g.nvertices)]
+            colour = vertex_colours(g)
             key, aut = fy.canonical_search(g.nvertices, g.edges, colour, g.labels)
             assert key == g.canonical_key()
             assert aut == automorphism_count(g)
@@ -1073,8 +1090,10 @@ class TestK4Orbits:
             pair: fy._Weight(skewed if k == 5 else base, N)
             for k, pair in enumerate(itertools.combinations(range(4), 2))
         }
-        with pytest.raises(ValuationBudgetError):
+        # a broken symmetry is a bad input, not a core past the engine's limit
+        with pytest.raises(ValueError, match="not invariant under coordinate permutations") as err:
             fy._valuate_k4(lines)
+        assert not isinstance(err.value, ValuationBudgetError)
 
     def test_orbit_transforms_share_one_buffer(self, monkeypatch):
         # a core of six single edges (no bundle to transform): one transform
@@ -1198,6 +1217,36 @@ class TestExternal:
         g = direct.disjoint_union(banana(4))
         got = valuate_external(g, 1, 3)
         assert got == pytest.approx(valuate(banana(4), 1, 3), rel=1e-12)
+
+    def test_momentum_outside_the_reduced_cube_is_zero(self):
+        # the direct propagator's cube has radius N: its edge is the last
+        # nonzero value, and one step past it reads 0.0 without indexing
+        direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+        lat = ModeLattice(1, 4)
+        assert valuate_external(direct, 1, 4, p=(4,)) == 1.0 / lat.lam((4,))
+        for p in [(5,), (-5,), (40,)]:
+            assert valuate_external(direct, 1, 4, p=p) == 0.0
+        assert valuate_external(direct, 2, 4, p=(0, -5)) == 0.0
+
+    def test_order4_classes_with_a_core_raise(self):
+        # with both terminals protected, two of the twelve order-4 two-point
+        # classes reduce to a core rather than one x-y bundle
+        classes = generate_diagrams([4] * 4, ("x", "y")).sorted_terms()
+        assert len(classes) == 12
+        raised = []
+        for g, _ in classes:
+            try:
+                valuate_external(g, 1, 2)
+            except ValuationBudgetError as err:
+                assert "two-terminal reduction" in str(err)
+                raised.append(g)
+        legs = [((0, 2), 1), ((1, 3), 1)]
+        labels = [(0, "x"), (1, "y")]
+        # on the internal vertices 2..5: K4 with one double line, and K4 less
+        # the line between the two leg vertices, with two double lines
+        k4 = [((2, 3), 1), ((2, 4), 1), ((2, 5), 1), ((3, 4), 1), ((3, 5), 1), ((4, 5), 2)]
+        k4_less_one_line = [((2, 4), 1), ((2, 5), 2), ((3, 4), 2), ((3, 5), 1), ((4, 5), 1)]
+        assert raised == [Diagram(6, legs + k4, labels), Diagram(6, legs + k4_less_one_line, labels)]
 
 
 def test_fft_lengths_are_5_smooth(monkeypatch):

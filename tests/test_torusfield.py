@@ -93,12 +93,6 @@ class TestWeightTables:
         assert np.array_equal(tf.inverse_weight_cube(d, N, s), want)
         assert np.array_equal(ModeLattice(d, N).inverse_weight_cube(s), want)
 
-    @pytest.mark.parametrize("d, N", [(1, 5), (2, 5), (3, 3)])
-    def test_cube_with_fraction_coupling(self, d, N):
-        lat = ModeLattice(d, N, coupling=Fraction(7, 3))
-        for s in (1, 0.75):
-            assert np.array_equal(lat.inverse_weight_cube(s), per_mode_cube(lat, s))
-
     @pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 4), (3, 3)])
     def test_amplitude_weights_match_per_label_loop(self, d, N):
         lat = ModeLattice(d, N)
@@ -128,6 +122,17 @@ class TestWeightTables:
         for profile in (GFF, WHITE, SpectralProfile("fractional", 0.75)):
             sample = FieldSample(lat, profile, seed=0)
             assert sample.variance_target() == per_mode(-2 * profile.exponent)
+
+
+class TestSpectralProfile:
+    @pytest.mark.parametrize("s", [-0.25, math.nan, math.inf, -math.inf])
+    def test_fractional_needs_a_finite_nonnegative_s(self, s):
+        # nan < 0 is false, so the bound alone would let nan through
+        with pytest.raises(ValueError, match="exponent s must be finite and >= 0"):
+            SpectralProfile("fractional", s)
+
+    def test_fractional_accepts_zero(self):
+        assert SpectralProfile("fractional", 0.0).exponent == 0.0
 
 
 class TestVariance:
@@ -289,6 +294,26 @@ class TestPairing:
         se = prod.std(ddof=1) / math.sqrt(nsamples)
         assert abs(prod.mean() - target) < 4 * se
 
+    @pytest.mark.parametrize("d, N, grid", [(1, 5, 16), (2, 3, 12)])
+    def test_coefficients_match_per_mode_quadrature(self, d, N, grid):
+        # the per-mode cosine and sine means synthesis_matrix replaced
+        lat = ModeLattice(d, N)
+        pts = tf.grid_points(d, grid)
+
+        def func(p):
+            return math.exp(math.cos(tf.TWO_PI * p[0]) + p[-1] ** 2)
+
+        vals = np.array([func(p) for p in pts])
+        want = {((0,) * d, "c"): vals.mean()}
+        for k in lat.positive_modes():
+            phase = tf.TWO_PI * pts @ np.asarray(k, dtype=float)
+            want[k, "c"] = (vals * np.cos(phase)).mean() * math.sqrt(2.0)
+            want[k, "s"] = (vals * np.sin(phase)).mean() * math.sqrt(2.0)
+        got = tf.testfunction_from_values(lat, func, grid)
+        assert list(got) == tf.mode_labels(lat)
+        scale = max(abs(v) for v in want.values())
+        assert max(abs(got[m] - want[m]) for m in want) <= 1e-14 * scale
+
     def test_scaled_bump_variance(self):
         # Var<xi, S^lambda phi> tracks lambda^-d ||phi||^2 for a narrow bump
         lat = ModeLattice(1, 24)
@@ -358,6 +383,19 @@ class TestWickPowers:
         np.testing.assert_allclose(
             wick_power_field(s, 1, grid), s.evaluate_grid(grid), rtol=1e-12
         )
+
+    def test_matches_the_explicit_hermite_sum(self):
+        # H_n(x; c) = n! sum_k (-1)^k c^k x^(n - 2k) / (2^k k! (n - 2k)!) in floats
+        s = sample_field(GFF, ModeLattice(2, 3), seed=4)
+        values, c = s.evaluate_grid(8), s.variance_target()
+        for n in range(1, 7):
+            want = sum(
+                (-1) ** k * math.factorial(n) * c**k * values ** (n - 2 * k)
+                / (2**k * math.factorial(k) * math.factorial(n - 2 * k))
+                for k in range(n // 2 + 1)
+            )
+            got = wick_power_field(s, n, 8)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * c ** (n / 2))
 
     def test_square_integral_centered(self):
         lat = ModeLattice(1, 6)
@@ -488,6 +526,22 @@ class TestYoung:
         rows, sup = young_sum_check(3, 2, 2, 3)
         assert all(w <= sup for _, _, w in rows)
         assert sup < 60.0
+
+    def test_sums_match_a_direct_pair_sum(self):
+        # sum over k1 in the window with k - k1 in it too, term by term
+        T = 3
+        window = list(itertools.product(range(-T, T + 1), repeat=3))
+
+        def inv(k, e):
+            return math.sqrt(sum(c * c for c in k)) ** -e if any(k) else 0.0
+
+        rows, _ = young_sum_check(3, 2, 1.5, 2, truncation=T)
+        for k, total, _ in rows:
+            rest = [tuple(a - b for a, b in zip(k, j)) for j in window]
+            want = math.fsum(
+                inv(j, 2) * inv(r, 1.5) for j, r in zip(window, rest) if max(map(abs, r)) <= T
+            )
+            assert total == pytest.approx(want, rel=1e-12), k
 
     def test_truncation_stable(self):
         _, sup1 = young_sum_check(3, 2, 2, 2, truncation=16)
