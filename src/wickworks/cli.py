@@ -30,7 +30,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_default), out)
+    _write(json.dumps(payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False), out)
 
 
 def _json_default(obj):
@@ -155,8 +155,10 @@ def cmd_field(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.profile == "fractional":
-        profile = torusfield.SpectralProfile("fractional", args.s)
+        profile = torusfield.SpectralProfile("fractional", 0.5 if args.s is None else args.s)
     else:
+        if args.s is not None:
+            print(f"warning: --s {args.s} is ignored without --profile fractional", file=sys.stderr)
         profile = torusfield.SpectralProfile(args.profile)
     lattice = torusfield.ModeLattice(args.d, args.N)
     sample = torusfield.sample_field(profile, lattice, args.seed)
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="sample a spectral field and write grid values")
     p.add_argument("--profile", choices=["white", "gff", "fractional"], required=True)
-    p.add_argument("--s", type=float, default=0.5, help="fractional profile exponent")
+    p.add_argument("--s", type=float, default=None, help="fractional profile exponent (default 0.5)")
     p.add_argument("--d", type=int, required=True, choices=[1, 2, 3])
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)

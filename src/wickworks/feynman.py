@@ -973,7 +973,7 @@ def _valuate_k4(lines: dict) -> float:
         _check_hyperoctahedral(w.cube)
     dim = F_ab.cube.ndim
     M = _smooth_len(lattice_rule_size(F_ac.radius + F_bc.radius + r))
-    # f on the plain and the shifted grid, once: real, since F_cd is even
+    # f on the plain and the half-cell grid, once: real, since F_cd is even
     f = _grid_values(F_cd.cube, M)
     f = np.stack((f.real, f.imag))
     # A_p and B_p share one block, `side` long on every axis; the block and

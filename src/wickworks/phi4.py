@@ -38,6 +38,7 @@ from .torusfield import (
     cosine_sum,
     grid_synthesizer,
     lattice_rule_size,
+    mode_labels,
 )
 
 
@@ -480,8 +481,7 @@ def integral_wick4(values: np.ndarray, cn: float) -> np.ndarray:
 
 MC_BLOCK = 2048
 # samples synthesized together: one chunk's grid values (M^d x 64 floats,
-# about 0.56 MB per offset at d = 2, N = 16) stay in cache through the Wick
-# integral
+# about 0.56 MB at d = 2, N = 16) stay in cache through the Wick integral
 _MC_CHUNK = 64
 
 
@@ -508,37 +508,42 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     trigonometric polynomial of l1 degree 4N, so it is the exact mean over
     the two interleaved M^d grids j/M and (j + 1/2)/M with
     M = lattice_rule_size(4N) = 2N + 1 (see there for why): half the points
-    of the uniform (4N+1)^d grid.
+    of the uniform (4N+1)^d grid. M is odd, so the second grid's mean is the
+    first's for the field with its odd-|k|_1 amplitudes negated.
     Splitting rule: draws proceed in fixed blocks of MC_BLOCK samples whose
     generators are SeedSequence(seed).spawn children in block order, so a
-    given (config, seed) always produces the same stream. Each block's
-    amplitudes are synthesized on both grids by separable GridSynthesizers in
-    chunks of _MC_CHUNK samples, each integrated at once, and the two grid
-    means are averaged: at d = 2, N = 16 that is about 73k multiply-adds per
-    sample and grid, and the grid values alive at any time are one chunk's,
-    M^d x _MC_CHUNK floats per grid. A block's amplitudes are freed before
-    the next block is drawn.
+    given (config, seed) always produces the same stream. One GridSynthesizer
+    takes each block in chunks of _MC_CHUNK samples, as drawn and then
+    negated in place on the odd modes: at d = 2, N = 16 about 73k
+    multiply-adds per sample and grid, one chunk's M^d x _MC_CHUNK values
+    alive. Raises ValueError naming alpha when exp(-alpha X) overflows, as it
+    can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
     """
     check_mc_arguments(d, alpha, samples, seed)
     lat = ModeLattice(d, N)
     M = lattice_rule_size(4 * N)
-    plain, shifted = grid_synthesizer(d, N, M), grid_synthesizer(d, N, M, True)
+    assert M % 2, "the half-cell grid is a translate of the plain one only for odd M"
+    synth = grid_synthesizer(d, N, M)
+    odd = np.flatnonzero(np.abs([k for k, _ in mode_labels(lat)]).sum(axis=1) % 2)
     cn = c_variance(d, N)
     weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
     draws = np.empty(samples)
-    start = 0
-    for ss in seeds:
+    for start, ss in zip(range(0, samples, MC_BLOCK), seeds):
         amps = batch_amplitudes(lat, GFF, min(MC_BLOCK, samples - start), ss, weights)
         for j in range(0, amps.shape[1], _MC_CHUNK):
             cols = amps[:, j : j + _MC_CHUNK]
-            wick4 = integral_wick4(plain(cols), cn) + integral_wick4(shifted(cols), cn)
+            wick4 = integral_wick4(synth(cols), cn)
+            cols[odd] *= -1  # in place: the block is not needed again
+            wick4 += integral_wick4(synth(cols), cn)
             draws[start + j : start + j + cols.shape[1]] = 0.5 * wick4
-        start += amps.shape[1]
         del amps, cols  # free this block before the next one is drawn
-    draws = np.exp(-alpha * draws)
-    est = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(len(draws))) if len(draws) > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = np.exp(-alpha * draws)
+        est = float(draws.mean())
+        stderr = float(draws.std(ddof=1) / math.sqrt(len(draws))) if len(draws) > 1 else 0.0
+    if not (math.isfinite(est) and math.isfinite(stderr)):
+        raise ValueError(f"alpha = {alpha} overflows exp(-alpha X) at d = {d}, N = {N}")
     return est, stderr
 
 

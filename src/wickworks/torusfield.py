@@ -6,11 +6,11 @@ lambda_k = 1 + (2 pi)^d ||k||^2. Sampling uses a real cosine/sine basis with
 one independent standard normal per amplitude, so no Hermitian-coefficient
 bookkeeping is needed; all covariance targets below are stated in that basis.
 
-Fields reach a uniform M^d grid, j/M or shifted by half a cell to
-(j + 1/2)/M, through one GridSynthesizer per (d, N, M, shift). It sums the
-modes one axis at a time in plain real matrix products, touching only the
-amplitudes the l1 ball holds, and returns one column per field. The dense
-synthesis_matrix (one row per point, one column per amplitude) serves
+Fields reach the uniform M^d grid j/M through one GridSynthesizer per
+(d, N, M), which also serves the half-cell grid (see lattice_rule_size). It
+sums the modes one axis at a time in plain real matrix products, touching
+only the amplitudes the l1 ball holds, and returns one column per field. The
+dense synthesis_matrix (one row per point, one column per amplitude) serves
 arbitrary points and is the oracle the grid route is tested against.
 
 One builder, _l1_within (cached as _l1_mask), gives K_N for everything
@@ -329,7 +329,9 @@ def lattice_rule_size(deg: int) -> int:
     the mean over the union is (1 + (-1)^(m_1 + ... + m_d)) / 2. For
     0 < |k|_1 < 2M the only survivors have |m|_1 = 1, an odd sum, and the
     union mean is 0. The rule is tight: k = 2M e_1 has union mean 1. Any
-    larger M (say a 5-smooth FFT length) is exact too.
+    larger M (say a 5-smooth FFT length) is exact too. For odd M the second
+    grid is the first moved by 1/2 on every axis ((j + 1/2)/M = j'/M + 1/2,
+    j' = j + (M + 1)/2 mod M), which multiplies e^(2 pi i k.x) by (-1)^(|k|_1).
     """
     return deg // 2 + 1
 
@@ -375,7 +377,7 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     An even cube has a real polynomial on both grids, so one complex FFT
     gives both (_grid_values). Inputs are matched by identity: each distinct
     array is transformed once and raised to its multiplicity. The products P
-    (plain grid) and Q (shifted grid) share one inverse FFT of P + iQ, which
+    (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ, which
     _grid_window separates and untwists into the box. Of the box's size only
     the box itself and a boolean mask for the zeros are built. Raises
     ValueError for a cube that is not even to roundoff.
@@ -454,7 +456,7 @@ def _grid_values(cube: np.ndarray, M: int) -> np.ndarray:
     One FFT of fold(c) + i fold(c tau), tau(k) = exp(-pi i (k_1 + ... +
     k_d)/M) taken at the true momentum, gives u + iv: fold puts momentum k at
     index k mod M, where tau(k) is tau(k mod M) times (-1)^(n_1 + ... + n_d),
-    n = floor(k / M). So the shifted fold alternates the signs of the
+    n = floor(k / M). So the half-cell fold alternates the signs of the
     aliases and takes the factor tau one axis at a time.
     """
     dim, R = cube.ndim, cube.shape[0] // 2
@@ -472,13 +474,13 @@ def _grid_values(cube: np.ndarray, M: int) -> np.ndarray:
 
 def _grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
     """The box of radius r from Y = ifftn(P + iQ) (overwritten), for real
-    products P and Q on the plain and the shifted grid (_grid_values).
+    products P and Q on the plain and the half-cell grid (_grid_values).
 
     With A = ifftn(P) and B = ifftn(Q), the box value at k is
     (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. Hermitian
     separation gives 2A = Y(k) + conj Y(-k) and 2iB = Y(k) - conj Y(-k), and
     both terms are real: A since P is even on the plain grid, conj tau B
-    since Q is even on the shifted one. Per axis, momenta 0..r sit at
+    since Q is even on the half-cell one. Per axis, momenta 0..r sit at
     indices 0..r and -r..-1 at M - r..M - 1 (r < M), where conj tau flips
     sign, so the box is 2^d slice copies of (2A +- Im conj tau 2iB) / 4
     with the untwist applied once, one axis at a time. Box entries with
@@ -550,7 +552,7 @@ def _phase_sum(T: np.ndarray, offsets) -> complex:
 
 @lru_cache(maxsize=None)
 def _offset_phase(lo: int, M: int) -> np.ndarray:
-    """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and shifted
+    """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and half-cell
     (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
     g = np.arange(2)[:, None]
     out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
@@ -589,35 +591,29 @@ def _l1_within(dim: int, radius: int, bound: int) -> np.ndarray:
     return np.expand_dims(rest, -1) <= bound - a
 
 
-def _axis_angles(M: int, ks, shifted: bool) -> np.ndarray:
-    """2 pi k x at the axis coordinates x = (2j + shifted) / 2M (rows j,
-    columns k), with (2j + shifted) k reduced mod 2M exactly before scaling."""
-    return TWO_PI * (np.outer(2 * np.arange(M) + int(shifted), ks) % (2 * M)) / (2 * M)
-
-
 class GridSynthesizer:
-    """Real-basis fields on a uniform M^d grid, summed one axis at a time.
+    """Real-basis fields on the uniform M^d grid j/M, summed one axis at a time.
 
-    The grid is j/M on every axis, or (j + 1/2)/M when shifted. With h_0 = a_0
-    and h_k = sqrt(2) (c_k - i s_k) on the positive representatives, a field
-    is Re sum_k h_k e^(2 pi i k.x), and on a tensor grid that sum factors by
-    axis. The first stage contracts k_d: every run of amplitudes sharing the
-    prefix (k_1, ..., k_(d-1)) is contiguous in mode_labels order and meets
-    only the columns |k_d| <= N - |k_1| - ... of the axis matrix e^(2 pi i k x),
-    with the sqrt(2) and the sign of h_k folded in. Each later stage contracts
-    the next axis the same way, per run of the prefix before it, and the last
-    (k_1 in [0, N]) keeps only the real part. Complex values travel as a
-    (re, im) row pair, so every product is a plain 2-D real GEMM with the
-    fields along its columns: at d = 2, N = 16, M = 33 about 73k
-    multiply-adds per field, where the dense synthesis_matrix product takes
-    594k. Each run's matrix is a column window of one matrix per axis, except
-    the all-zero prefix's first-stage run: it joins the k = 0 real column to
-    the k_d = 1..N window.
+    With h_0 = a_0 and h_k = sqrt(2) (c_k - i s_k) on the positive
+    representatives, a field is Re sum_k h_k e^(2 pi i k.x), and on a tensor
+    grid that sum factors by axis. The first stage contracts k_d: every run of
+    amplitudes sharing the prefix (k_1, ..., k_(d-1)) is contiguous in
+    mode_labels order and meets only the columns |k_d| <= N - |k_1| - ... of
+    the axis matrix e^(2 pi i k x), with the sqrt(2) and the sign of h_k
+    folded in. Each later stage contracts the next axis the same way, per run
+    of the prefix before it, and the last (k_1 in [0, N]) keeps only the real
+    part. Complex values travel as a (re, im) row pair, so every product is a
+    plain 2-D real GEMM with the fields along its columns: at d = 2, N = 16,
+    M = 33 about 73k multiply-adds per field, where the dense synthesis_matrix
+    product takes 594k. Each run's matrix is a column window of one matrix per
+    axis, except the all-zero prefix's first-stage run: it joins the k = 0
+    real column to the k_d = 1..N window.
     """
 
-    def __init__(self, d: int, N: int, M: int, shifted: bool = False):
+    def __init__(self, d: int, N: int, M: int):
         self.shape = (M,) * d
-        theta = _axis_angles(M, np.arange(-N, N + 1), shifted)
+        # 2 pi k x at x = j/M (rows j, columns k), jk reduced mod M exactly first
+        theta = TWO_PI * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M) / M
         cos, sin = np.cos(theta), np.sin(theta)
         # rows (re/im, x), columns (k, re/im): one complex multiply by e^(i theta)
         mix = np.concatenate([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)])
@@ -662,11 +658,7 @@ class GridSynthesizer:
         return state.reshape(-1, nfields)
 
 
-@lru_cache(maxsize=None)
-def grid_synthesizer(d: int, N: int, M: int, shifted: bool = False) -> GridSynthesizer:
-    """The GridSynthesizer of K_N in d dimensions on the M^d grid (shifted by
-    half a cell or not), built once."""
-    return GridSynthesizer(d, N, M, shifted)
+grid_synthesizer = lru_cache(maxsize=None)(GridSynthesizer)  # one per (d, N, M), built once
 
 
 def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:

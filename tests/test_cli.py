@@ -277,6 +277,23 @@ class TestPhi4Cmd:
         assert out == ""
         assert "valuation limit" in err and "order 4" in err
 
+    def test_mc_overflow_exits_2_without_warnings(self):
+        # exp(-alpha X) passes the float range at this alpha; it once printed
+        # "estimate": Infinity, which is not JSON, after two RuntimeWarnings
+        src = str(Path(wickworks.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wickworks.cli", "phi4", "--d", "1", "--N", "8", "--order", "2",
+             "--mc", "--alpha", "100", "--samples", "2000", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "alpha" in proc.stderr
+
     def test_diagrams_past_valuation_limit(self, capsys):
         code, out, _ = run(capsys, "diagrams", "5", "4")
         assert code == 0
@@ -335,6 +352,28 @@ class TestField:
         sample = torusfield.sample_field(profile, torusfield.ModeLattice(2, 3), 5)
         torusfield.write_sample(sample, str(lib), 8)
         assert a.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("profile", ["gff", "white"])
+    def test_s_without_fractional_is_named(self, capsys, tmp_path, profile):
+        plain, given = tmp_path / "plain.csv", tmp_path / "given.csv"
+        argv = ("field", "--profile", profile, "--d", "1", "--N", "2", "--grid", "4", "--seed", "1")
+        code, _, err = run(capsys, *argv, "--out", str(plain))
+        assert code == 0 and err == ""
+        code, _, err = run(capsys, *argv, "--s", "3", "--out", str(given))
+        assert code == 0
+        assert "--s 3.0 is ignored without --profile fractional" in err
+        assert given.read_bytes() == plain.read_bytes()
+        assert json.loads(given.read_text().splitlines()[0])["s"] == 0.0
+
+    def test_fractional_s_defaults_to_one_half(self, capsys, tmp_path):
+        default, half = tmp_path / "default.csv", tmp_path / "half.csv"
+        argv = ("field", "--profile", "fractional", "--d", "1", "--N", "2", "--grid", "4", "--seed", "1")
+        code, _, err = run(capsys, *argv, "--out", str(default))
+        assert code == 0 and err == ""
+        code, _, _ = run(capsys, *argv, "--s", "0.5", "--out", str(half))
+        assert code == 0
+        assert default.read_bytes() == half.read_bytes()
+        assert json.loads(default.read_text().splitlines()[0])["s"] == 0.5
 
     @pytest.mark.parametrize("s", ["nan", "inf", "-0.25"])
     def test_fractional_rejects_a_bad_s(self, capsys, tmp_path, s):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -516,6 +517,27 @@ class TestMC:
         args = dict(d=1, N=4, alpha=0.05, samples=10, seed=0) | kwargs
         with pytest.raises(ValueError, match=name):
             mc_partition_ratio(**args)
+
+    def test_one_synthesizer_serves_both_grids(self, monkeypatch):
+        asked = []
+
+        def recording(*key):
+            asked.append(key)
+            return tf.grid_synthesizer(*key)
+
+        monkeypatch.setattr(phi4, "grid_synthesizer", recording)
+        mc_partition_ratio(2, 4, 0.05, samples=200, seed=1)
+        assert asked == [(2, 4, 9)]
+
+    def test_overflow_names_alpha(self):
+        # X >= -6 C_N^2, so exp(-alpha X) can pass the float range once
+        # 6 alpha C_N^2 > 709.8; alpha = 20 stays finite at d = 1, N = 8
+        est, se = mc_partition_ratio(1, 8, 20.0, samples=2000, seed=1)
+        assert math.isfinite(est) and math.isfinite(se)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                mc_partition_ratio(1, 8, 100.0, samples=2000, seed=1)
 
     def test_never_builds_synthesis_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -636,16 +636,18 @@ class TestGridSynthesizer:
         assert tf.grid_synthesizer(2, 3, 13) is not tf.grid_synthesizer(2, 3, 12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("N", [0, 1, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3, 8])
     def test_shifted_matches_synthesis_matrix(self, d, N):
+        # for odd M, (j + 1/2)/M = j'/M + 1/2 with j' = j - (M - 1)/2 mod M, and
+        # the shift by 1/2 multiplies mode k by (-1)^|k|_1
         lat = ModeLattice(d, N)
         amps = tf.batch_amplitudes(lat, GFF, 3, seed=40 + 10 * d + N)
         M = 2 * N + 1
-        got = tf.grid_synthesizer(d, N, M, shifted=True)(amps)
+        sign = np.array([(-1.0) ** sum(map(abs, k)) for k, _ in tf.mode_labels(lat)])
+        plain = tf.grid_synthesizer(d, N, M)(sign[:, None] * amps)
+        got = np.roll(plain.reshape((M,) * d + (3,)), (M - 1) // 2, axis=tuple(range(d)))
         want = tf.synthesis_matrix(lat, tf.grid_points(d, M) + 0.5 / M) @ amps
-        assert got.shape == want.shape == (M**d, 3)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert tf.grid_synthesizer(d, N, M, shifted=True) is not tf.grid_synthesizer(d, N, M)
+        assert np.abs(got.reshape(-1, 3) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("d, N, M", [(1, 5, 12), (2, 3, 13), (3, 2, 7)])
     def test_evaluate_grid_matches_pointwise(self, d, N, M):
