@@ -59,8 +59,7 @@ from .torusfield import (
     ModeLattice,
     _crop,
     _grid_values,
-    _phase_sum,
-    _rule_spectra,
+    _packed_rule_mean,
     _smooth_len,
     _symmetric,
     as_point,
@@ -785,7 +784,8 @@ def _edge_exponent(d) -> float:
 
 
 def _lattice_dim(d) -> int:
-    return d if d in (1, 2, 3) else 3
+    """d = 1, 2, 3 (an int or an integral float) as an int; 3 at fractional d."""
+    return int(d) if d in (1, 2, 3) else 3
 
 
 class _Weight:
@@ -944,57 +944,59 @@ def _valuate_k4(lines: dict) -> float:
     depends only on its orbit: the loop visits one p per orbit and multiplies
     by the orbit size.
 
-    V_p is the constant term of a_p b_p f, the product of the trigonometric
-    polynomials of A_p, B_p and F_cd. Each weight lives on the l1 ball of its
-    radius, and F_cd is read only on the ball of radius
-    r = min(R_ac + R_bc, R_cd) that q + r reaches, so the product has l1
-    degree at most R_ac + R_bc + r. The two-grid lattice rule of
-    torusfield.lattice_rule_size, on a 5-smooth M, integrates it exactly:
-    V_p is the mean of a_p b_p f over both grids, with no linear convolution
-    and no inverse transform. The degree is taken from the radii, and every
-    window is read as it comes: a whole read is exactly zero off its l1 ball
-    (the base cube is zero off K_N, convolution_window sets the entries
-    beyond its strands' radii to 0, and a series node is a product with a
-    whole read), and _grid_values masks F_cd to its ball, so the rule is
-    exact for what is summed. A_p and B_p are sliced on their box
-    intersections and share one complex transform per grid (_packed_mean).
+    Each weight is read once, as a plain array: five whole, and F_cd on the
+    ball of radius r = min(R_ac + R_bc, R_cd) that q + r reaches. V_p is the
+    constant term of a_p b_p f, the product of the trigonometric polynomials
+    of A_p, B_p and F_cd, of l1 degree at most R_ac + R_bc + r. The two-grid
+    lattice rule of torusfield.lattice_rule_size, on a 5-smooth M,
+    integrates it exactly: V_p is the mean of a_p b_p f over both grids, with
+    no linear convolution and no inverse transform. The degree is taken from
+    the radii, and every window is read as it comes: a whole read is exactly
+    zero off its l1 ball (the base cube is zero off K_N, convolution_window
+    sets the entries beyond its strands' radii to 0, and a series node is a
+    product with a whole read), and _grid_values masks F_cd to its ball, so
+    the rule is exact for what is summed. A_p and B_p are sliced on their box
+    intersections into one packed block, and one call per orbit,
+    torusfield._packed_rule_mean, transforms it on both grids into buffers
+    of the core and reads the mean.
     """
     # the outer pair is the smallest-support bundle, the first in the map on a tie
     a, b = min(lines, key=lambda pair: lines[pair].radius)
     c, dd = sorted({v for pair in lines for v in pair} - {a, b})
-    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (
+    ab, ac, ad, bc, bd, cd = (
         lines[(min(x, y), max(x, y))]
         for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd), (c, dd))
     )
-    r = min(F_ac.radius + F_bc.radius, F_cd.radius)
-    reads = [(w, w.radius) for w in (F_ab, F_ac, F_ad, F_bc, F_bd)] + [(F_cd, r)]
-    F_ab, F_ac, F_ad, F_bc, F_bd, F_cd = (_Weight(w.window(rw), rw) for w, rw in reads)
-    for w in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd):
-        _check_hyperoctahedral(w.cube)
-    dim = F_ab.cube.ndim
-    M = _smooth_len(lattice_rule_size(F_ac.radius + F_bc.radius + r))
+    R_ab, R_ac, R_ad, R_bc, R_bd = (w.radius for w in (ab, ac, ad, bc, bd))
+    r = min(R_ac + R_bc, cd.radius)
+    F_ab, F_ac, F_ad, F_bc, F_bd = (w.window(w.radius) for w in (ab, ac, ad, bc, bd))
+    F_cd = cd.window(r)
+    for cube in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd):
+        _check_hyperoctahedral(cube)
+    dim = F_ab.ndim
+    M = _smooth_len(lattice_rule_size(R_ac + R_bc + r))
     # f on the plain and the half-cell grid, once: real, since F_cd is even
-    f = _grid_values(F_cd.cube, M)
+    f = _grid_values(F_cd, M)
     f = np.stack((f.real, f.imag))
     # A_p and B_p share one block, `side` long on every axis; the block and
     # its spectra are buffers of the core, refilled per orbit
-    side = 2 * max(min(F_ac.radius, F_ad.radius), min(F_bc.radius, F_bd.radius)) + 1
+    side = 2 * max(min(R_ac, R_ad), min(R_bc, R_bd)) + 1
     block = np.empty((side,) * dim, complex)
     spec = np.empty((2,) + (M,) * dim, complex)
     total = 0.0
-    for p, size in _orbits(dim, F_ab.radius):
-        wp = float(F_ab.cube[tuple(t + F_ab.radius for t in p)])
+    for p, size in _orbits(dim, R_ab):
+        wp = float(F_ab[tuple(t + R_ab for t in p)])
         if wp == 0.0:
             continue
         # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
-        box_a = [_overlap(F_ac.radius, F_ad.radius, -t) for t in p]
-        box_b = [_overlap(F_bc.radius, F_bd.radius, t) for t in p]
+        box_a = [_overlap(R_ac, R_ad, -t) for t in p]
+        box_b = [_overlap(R_bc, R_bd, t) for t in p]
         block.fill(0)
         np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=block.real[_extent(box_a)])
         minus_p = [-t for t in p]
         np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=block.imag[_extent(box_b)])
         offsets = [la + lb for (la, _), (lb, _) in zip(box_a, box_b)]
-        total += size * wp * _packed_mean(_rule_spectra(block, M, spec), f, offsets)
+        total += size * wp * _packed_rule_mean(block, offsets, f, spec)
     return total / (4 * M**dim)
 
 
@@ -1004,33 +1006,16 @@ def _overlap(R: int, R_other: int, shift: int) -> tuple[int, int]:
     return max(-R, shift - R_other), min(R, shift + R_other)
 
 
-def _box(w: _Weight, box, p=None) -> np.ndarray:
-    """w(q + p) for q on the box [lo, hi] per axis (p = 0 when omitted)."""
+def _box(cube: np.ndarray, box, p=None) -> np.ndarray:
+    """cube(q + p) for q on the box [lo, hi] per axis (p = 0 when omitted)."""
     p = p or [0] * len(box)
-    R = w.radius
-    return w.cube[tuple(slice(lo + t + R, hi + t + R + 1) for (lo, hi), t in zip(box, p))]
+    R = cube.shape[0] // 2
+    return cube[tuple(slice(lo + t + R, hi + t + R + 1) for (lo, hi), t in zip(box, p))]
 
 
 def _extent(box) -> tuple:
     """The slices that put a block on the box [lo, hi] per axis at index 0."""
     return tuple(slice(0, hi - lo + 1) for lo, hi in box)
-
-
-def _packed_mean(spec: np.ndarray, f: np.ndarray, offsets) -> float:
-    """4 M^d times the two-grid mean of a b f (overwrites spec).
-
-    spec holds Z, the _rule_spectra transforms of the packed block A + i B,
-    and offsets the sums lo_A + lo_B of the two blocks' lower corners. Both
-    grids are symmetric under x -> -x, and a(-x) = conj a(x) for real A, so
-    a = (Z(x) + conj Z(-x))/2 and b = (Z(x) - conj Z(-x))/2i up to their
-    offset phases. With f real and even, the sum of a b f over a grid is then
-    Im sum_x psi(x) Z(x)^2 f(x) / 2, psi = exp(-2 pi i (lo_A + lo_B).x): one
-    transform serves both blocks, and the separable psi is contracted one
-    axis at a time (_phase_sum).
-    """
-    np.square(spec, out=spec)
-    spec *= f
-    return _phase_sum(spec, offsets).imag
 
 
 def _orbits(dim: int, radius: int):
@@ -1064,17 +1049,15 @@ def _reduced(g: Diagram, d, N: int, protected=()):
 
     Returns (factor, lines): the product of the pendant weights at the
     origin and the reduced core, in the layout of _reduce_series_parallel.
-    Every line shares one base node, and the table of shared nodes lives
-    only here: its key is (dim, N, s) of _base_weight for the base node and
-    (move, parts) for a recorded move.
+    Every line shares one base node, and the table of shared nodes, keyed by
+    (move, parts), lives only here.
     """
     if g.has_loop():
         raise ValueError(
             "self-contractions cannot be valuated; Wick-ordered vertices have none"
         )
-    key = (_lattice_dim(d), N, _edge_exponent(d))
-    base = _Weight(_base_weight(*key), N)
-    nodes = {key: base}
+    base = _Weight(_base_weight(_lattice_dim(d), N, _edge_exponent(d)), N)
+    nodes: dict = {}
     lines = {pair: base if m == 1 else _Weight.bundle([base] * m, nodes) for pair, m in g.edges}
     factor = 1.0
     for w in _reduce_series_parallel(lines, nodes, protected):
@@ -1168,6 +1151,7 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
         raise ValueError("position MC needs an integer dimension")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    d = int(d)
     lat = ModeLattice(d, N)
     modes = np.array(lat.modes, dtype=float)
     invlam = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
@@ -1225,10 +1209,14 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     """Two-terminal valuation at external momentum p (default: the zero mode).
 
     The reduced x-y cube of _external_bundle, scaled and read at p; 0.0
-    outside it.
+    outside it. Raises ValueError unless every coordinate of p is a finite
+    integer.
     """
     dim = _lattice_dim(d)
-    p = (0,) * dim if p is None else tuple(int(c) for c in as_point(p, dim))
+    xs = (0.0,) * dim if p is None else as_point(p, dim)
+    if not all(c.is_integer() for c in xs):
+        raise ValueError(f"external momentum p = {p!r} needs finite integer coordinates")
+    p = tuple(int(c) for c in xs)
     scale, cube = _external_bundle(g, d, N)
     R = cube.shape[0] // 2
     if any(abs(c) > R for c in p):

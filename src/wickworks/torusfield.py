@@ -74,14 +74,14 @@ class ModeLattice:
         return inverse_weight_cube(self.d, self.N, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float d is refused, not served 3's lattice
 def _lattice(d: int, N: int) -> ModeLattice:
     return ModeLattice(d, N)
 
 
 def _check_lattice(d: int, N: int) -> None:
-    if d not in (1, 2, 3):
-        raise ValueError("d must be 1, 2 or 3")
+    if not isinstance(d, (int, np.integer)) or d not in (1, 2, 3):
+        raise ValueError(f"d must be the integer 1, 2 or 3, got {d!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
 
@@ -369,8 +369,9 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     exp(2 pi i k.x) is the sum of W(k + M m) over m in Z^d with an even
     m_1 + ... + m_d. An alias m != 0 has |k + M m|_1 >= 2M - |k|_1, beyond
     the support |k|_1 <= S of W (S the sum of the radii) once
-    2M > S + |k|_1. So M, the least 5-smooth length above
-    (S + min(d r, S)) / 2, reads every box entry with |k|_1 <= S exactly;
+    2M > S + |k|_1. So M, the least 5-smooth length at or above
+    lattice_rule_size(S + min(d r, S)), reads every box entry with
+    |k|_1 <= S exactly;
     the entries beyond are 0 and are set so. At r = 0 the box is the
     constant term, the mean itself, with no inverse transform.
 
@@ -386,7 +387,7 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     S = sum(c.shape[0] // 2 for c in cubes)
     if not 0 <= radius <= S:
         raise ValueError(f"a window of radius {radius} needs cubes whose radii sum to at least it")
-    M = _smooth_len((S + min(dim * radius, S)) // 2 + 1)
+    M = _smooth_len(lattice_rule_size(S + min(dim * radius, S)))
     mults = Counter(id(c) for c in cubes)
     acc = None
     for c in {id(c): c for c in cubes}.values():
@@ -519,35 +520,37 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
     return cube[tuple(sl for _ in range(cube.ndim))]
 
 
-def _rule_spectra(block: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
-    """Transforms on both grids of a block, shape (2, M, ..., M), written to
-    out (a complex buffer of that shape, reused by a caller that transforms
-    many blocks).
+def _packed_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> float:
+    """4 M^d times the two-grid mean of a b f, for the packed block A + i B
+    of two real blocks; out is a complex (2, M, ..., M) buffer, overwritten,
+    that a caller summing many blocks reuses.
 
-    block[i] holds the coefficient of the momentum lo + i. Row g of the result
-    is sum_i block[i] exp(-2 pi i i.(j + g/2)/M): the trigonometric polynomial
-    at x_j = (j + g/2)/M, short of the offset phase exp(-2 pi i lo.x_j)
-    (_offset_phase). A block longer than M is folded onto the M^d grid
-    (_fold, with the index i as the momentum); the half-cell factor is then
-    applied on the folded block, one axis at a time. Nothing larger than
-    the block and the (2, M, ..., M) result is built.
+    block[i] holds the coefficients A(lo_A + i) + i B(lo_B + i), offsets the
+    sums lo_A + lo_B of the two blocks' lower corners, and f the real, even
+    polynomial to weigh by on the plain (f[0]) and the half-cell grid
+    (f[1]). The block is folded onto the M^d grid (_fold, with the index i
+    as the momentum), the half-cell factor applied to row 1 one axis at a
+    time, and both rows transformed at once: row g of Z is
+    sum_i block[i] exp(-2 pi i i.x_j), x_j = (j + g/2)/M. Both grids are
+    symmetric under x -> -x, and a(-x) = conj a(x) for real A, so a and b
+    are (Z(x) + conj Z(-x))/2 and (Z(x) - conj Z(-x))/2i up to their offset
+    phases. With f real and even, the sum of a b f over a grid is then
+    Im sum_x psi(x) Z(x)^2 f(x) / 2, psi = exp(-2 pi i (lo_A + lo_B).x): the
+    separable psi is contracted one axis at a time (_offset_phase). Nothing
+    larger than the block and out is built.
     """
-    dim = block.ndim
+    dim, M = block.ndim, out.shape[-1]
     out.fill(0)
     _fold(block, 0, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
-    return np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)
-
-
-def _phase_sum(T: np.ndarray, offsets) -> complex:
-    """sum over both grids of T(x) exp(-2 pi i lo.x), for T of shape
-    (2, M, ..., M) and lo = offsets: the separable phase is contracted one
-    axis at a time (overwrites nothing)."""
-    M = T.shape[-1]
+    np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)
+    np.square(out, out=out)
+    out *= f
+    T = out
     for t in reversed(offsets):
         T = np.matmul(T.reshape(2, -1, M), _offset_phase(t, M)[:, :, None])
-    return complex(T.sum())
+    return float(T.sum().imag)
 
 
 @lru_cache(maxsize=None)
@@ -611,6 +614,7 @@ class GridSynthesizer:
     """
 
     def __init__(self, d: int, N: int, M: int):
+        _check_lattice(d, N)
         self.shape = (M,) * d
         # 2 pi k x at x = j/M (rows j, columns k), jk reduced mod M exactly first
         theta = TWO_PI * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M) / M
@@ -658,7 +662,7 @@ class GridSynthesizer:
         return state.reshape(-1, nfields)
 
 
-grid_synthesizer = lru_cache(maxsize=None)(GridSynthesizer)  # one per (d, N, M), built once
+grid_synthesizer = lru_cache(maxsize=None, typed=True)(GridSynthesizer)  # one per (d, N, M)
 
 
 def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:

@@ -853,6 +853,12 @@ class TestValuate:
         assert valuate(single_edge(), 1, 8) == 1.0
         assert valuate(single_edge(), 2, 4) == 1.0
 
+    def test_integral_float_dimension(self):
+        fy._base_weight.cache_clear()  # it keys 3.0 and 3 alike: cleared, so the float runs
+        assert valuate(banana(2), 3.0, 4) == valuate(banana(2), 3, 4)
+        mc = valuate_position_mc(banana(2), 1.0, 2, samples=100, seed=1)
+        assert mc == valuate_position_mc(banana(2), 1, 2, samples=100, seed=1)
+
     def test_empty_is_one(self):
         assert valuate(EMPTY, 1, 4) == 1.0
 
@@ -1211,6 +1217,15 @@ class TestExternal:
         for p in [(1,), (1, 0, 0)]:
             with pytest.raises(ValueError, match="lattice dimension is 2"):
                 valuate_external(g, 2, 4, p=p)
+
+    def test_momentum_must_be_finite_integers(self):
+        g = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+        # int() would truncate 0.7 and -0.5 to the zero mode
+        for p in [(0.7,), (-0.5,), (math.inf,), (-math.inf,), (math.nan,)]:
+            with pytest.raises(ValueError, match="external momentum p"):
+                valuate_external(g, 1, 4, p=p)
+        want = 1.0 / ModeLattice(1, 4).lam((1,))
+        assert valuate_external(g, 1, 4, p=(1,)) == valuate_external(g, 1, 4, p=(1.0,)) == want
 
     def test_vacuum_factor(self):
         direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])

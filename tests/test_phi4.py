@@ -51,6 +51,16 @@ class TestPartitionSeries:
         # (-1)^3/3! * 1728 = -288: the displayed magnitude is 288
         assert abs(parts[double_triangle()]) == 288
 
+    def test_integral_float_dimension(self):
+        # the caches key 1.0 and 1 alike: cleared, so the float runs
+        fy._valuate_cached.cache_clear()
+        fy._base_weight.cache_clear()
+        got = partition_ratio_series(1.0, 4, 2)
+        want = partition_ratio_series(1, 4, 2)
+        assert [got.coefficient(n).value for n in range(3)] == [
+            want.coefficient(n).value for n in range(3)
+        ]
+
     def test_json_export(self):
         s = partition_ratio_series(1, 4, 2)
         blob = s.to_json()
@@ -158,6 +168,16 @@ class TestTwoPoint:
         assert s.coefficient(0).value == pytest.approx(
             green_truncated(0.3, 1, 8), rel=1e-12
         )
+
+    def test_integral_float_dimension(self):
+        fy._valuate_cached.cache_clear()
+        fy._base_weight.cache_clear()
+        x, y = (0.1, 0.3), (0.6, 0.2)
+        got = two_point_series(2.0, 8, 2, x, y)
+        want = two_point_series(2, 8, 2, x, y)
+        assert [got.coefficient(n).value for n in range(3)] == [
+            want.coefficient(n).value for n in range(3)
+        ]
 
     def test_order0_fractional_d_uses_the_edge_exponent(self):
         # at 3 < d < 4 every edge, the direct propagator included, carries

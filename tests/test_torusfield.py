@@ -38,6 +38,19 @@ class TestLattice:
         assert len(ModeLattice(2, 2).modes) == 13  # 2*2^2 + 2*2 + 1
         assert len(ModeLattice(3, 1).modes) == 7
 
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"d must be the integer 1, 2 or 3, got 3\.0"):
+            ModeLattice(3.0, 2)
+        with pytest.raises(ValueError, match=r"got 2\.0"):
+            c_variance(2.0, 4)
+        # the cached lattice and synthesizer of d = 3 do not serve 3.0
+        wick_integral_variance(3, 2, 2)
+        tf.grid_synthesizer(3, 2, 5)
+        with pytest.raises(ValueError, match=r"got 3\.0"):
+            wick_integral_variance(3.0, 2, 2)
+        with pytest.raises(ValueError, match=r"got 3\.0"):
+            tf.grid_synthesizer(3.0, 2, 5)
+
     def test_symmetric_under_negation(self):
         lat = ModeLattice(2, 3)
         modes = set(lat.modes)
@@ -774,6 +787,40 @@ class TestConstantTerm:
         assert tf.constant_term(a, lopsided) == pytest.approx(tf.constant_term(a, a), abs=1e-5)
 
 
+def _c_order_indices(n, d):
+    """The points of {0..n-1}^d in C order, shape (n^d, d)."""
+    return np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"), -1).reshape(-1, d)
+
+
+class TestPackedRuleMean:
+    """The K4 core's orbit step against a dense sum over both grids."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_sum(self, d):
+        # result = 2 sum_g sum_j a(x) b(x) f(x), x = (j + g/2)/M, with
+        # a(x) = sum_i A[i] exp(-2 pi i (lo_A + i).x) and b the same for B
+        rng = np.random.default_rng(40 + d)
+        # blocks shorter than M, as long, and longer (folded onto M)
+        for M, side in [(5, 3), (4, 4), (5, 8), (4, 11)]:
+            f = tf._grid_values(even_cube(rng, d, 3), M)
+            f = np.stack((f.real, f.imag))
+            out = np.empty((2,) + (M,) * d, complex)
+            A, B = rng.standard_normal((2,) + (side,) * d)
+            lo_a, lo_b = rng.integers(-2 * side, side, size=(2, d))  # per axis
+            got = tf._packed_rule_mean(A + 1j * B, (lo_a + lo_b).tolist(), f, out)
+            i = _c_order_indices(side, d)
+            want, scale = 0.0, 0.0
+            for g in (0, 1):
+                x = (_c_order_indices(M, d) + g / 2) / M
+                a = np.exp(-2j * np.pi * x @ (lo_a + i).T) @ A.ravel()
+                b = np.exp(-2j * np.pi * x @ (lo_b + i).T) @ B.ravel()
+                terms = a * b * f[g].ravel()
+                want += 2 * terms.sum()
+                scale += 2 * np.abs(terms).sum()
+            assert abs(want.imag) <= 1e-12 * scale
+            assert abs(got - want.real) <= 1e-12 * scale, (d, M, side)
+
+
 class TestConvolutionWindow:
     """convolution_window against the padded-FFT reference convolve_cubes."""
 
@@ -792,7 +839,7 @@ class TestConvolutionWindow:
                 S = full.shape[0] // 2
                 scale = float(np.max(np.abs(full)))
                 for r in sorted(r for r in {0, 1, S // 3, S // 2, S} if r <= S):
-                    M = tf._smooth_len((S + min(d * r, S)) // 2 + 1)
+                    M = tf._smooth_len(tf.lattice_rule_size(S + min(d * r, S)))
                     folds += max(c.shape[0] // 2 for c in args) >= M
                     got = tf.convolution_window(*args, radius=r)
                     want = full[(slice(S - r, S + r + 1),) * d]
