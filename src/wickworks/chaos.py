@@ -530,8 +530,8 @@ def mehler_mc(
     (grade-n coefficients scaled by exp(-n t)) evaluated at the same x.
     Returns (estimates, stderrs, references) as arrays over the points.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     nvars = poly.nvars
     if points is None:
         points = [
@@ -555,7 +555,7 @@ def mehler_mc(
                     term *= z[:, i] ** a
             vals += term
         estimates.append(float(vals.mean()))
-        stderrs.append(float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0)
+        stderrs.append(float(vals.std(ddof=1) / math.sqrt(samples)))
         references.append(spectral.evaluate(x))
     return estimates, stderrs, references
 

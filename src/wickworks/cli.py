@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -285,13 +284,10 @@ def _series_dimension(text: str):
     """phi4's --d: 1, 2 or 3 as an int (so 3.0 reads as 3), or a float in (3, 4)."""
     try:
         d = float(text)
+        dim, s = fy._model(d)
     except ValueError:
-        d = math.nan
-    if d in (1, 2, 3):
-        return int(d)
-    if 3 < d < 4:
-        return d
-    raise argparse.ArgumentTypeError(f"takes 1, 2, 3 or a dimension in (3, 4), got {text!r}")
+        raise argparse.ArgumentTypeError(f"takes 1, 2, 3 or a dimension in (3, 4), got {text!r}")
+    return dim if s == 1.0 else d
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -773,19 +773,17 @@ def twisted_antipode(g: Diagram, d) -> DiagramSum:
 # valuation
 
 
-def _edge_exponent(d) -> float:
-    """Per-edge weight exponent s(d): 1 at integer d, (5-d)/2 on the d=3 lattice
-    for fractional 3 < d < 4 (position-space decay ||x||^-(d-2))."""
+def _model(d) -> tuple[int, float]:
+    """(dim, s): the lattice dimension and edge weight lambda_k^(-s) at d.
+
+    d = 1, 2, 3 (an int or an integral float) gives (int(d), 1); a fractional
+    3 < d < 4 gives the d = 3 lattice with s = (5-d)/2 (position-space decay
+    ||x||^-(d-2)). Every other d raises ValueError."""
     if d in (1, 2, 3):
-        return 1.0
+        return int(d), 1.0
     if 3 < d < 4:
-        return (5.0 - d) / 2.0
-    raise ValueError("valuation supports d in {1, 2, 3} and fractional (3, 4)")
-
-
-def _lattice_dim(d) -> int:
-    """d = 1, 2, 3 (an int or an integral float) as an int; 3 at fractional d."""
-    return int(d) if d in (1, 2, 3) else 3
+        return 3, (5.0 - d) / 2.0
+    raise ValueError(f"valuation supports d in {{1, 2, 3}} and fractional (3, 4), got {d!r}")
 
 
 class _Weight:
@@ -1056,7 +1054,8 @@ def _reduced(g: Diagram, d, N: int, protected=()):
         raise ValueError(
             "self-contractions cannot be valuated; Wick-ordered vertices have none"
         )
-    base = _Weight(_base_weight(_lattice_dim(d), N, _edge_exponent(d)), N)
+    dim, s = _model(d)
+    base = _Weight(_base_weight(dim, N, s), N)
     nodes: dict = {}
     lines = {pair: base if m == 1 else _Weight.bundle([base] * m, nodes) for pair, m in g.edges}
     factor = 1.0
@@ -1090,6 +1089,7 @@ def valuate(g: Diagram, d, N: int) -> float:
     """
     if not g.is_vacuum():
         raise ValueError("external legs present; use valuate_external")
+    _model(d)  # a diagram with no components is valuated nowhere else
     total = 1.0
     for comp in sorted(
         connected_components(g), key=lambda c: c.canonical_key()
@@ -1109,6 +1109,7 @@ def valuate_cached(g: Diagram, d, N: int) -> float:
 
 def valuate_sum(s: DiagramSum, d, N: int) -> float:
     """Valuation of a rational diagram combination, in canonical term order."""
+    _model(d)  # the empty sum is 0.0 at a supported d only
     total = 0.0
     for g, c in s.sorted_terms():
         total += float(c) * valuate_cached(g, d, N)
@@ -1125,6 +1126,7 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     """
     if not is_connected(g):
         raise ValueError("bphz_valuate acts on connected diagrams")
+    _model(d)  # before the lemma route's early 0.0
     if route == "lemma":
         if degree(g, d) <= 0:
             return 0.0
@@ -1138,7 +1140,7 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     return valuate_sum(acc, d, N)
 
 
-def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
+def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
     """Monte Carlo of the position-space integral, as an oracle for valuate.
 
     Per connected component one vertex is pinned at the origin (translation
@@ -1147,23 +1149,22 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
     """
     if not g.is_vacuum():
         raise ValueError("external legs present")
-    if d not in (1, 2, 3):
-        raise ValueError("position MC needs an integer dimension")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    d = int(d)
-    lat = ModeLattice(d, N)
+    dim, s = _model(d)
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+    lat = ModeLattice(dim, N)
     modes = np.array(lat.modes, dtype=float)
-    invlam = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
+    # numpy's x ** -1.0 is 1 / x to the bit, so integer d keeps its draws
+    weights = np.array([float(lat.lam(k)) for k in lat.modes]) ** -s
 
     def green(u: np.ndarray) -> np.ndarray:
         phase = 2.0 * math.pi * (u @ modes.T)
-        return np.cos(phase) @ invlam
+        return np.cos(phase) @ weights
 
     rng = np.random.default_rng(seed)
     vals = np.ones(samples)
     for comp in connected_components(g):
-        pos = rng.uniform(size=(samples, comp.nvertices, d))
+        pos = rng.uniform(size=(samples, comp.nvertices, dim))
         pos[:, 0, :] = 0.0
         comp_vals = np.ones(samples)
         for (i, j), m in comp.edges:
@@ -1171,7 +1172,7 @@ def valuate_position_mc(g: Diagram, d: int, N: int, samples: int, seed: int):
             comp_vals *= gvals**m
         vals *= comp_vals
     est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return est, stderr
 
 
@@ -1212,7 +1213,7 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     outside it. Raises ValueError unless every coordinate of p is a finite
     integer.
     """
-    dim = _lattice_dim(d)
+    dim, _ = _model(d)
     xs = (0.0,) * dim if p is None else as_point(p, dim)
     if not all(c.is_integer() for c in xs):
         raise ValueError(f"external momentum p = {p!r} needs finite integer coordinates")

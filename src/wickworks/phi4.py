@@ -259,7 +259,7 @@ def _two_point_sums(order: int) -> list[DiagramSum]:
 def _external_value(g: Diagram, d, N: int, x, y) -> float:
     """Position-space value of a two-external-leg diagram at (x, y): the
     cosine sum of its reduced x-y weight at x - y."""
-    dim = fy._lattice_dim(d)
+    dim, _ = fy._model(d)
     diff = tuple(a - b for a, b in zip(as_point(x, dim), as_point(y, dim)))
     scale, cube = fy._external_bundle(g, d, N)
     return scale * cosine_sum(cube, diff)
@@ -428,9 +428,7 @@ def minimal_subdivergence_families(max_vertices: int = 4) -> dict[int, list[Diag
         for arities in ([3, 3] + [4] * (n - 2), [2] + [4] * (n - 1)):
             if sum(arities) % 2:
                 continue
-            for g in fy.generate_diagrams(arities).filter_connected().terms:
-                if g not in classes:
-                    classes.append(g)
+            classes.extend(fy.generate_diagrams(arities).filter_connected().terms)
         out[n] = classes
     return out
 
@@ -454,6 +452,7 @@ def sigma_counterterm(d, N: int, n: int) -> float:
     """
     if n < 2:
         raise ValueError("mass insertions start at order 2")
+    fy._model(d)  # before an empty family sum can return 0.0 at any d
     fams = minimal_subdivergence_families(max(n, 2)).get(n, [])
     total = 0.0
     for g in fams:
@@ -491,12 +490,12 @@ def check_mc_arguments(d: int, alpha: float, samples: int, seed: int) -> None:
     Cheap, so the CLI runs it before any series work.
     """
     if d not in (1, 2):
-        raise ValueError("the MC validation covers d = 1 and d = 2")
+        raise ValueError(f"the MC validation covers d = 1 and d = 2, got {d!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
         # exp(-alpha X) has no finite mean for alpha < 0
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -520,12 +519,13 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
     """
     check_mc_arguments(d, alpha, samples, seed)
-    lat = ModeLattice(d, N)
+    dim, _ = fy._model(d)
+    lat = ModeLattice(dim, N)
     M = lattice_rule_size(4 * N)
     assert M % 2, "the half-cell grid is a translate of the plain one only for odd M"
-    synth = grid_synthesizer(d, N, M)
+    synth = grid_synthesizer(dim, N, M)
     odd = np.flatnonzero(np.abs([k for k, _ in mode_labels(lat)]).sum(axis=1) % 2)
-    cn = c_variance(d, N)
+    cn = c_variance(dim, N)
     weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
     draws = np.empty(samples)
@@ -541,7 +541,7 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     with np.errstate(over="ignore", invalid="ignore"):
         draws = np.exp(-alpha * draws)
         est = float(draws.mean())
-        stderr = float(draws.std(ddof=1) / math.sqrt(len(draws))) if len(draws) > 1 else 0.0
+        stderr = float(draws.std(ddof=1) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(stderr)):
         raise ValueError(f"alpha = {alpha} overflows exp(-alpha X) at d = {d}, N = {N}")
     return est, stderr

@@ -14,8 +14,7 @@ from wickworks.feynman import (
     Diagram,
     ValuationBudgetError,
     _base_weight,
-    _edge_exponent,
-    _lattice_dim,
+    _model,
     _valuate_k4 as _valuate_k4_lines,
     _Weight,
     connected_components,
@@ -70,7 +69,8 @@ def _reduce_series_parallel(adj: dict, weights: dict, nodes: dict, protected=())
 def _reduced(g: Diagram, d, N: int, protected=()):
     """(pendants, adj, weights): the pendant weights and the reduced core of
     g, every line starting from the shared base node."""
-    key = (_lattice_dim(d), N, _edge_exponent(d))
+    dim, s = _model(d)
+    key = (dim, N, s)
     base = _Weight(_base_weight(*key), N)
     nodes = {key: base}
     adj: dict = {v: [] for v in range(g.nvertices)}

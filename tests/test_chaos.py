@@ -410,8 +410,10 @@ class TestMehler:
             assert abs(e - r) <= 4 * s
 
     def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            mehler_mc(MultivarPoly(1, {(1,): 1}), 0.5, samples=0, seed=0)
+        # one sample has no standard error
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="samples"):
+                mehler_mc(MultivarPoly(1, {(1,): 1}), 0.5, samples=samples, seed=0)
 
 
 class TestFromPolynomial:

@@ -159,6 +159,7 @@ class TestPhi4Cmd:
             (("--d", "2", "--alpha", "0.05", "--seed", "-3"), "seed"),
             (("--d", "3", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
             (("--d", "3.5", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
+            (("--d", "2", "--alpha", "0.05", "--seed", "1", "--samples", "1"), "samples"),
         ],
     )
     def test_mc_rejects_arguments_before_the_series(self, capsys, monkeypatch, argv, name):

@@ -100,16 +100,25 @@ def k4_doubled_per_momentum(d: int, N: int) -> float:
     return total
 
 
-def valuate_bruteforce(g: Diagram, d: int, N: int) -> float:
+def oracle_weights(d, N: int):
+    """The modes of K_N, one per row, and their edge weights lambda_k^(-s):
+    the d-dimensional lattice with s = 1 at d = 1, 2, 3, and the d = 3 lattice
+    with s = (5-d)/2 at a fractional 3 < d < 4. numpy's x ** -1.0 is 1 / x
+    to the bit, so the integer-d weights are the plain inverses."""
+    dim, s = (3, (5.0 - d) / 2.0) if 3 < d < 4 else (d, 1.0)
+    lat = ModeLattice(dim, N)
+    modes = np.array(lat.modes).reshape(-1, dim)
+    return modes, np.array([float(lat.lam(k)) for k in lat.modes]) ** -s
+
+
+def valuate_bruteforce(g: Diagram, d, N: int) -> float:
     """Independent oracle: enumerate every edge-momentum assignment in K_N.
 
     The assignments run in chunks: np.indices ranges over the modes of the
     last edges while the first edges hold one prefix. One incidence einsum
     gives every vertex's net momentum, and math.fsum adds the weight products
     of the assignments that conserve it everywhere."""
-    lat = ModeLattice(d, N)
-    modes = np.array(lat.modes).reshape(len(lat.modes), d)
-    weights = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
+    modes, weights = oracle_weights(d, N)
     edge_list = []
     for (i, j), m in g.edges:
         edge_list.extend([(i, j)] * m)
@@ -1073,7 +1082,8 @@ class TestK4Orbits:
         # whose first part (the three-strand bundle) is not read whole
         N = 3
         nodes: dict = {}
-        leaf = fy._Weight(fy._base_weight(d, N, fy._edge_exponent(d)), N)
+        dim, s = fy._model(d)
+        leaf = fy._Weight(fy._base_weight(dim, N, s), N)
         two = fy._Weight.bundle([leaf, leaf], nodes)
         three = fy._Weight.bundle([leaf, two, leaf], nodes)
         for w in (leaf, two, three, three.series(two, nodes)):
@@ -1481,16 +1491,15 @@ class TestSharedNodes:
         assert a.series(b, nodes) is not ab
 
 
-def valuate_loop_sum(g: Diagram, d: int, N: int) -> float:
+def valuate_loop_sum(g: Diagram, d, N: int) -> float:
     """Independent oracle for connected diagrams too large to enumerate
     whole: valuate_bruteforce's sum, taken over the conserving edge-momentum
     assignments only. Each assignment of the edges off a spanning tree (one
     mode of K_N per edge) fixes the tree edges by conservation, solved leaf
     by leaf; a tree edge outside K_N contributes nothing."""
-    lat = ModeLattice(d, N)
-    modes = np.array(lat.modes).reshape(-1, d)
-    weights = np.array([1.0 / float(lat.lam(k)) for k in lat.modes])
-    table = np.zeros((2 * N + 1,) * d)
+    modes, weights = oracle_weights(d, N)
+    dim = modes.shape[1]
+    table = np.zeros((2 * N + 1,) * dim)
     table[tuple((modes + N).T)] = weights
     root = list(range(g.nvertices))
 
@@ -1509,7 +1518,7 @@ def valuate_loop_sum(g: Diagram, d: int, N: int) -> float:
     idx = np.indices((len(modes),) * len(chords)).reshape(len(chords), -1)
     value = np.prod(weights[idx], axis=0)
     # an edge (i, j) carrying k adds k to the residue of i and -k to that of j
-    residue = np.zeros((g.nvertices, idx.shape[1], d), dtype=np.int64)
+    residue = np.zeros((g.nvertices, idx.shape[1], dim), dtype=np.int64)
     for (i, j), column in zip(chords, idx):
         residue[i] += modes[column]
         residue[j] -= modes[column]
@@ -1544,8 +1553,8 @@ class TestCentreRead:
 
     def test_loop_sum_is_the_bruteforce_sum(self):
         for g in self.cases + [double_triangle(), k4_doubled(), sunset_with_tail()]:
-            for d, N in [(1, 1), (1, 2), (2, 1), (3, 1)]:
-                if len(ModeLattice(d, N).modes) ** sum(m for _, m in g.edges) <= 20000:
+            for d, N in [(1, 1), (1, 2), (2, 1), (3, 1), (3.5, 1)]:
+                if len(oracle_weights(d, N)[1]) ** sum(m for _, m in g.edges) <= 20000:
                     want = valuate_bruteforce(g, d, N)
                     assert valuate_loop_sum(g, d, N) == pytest.approx(want, rel=1e-13), (g, d, N)
 
@@ -1567,3 +1576,54 @@ class TestCentreRead:
             got = valuate(banana(3), d, N)
             assert got == pytest.approx(valuate_bruteforce(banana(3), d, N), rel=1e-12), d
         assert shapes == [(M,) * d for d in (1, 2, 3)]
+
+
+class TestOneDimensionRule:
+    """Every valuation entry point reads d through one rule: d = 1, 2, 3 on
+    their own lattices, a fractional 3 < d < 4 on the d = 3 lattice with edge
+    weight lambda^-(5-d)/2, and every other d refused by name."""
+
+    @pytest.mark.parametrize("d", [3.25, 3.5, 3.75])
+    def test_fractional_d_matches_the_loop_sum(self, d):
+        # the oracle writes its own lambda^-(5-d)/2 on the d = 3 lattice
+        for N, orders in [(1, range(1, 5)), (2, range(1, 4))]:
+            for n in orders:
+                for g in generate_diagrams([4] * n).filter_connected().terms:
+                    want = valuate_loop_sum(g, d, N)
+                    assert valuate(g, d, N) == pytest.approx(want, rel=1e-12), (g, d, N)
+
+    def test_fractional_d_position_mc(self):
+        # the seed was fixed before the run, not chosen by its result
+        for g in (banana(2), banana(3), double_triangle()):
+            est, se = valuate_position_mc(g, 3.5, 2, samples=200_000, seed=7)
+            assert abs(est - valuate(g, 3.5, 2)) <= 5 * se, g
+
+    def test_integer_d_position_mc_keeps_its_bits(self):
+        # pinned from the weights 1 / lambda, which lambda ** -1.0 equals to the bit
+        want = {
+            1: ("0x1.0b8b6b666d7d2p+0", "0x1.91640370491a9p-8"),
+            2: ("0x1.01610ff3e5fddp+0", "0x1.d11f318a68eabp-10"),
+            3: ("0x1.002f511bc43e7p+0", "0x1.a040ea9a99487p-12"),
+        }
+        for d, pin in want.items():
+            est, se = valuate_position_mc(banana(2), d, 3, samples=5000, seed=7)
+            assert (est.hex(), se.hex()) == pin, d
+
+    @pytest.mark.parametrize("d", [5, 0.5])
+    def test_entry_points_name_d(self, d):
+        two_point = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+        calls = {
+            "valuate": lambda: valuate(EMPTY, d, 2),
+            "valuate_sum": lambda: fy.valuate_sum(DiagramSum.zero(), d, 2),
+            "valuate_external": lambda: valuate_external(two_point, d, 4, (1,)),
+            "bphz direct": lambda: bphz_valuate(banana(3), d, 2, route="direct"),
+            "bphz lemma": lambda: bphz_valuate(banana(3), d, 2, route="lemma"),
+            "position MC": lambda: valuate_position_mc(banana(2), d, 2, samples=10, seed=0),
+        }
+        for call in calls.values():
+            with pytest.raises(ValueError, match=f"got {d}$"):
+                call()
+
+    def test_position_mc_needs_two_samples(self):
+        with pytest.raises(ValueError, match="samples"):
+            valuate_position_mc(banana(2), 1, 2, samples=1, seed=0)

@@ -68,6 +68,20 @@ class TestPartitionSeries:
         assert blob["coefficients"][2]["prefactor"] == [1, 2]
 
 
+class TestDimensionRule:
+    @pytest.mark.parametrize("d", [5, 0.5])
+    def test_entry_points_name_d(self, d):
+        calls = {
+            "partition ratio": lambda: partition_ratio_series(d, 2, 0),
+            "log partition": lambda: log_partition_series(d, 2, 1),
+            "two-point": lambda: two_point_series(d, 4, 2, 0.1, 0.2),
+            "mass insertion": lambda: phi4.sigma_counterterm(d, 2, 2),
+        }
+        for call in calls.values():
+            with pytest.raises(ValueError, match=f"got {d}$"):
+                call()
+
+
 class TestRenormalizedSeries:
     def test_order4_bounded_in_cutoff(self):
         v = [partition_ratio_series(3, N, 4).coefficient(4).value for N in (2, 3)]
@@ -245,7 +259,7 @@ class TestTwoPoint:
         # reference: one valuate_external call, hence one reduction, per mode,
         # summed by the same cosine sum
         def per_mode(g, d, N, x, y):
-            dim = fy._lattice_dim(d)
+            dim, _ = fy._model(d)
             diff = tuple(a - b for a, b in zip(tf.as_point(x, dim), tf.as_point(y, dim)))
             cube = np.zeros((2 * N + 1,) * dim)
             for p in ModeLattice(dim, N).modes:
@@ -469,13 +483,16 @@ class TestMC:
         with pytest.raises(ValueError):
             mc_partition_ratio(3, 4, 0.1, samples=10, seed=0)
 
+    def test_integral_float_dimension(self):
+        assert mc_partition_ratio(2.0, 2, 0.05, 10, 1) == mc_partition_ratio(2, 2, 0.05, 10, 1)
+
     @pytest.mark.parametrize(
         "args, want",
         [
             # values of the dense synthesis-matrix route, which drew the same stream
             ((1, 4, 0.05, 500, 7), (1.0196473667484116, 0.009030500768774347)),
             ((2, 4, 0.05, 2000, 3), (1.0157777156678627, 0.0038709704056035044)),
-            ((2, 4, 0.05, 1, 5), (0.8746506454650522, 0.0)),
+            ((2, 4, 0.05, 2, 5), (0.8612145996524168, 0.003835676209309635)),
             ((2, 4, 0.05, 65, 5), (0.999460834477058, 0.020580566364874528)),
             ((2, 4, 0.05, phi4.MC_BLOCK + 10, 5), (1.0154178403445682, 0.0037712036916311793)),
         ],
@@ -483,7 +500,7 @@ class TestMC:
     def test_pinned_to_dense_synthesis(self, args, want):
         assert mc_partition_ratio(*args) == pytest.approx(want, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("samples", [1, 65, phi4.MC_BLOCK + 10])
+    @pytest.mark.parametrize("samples", [2, 65, phi4.MC_BLOCK + 10])
     def test_partial_chunks_match_dense_route(self, samples):
         # sample counts off the chunk width, against the dense route rebuilt here
         d, N, alpha, seed = 2, 3, 0.05, 11
@@ -499,10 +516,9 @@ class TestMC:
             draws.extend(np.exp(-alpha * x))
         est, se = mc_partition_ratio(d, N, alpha, samples, seed)
         assert est == pytest.approx(float(np.mean(draws)), rel=1e-12)
-        if samples > 1:
-            assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
+        assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
 
-    @pytest.mark.parametrize("samples", [1, 65, phi4.MC_BLOCK + 10])
+    @pytest.mark.parametrize("samples", [2, 65, phi4.MC_BLOCK + 10])
     def test_partial_chunks_match_dense_route_d1(self, samples):
         # at d = 1 the two interleaved (2N+1)-grids form the uniform (4N+2)-grid;
         # the oracle is the dense route on the (4N+1)-grid, and N = 16 is where
@@ -520,8 +536,7 @@ class TestMC:
             draws.extend(np.exp(-alpha * x))
         est, se = mc_partition_ratio(d, N, alpha, samples, seed)
         assert est == pytest.approx(float(np.mean(draws)), rel=1e-12)
-        if samples > 1:
-            assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
+        assert se == pytest.approx(float(np.std(draws, ddof=1) / math.sqrt(samples)), rel=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -531,6 +546,7 @@ class TestMC:
             (dict(alpha=math.inf), "alpha"),
             (dict(seed=-3), "seed"),
             (dict(samples=0), "samples"),
+            (dict(samples=1), "samples"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, name):
