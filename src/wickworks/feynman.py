@@ -1140,12 +1140,17 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     return valuate_sum(acc, d, N)
 
 
+_POSITION_BLOCK = 4096  # sample rows per Green-function evaluation in valuate_position_mc
+
+
 def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
     """Monte Carlo of the position-space integral, as an oracle for valuate.
 
     Per connected component one vertex is pinned at the origin (translation
     invariance) and the rest are uniform on the torus; returns (estimate,
-    stderr) with the component estimates multiplied sample-wise.
+    stderr) with the component estimates multiplied sample-wise. The Green
+    function is summed over K_N for _POSITION_BLOCK sample rows at a time,
+    so the largest array is _POSITION_BLOCK x |K_N| whatever the sample count.
     """
     if not g.is_vacuum():
         raise ValueError("external legs present")
@@ -1158,8 +1163,13 @@ def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
     weights = np.array([float(lat.lam(k)) for k in lat.modes]) ** -s
 
     def green(u: np.ndarray) -> np.ndarray:
-        phase = 2.0 * math.pi * (u @ modes.T)
-        return np.cos(phase) @ weights
+        out = np.empty(len(u))
+        for lo in range(0, len(u), _POSITION_BLOCK):
+            phase = u[lo : lo + _POSITION_BLOCK] @ modes.T
+            phase *= 2.0 * math.pi
+            out[lo : lo + _POSITION_BLOCK] = np.cos(phase, out=phase) @ weights
+            del phase  # free it before the next block allocates
+        return out
 
     rng = np.random.default_rng(seed)
     vals = np.ones(samples)

@@ -38,7 +38,6 @@ from .torusfield import (
     cosine_sum,
     grid_synthesizer,
     lattice_rule_size,
-    mode_labels,
 )
 
 
@@ -465,22 +464,28 @@ def sigma_counterterm(d, N: int, n: int) -> float:
 # Monte Carlo
 
 
-def integral_wick4(values: np.ndarray, cn: float) -> np.ndarray:
-    """Grid mean of H_4(field; C_N) per sample (grid points along axis 0).
+def quartic_sum(values: np.ndarray) -> np.ndarray:
+    """Sum of values^4 over the grid points (axis 0), one entry per column.
 
-    H_4(v; c) = v^4 - 6 c v^2 + 3 c^2 is formed as (v^2 - 3c)^2 - 6c^2 in one
-    temporary the size of values, squared in place and reduced per column;
-    exact for a fine enough grid.
+    values is squared in place, so the read is two passes with no temporary.
     """
-    work = np.square(values)
-    work -= 3.0 * cn
-    np.square(work, out=work)
-    return work.mean(axis=0) - 6.0 * cn * cn
+    np.square(values, out=values)
+    return np.einsum("ij,ij->j", values, values)
+
+
+def wick4_mean(quartic: np.ndarray, points: int, square: np.ndarray, cn: float) -> np.ndarray:
+    """Grid mean of H_4(v; C_N) = v^4 - 6 C_N v^2 + 3 C_N^2 per sample, from
+    quartic, the sum of v^4 over the grid's points (written over), and
+    square, the grid mean of v^2."""
+    quartic /= points
+    quartic -= 6.0 * cn * square
+    quartic += 3.0 * cn * cn
+    return quartic
 
 
 MC_BLOCK = 2048
 # samples synthesized together: one chunk's grid values (M^d x 64 floats,
-# about 0.56 MB at d = 2, N = 16) stay in cache through the Wick integral
+# about 0.56 MB at d = 2, N = 16) stay in cache through the quartic read
 _MC_CHUNK = 64
 
 
@@ -494,6 +499,9 @@ def check_mc_arguments(d: int, alpha: float, samples: int, seed: int) -> None:
     if not (math.isfinite(alpha) and alpha >= 0):
         # exp(-alpha X) has no finite mean for alpha < 0
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     if seed < 0:
@@ -507,13 +515,15 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     trigonometric polynomial of l1 degree 4N, so it is the exact mean over
     the two interleaved M^d grids j/M and (j + 1/2)/M with
     M = lattice_rule_size(4N) = 2N + 1 (see there for why): half the points
-    of the uniform (4N+1)^d grid. M is odd, so the second grid's mean is the
-    first's for the field with its odd-|k|_1 amplitudes negated.
+    of the uniform (4N+1)^d grid. Only the v^4 term needs grid values: v^2
+    has l1 degree 2N < M, so its mean on the plain grid alone is exact, and
+    by Parseval it is the sum of the squared amplitudes.
     Splitting rule: draws proceed in fixed blocks of MC_BLOCK samples whose
     generators are SeedSequence(seed).spawn children in block order, so a
     given (config, seed) always produces the same stream. One GridSynthesizer
-    takes each block in chunks of _MC_CHUNK samples, as drawn and then
-    negated in place on the odd modes: at d = 2, N = 16 about 73k
+    takes each block in chunks of _MC_CHUNK samples onto the plain grid and,
+    through its sign-scaled stages (GridSynthesizer.half), onto the half-cell
+    one; the drawn block is only read: at d = 2, N = 16 about 73k
     multiply-adds per sample and grid, one chunk's M^d x _MC_CHUNK values
     alive. Raises ValueError naming alpha when exp(-alpha X) overflows, as it
     can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
@@ -522,21 +532,19 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     dim, _ = fy._model(d)
     lat = ModeLattice(dim, N)
     M = lattice_rule_size(4 * N)
-    assert M % 2, "the half-cell grid is a translate of the plain one only for odd M"
     synth = grid_synthesizer(dim, N, M)
-    odd = np.flatnonzero(np.abs([k for k, _ in mode_labels(lat)]).sum(axis=1) % 2)
     cn = c_variance(dim, N)
     weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
     draws = np.empty(samples)
     for start, ss in zip(range(0, samples, MC_BLOCK), seeds):
         amps = batch_amplitudes(lat, GFF, min(MC_BLOCK, samples - start), ss, weights)
+        quartic = draws[start : start + amps.shape[1]]
         for j in range(0, amps.shape[1], _MC_CHUNK):
             cols = amps[:, j : j + _MC_CHUNK]
-            wick4 = integral_wick4(synth(cols), cn)
-            cols[odd] *= -1  # in place: the block is not needed again
-            wick4 += integral_wick4(synth(cols), cn)
-            draws[start + j : start + j + cols.shape[1]] = 0.5 * wick4
+            sums = quartic_sum(synth(cols)) + quartic_sum(synth.half(cols))
+            quartic[j : j + cols.shape[1]] = sums
+        wick4_mean(quartic, 2 * M**dim, np.einsum("ij,ij->j", amps, amps), cn)
         del amps, cols  # free this block before the next one is drawn
     with np.errstate(over="ignore", invalid="ignore"):
         draws = np.exp(-alpha * draws)

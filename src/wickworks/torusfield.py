@@ -7,9 +7,11 @@ one independent standard normal per amplitude, so no Hermitian-coefficient
 bookkeeping is needed; all covariance targets below are stated in that basis.
 
 Fields reach the uniform M^d grid j/M through one GridSynthesizer per
-(d, N, M), which also serves the half-cell grid (see lattice_rule_size). It
-sums the modes one axis at a time in plain real matrix products, touching
-only the amplitudes the l1 ball holds, and returns one column per field. The
+(d, N, M). It sums the modes one axis at a time in plain real matrix
+products, touching only the amplitudes the l1 ball holds, and returns one
+column per field. For odd M its half method serves the half-cell grid (see
+lattice_rule_size) from a copy of the axis matrices with column k scaled by
+(-1)^k, built on first use, so the amplitudes are never negated. The
 dense synthesis_matrix (one row per point, one column per amplitude) serves
 arbitrary points and is the oracle the grid route is tested against.
 
@@ -611,25 +613,24 @@ class GridSynthesizer:
     product takes 594k. Each run's matrix is a column window of one matrix per
     axis, except the all-zero prefix's first-stage run: it joins the k = 0
     real column to the k_d = 1..N window.
+
+    half serves the points j/M + 1/2 from a second set of stages whose
+    columns k carry (-1)^k, built on its first call.
     """
 
     def __init__(self, d: int, N: int, M: int):
         _check_lattice(d, N)
-        self.shape = (M,) * d
+        self.shape, self._N = (M,) * d, N
         # 2 pi k x at x = j/M (rows j, columns k), jk reduced mod M exactly first
         theta = TWO_PI * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M) / M
         cos, sin = np.cos(theta), np.sin(theta)
         # rows (re/im, x), columns (k, re/im): one complex multiply by e^(i theta)
         mix = np.concatenate([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)])
-        mix = mix.reshape(2 * M, -1)
-        # columns (k, c/s): h_k = sqrt(2) (c_k - i s_k) times e^(i theta)
-        amp = mix * np.tile([math.sqrt(2.0), -math.sqrt(2.0)], 2 * N + 1)
-        # the all-zero prefix's run: the constant mode (h_0 = a_0), then k_d = 1..N
-        zero_run = np.concatenate([mix[:, 2 * N : 2 * N + 1], amp[:, 2 * N + 2 :]], axis=1)
+        self._mix = mix.reshape(2 * M, -1)
         keys = [k for k, _ in mode_labels(_lattice(d, N))]
-        # per stage, (rows of the state, matrix) per run; each matrix is a view
-        # of amp or mix, except zero_run
-        self._stages = []
+        # per stage, (rows of the state, column window or None, rows out) per
+        # run; None is the all-zero prefix's first-stage run
+        self._layout = []
         for axis in range(d - 1, -1, -1):
             first = axis == d - 1
             out_rows = slice(None) if axis else slice(M)  # the last stage keeps the real part
@@ -638,22 +639,64 @@ class GridSynthesizer:
                 ks = [k[axis] for k in run]
                 hi = lo + len(ks) * (1 if first else 2)
                 if first and not any(prefix):
-                    mat = zero_run
+                    cols = None
                 else:
-                    mat = (amp if first else mix)[:, 2 * (min(ks) + N) : 2 * (max(ks) + N + 1)]
-                runs.append((slice(lo, hi), mat[out_rows]))
+                    cols = slice(2 * (min(ks) + N), 2 * (max(ks) + N + 1))
+                runs.append((slice(lo, hi), cols, out_rows))
                 lo = hi
-            self._stages.append(runs)
+            self._layout.append(runs)
             keys = list(dict.fromkeys(k[:axis] for k in keys))
+        self._stages = self._build(self._mix)
+        self._half_stages = None
+
+    def _build(self, mix: np.ndarray) -> list:
+        """Per stage, (rows of the state, matrix) per run, from the axis matrix
+        mix; each matrix is a view of amp or mix, except the zero run."""
+        N = self._N
+        # columns (k, c/s): h_k = sqrt(2) (c_k - i s_k) times e^(i theta)
+        amp = mix * np.tile([math.sqrt(2.0), -math.sqrt(2.0)], 2 * N + 1)
+        # the all-zero prefix's run: the constant mode (h_0 = a_0), then k_d = 1..N
+        zero_run = np.concatenate([mix[:, 2 * N : 2 * N + 1], amp[:, 2 * N + 2 :]], axis=1)
+        stages = []
+        for g, runs in enumerate(self._layout):
+            base = amp if g == 0 else mix
+            stages.append(
+                [(rows, (zero_run if cols is None else base[:, cols])[out])
+                 for rows, cols, out in runs]
+            )
+        return stages
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
         """Values of the fields with amplitude columns amps (mode_labels order),
         shape (M^d, nfields): grid points in C order, one column per field,
         the layout of synthesis_matrix(lattice, points) @ amps."""
+        return self._synthesize(self._stages, amps)
+
+    def half(self, amps: np.ndarray) -> np.ndarray:
+        """The same fields at the points j/M + 1/2, for odd M the half-cell
+        grid (j + 1/2)/M rolled by (M - 1)/2 on every axis.
+
+        The shift by 1/2 multiplies mode k by (-1)^(k_1 + ... + k_d), so these
+        stages are those of __call__ with column k of each axis matrix scaled
+        by (-1)^k: a sign change is exact, and half(a) equals
+        self(sign * a) to the bit without writing a. Raises ValueError for
+        even M, whose j/M + 1/2 is the plain grid again.
+        """
+        if self._half_stages is None:
+            M = self.shape[0]
+            if M % 2 == 0:
+                raise ValueError(
+                    f"the half-cell grid is a translate of the plain one only for odd M, got M = {M}"
+                )
+            sign = np.repeat(np.where(np.arange(-self._N, self._N + 1) % 2, -1.0, 1.0), 2)
+            self._half_stages = self._build(self._mix * sign)
+        return self._synthesize(self._half_stages, amps)
+
+    def _synthesize(self, stages: list, amps: np.ndarray) -> np.ndarray:
         nfields = amps.shape[1]
         state, rest = amps, nfields
         # state rows: (k_1, ..., k_j, re/im); columns: (x_(j+1), ..., x_d, field)
-        for runs in self._stages:
+        for runs in stages:
             out = np.empty((len(runs), runs[0][1].shape[0], rest))
             for g, (rows, mat) in enumerate(runs):
                 np.matmul(mat, state[rows], out=out[g])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -1155,6 +1156,44 @@ class TestPositionMC:
         est, se = valuate_position_mc(double_triangle(), 1, 6, samples=40_000, seed=6)
         target = valuate(double_triangle(), 1, 6)
         assert abs(est - target) <= 4 * se
+
+    @pytest.mark.parametrize("d, N", [(3, 3), (2, 5), (1, 8), (3.5, 2)])
+    def test_blocks_keep_the_unblocked_bits(self, d, N):
+        # more samples than one block, against the whole-array Green function
+        samples = fy._POSITION_BLOCK + 904
+        for g in (banana(2), banana(3), double_triangle()):
+            est, se = valuate_position_mc(g, d, N, samples=samples, seed=3)
+            want_est, want_se = _position_mc_unblocked(g, d, N, samples, seed=3)
+            assert (est.hex(), se.hex()) == (want_est.hex(), want_se.hex()), (g, d, N)
+
+    def test_largest_array_is_one_block(self):
+        # at d = 3, N = 5 one whole (samples, |K_N|) phase array would take 74 MB
+        samples, modes = 40_000, len(ModeLattice(3, 5).modes)
+        tracemalloc.start()
+        try:
+            valuate_position_mc(banana(2), 3, 5, samples=samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * fy._POSITION_BLOCK * modes + 8 * 16 * samples
+
+
+def _position_mc_unblocked(g, d, N, samples, seed):
+    """valuate_position_mc with each edge's Green function on all rows at once."""
+    dim, s = fy._model(d)
+    lat = ModeLattice(dim, N)
+    modes = np.array(lat.modes, dtype=float)
+    weights = np.array([float(lat.lam(k)) for k in lat.modes]) ** -s
+    rng = np.random.default_rng(seed)
+    vals = np.ones(samples)
+    for comp in connected_components(g):
+        pos = rng.uniform(size=(samples, comp.nvertices, dim))
+        pos[:, 0, :] = 0.0
+        comp_vals = np.ones(samples)
+        for (i, j), m in comp.edges:
+            comp_vals *= (np.cos(2.0 * math.pi * ((pos[:, i, :] - pos[:, j, :]) @ modes.T)) @ weights) ** m
+        vals *= comp_vals
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 class TestBPHZ:

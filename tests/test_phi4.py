@@ -547,6 +547,8 @@ class TestMC:
             (dict(seed=-3), "seed"),
             (dict(samples=0), "samples"),
             (dict(samples=1), "samples"),
+            (dict(samples=100.5), "samples"),
+            (dict(seed=1.5), "seed"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, name):
@@ -591,7 +593,18 @@ class TestMC:
         for cn in (0.3, 1.7, 40.0):
             v = math.sqrt(cn) * rng.standard_normal((4225, 70))
             want = (v**4 - 6.0 * cn * v**2 + 3.0 * cn * cn).mean(axis=0)
-            kept = v.copy()
-            got = phi4.integral_wick4(v, cn)
+            work = v.copy()
+            quartic = phi4.quartic_sum(work)
+            assert np.array_equal(work, v**2)  # squared in place
+            got = phi4.wick4_mean(quartic, len(v), (v**2).mean(axis=0), cn)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * cn * cn)
-            assert np.array_equal(v, kept)  # the input is not written to
+
+    def test_drawn_block_is_only_read(self, monkeypatch):
+        def read_only(*args):
+            block = tf.batch_amplitudes(*args)
+            block.setflags(write=False)
+            return block
+
+        want = mc_partition_ratio(2, 4, 0.05, samples=phi4.MC_BLOCK + 10, seed=5)
+        monkeypatch.setattr(phi4, "batch_amplitudes", read_only)
+        assert mc_partition_ratio(2, 4, 0.05, samples=phi4.MC_BLOCK + 10, seed=5) == want

@@ -662,6 +662,39 @@ class TestGridSynthesizer:
         want = tf.synthesis_matrix(lat, tf.grid_points(d, M) + 0.5 / M) @ amps
         assert np.abs(got.reshape(-1, 3) - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 3, 8])
+    def test_half_matches_synthesis_matrix(self, d, N):
+        # half reads the points j/M + 1/2: the half-cell grid rolled by (M - 1)/2
+        lat = ModeLattice(d, N)
+        amps = tf.batch_amplitudes(lat, GFF, 3, seed=70 + 10 * d + N)
+        amps.setflags(write=False)
+        M = 2 * N + 1
+        synth = tf.grid_synthesizer(d, N, M)
+        got = synth.half(amps)
+        sign = np.array([(-1.0) ** sum(map(abs, k)) for k, _ in tf.mode_labels(lat)])
+        assert np.array_equal(got, synth(sign[:, None] * amps))
+        rolled = np.roll(got.reshape((M,) * d + (3,)), (M - 1) // 2, axis=tuple(range(d)))
+        want = tf.synthesis_matrix(lat, tf.grid_points(d, M) + 0.5 / M) @ amps
+        assert np.abs(rolled.reshape(-1, 3) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_half_stages_built_on_first_use(self):
+        synth = tf.GridSynthesizer(2, 3, 7)
+        amps = tf.batch_amplitudes(ModeLattice(2, 3), GFF, 2, seed=1)
+        synth(amps)
+        assert synth._half_stages is None  # the plain grid does not pay for them
+        synth.half(amps)
+        assert synth._half_stages is not None
+        with pytest.raises(ValueError, match="odd M"):
+            tf.GridSynthesizer(2, 3, 8).half(amps)
+
+    @pytest.mark.parametrize("d, N", [(1, 1), (1, 16), (2, 3), (2, 16), (3, 2), (3, 5)])
+    def test_plain_grid_mean_square_is_parseval(self, d, N):
+        # v^2 has l1 degree 2N < M = 2N + 1, so its plain-grid mean is exact
+        amps = tf.batch_amplitudes(ModeLattice(d, N), GFF, 5, seed=d + N)
+        v = tf.grid_synthesizer(d, N, 2 * N + 1)(amps)
+        np.testing.assert_allclose((v * v).mean(axis=0), (amps * amps).sum(axis=0), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("d, N, M", [(1, 5, 12), (2, 3, 13), (3, 2, 7)])
     def test_evaluate_grid_matches_pointwise(self, d, N, M):
         s = sample_field(GFF, ModeLattice(d, N), seed=4)
