@@ -124,7 +124,7 @@ def cmd_phi4(args) -> int:
     if args.mc:
         if args.alpha is None or args.samples is None or args.seed is None:
             raise ValueError("--mc needs --alpha, --samples and --seed")
-        phi4.check_mc_arguments(args.d, args.alpha, args.samples, args.seed)
+        phi4.check_mc_arguments(args.d, args.N, args.alpha, args.samples, args.seed)
     series = phi4.partition_ratio_series(args.d, args.N, args.order)
     payload = {"schema": 1, "series": series.to_json()}
     if args.d == 3:
@@ -321,13 +321,24 @@ def build_parser() -> argparse.ArgumentParser:
         "weight lambda^-(5-d)/2 and no counterterm block (no --mc)",
     )
     p.add_argument("--N", type=int, default=None, help="cutoff; required without --ladder")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--mc", action="store_true")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--order", type=int, default=3, help="highest power of alpha in the series, 0 to 4 (default 3)"
+    )
+    p.add_argument(
+        "--mc",
+        action="store_true",
+        help="also estimate Z_alpha / Z_0 by Monte Carlo; d = 1 or 2 only, and needs --alpha, "
+        "--samples >= 2 and --seed",
+    )
+    p.add_argument("--alpha", type=float, default=None, help="coupling for --mc, finite and >= 0")
+    p.add_argument(
+        "--samples", type=int, default=None, help="Monte Carlo samples for --mc, at least 2"
+    )
+    p.add_argument(
+        "--seed", type=int, default=None, help="Monte Carlo seed for --mc, >= 0; reruns are identical"
+    )
     p.add_argument("--ladder", default=None, help="comma list of cutoffs; emit a CSV coefficient table")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the output to this file instead of stdout")
     p.set_defaults(func=cmd_phi4)
 
     p = sub.add_parser("field", help="sample a spectral field and write grid values")

@@ -36,8 +36,8 @@ from .torusfield import (
     as_point,
     c_variance,
     cosine_sum,
-    grid_synthesizer,
     lattice_rule_size,
+    rule_synthesizer,
 )
 
 
@@ -484,12 +484,12 @@ def wick4_mean(quartic: np.ndarray, points: int, square: np.ndarray, cn: float) 
 
 
 MC_BLOCK = 2048
-# samples synthesized together: one chunk's grid values (M^d x 64 floats,
-# about 0.56 MB at d = 2, N = 16) stay in cache through the quartic read
+# samples synthesized together: one chunk's rule values (2M^d x 64 floats,
+# about 1.1 MB at d = 2, N = 16) stay in cache through the quartic read
 _MC_CHUNK = 64
 
 
-def check_mc_arguments(d: int, alpha: float, samples: int, seed: int) -> None:
+def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) -> None:
     """Raise ValueError naming the first argument mc_partition_ratio refuses.
 
     Cheap, so the CLI runs it before any series work.
@@ -499,9 +499,12 @@ def check_mc_arguments(d: int, alpha: float, samples: int, seed: int) -> None:
     if not (math.isfinite(alpha) and alpha >= 0):
         # exp(-alpha X) has no finite mean for alpha < 0
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    for name, value in (("samples", samples), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)):
+    for name, value in (("N", N), ("samples", samples), ("seed", seed)):
+        # a bool is an int to Python, but True is no cutoff, count or seed
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     if seed < 0:
@@ -513,26 +516,26 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
 
     Fields are sampled spectrally. The quartic Wick integral is a
     trigonometric polynomial of l1 degree 4N, so it is the exact mean over
-    the two interleaved M^d grids j/M and (j + 1/2)/M with
-    M = lattice_rule_size(4N) = 2N + 1 (see there for why): half the points
-    of the uniform (4N+1)^d grid. Only the v^4 term needs grid values: v^2
-    has l1 degree 2N < M, so its mean on the plain grid alone is exact, and
-    by Parseval it is the sum of the squared amplitudes.
+    the 2M^d points of the rank-2 lattice rule of size
+    M = lattice_rule_size(4N) = 2N + 1, the grids j/M and (j + 1/2)/M
+    together (see there for why): half the points of the uniform (4N+1)^d
+    grid. Only the v^4 term needs those values: by Parseval the exact mean of
+    v^2 is the sum of the squared amplitudes.
     Splitting rule: draws proceed in fixed blocks of MC_BLOCK samples whose
     generators are SeedSequence(seed).spawn children in block order, so a
-    given (config, seed) always produces the same stream. One GridSynthesizer
-    takes each block in chunks of _MC_CHUNK samples onto the plain grid and,
-    through its sign-scaled stages (GridSynthesizer.half), onto the half-cell
-    one; the drawn block is only read: at d = 2, N = 16 about 73k
-    multiply-adds per sample and grid, one chunk's M^d x _MC_CHUNK values
-    alive. Raises ValueError naming alpha when exp(-alpha X) overflows, as it
-    can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
+    given (config, seed) always produces the same stream. One
+    rule_synthesizer takes each block in chunks of _MC_CHUNK samples onto
+    every rule point at once, the plain grid j/2M at d = 1 and a rotated
+    2M x M product grid at d = 2, where both halves share the first axis
+    stage: at N = 16 about 110k multiply-adds per sample, in 18 GEMMs per
+    chunk. The drawn block is only read, and one chunk's 2M^d x _MC_CHUNK
+    values are alive. Raises ValueError naming alpha when exp(-alpha X)
+    overflows, as it can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
     """
-    check_mc_arguments(d, alpha, samples, seed)
+    check_mc_arguments(d, N, alpha, samples, seed)
     dim, _ = fy._model(d)
     lat = ModeLattice(dim, N)
-    M = lattice_rule_size(4 * N)
-    synth = grid_synthesizer(dim, N, M)
+    synth = rule_synthesizer(dim, N, lattice_rule_size(4 * N))
     cn = c_variance(dim, N)
     weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
@@ -542,9 +545,8 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
         quartic = draws[start : start + amps.shape[1]]
         for j in range(0, amps.shape[1], _MC_CHUNK):
             cols = amps[:, j : j + _MC_CHUNK]
-            sums = quartic_sum(synth(cols)) + quartic_sum(synth.half(cols))
-            quartic[j : j + cols.shape[1]] = sums
-        wick4_mean(quartic, 2 * M**dim, np.einsum("ij,ij->j", amps, amps), cn)
+            quartic[j : j + cols.shape[1]] = quartic_sum(synth(cols))
+        wick4_mean(quartic, math.prod(synth.shape), np.einsum("ij,ij->j", amps, amps), cn)
         del amps, cols  # free this block before the next one is drawn
     with np.errstate(over="ignore", invalid="ignore"):
         draws = np.exp(-alpha * draws)

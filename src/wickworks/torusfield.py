@@ -6,14 +6,16 @@ lambda_k = 1 + (2 pi)^d ||k||^2. Sampling uses a real cosine/sine basis with
 one independent standard normal per amplitude, so no Hermitian-coefficient
 bookkeeping is needed; all covariance targets below are stated in that basis.
 
-Fields reach the uniform M^d grid j/M through one GridSynthesizer per
-(d, N, M). It sums the modes one axis at a time in plain real matrix
-products, touching only the amplitudes the l1 ball holds, and returns one
-column per field. For odd M its half method serves the half-cell grid (see
-lattice_rule_size) from a copy of the axis matrices with column k scaled by
-(-1)^k, built on first use, so the amplitudes are never negated. The
-dense synthesis_matrix (one row per point, one column per amplitude) serves
-arbitrary points and is the oracle the grid route is tested against.
+Fields reach a product grid through a GridSynthesizer, built from each
+mode's key on the grid's axes, the points per axis and the period. It sums
+the modes one axis at a time in plain real matrix products, touching only
+the amplitudes the l1 ball holds, and returns one column per field.
+grid_synthesizer(d, N, M) serves the uniform M^d grid j/M, and
+rule_synthesizer(d, N, M) all 2M^d points of the rank-2 lattice rule (see
+lattice_rule_size) as one rotated 2M x M^(d-1) product grid, so both of its
+halves share the first axis stage. The dense synthesis_matrix (one row per
+point, one column per amplitude) serves arbitrary points and is the oracle
+the grid routes are tested against.
 
 One builder, _l1_within (cached as _l1_mask), gives K_N for everything
 here: the mode list (the mask's true entries in C order, which is
@@ -334,6 +336,15 @@ def lattice_rule_size(deg: int) -> int:
     larger M (say a 5-smooth FFT length) is exact too. For odd M the second
     grid is the first moved by 1/2 on every axis ((j + 1/2)/M = j'/M + 1/2,
     j' = j + (M + 1)/2 mod M), which multiplies e^(2 pi i k.x) by (-1)^(|k|_1).
+
+    The union is the points t/2M with t in Z^d, all t_i of one parity, and it
+    is also a product grid in rotated coordinates: with x_1 = y_1 + ... + y_d
+    and x_i = x_1 - 2 y_i (i >= 2), the 2M^d points are exactly y_1 = s/2M
+    (s < 2M), y_i = r_i/2M (r_i < M), and e^(2 pi i k.x) = e^(2 pi i kappa.y)
+    with kappa = (sigma, sigma - 2 k_2, ..., sigma - 2 k_d), sigma = k_1 + ...
+    + k_d. Each |kappa_i| <= |k|_1; at d = 2 the l1 ball |k|_1 <= N is the box
+    |kappa_1|, |kappa_2| <= N with kappa_1 = kappa_2 mod 2. rule_synthesizer
+    synthesizes on this grid; at d = 1 it is the plain grid j/2M.
     """
     return deg // 2 + 1
 
@@ -597,115 +608,120 @@ def _l1_within(dim: int, radius: int, bound: int) -> np.ndarray:
 
 
 class GridSynthesizer:
-    """Real-basis fields on the uniform M^d grid j/M, summed one axis at a time.
+    """Real-basis fields on a product grid, summed one axis at a time.
 
-    With h_0 = a_0 and h_k = sqrt(2) (c_k - i s_k) on the positive
-    representatives, a field is Re sum_k h_k e^(2 pi i k.x), and on a tensor
-    grid that sum factors by axis. The first stage contracts k_d: every run of
-    amplitudes sharing the prefix (k_1, ..., k_(d-1)) is contiguous in
-    mode_labels order and meets only the columns |k_d| <= N - |k_1| - ... of
-    the axis matrix e^(2 pi i k x), with the sqrt(2) and the sign of h_k
-    folded in. Each later stage contracts the next axis the same way, per run
-    of the prefix before it, and the last (k_1 in [0, N]) keeps only the real
-    part. Complex values travel as a (re, im) row pair, so every product is a
-    plain 2-D real GEMM with the fields along its columns: at d = 2, N = 16,
-    M = 33 about 73k multiply-adds per field, where the dense synthesis_matrix
-    product takes 594k. Each run's matrix is a column window of one matrix per
-    axis, except the all-zero prefix's first-stage run: it joins the k = 0
-    real column to the k_d = 1..N window.
+    Axis a of the grid holds counts[a] points y_a = j / period (j < counts[a]),
+    and each mode has a key, an integer vector with key.y = k.x at every grid
+    point, so that the mode reads e^(2 pi i key.y) there: grid_synthesizer
+    gives the plain grid (key k), rule_synthesizer the points of the rank-2
+    lattice rule. With h_0 = a_0 and h_k = sqrt(2) (c_k - i s_k) on the
+    positive representatives, a field is Re sum_k h_k e^(2 pi i key.y), and on
+    a product grid that sum factors by axis. A mode whose key has a negative
+    first nonzero coordinate is summed as its conjugate, key -key and its
+    sine column negated, and the modes are taken in key order, so every run
+    sharing a key prefix is contiguous; __call__ gathers the amplitude rows
+    into that order unless it is the mode_labels order.
 
-    half serves the points j/M + 1/2 from a second set of stages whose
-    columns k carry (-1)^k, built on its first call.
+    The first stage contracts the last key coordinate: every run of modes
+    sharing the prefix before it meets its own columns of the axis matrix
+    e^(2 pi i key y), with the sqrt(2) and the sign of h folded in. Each later
+    stage contracts the next axis the same way, per run of the prefix before
+    it, and the last keeps only the real part. Complex values travel as a
+    (re, im) row pair, so every product is a plain 2-D real GEMM with the
+    fields along its columns: on the plain grid at d = 2, N = 16, M = 33 about
+    73k multiply-adds per field, where the dense synthesis_matrix product
+    takes 594k.
     """
 
-    def __init__(self, d: int, N: int, M: int):
-        _check_lattice(d, N)
-        self.shape, self._N = (M,) * d, N
-        # 2 pi k x at x = j/M (rows j, columns k), jk reduced mod M exactly first
-        theta = TWO_PI * (np.outer(np.arange(M), np.arange(-N, N + 1)) % M) / M
-        cos, sin = np.cos(theta), np.sin(theta)
-        # rows (re/im, x), columns (k, re/im): one complex multiply by e^(i theta)
-        mix = np.concatenate([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)])
-        self._mix = mix.reshape(2 * M, -1)
-        keys = [k for k, _ in mode_labels(_lattice(d, N))]
-        # per stage, (rows of the state, column window or None, rows out) per
-        # run; None is the all-zero prefix's first-stage run
-        self._layout = []
-        for axis in range(d - 1, -1, -1):
-            first = axis == d - 1
-            out_rows = slice(None) if axis else slice(M)  # the last stage keeps the real part
-            runs, lo = [], 0
-            for prefix, run in groupby(keys, key=lambda k: k[:axis]):
-                ks = [k[axis] for k in run]
-                hi = lo + len(ks) * (1 if first else 2)
-                if first and not any(prefix):
-                    cols = None
-                else:
-                    cols = slice(2 * (min(ks) + N), 2 * (max(ks) + N + 1))
-                runs.append((slice(lo, hi), cols, out_rows))
-                lo = hi
-            self._layout.append(runs)
-            keys = list(dict.fromkeys(k[:axis] for k in keys))
-        self._stages = self._build(self._mix)
-        self._half_stages = None
-
-    def _build(self, mix: np.ndarray) -> list:
-        """Per stage, (rows of the state, matrix) per run, from the axis matrix
-        mix; each matrix is a view of amp or mix, except the zero run."""
-        N = self._N
-        # columns (k, c/s): h_k = sqrt(2) (c_k - i s_k) times e^(i theta)
-        amp = mix * np.tile([math.sqrt(2.0), -math.sqrt(2.0)], 2 * N + 1)
-        # the all-zero prefix's run: the constant mode (h_0 = a_0), then k_d = 1..N
-        zero_run = np.concatenate([mix[:, 2 * N : 2 * N + 1], amp[:, 2 * N + 2 :]], axis=1)
-        stages = []
-        for g, runs in enumerate(self._layout):
-            base = amp if g == 0 else mix
-            stages.append(
-                [(rows, (zero_run if cols is None else base[:, cols])[out])
-                 for rows, cols, out in runs]
-            )
-        return stages
+    def __init__(self, keys, counts: tuple[int, ...], period: int):
+        """keys: one per mode, the constant mode's (all zero) first, then the
+        positive representatives in mode_labels order; counts: the points per
+        axis."""
+        self.shape = tuple(counts)
+        conj = [next((c < 0 for c in key if c), False) for key in keys]
+        keys = [tuple(-c if neg else c for c in key) for key, neg in zip(keys, conj)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        # amplitude rows of mode i: the constant mode's one, then (c, s)
+        perm = [r for i in order for r in ((0,) if i == 0 else (2 * i - 1, 2 * i))]
+        self._perm = None if perm == sorted(perm) else np.array(perm)
+        N = max(abs(c) for key in keys for c in key)
+        root2 = math.sqrt(2.0)
+        runs = [(keys[i], conj[i]) for i in order]
+        # per stage, the points of its axis and (rows of the state, matrix) per run
+        self._stages = []
+        for axis in range(len(counts) - 1, -1, -1):
+            first, n = axis == len(counts) - 1, counts[axis]
+            mix = _axis_matrix(n, N, period)
+            if not axis:
+                mix = mix[:n]  # the last stage keeps the real part
+            stage, lo = [], 0
+            for _, run in groupby(runs, key=lambda r: r[0][:axis]):
+                cols, scale = [], []
+                for key, neg in run:
+                    c = 2 * (key[axis] + N)  # the column pair (key, re/im) of mix
+                    if first and not any(key):  # h_0 = a_0, real
+                        cols.append(c)
+                        scale.append(1.0)
+                    else:  # a (re, im) row pair; in the first stage (c_k, s_k)
+                        cols += [c, c + 1]
+                        scale += [root2, root2 if neg else -root2] if first else [1.0, 1.0]
+                # take keeps C order: BLAS sums a Fortran-ordered operand in another order
+                stage.append((slice(lo, lo + len(cols)), mix.take(cols, axis=1) * scale))
+                lo += len(cols)
+            self._stages.append((n, stage))
+            runs = [(key, False) for key in dict.fromkeys(key[:axis] for key, _ in runs)]
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
         """Values of the fields with amplitude columns amps (mode_labels order),
-        shape (M^d, nfields): grid points in C order, one column per field,
-        the layout of synthesis_matrix(lattice, points) @ amps."""
-        return self._synthesize(self._stages, amps)
-
-    def half(self, amps: np.ndarray) -> np.ndarray:
-        """The same fields at the points j/M + 1/2, for odd M the half-cell
-        grid (j + 1/2)/M rolled by (M - 1)/2 on every axis.
-
-        The shift by 1/2 multiplies mode k by (-1)^(k_1 + ... + k_d), so these
-        stages are those of __call__ with column k of each axis matrix scaled
-        by (-1)^k: a sign change is exact, and half(a) equals
-        self(sign * a) to the bit without writing a. Raises ValueError for
-        even M, whose j/M + 1/2 is the plain grid again.
-        """
-        if self._half_stages is None:
-            M = self.shape[0]
-            if M % 2 == 0:
-                raise ValueError(
-                    f"the half-cell grid is a translate of the plain one only for odd M, got M = {M}"
-                )
-            sign = np.repeat(np.where(np.arange(-self._N, self._N + 1) % 2, -1.0, 1.0), 2)
-            self._half_stages = self._build(self._mix * sign)
-        return self._synthesize(self._half_stages, amps)
-
-    def _synthesize(self, stages: list, amps: np.ndarray) -> np.ndarray:
+        shape (prod(shape), nfields): grid points in C order, one column per
+        field."""
+        if self._perm is not None:
+            amps = amps[self._perm]  # the modes in key order, as one contiguous block
         nfields = amps.shape[1]
         state, rest = amps, nfields
-        # state rows: (k_1, ..., k_j, re/im); columns: (x_(j+1), ..., x_d, field)
-        for runs in stages:
+        # state rows: (key_1, ..., key_j, re/im); columns: (y_(j+1), ..., y_d, field)
+        for n, runs in self._stages:
             out = np.empty((len(runs), runs[0][1].shape[0], rest))
             for g, (rows, mat) in enumerate(runs):
                 np.matmul(mat, state[rows], out=out[g])
-            rest *= self.shape[0]
+            rest *= n
             state = out.reshape(-1, rest)
         return state.reshape(-1, nfields)
 
 
-grid_synthesizer = lru_cache(maxsize=None, typed=True)(GridSynthesizer)  # one per (d, N, M)
+def _axis_matrix(n: int, N: int, period: int) -> np.ndarray:
+    """e^(i theta), theta = 2 pi k j / period, as a real matrix: rows (re/im,
+    j) for j < n, columns (k, re/im) for |k| <= N, one complex multiply per
+    column pair."""
+    # jk reduced mod period exactly first
+    theta = TWO_PI * (np.outer(np.arange(n), np.arange(-N, N + 1)) % period) / period
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.concatenate([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)]).reshape(2 * n, -1)
+
+
+@lru_cache(maxsize=None, typed=True)  # one per (d, N, M)
+def grid_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
+    """The GridSynthesizer of the uniform M^d grid j/M: keys k, period M,
+    points in the C order of grid_points(d, M), the layout of
+    synthesis_matrix(lattice, grid_points(d, M)) @ amps."""
+    lat = _lattice(d, N)
+    return GridSynthesizer([(0,) * d] + lat.positive_modes(), (M,) * d, M)
+
+
+@lru_cache(maxsize=None, typed=True)  # one per (d, N, M)
+def rule_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
+    """The GridSynthesizer of all 2M^d points of the rank-2 lattice rule of
+    size M, the grids j/M and (j + 1/2)/M together, on the rotated product
+    grid of lattice_rule_size: keys (sigma, sigma - 2 k_2, ..., sigma - 2 k_d)
+    with sigma = k_1 + ... + k_d, period 2M, 2M points on the first axis and
+    M on each other. At d = 1 that is the plain grid j/2M.
+    """
+    lat = _lattice(d, N)
+    keys = []
+    for k in [(0,) * d] + lat.positive_modes():
+        total = sum(k)
+        keys.append((total,) + tuple(total - 2 * c for c in k[1:]))
+    return GridSynthesizer(keys, (2 * M,) + (M,) * (d - 1), 2 * M)
 
 
 def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:

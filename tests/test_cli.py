@@ -10,7 +10,7 @@ import pytest
 
 import wickworks
 from wickworks import torusfield
-from wickworks.cli import main
+from wickworks.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -160,6 +160,7 @@ class TestPhi4Cmd:
             (("--d", "3", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
             (("--d", "3.5", "--alpha", "0.05", "--seed", "1"), "d = 1 and d = 2"),
             (("--d", "2", "--alpha", "0.05", "--seed", "1", "--samples", "1"), "samples"),
+            (("--d", "2", "--alpha", "0.05", "--seed", "1", "--N", "-1"), "N must be >= 0"),
         ],
     )
     def test_mc_rejects_arguments_before_the_series(self, capsys, monkeypatch, argv, name):
@@ -176,6 +177,13 @@ class TestPhi4Cmd:
         assert code == 2
         assert out == ""
         assert name in err
+
+    def test_every_option_has_help(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a.choices, dict)]
+        actions = {a.dest: a for a in sub.choices["phi4"]._actions}
+        assert not [dest for dest, a in actions.items() if not a.help]
+        assert "d = 1 or 2 only" in actions["mc"].help
 
     def test_mc_path(self, capsys):
         code, out, _ = run(

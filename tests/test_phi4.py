@@ -549,6 +549,13 @@ class TestMC:
             (dict(samples=1), "samples"),
             (dict(samples=100.5), "samples"),
             (dict(seed=1.5), "seed"),
+            (dict(N=2.5), "N"),
+            (dict(N=-1), "N"),
+            # True is an int to Python, but no cutoff, count or seed
+            (dict(N=True), "N"),
+            (dict(samples=True), "samples"),
+            (dict(seed=True), "seed"),
+            (dict(seed=np.float64(3.0)), "seed"),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs, name):
@@ -556,16 +563,30 @@ class TestMC:
         with pytest.raises(ValueError, match=name):
             mc_partition_ratio(**args)
 
-    def test_one_synthesizer_serves_both_grids(self, monkeypatch):
-        asked = []
+    def test_one_synthesizer_call_per_chunk(self, monkeypatch):
+        asked, widths = [], []
 
         def recording(*key):
             asked.append(key)
-            return tf.grid_synthesizer(*key)
+            synth = tf.rule_synthesizer(*key)
 
-        monkeypatch.setattr(phi4, "grid_synthesizer", recording)
-        mc_partition_ratio(2, 4, 0.05, samples=200, seed=1)
+            def call(amps):
+                widths.append(amps.shape[1])
+                return synth(amps)
+
+            call.shape = synth.shape
+            return call
+
+        monkeypatch.setattr(phi4, "rule_synthesizer", recording)
+        samples = phi4.MC_BLOCK + 200
+        got = mc_partition_ratio(2, 4, 0.05, samples, seed=1)
         assert asked == [(2, 4, 9)]
+        # one call per chunk, each onto all 2M^2 rule points
+        chunk = phi4._MC_CHUNK
+        want = [chunk] * (phi4.MC_BLOCK // chunk) + [chunk] * (200 // chunk) + [200 % chunk]
+        assert widths == want
+        monkeypatch.undo()
+        assert mc_partition_ratio(2, 4, 0.05, samples, seed=1) == got
 
     def test_overflow_names_alpha(self):
         # X >= -6 C_N^2, so exp(-alpha X) can pass the float range once

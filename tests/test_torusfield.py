@@ -664,29 +664,49 @@ class TestGridSynthesizer:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [0, 1, 3, 8])
-    def test_half_matches_synthesis_matrix(self, d, N):
-        # half reads the points j/M + 1/2: the half-cell grid rolled by (M - 1)/2
+    def test_rule_matches_synthesis_matrix(self, d, N):
+        # row (s, r_2, ..., r_d) is y = (s, r_2, ...)/2M on the rotated axes,
+        # x_1 = y_1 + ... + y_d and x_i = x_1 - 2 y_i
         lat = ModeLattice(d, N)
         amps = tf.batch_amplitudes(lat, GFF, 3, seed=70 + 10 * d + N)
         amps.setflags(write=False)
         M = 2 * N + 1
-        synth = tf.grid_synthesizer(d, N, M)
-        got = synth.half(amps)
-        sign = np.array([(-1.0) ** sum(map(abs, k)) for k, _ in tf.mode_labels(lat)])
-        assert np.array_equal(got, synth(sign[:, None] * amps))
-        rolled = np.roll(got.reshape((M,) * d + (3,)), (M - 1) // 2, axis=tuple(range(d)))
-        want = tf.synthesis_matrix(lat, tf.grid_points(d, M) + 0.5 / M) @ amps
-        assert np.abs(rolled.reshape(-1, 3) - want).max() <= 1e-12 * np.abs(want).max()
+        synth = tf.rule_synthesizer(d, N, M)
+        got = synth(amps)
+        assert synth.shape == (2 * M,) + (M,) * (d - 1)
+        assert got.shape == (2 * M**d, 3)
+        y = np.stack(np.meshgrid(*map(np.arange, synth.shape), indexing="ij"), -1).reshape(-1, d)
+        t = y.sum(axis=1, keepdims=True) - 2 * y * (np.arange(d) > 0)
+        t %= 2 * M
+        # the points are 2M^d distinct points of the rule: j/M (t even) or (j + 1/2)/M (t odd)
+        assert len(set(map(tuple, t.tolist()))) == 2 * M**d
+        assert all(len(set(row)) == 1 for row in (t % 2).tolist())
+        pts = t / (2 * M)
+        for lo in range(0, len(pts), 4096):
+            want = tf.synthesis_matrix(lat, pts[lo : lo + 4096]) @ amps
+            scale = np.abs(want).max()
+            assert np.abs(got[lo : lo + 4096] - want).max() <= 1e-12 * scale, (d, N)
 
-    def test_half_stages_built_on_first_use(self):
-        synth = tf.GridSynthesizer(2, 3, 7)
-        amps = tf.batch_amplitudes(ModeLattice(2, 3), GFF, 2, seed=1)
-        synth(amps)
-        assert synth._half_stages is None  # the plain grid does not pay for them
-        synth.half(amps)
-        assert synth._half_stages is not None
-        with pytest.raises(ValueError, match="odd M"):
-            tf.GridSynthesizer(2, 3, 8).half(amps)
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 1), (1, 16), (2, 1), (2, 3), (2, 16), (3, 1), (3, 3)])
+    def test_rule_quartic_mean_is_the_fine_grid_mean(self, d, N):
+        # v^4 has l1 degree 4N: the rule's 2M^d points and the (4N+1)^d grid
+        # both integrate it exactly
+        amps = tf.batch_amplitudes(ModeLattice(d, N), GFF, 4, seed=3 * d + N)
+        rule = tf.rule_synthesizer(d, N, 2 * N + 1)(amps)
+        fine = tf.grid_synthesizer(d, N, 4 * N + 1)(amps)
+        want = (fine**4).mean(axis=0)
+        np.testing.assert_allclose((rule**4).mean(axis=0), want, rtol=1e-12, atol=0)
+
+    def test_rule_at_d1_is_the_plain_grid(self):
+        amps = tf.batch_amplitudes(ModeLattice(1, 5), GFF, 3, seed=2)
+        rule = tf.rule_synthesizer(1, 5, 11)
+        assert rule.shape == (22,)
+        assert np.array_equal(rule(amps), tf.grid_synthesizer(1, 5, 22)(amps))
+
+    def test_rule_built_once_per_grid(self):
+        assert tf.rule_synthesizer(2, 3, 7) is tf.rule_synthesizer(2, 3, 7)
+        with pytest.raises(ValueError, match=r"got 2\.0"):
+            tf.rule_synthesizer(2.0, 3, 7)
 
     @pytest.mark.parametrize("d, N", [(1, 1), (1, 16), (2, 3), (2, 16), (3, 2), (3, 5)])
     def test_plain_grid_mean_square_is_parseval(self, d, N):
