@@ -25,6 +25,7 @@ import numpy as np
 
 from . import polyalg
 from .pairings import MultivarPoly
+from .torusfield import _mc_blocks
 
 MAX_GRADE = 8
 MAX_DIM = 6
@@ -528,10 +529,9 @@ def mehler_mc(
     At each pinned point x the estimate averages f(exp(-t) x + sqrt(1-e^{-2t}) X')
     over fresh standard normals X', and is compared against the spectral action
     (grade-n coefficients scaled by exp(-n t)) evaluated at the same x.
-    Returns (estimates, stderrs, references) as arrays over the points.
+    Returns lists (estimates, stderrs, references) over the points, the first two
+    by torusfield._mc_blocks (samples >= 2): memory is one 4096-sample block plus values.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     nvars = poly.nvars
     if points is None:
         points = [
@@ -542,22 +542,20 @@ def mehler_mc(
     spectral = ou_semigroup(from_polynomial(poly), t)
     decay = math.exp(-t)
     diffusion = math.sqrt(max(0.0, 1.0 - decay * decay))
-    estimates, stderrs, references = [], [], []
-    exponents = list(poly.terms.items())
+    runs = []
     for x in points:
-        xp = rng.standard_normal((samples, nvars))
-        z = decay * np.asarray(x, dtype=float) + diffusion * xp
-        vals = np.zeros(samples)
-        for expo, c in exponents:
-            term = np.full(samples, float(c))
-            for i, a in enumerate(expo):
-                if a:
-                    term *= z[:, i] ** a
-            vals += term
-        estimates.append(float(vals.mean()))
-        stderrs.append(float(vals.std(ddof=1) / math.sqrt(samples)))
-        references.append(spectral.evaluate(x))
-    return estimates, stderrs, references
+        def fill(lo, out):
+            z = decay * np.asarray(x, dtype=float) + diffusion * rng.standard_normal((len(out), nvars))
+            out.fill(0.0)
+            for expo, c in poly.terms.items():
+                term = np.full(len(out), float(c))
+                for i, a in enumerate(expo):
+                    if a:
+                        term *= z[:, i] ** a
+                out += term
+
+        runs.append(_mc_blocks(samples, 4096, fill))
+    return [e for e, _ in runs], [s for _, s in runs], [spectral.evaluate(x) for x in points]
 
 
 def moment_equivalence_report(F: ChaosElement, p: int):

@@ -59,6 +59,7 @@ from .torusfield import (
     ModeLattice,
     _crop,
     _grid_values,
+    _mc_blocks,
     _packed_rule_mean,
     _smooth_len,
     _symmetric,
@@ -1140,50 +1141,43 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     return valuate_sum(acc, d, N)
 
 
-_POSITION_BLOCK = 4096  # sample rows per Green-function evaluation in valuate_position_mc
+_POSITION_BLOCK = 4096  # samples per block of valuate_position_mc
 
 
 def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
     """Monte Carlo of the position-space integral, as an oracle for valuate.
 
     Per connected component one vertex is pinned at the origin (translation
-    invariance) and the rest are uniform on the torus; returns (estimate,
-    stderr) with the component estimates multiplied sample-wise. The Green
-    function is summed over K_N for _POSITION_BLOCK sample rows at a time,
-    so the largest array is _POSITION_BLOCK x |K_N| whatever the sample count.
+    invariance) and the rest are uniform on the torus, component c drawing
+    on from where whole draws of the ones before it end. The driver
+    torusfield._mc_blocks (samples >= 2) returns (estimate, stderr) of the
+    products over components in blocks of _POSITION_BLOCK samples: memory is
+    one (block, |K_N|) array of phases plus the value vector.
     """
     if not g.is_vacuum():
         raise ValueError("external legs present")
     dim, s = _model(d)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     lat = ModeLattice(dim, N)
     modes = np.array(lat.modes, dtype=float)
     # numpy's x ** -1.0 is 1 / x to the bit, so integer d keeps its draws
     weights = np.array([float(lat.lam(k)) for k in lat.modes]) ** -s
+    comps = connected_components(g)
+    starts = itertools.accumulate((samples * c.nvertices * dim for c in comps), initial=0)
+    rngs = [np.random.Generator(np.random.PCG64(seed).advance(k)) for k in starts]
 
-    def green(u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(u))
-        for lo in range(0, len(u), _POSITION_BLOCK):
-            phase = u[lo : lo + _POSITION_BLOCK] @ modes.T
-            phase *= 2.0 * math.pi
-            out[lo : lo + _POSITION_BLOCK] = np.cos(phase, out=phase) @ weights
-            del phase  # free it before the next block allocates
-        return out
+    def fill(lo, out):
+        out.fill(1.0)
+        for comp, rng in zip(comps, rngs):
+            pos = rng.uniform(size=(len(out), comp.nvertices, dim))
+            pos[:, 0, :] = 0.0
+            comp_vals = np.ones(len(out))
+            for (i, j), m in comp.edges:
+                phase = (pos[:, i, :] - pos[:, j, :]) @ modes.T
+                phase *= 2.0 * math.pi
+                comp_vals *= (np.cos(phase, out=phase) @ weights) ** m
+            out *= comp_vals
 
-    rng = np.random.default_rng(seed)
-    vals = np.ones(samples)
-    for comp in connected_components(g):
-        pos = rng.uniform(size=(samples, comp.nvertices, dim))
-        pos[:, 0, :] = 0.0
-        comp_vals = np.ones(samples)
-        for (i, j), m in comp.edges:
-            gvals = green(pos[:, i, :] - pos[:, j, :])
-            comp_vals *= gvals**m
-        vals *= comp_vals
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-    return est, stderr
+    return _mc_blocks(samples, _POSITION_BLOCK, fill)
 
 
 def _external_bundle(g: Diagram, d, N: int):

@@ -31,6 +31,8 @@ from .feynman import Diagram, DiagramSum, banana, double_triangle
 from .torusfield import (
     GFF,
     ModeLattice,
+    _check_samples,
+    _mc_blocks,
     amplitude_weights,
     batch_amplitudes,
     as_point,
@@ -505,8 +507,7 @@ def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) ->
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+    _check_samples(samples)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -528,9 +529,10 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     every rule point at once, the plain grid j/2M at d = 1 and a rotated
     2M x M product grid at d = 2, where both halves share the first axis
     stage: at N = 16 about 110k multiply-adds per sample, in 18 GEMMs per
-    chunk. The drawn block is only read, and one chunk's 2M^d x _MC_CHUNK
-    values are alive. Raises ValueError naming alpha when exp(-alpha X)
-    overflows, as it can once 6 alpha C_N^2 > 709.8, since X >= -6 C_N^2.
+    chunk. torusfield._mc_blocks (samples >= 2) averages each block's
+    exp(-alpha X): memory is the drawn block (only read), one chunk's 2M^d x
+    _MC_CHUNK values and the value vector. Raises ValueError naming alpha when
+    exp(-alpha X) overflows, as it can once 6 alpha C_N^2 > 709.8 (X >= -6 C_N^2).
     """
     check_mc_arguments(d, N, alpha, samples, seed)
     dim, _ = fy._model(d)
@@ -539,19 +541,16 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     cn = c_variance(dim, N)
     weights = amplitude_weights(lat, GFF.exponent)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
-    draws = np.empty(samples)
-    for start, ss in zip(range(0, samples, MC_BLOCK), seeds):
-        amps = batch_amplitudes(lat, GFF, min(MC_BLOCK, samples - start), ss, weights)
-        quartic = draws[start : start + amps.shape[1]]
-        for j in range(0, amps.shape[1], _MC_CHUNK):
-            cols = amps[:, j : j + _MC_CHUNK]
-            quartic[j : j + cols.shape[1]] = quartic_sum(synth(cols))
-        wick4_mean(quartic, math.prod(synth.shape), np.einsum("ij,ij->j", amps, amps), cn)
-        del amps, cols  # free this block before the next one is drawn
+
+    def fill(lo, out):
+        amps = batch_amplitudes(lat, GFF, len(out), seeds[lo // MC_BLOCK], weights)
+        for j in range(0, len(out), _MC_CHUNK):
+            out[j : j + _MC_CHUNK] = quartic_sum(synth(amps[:, j : j + _MC_CHUNK]))
+        x = wick4_mean(out, math.prod(synth.shape), np.einsum("ij,ij->j", amps, amps), cn)
+        np.exp(-alpha * x, out=out)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        draws = np.exp(-alpha * draws)
-        est = float(draws.mean())
-        stderr = float(draws.std(ddof=1) / math.sqrt(samples))
+        est, stderr = _mc_blocks(samples, MC_BLOCK, fill)
     if not (math.isfinite(est) and math.isfinite(stderr)):
         raise ValueError(f"alpha = {alpha} overflows exp(-alpha X) at d = {d}, N = {N}")
     return est, stderr

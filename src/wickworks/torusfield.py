@@ -704,6 +704,8 @@ def grid_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
     """The GridSynthesizer of the uniform M^d grid j/M: keys k, period M,
     points in the C order of grid_points(d, M), the layout of
     synthesis_matrix(lattice, grid_points(d, M)) @ amps."""
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
     lat = _lattice(d, N)
     return GridSynthesizer([(0,) * d] + lat.positive_modes(), (M,) * d, M)
 
@@ -716,6 +718,8 @@ def rule_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
     with sigma = k_1 + ... + k_d, period 2M, 2M points on the first axis and
     M on each other. At d = 1 that is the plain grid j/2M.
     """
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
     lat = _lattice(d, N)
     keys = []
     for k in [(0,) * d] + lat.positive_modes():
@@ -746,6 +750,23 @@ def batch_amplitudes(
     z = rng.standard_normal((len(weights), nsamples))
     z *= weights[:, None]  # in place: the draws are not needed again
     return z
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+
+
+def _mc_blocks(samples: int, block: int, fill) -> tuple[float, float]:
+    """Mean and std(ddof=1) / sqrt(samples) of the values fill(lo, out) writes
+    into consecutive views of at most block entries of one vector."""
+    _check_samples(samples)
+    values = np.empty(samples)
+    for lo in range(0, samples, block):
+        fill(lo, values[lo : lo + block])
+    values -= (mean := values.mean())
+    np.square(values, out=values)  # numpy's std to the bit, without its temporary
+    return float(mean), math.sqrt(values.sum() / (samples - 1)) / math.sqrt(samples)
 
 
 # ---------------------------------------------------------------------------

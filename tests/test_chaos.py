@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -408,6 +409,27 @@ class TestMehler:
         est, se, ref = mehler_mc(p, 0.5, samples=100_000, seed=3)
         for e, s, r in zip(est, se, ref):
             assert abs(e - r) <= 4 * s
+
+    def test_blocks_keep_the_stream(self):
+        # more samples than one 4096-sample block; pinned from the whole-array draw
+        p = MultivarPoly(2, {(2, 1): 1, (0, 3): -2, (1, 0): 0.5, (0, 0): 3})
+        est, se, _ = mehler_mc(p, 0.5, samples=5000, seed=4)
+        assert [e.hex() for e in est] == ["0x1.14cf323c851b0p+2", "0x1.be0b783741bdap+0", "0x1.13ec70b022a51p+2"]
+        assert [s.hex() for s in se] == ["0x1.0a84d5a846caep-4", "0x1.f49d0f6d4ddb5p-5", "0x1.e9a24fbfcd5bfp-5"]
+
+    def test_memory_grows_by_the_value_vector(self):
+        # 4x the samples costs 8 B per added sample: the blocks do not grow
+        p = MultivarPoly(2, {(2, 1): 1, (0, 3): -2})
+        mehler_mc(p, 0.5, samples=100, seed=1)  # warm the caches
+        peaks = []
+        for samples in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                mehler_mc(p, 0.5, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 60_000 + 64 * 1024
 
     def test_sample_count_validation(self):
         # one sample has no standard error

@@ -1159,12 +1159,32 @@ class TestPositionMC:
 
     @pytest.mark.parametrize("d, N", [(3, 3), (2, 5), (1, 8), (3.5, 2)])
     def test_blocks_keep_the_unblocked_bits(self, d, N):
-        # more samples than one block, against the whole-array Green function
+        # more samples than one block, against whole-array draws and Green
+        # functions; a union draws its components one after the other
         samples = fy._POSITION_BLOCK + 904
-        for g in (banana(2), banana(3), double_triangle()):
+        for g in (banana(2), banana(3), double_triangle(), banana(2).disjoint_union(double_triangle())):
             est, se = valuate_position_mc(g, d, N, samples=samples, seed=3)
             want_est, want_se = _position_mc_unblocked(g, d, N, samples, seed=3)
             assert (est.hex(), se.hex()) == (want_est.hex(), want_se.hex()), (g, d, N)
+
+    def test_several_components(self):
+        # the seed was fixed before the first run, not chosen by its result
+        g = banana(2).disjoint_union(double_triangle())
+        est, se = valuate_position_mc(g, 1, 6, samples=40_000, seed=21)
+        assert abs(est - valuate(g, 1, 6)) <= 5 * se
+
+    def test_memory_grows_by_the_value_vector(self):
+        # 4x the samples costs 8 B per added sample: the blocks do not grow
+        valuate_position_mc(banana(2), 2, 3, samples=100, seed=1)  # warm the caches
+        peaks = []
+        for samples in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                valuate_position_mc(banana(2), 2, 3, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 60_000 + 64 * 1024
 
     def test_largest_array_is_one_block(self):
         # at d = 3, N = 5 one whole (samples, |K_N|) phase array would take 74 MB

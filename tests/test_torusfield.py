@@ -708,6 +708,12 @@ class TestGridSynthesizer:
         with pytest.raises(ValueError, match=r"got 2\.0"):
             tf.rule_synthesizer(2.0, 3, 7)
 
+    @pytest.mark.parametrize("M", [0, -2])
+    @pytest.mark.parametrize("build", [tf.grid_synthesizer, tf.rule_synthesizer])
+    def test_grid_size_must_be_positive(self, build, M):
+        with pytest.raises(ValueError, match=rf"M must be at least 1, got {M}$"):
+            build(2, 3, M)
+
     @pytest.mark.parametrize("d, N", [(1, 1), (1, 16), (2, 3), (2, 16), (3, 2), (3, 5)])
     def test_plain_grid_mean_square_is_parseval(self, d, N):
         # v^2 has l1 degree 2N < M = 2N + 1, so its plain-grid mean is exact
@@ -916,3 +922,28 @@ class TestConvolutionWindow:
         a = ModeLattice(1, 2).inverse_weight_cube()
         with pytest.raises(ValueError, match="radius 5"):
             tf.convolution_window(a, a, radius=5)
+
+
+class TestMCBlocks:
+    @pytest.mark.parametrize("samples", [2, 7, 8, 9, 1000])
+    def test_numpy_mean_and_stderr_over_consecutive_blocks(self, samples):
+        want = np.random.default_rng(samples).standard_normal(samples) ** 3
+        seen = []
+
+        def fill(lo, out):
+            seen.append((lo, len(out)))
+            out[:] = want[lo : lo + len(out)]
+
+        est, se = tf._mc_blocks(samples, 4, fill)
+        assert seen == [(lo, min(4, samples - lo)) for lo in range(0, samples, 4)]
+        assert type(est) is float and type(se) is float
+        assert est.hex() == float(want.mean()).hex()
+        assert se.hex() == float(want.std(ddof=1) / math.sqrt(samples)).hex()
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_needs_two_samples(self, samples):
+        def fill(lo, out):
+            raise AssertionError("filled")
+
+        with pytest.raises(ValueError, match=f"samples must be at least 2 for a standard error, got {samples}"):
+            tf._mc_blocks(samples, 4, fill)
