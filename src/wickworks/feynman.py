@@ -57,6 +57,7 @@ import numpy as np
 
 from .torusfield import (
     ModeLattice,
+    _check_lattice,
     _crop,
     _grid_values,
     _mc_blocks,
@@ -1056,6 +1057,7 @@ def _reduced(g: Diagram, d, N: int, protected=()):
             "self-contractions cannot be valuated; Wick-ordered vertices have none"
         )
     dim, s = _model(d)
+    _check_lattice(dim, N)  # before the cache, which takes True for 1
     base = _Weight(_base_weight(dim, N, s), N)
     nodes: dict = {}
     lines = {pair: base if m == 1 else _Weight.bundle([base] * m, nodes) for pair, m in g.edges}
@@ -1090,7 +1092,7 @@ def valuate(g: Diagram, d, N: int) -> float:
     """
     if not g.is_vacuum():
         raise ValueError("external legs present; use valuate_external")
-    _model(d)  # a diagram with no components is valuated nowhere else
+    _check_lattice(_model(d)[0], N)  # a diagram with no components is valuated nowhere else
     total = 1.0
     for comp in sorted(
         connected_components(g), key=lambda c: c.canonical_key()
@@ -1105,12 +1107,13 @@ def _valuate_cached(key, d, N) -> float:
 
 
 def valuate_cached(g: Diagram, d, N: int) -> float:
+    _check_lattice(_model(d)[0], N)  # before the cache, which takes True for 1
     return _valuate_cached(g.canonical_key(), d, N)
 
 
 def valuate_sum(s: DiagramSum, d, N: int) -> float:
     """Valuation of a rational diagram combination, in canonical term order."""
-    _model(d)  # the empty sum is 0.0 at a supported d only
+    _check_lattice(_model(d)[0], N)  # the empty sum is 0.0 at a supported d and N only
     total = 0.0
     for g, c in s.sorted_terms():
         total += float(c) * valuate_cached(g, d, N)
@@ -1127,7 +1130,7 @@ def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
     """
     if not is_connected(g):
         raise ValueError("bphz_valuate acts on connected diagrams")
-    _model(d)  # before the lemma route's early 0.0
+    _check_lattice(_model(d)[0], N)  # before the lemma route's early 0.0
     if route == "lemma":
         if degree(g, d) <= 0:
             return 0.0

@@ -31,6 +31,7 @@ from .feynman import Diagram, DiagramSum, banana, double_triangle
 from .torusfield import (
     GFF,
     ModeLattice,
+    _check_lattice,
     _check_samples,
     _mc_blocks,
     amplitude_weights,
@@ -501,12 +502,11 @@ def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) ->
     if not (math.isfinite(alpha) and alpha >= 0):
         # exp(-alpha X) has no finite mean for alpha < 0
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    for name, value in (("N", N), ("samples", samples), ("seed", seed)):
-        # a bool is an int to Python, but True is no cutoff, count or seed
+    _check_lattice(fy._model(d)[0], N)
+    for name, value in (("samples", samples), ("seed", seed)):
+        # a bool is an int to Python, but True is no count or seed
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
     _check_samples(samples)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -86,8 +86,11 @@ def _lattice(d: int, N: int) -> ModeLattice:
 def _check_lattice(d: int, N: int) -> None:
     if not isinstance(d, (int, np.integer)) or d not in (1, 2, 3):
         raise ValueError(f"d must be the integer 1, 2 or 3, got {d!r}")
+    # a bool is an int to Python, but True is no cutoff
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got {N!r}")
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise ValueError(f"N must be >= 0, got {N}")
 
 
 def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:

@@ -1,24 +1,28 @@
-"""The byte-identity manifest: commands whose output a change must not move.
+"""The rerun manifest: every command whose output a change must not move.
 
-    python tests/golden.py --against REV
+    python tests/golden.py               # every command twice in this checkout
+    python tests/golden.py --against REV # every command here and in REV
 
-checks REV out into a temporary git worktree, runs every command of
-MANIFEST in that tree and in this checkout (its working tree, uncommitted
-edits included), and reports, per command, whether stdout, the exit status
-and any output file are byte-identical; a difference is reported with its
-first differing line. The exit status is 1 if anything differs.
-
-The manifest holds the commands the CI step "Reruns are byte-identical" and
-"Two-point reruns are byte-identical" run twice, plus the mc-d2 benchmark
-run (`phi4 --mc` at d = 2, N = 16, seed 1) and `verify`. Each command runs
-as `python ARGS` in the tree's root with PYTHONPATH set to the tree's src;
-`{out}` in an argument names a scratch directory of that run, and a command
-with an `output` also compares that file.
+MANIFEST is the one list of rerun commands and pins. Each command runs as
+`python ARGS` in a tree's root with PYTHONPATH set to that tree's src; `{out}`
+in an argument names a scratch directory of the run, and a command with an
+`output` also compares that file. Without --against both runs are in this
+checkout (its working tree, uncommitted edits included), so a difference means
+the command is not deterministic; with --against the first run is in REV,
+checked out into a temporary git worktree. Either way the run here must also
+exit with the command's `status` (default 0) and keep its `pin`: a sha256 of
+stdout for exact outputs, or float values at dotted paths of stdout's JSON,
+each within 1e-12 relative (their last bits may differ between numpy builds).
+Each difference is reported with its first differing line; the exit status is
+1 if anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -43,10 +47,12 @@ class Command:
     name: str
     args: tuple[str, ...]
     output: str | None = None  # a file under {out} the command writes
+    status: int = 0
+    pin: str | dict[str, float] | None = None  # sha256 of stdout, or JSON path -> float
 
 
-def _cli(name: str, *args, output: str | None = None) -> Command:
-    return Command(name, ("-m", "wickworks.cli") + tuple(str(a) for a in args), output)
+def _cli(name: str, *args, **kwargs) -> Command:
+    return Command(name, ("-m", "wickworks.cli") + tuple(str(a) for a in args), **kwargs)
 
 
 MANIFEST = (
@@ -55,12 +61,27 @@ MANIFEST = (
     _cli("phi4 d3.5 N4", "phi4", "--d", 3.5, "--N", 4, "--order", 4),
     _cli("phi4 mc d2", "phi4", "--d", 2, "--N", 4, "--order", 2, "--mc", "--alpha", 0.05,
          "--samples", 200, "--seed", 1),
+    # d = 1 reads the rule as the plain grid j/2M
     _cli("phi4 mc d1", "phi4", "--d", 1, "--N", 8, "--order", 2, "--mc", "--alpha", 0.05,
-         "--samples", 300, "--seed", 2),
+         "--samples", 300, "--seed", 2,
+         pin={"mc.estimate": 1.037736263515633, "mc.stderr": 0.011638523915764231}),
+    # perfbench/reference.json, mc-d2; the seed stream follows ModeLattice.modes
     _cli("phi4 mc-d2 seed 1", "phi4", "--d", 2, "--N", 16, "--order", 3, "--mc", "--alpha", 0.005,
-         "--samples", 32768, "--seed", 1),
-    _cli("diagrams json", "diagrams", 6, 4),
-    _cli("diagrams dot", "diagrams", 6, 4, "--format", "dot"),
+         "--samples", 32768, "--seed", 1,
+         pin={"mc.estimate": 1.0004820919299524, "mc.stderr": 0.00011411007074848279}),
+    # exp(-alpha X) leaves the float range at this alpha: an error, not Infinity
+    _cli("phi4 mc overflow", "phi4", "--d", 1, "--N", 8, "--order", 2, "--mc", "--alpha", 100,
+         "--samples", 2000, "--seed", 1, status=2),
+    # the classes, their keys, coefficients and order: the two digests of 7 4 and
+    # 6 4 DOT date from before canonical_search pruned by automorphisms
+    _cli("diagrams json", "diagrams", 6, 4,
+         pin="4771259b969f2f51a80896c2ac8deaa0deb34d72501006da96eb5975b0df1665"),
+    _cli("diagrams dot", "diagrams", 6, 4, "--format", "dot",
+         pin="931f7edb266efc86ccb268a05bf64ad39f06ab87dfbc29a82e1be63eb0dd6875"),
+    _cli("diagrams 7", "diagrams", 7, 4,
+         pin="dff6d0284d4c8b7cb1c6b8f2f30f4e5c255952cf4a583b55ce664bb5fda1cd53"),
+    _cli("hermite json", "hermite", 6, "--sigma2", "3/2", "--format", "json",
+         pin="77993d1f139f00d9799825fdb5ab554b761fe3833321af1843f3b809cb768ab3"),
     _cli("field gff", "field", "--profile", "gff", "--d", 2, "--N", 16, "--grid", 64, "--seed", 1,
          "--out", "{out}/gff.npy", output="gff.npy"),
     _cli("field fractional", "field", "--profile", "fractional", "--s", 0.75, "--d", 2, "--N", 8,
@@ -95,40 +116,60 @@ def first_difference(old: bytes, new: bytes) -> str | None:
     return f"line {k + 1}: {show(a)} -> {show(b)}"
 
 
-def compare(rev: str, commands=MANIFEST) -> list[str]:
-    """One report line per command, its differences against rev appended."""
+def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
+    """One report line per command, with each difference between its run in
+    rev (None: a first run here) and its run here, then each pin that the run
+    here does not keep."""
     scratch = Path(tempfile.mkdtemp(prefix="golden-"))
-    tree = scratch / "tree"
+    tree = ROOT if rev is None else scratch / "tree"
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev],
-                       check=True)
+        if rev is not None:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                           check=True)
         report = []
         for command in commands:
-            outs = [scratch / "out-rev", scratch / "out-here"]
+            outs = [scratch / "out-old", scratch / "out-new"]
             for out in outs:
                 shutil.rmtree(out, ignore_errors=True)
                 out.mkdir()
             old, new = run(command, tree, outs[0]), run(command, ROOT, outs[1])
             diffs = [f"{key} {d}" for key in old if (d := first_difference(old[key], new[key]))]
+            pinned = {"exit status": (str(command.status), new["exit status"].decode())}
+            if isinstance(command.pin, str):
+                pinned["sha256"] = (command.pin, hashlib.sha256(new["stdout"]).hexdigest())
+            for path, want in (command.pin.items() if isinstance(command.pin, dict) else ()):
+                try:
+                    got = json.loads(new["stdout"])
+                    for key in path.split("."):
+                        got = got[key]
+                    ok = math.isclose(got, want, rel_tol=1e-12)
+                except (ValueError, LookupError, TypeError):
+                    got, ok = "<unreadable>", False
+                pinned[path] = (repr(want), repr(want) if ok else str(got))  # equal within 1e-12
+            diffs += [f"pinned {key} {d}" for key, (want, got) in pinned.items()
+                      if (d := first_difference(want.encode(), got.encode()))]
             report.append(f"{'DIFF' if diffs else 'same'}  {command.name}"
                           + "".join(f"\n      {d}" for d in diffs))
         return report
     finally:
-        if tree.exists():
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)])
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
+        if rev is not None:
+            if tree.exists():
+                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)])
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
         shutil.rmtree(scratch, ignore_errors=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--against", required=True, metavar="REV",
-                        help="git revision to compare this checkout's outputs with")
+    parser.add_argument("--against", metavar="REV",
+                        help="git revision to compare this checkout's outputs with "
+                        "(default: run every command here twice)")
     args = parser.parse_args(argv)
     report = compare(args.against)
     print("\n".join(report))
     differing = sum(line.startswith("DIFF") for line in report)
-    print(f"{len(report)} commands, {differing} with differences against {args.against}")
+    against = f"against {args.against}" if args.against else "between two runs"
+    print(f"{len(report)} commands, {differing} with differences {against} or from a pin")
     return 1 if differing else 0
 
 

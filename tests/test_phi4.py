@@ -81,6 +81,27 @@ class TestDimensionRule:
             with pytest.raises(ValueError, match=f"got {d}$"):
                 call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda N: ModeLattice(1, N),
+            lambda N: c_variance(1, N),
+            lambda N: fy.valuate(banana(2), 1, N),
+            lambda N: fy.valuate_position_mc(banana(2), 1, N, 10, 1),
+            lambda N: partition_ratio_series(1, N, 2),
+            lambda N: phi4.mc_partition_ratio(1, N, 0.05, 10, 1),
+        ],
+        ids=["lattice", "c_variance", "valuate", "position mc", "series", "mc"],
+    )
+    @pytest.mark.parametrize("N", [2.5, True])
+    def test_entry_points_name_a_non_integer_cutoff(self, call, N):
+        # 2.5 once built float "modes" or raised a bare TypeError; warm the
+        # caches keyed by N, to which True is 1
+        fy.valuate(banana(2), 1, 1)
+        partition_ratio_series(1, 1, 2)
+        with pytest.raises(ValueError, match=rf"N must be an integer, got {N!r}$"):
+            call(N)
+
 
 class TestRenormalizedSeries:
     def test_order4_bounded_in_cutoff(self):
