@@ -780,8 +780,9 @@ def _model(d) -> tuple[int, float]:
 
     d = 1, 2, 3 (an int or an integral float) gives (int(d), 1); a fractional
     3 < d < 4 gives the d = 3 lattice with s = (5-d)/2 (position-space decay
-    ||x||^-(d-2)). Every other d raises ValueError."""
-    if d in (1, 2, 3):
+    ||x||^-(d-2)). Every other d raises ValueError, a bool included: True
+    is no dimension, though Python counts it as 1."""
+    if not isinstance(d, (bool, np.bool_)) and d in (1, 2, 3):
         return int(d), 1.0
     if 3 < d < 4:
         return 3, (5.0 - d) / 2.0
@@ -797,15 +798,18 @@ class _Weight:
     of its strands' radii; a series product (one momentum through both: the
     pointwise product on the overlap) has the smaller radius. A reader asks
     window(r) for the central box of radius r it needs, and only then do the
-    transforms run. window(r) is the only read: a reader of a whole weight
-    (the two-point series, five of the K4 core's six bundles) asks it for
-    r = radius. A bundle read at its centre (r = 0: a vacuum value, a
-    pendant edge, a series product under either) is the constant term of
-    its strands' product, torusfield.constant_term: a dot product of two
-    strands on their common box, or the two-grid lattice rule for three or
-    more, with no inverse transform. Any other window is
-    torusfield.convolution_window, the same rule on the grid exact for the
-    box, with one inverse transform.
+    transforms run. A reader of a whole weight (the two-point series, five of
+    the K4 core's six bundles) asks for r = radius. A bundle read at its
+    centre (r = 0: a vacuum value, a pendant edge, a series product under
+    either) is the constant term of its strands' product,
+    torusfield.constant_term. With two strands that is a dot product on
+    their common box, summed one slab at a time, and each strand comes as
+    its list of factors (_factors): a series strand that holds no window
+    of that radius hands over its parts' factors, so the slabs of the
+    pointwise product are formed one at a time and its box is never built.
+    Three or more strands take the two-grid lattice rule, with no inverse
+    transform. Any other window is torusfield.convolution_window, the same
+    rule on the grid exact for the box, with one inverse transform.
 
     Both reads need every strand even under k -> -k, and every weight is:
     the base cube depends on |k|^2, and bundles and series products of even
@@ -819,9 +823,10 @@ class _Weight:
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
-    keeps what it computed, one window per radius, so a shared node is
-    transformed once per radius however many readers it has. The
-    nodes, and with them these caches, die with the valuation.
+    keeps every window it was asked for, one per radius, so a shared node is
+    transformed once per radius however many readers it has; a series node
+    read only through a centre's factors keeps none. The nodes, and with
+    them these caches, die with the valuation.
     """
 
     __slots__ = ("cube", "radius", "move", "parts", "_windows")
@@ -862,6 +867,18 @@ class _Weight:
             self._windows[r] = self._compute_window(r)
         return self._windows[r]
 
+    def _factors(self, r: int) -> list:
+        """window(r) as a list of factors for constant_term, whose product
+        taken left to right is that window to the bit: a series node that
+        does not hold it gives its parts' factors (a right part of several
+        as one nested list, so the order of the products is kept), and any
+        other node [window(r)]."""
+        if self.move != "series" or r in self._windows:
+            return [self.window(r)]
+        a, b = self.parts
+        right = b._factors(r)
+        return a._factors(r) + (right if len(right) == 1 else [right])
+
     def _compute_window(self, r: int) -> np.ndarray:
         if self.move is None:
             return _crop(self.cube, self.radius, r)
@@ -871,7 +888,12 @@ class _Weight:
             a, b = self.parts
             return a.window(r) * b.window(r)
         total = self.radius
-        strands = [w.window(min(w.radius, r + total - w.radius)) for w in self.parts]
+        radii = [min(w.radius, r + total - w.radius) for w in self.parts]
+        if r == 0 and len(self.parts) == 2:
+            # a series strand is multiplied out slab by slab, never whole
+            a, b = (w._factors(ri) for w, ri in zip(self.parts, radii))
+            return np.full((1,) * a[0].ndim, constant_term(a, b))
+        strands = [w.window(ri) for w, ri in zip(self.parts, radii)]
         if r == 0:
             return np.full((1,) * strands[0].ndim, constant_term(*strands))
         return convolution_window(*strands, radius=r)

@@ -497,7 +497,7 @@ def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) ->
 
     Cheap, so the CLI runs it before any series work.
     """
-    if d not in (1, 2):
+    if isinstance(d, (bool, np.bool_)) or d not in (1, 2):  # True is no dimension
         raise ValueError(f"the MC validation covers d = 1 and d = 2, got {d!r}")
     if not (math.isfinite(alpha) and alpha >= 0):
         # exp(-alpha X) has no finite mean for alpha < 0

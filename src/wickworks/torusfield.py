@@ -352,26 +352,55 @@ def lattice_rule_size(deg: int) -> int:
     return deg // 2 + 1
 
 
-def constant_term(*cubes: np.ndarray) -> float:
+def constant_term(*cubes) -> float:
     """sum over k_1 + ... + k_n = 0 of prod_i cube_i(k_i), for centered
     odd-sided cubes, each supported on the l1 ball of its radius.
 
     This is the constant term of the product of their trigonometric
     polynomials. Two cubes give the dot product of a and the reversed b on
-    their common box, whatever their symmetry: each slab along the first
-    axis is summed pairwise (a running dot loses ~1e-13) and the slab sums
-    by math.fsum, so no product of the box's size is built. Three or more
-    must each be even under k -> -k, as every reducer weight is: their
-    constant term is convolution_window at radius 0, the mean of the
-    product over the two grids of lattice_rule_size, sized by the sum of the
-    radii, with no inverse transform.
+    their common box, whatever their symmetry. Either of the two may come as
+    a list of factors, arrays of one shape whose pointwise product, taken
+    left to right, is the cube (a nested list is one factor, its own
+    product), so a series product read at a centre is never built whole.
+    The sum runs one slab along the first axis at a time: the slab of a and
+    the reversed slab of b are each multiplied out from their factors, their
+    product summed pairwise (a running dot loses ~1e-13) and the slab sums
+    by math.fsum, so no array of the box's size is built. Three or more
+    cubes must be arrays, each even under k -> -k, as every reducer weight
+    is: their constant term is convolution_window at radius 0, the mean of
+    the product over the two grids of lattice_rule_size, sized by the sum of
+    the radii, with no inverse transform.
     """
     if len(cubes) == 2:
-        radii = [c.shape[0] // 2 for c in cubes]
-        a, b = (_crop(c, R, min(radii)) for c, R in zip(cubes, radii))
-        fb = np.flip(b)
-        return math.fsum(float(np.sum(a[i] * fb[i])) for i in range(len(a)))
+        a, b = (c if isinstance(c, list) else [c] for c in cubes)
+        r = min(_radius(a), _radius(b))
+
+        def crop(c):
+            return _crop(c, c.shape[0] // 2, r)
+
+        def flipped(c):
+            return np.flip(crop(c))
+
+        return math.fsum(
+            float(np.sum(_slab(a, i, crop) * _slab(b, i, flipped))) for i in range(2 * r + 1)
+        )
     return convolution_window(*cubes, radius=0).item()
+
+
+def _radius(factors) -> int:
+    """The radius of a list of factors: that of its first array."""
+    first = factors[0]
+    return _radius(first) if isinstance(first, list) else first.shape[0] // 2
+
+
+def _slab(factors, i: int, view):
+    """Slab i along the first axis of the pointwise product of view(f) over
+    the factors f, multiplied left to right; a nested list is one factor."""
+    out = None
+    for f in factors:
+        part = _slab(f, i, view) if isinstance(f, list) else view(f)[i]
+        out = part if out is None else out * part
+    return out
 
 
 def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
@@ -395,9 +424,9 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     gives both (_grid_values). Inputs are matched by identity: each distinct
     array is transformed once and raised to its multiplicity. The products P
     (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ, which
-    _grid_window separates and untwists into the box. Of the box's size only
-    the box itself and a boolean mask for the zeros are built. Raises
-    ValueError for a cube that is not even to roundoff.
+    _grid_window separates and untwists in the transform's own buffer before
+    it copies out the box. Of the box's size only the box itself is built.
+    Raises ValueError for a cube that is not even to roundoff.
     """
     dim = cubes[0].ndim
     S = sum(c.shape[0] // 2 for c in cubes)
@@ -423,15 +452,29 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     return _grid_window(np.fft.ifftn(acc, out=acc), radius, S)
 
 
+_SCRATCH_BYTES = 1 << 16  # per block of slabs: small scratch, few numpy calls
+
+
+def _slab_blocks(shape: tuple, itemsize: int) -> list[slice]:
+    """Runs of consecutive first-axis slabs of an array of the given shape,
+    each as many slabs as fit in _SCRATCH_BYTES of items (one at least)."""
+    step = max(1, _SCRATCH_BYTES // (itemsize * math.prod(shape[1:])))
+    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+
+
 def _symmetric(cube: np.ndarray, *images) -> bool:
     """Whether cube matches every image to roundoff: no entry of image - cube
-    above 1e-12 max|cube|."""
-    diff = np.abs(cube)  # the one scratch array
-    scale = float(np.max(diff))
+    above 1e-12 max|cube|. The differences are taken a block of slabs at a
+    time (_slab_blocks) in one scratch array of that block's size."""
+    scale = max(float(np.max(cube)), -float(np.min(cube)))  # max|cube|
+    blocks = _slab_blocks(cube.shape, cube.itemsize)
+    diff = np.empty_like(cube[blocks[0]])
     for image in images:
-        np.subtract(image, cube, out=diff)
-        if float(np.max(np.abs(diff, out=diff))) > 1e-12 * scale:
-            return False
+        for rows in blocks:
+            part = diff[: len(cube[rows])]
+            np.subtract(image[rows], cube[rows], out=part)
+            if float(np.max(np.abs(part, out=part))) > 1e-12 * scale:
+                return False
     return True
 
 
@@ -494,38 +537,74 @@ def _grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
     products P and Q on the plain and the half-cell grid (_grid_values).
 
     With A = ifftn(P) and B = ifftn(Q), the box value at k is
-    (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. Hermitian
-    separation gives 2A = Y(k) + conj Y(-k) and 2iB = Y(k) - conj Y(-k), and
-    both terms are real: A since P is even on the plain grid, conj tau B
-    since Q is even on the half-cell one. Per axis, momenta 0..r sit at
-    indices 0..r and -r..-1 at M - r..M - 1 (r < M), where conj tau flips
-    sign, so the box is 2^d slice copies of (2A +- Im conj tau 2iB) / 4
-    with the untwist applied once, one axis at a time. Box entries with
-    |k|_1 > S are then set to 0.
+    (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. _separate
+    leaves (2A, Im conj tau 2iB) / 4 in Y's real and imaginary parts. Per
+    axis, momenta 0..r sit at indices 0..r and -r..-1 at M - r..M - 1
+    (r < M), where conj tau flips sign, so the box is 2^d slice copies of
+    Y.real +- Y.imag. Box entries with |k|_1 > S are then set to 0, a block
+    of slabs at a time (_slab_blocks).
     """
+    _separate(Y)
     dim, M = Y.ndim, Y.shape[0]
-    mirror = np.roll(np.flip(Y), 1, axis=tuple(range(dim)))  # Y(-k)
-    np.conjugate(mirror, out=mirror)
-    even = np.add(Y.real, mirror.real)  # 2A
-    np.subtract(Y, mirror, out=Y)  # 2iB
-    del mirror
-    untwist = np.conj(_half_cell(M))
-    for axis in range(dim):
-        Y *= untwist.reshape((M,) + (1,) * (dim - 1 - axis))
-    odd = Y.imag  # Im conj tau 2iB, on indices 0..M-1
-    even *= 0.25
-    odd *= 0.25
     box = np.empty((2 * r + 1,) * dim)
     halves = [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
     for parts in product(halves, repeat=dim):
         dst = tuple(t for t, _, _ in parts)
         src = tuple(s for _, s, _ in parts)
         combine = np.subtract if sum(neg for _, _, neg in parts) % 2 else np.add
-        combine(even[src], odd[src], out=box[dst])
+        combine(Y.real[src], Y.imag[src], out=box[dst])
     if dim * r > S:
-        inside = _l1_within(dim, r, S)
-        box[np.logical_not(inside, out=inside)] = 0.0
+        for rows in _slab_blocks(box.shape, 1):  # one byte per entry of the mask
+            inside = _l1_within(dim, r, S, rows)
+            box[rows][np.logical_not(inside, out=inside)] = 0.0
     return box
+
+
+def _separate(Y: np.ndarray) -> None:
+    """Overwrite Y = ifftn(P + iQ) (see _grid_window) with
+    (2A, Im conj tau 2iB) / 4 in its real and imaginary parts.
+
+    Hermitian separation gives 2A = Y(k) + conj Y(-k) and
+    2iB = Y(k) - conj Y(-k), and both terms are real: A since P is even on
+    the plain grid, conj tau B since Q is even on the half-cell one. It runs
+    in Y's own storage, first-axis slab i against slab -i mod M, in two
+    blocks: the slabs that are their own mirror (0, and M/2 for an even M),
+    and the slabs 1..ceil(M/2) - 1 with the reversed block of their mirrors,
+    whose 2A is the first's mirrored. 2iB is left in Y and untwisted by
+    conj tau one axis at a time, and 2A, kept for the first half only, then
+    replaces its real part. These are the float operations of a whole-array
+    separation, with copies of at most half of Y.
+    """
+    dim, M = Y.ndim, Y.shape[0]
+    own = slice(None, None, M // 2) if M % 2 == 0 else slice(0, 1)
+    h = (M + 1) // 2
+    evens = []
+    for P, Q in [(own, own), (slice(1, h), slice(M - 1, M - h, -1))]:  # slabs i and -i mod M
+        rows = [P] if P == Q else [P, Q]
+        mirrored = [_mirror(Y[s]) for s in reversed(rows)]  # Y(-k) on each of rows
+        evens.append(np.add(Y[P].real, mirrored[0].real))  # 2A
+        for s, m in zip(rows, mirrored):
+            np.subtract(Y[s], np.conjugate(m, out=m), out=Y[s])  # 2iB
+        del mirrored, m
+    untwist = np.conj(_half_cell(M))
+    for axis in range(dim):
+        Y *= untwist.reshape((M,) + (1,) * (dim - 1 - axis))
+    Y[own].real = evens[0]
+    Y[1:h].real = evens[1]
+    _mirror(evens[1], out=Y[M - 1 : M - h : -1].real)
+    Y.real *= 0.25
+    Y.imag *= 0.25
+
+
+def _mirror(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """block(-k) on every axis after the first, index i -> -i mod M, written
+    into out (a new array by default): 2^(d-1) slice copies."""
+    if out is None:
+        out = np.empty_like(block)
+    halves = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))]
+    for parts in product(halves, repeat=block.ndim - 1):
+        out[(slice(None),) + tuple(t for t, _ in parts)] = block[(slice(None),) + tuple(s for _, s in parts)]
+    return out
 
 
 def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
@@ -601,13 +680,14 @@ def _l1_mask(dim: int, radius: int) -> np.ndarray:
     return mask
 
 
-def _l1_within(dim: int, radius: int, bound: int) -> np.ndarray:
-    """Indicator of |k|_1 <= bound on the centred box of the given radius,
-    compared axis against the rest, so that no integer array of the box's
-    size is built."""
+def _l1_within(dim: int, radius: int, bound: int, rows: slice = slice(None)) -> np.ndarray:
+    """Indicator of |k|_1 <= bound on the first-axis slabs rows (all by
+    default) of the centred box of the given radius, compared axis against
+    the rest, so that no integer array of that size is built."""
     a = np.abs(np.arange(-radius, radius + 1))
-    rest = sum(np.ix_(*[a] * (dim - 1)))  # |k|_1 over the first dim - 1 axes
-    return np.expand_dims(rest, -1) <= bound - a
+    axes = [a[rows]] + [a] * (dim - 1)
+    rest = sum(np.ix_(*axes[:-1]))  # |k|_1 over the first dim - 1 axes
+    return np.expand_dims(rest, -1) <= bound - axes[-1]
 
 
 class GridSynthesizer:

@@ -41,6 +41,14 @@ x = (0.1, 0.2, 0.3)[: min(int(d), 3)]
 print(repr([c.value for c in two_point_series(d, 8, 2, x, (0.4,) * len(x)).coefficients]))
 """
 
+# perfbench's uv-d3 inputs: the ring of bubbles' centre read and the large windows
+UV_D3 = """
+from wickworks.phi4 import counterterms_d3, wick_map_commutativity_check
+for N in (16, 24):
+    print(repr(wick_map_commutativity_check(N, 3)))
+    print(repr(counterterms_d3(0.0, N)))
+"""
+
 
 @dataclass(frozen=True)
 class Command:
@@ -58,6 +66,7 @@ def _cli(name: str, *args, **kwargs) -> Command:
 MANIFEST = (
     _cli("phi4 d3 N4", "phi4", "--d", 3, "--N", 4, "--order", 4),
     _cli("phi4 d3 N8", "phi4", "--d", 3, "--N", 8, "--order", 4),
+    _cli("phi4 d3 N16", "phi4", "--d", 3, "--N", 16, "--order", 4),
     _cli("phi4 d3.5 N4", "phi4", "--d", 3.5, "--N", 4, "--order", 4),
     _cli("phi4 mc d2", "phi4", "--d", 2, "--N", 4, "--order", 2, "--mc", "--alpha", 0.05,
          "--samples", 200, "--seed", 1),
@@ -87,6 +96,7 @@ MANIFEST = (
     _cli("field fractional", "field", "--profile", "fractional", "--s", 0.75, "--d", 2, "--N", 8,
          "--grid", 32, "--seed", 3, "--out", "{out}/frac.csv", output="frac.csv"),
     *(Command(f"two-point d{d}", ("-c", TWO_POINT, d)) for d in ("2", "3", "3.5")),
+    Command("uv-d3 routes", ("-c", UV_D3)),
     _cli("verify", "verify"),
 )
 

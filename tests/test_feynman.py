@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wickworks import feynman as fy
+from wickworks import phi4
 from wickworks import torusfield as tf
 from wickworks.feynman import (
     EMPTY,
@@ -1493,6 +1494,41 @@ class TestSeriesWindow:
         assert radii == [(3, N)]
         assert value == pytest.approx(reference, rel=1e-12)
 
+    def test_centre_reads_keep_the_materialized_bits(self, monkeypatch):
+        # every connected class of k quartic and m quadratic vertices with
+        # k + 2m <= 4, against series strands multiplied out whole first
+        classes = [
+            g
+            for k in range(5)
+            for m in range((4 - k) // 2 + 1)
+            if k or m
+            for g in phi4._quartic_diagrams(k, m).filter_connected().terms
+        ]
+        cases = [(g, d, N) for g in classes for d, Ns in [(1, (1, 4)), (2, (1, 3)), (3, (1, 2))] for N in Ns]
+        split = []
+        constant_term = fy.constant_term
+
+        def recording(*strands):
+            split.append(any(isinstance(s, list) and len(s) > 1 for s in strands))
+            return constant_term(*strands)
+
+        monkeypatch.setattr(fy, "constant_term", recording)
+        got = [valuate(*case) for case in cases]
+        assert any(split)
+        monkeypatch.setattr(fy._Weight, "_factors", lambda self, r: [self.window(r)])
+        for case, value in zip(cases, got):
+            assert valuate(*case) == value, case
+
+    def test_series_read_at_a_centre_keeps_no_window(self):
+        N = 2
+        base = fy._Weight(fy._base_weight(3, N, 1.0), N)
+        nodes: dict = {}
+        bubble = fy._Weight.bundle([base, base], nodes)
+        square = bubble.series(bubble, nodes)
+        ring = fy._Weight.bundle([bubble, square], nodes)
+        assert ring.center() == valuate(bubble_ring(), 3, N)
+        assert list(bubble._windows) == [2 * N] and square._windows == {}
+
 
 def bubble_ring() -> Diagram:
     """Three vertices joined pairwise by double lines: the order-3 ring of bubbles."""
@@ -1668,7 +1704,7 @@ class TestOneDimensionRule:
             est, se = valuate_position_mc(banana(2), d, 3, samples=5000, seed=7)
             assert (est.hex(), se.hex()) == pin, d
 
-    @pytest.mark.parametrize("d", [5, 0.5])
+    @pytest.mark.parametrize("d", [5, 0.5, True, np.True_])  # True is no dimension
     def test_entry_points_name_d(self, d):
         two_point = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
         calls = {
@@ -1680,7 +1716,7 @@ class TestOneDimensionRule:
             "position MC": lambda: valuate_position_mc(banana(2), d, 2, samples=10, seed=0),
         }
         for call in calls.values():
-            with pytest.raises(ValueError, match=f"got {d}$"):
+            with pytest.raises(ValueError, match=f"got {d!r}$"):
                 call()
 
     def test_position_mc_needs_two_samples(self):

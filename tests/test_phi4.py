@@ -69,7 +69,7 @@ class TestPartitionSeries:
 
 
 class TestDimensionRule:
-    @pytest.mark.parametrize("d", [5, 0.5])
+    @pytest.mark.parametrize("d", [5, 0.5, True])  # True is no dimension
     def test_entry_points_name_d(self, d):
         calls = {
             "partition ratio": lambda: partition_ratio_series(d, 2, 0),
@@ -506,6 +506,13 @@ class TestMC:
 
     def test_integral_float_dimension(self):
         assert mc_partition_ratio(2.0, 2, 0.05, 10, 1) == mc_partition_ratio(2, 2, 0.05, 10, 1)
+
+    @pytest.mark.parametrize("d", [True, np.True_])
+    def test_rejects_a_bool_dimension(self, d):
+        # True in (1, 2) holds, but True is no dimension
+        for call in (phi4.check_mc_arguments, mc_partition_ratio):
+            with pytest.raises(ValueError, match=f"covers d = 1 and d = 2, got {d!r}$"):
+                call(d, 2, 0.05, 10, 1)
 
     @pytest.mark.parametrize(
         "args, want",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wickworks import feynman as fy
 from wickworks import torusfield as tf
 from wickworks.torusfield import (
     GFF,
@@ -836,6 +837,56 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < a.nbytes
 
+    def test_factor_lists_build_no_product_of_the_box(self):
+        rng = np.random.default_rng(14)
+        a, b = (rng.standard_normal((41,) * 3) for _ in range(2))
+        tracemalloc.start()
+        try:
+            tf.constant_term([a, b, a], [b, [a, b]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
+
+    def test_double_triangle_holds_one_box_at_a_time(self):
+        # the ring reads [B, B.B] at its centre: B is one box of radius 2N,
+        # and its window transform one complex M^3 grid; the series square
+        # B.B, a rolled mirror of the grid and a box-sized mask are not built
+        N = 16
+        fy._base_weight(3, N, 1.0)
+        box = 8 * (4 * N + 1) ** 3
+        grid = 16 * tf._smooth_len(tf.lattice_rule_size(4 * N)) ** 3
+        tracemalloc.start()
+        try:
+            fy.valuate(fy.double_triangle(), 3, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < box + grid + box // 2
+
+    def test_factor_lists_give_the_product_bits(self):
+        # a strand given as factors, nested as a series tree nests them,
+        # sums to the bit what the strand multiplied out first sums to
+        def multiplied(factors):
+            out = None
+            for f in factors:
+                f = multiplied(f) if isinstance(f, list) else f
+                out = f if out is None else out * f
+            return out
+
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 3):
+            a, b, c = (even_cube(rng, d, 4) for _ in range(3))
+            wide = rng.standard_normal((13,) * d)  # radius 6, no symmetry
+            for left, right in [
+                ([a, b], [c]),
+                ([a, [b, c]], [wide]),
+                ([wide], [a, b, c]),
+                ([[b, c], a], [a, [c, [b, a]]]),
+            ]:
+                want = tf.constant_term(multiplied(left), multiplied(right))
+                assert tf.constant_term(left, right) == want, (d, left, right)
+
     def test_rejects_a_cube_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
         lopsided = a.copy()
@@ -922,6 +973,64 @@ class TestConvolutionWindow:
         a = ModeLattice(1, 2).inverse_weight_cube()
         with pytest.raises(ValueError, match="radius 5"):
             tf.convolution_window(a, a, radius=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_separation_in_place_keeps_the_whole_array_bits(self, d):
+        # odd and even M (M/2 is its own mirror), M = 1 and 2, and values
+        # with exact ties between k and -k
+        rng = np.random.default_rng(20 + d)
+        for M in range(1, 13 if d == 3 else 26):
+            for ties in (False, True):
+                Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
+                if ties:
+                    Y = np.round(4 * Y) / 4
+                for r in sorted({0, M // 2, M - 1}):
+                    for S in sorted({r, max(r, d * r - 1)}):
+                        want = whole_array_window(Y, r, S)
+                        got = tf._grid_window(Y.copy(), r, S)
+                        assert got.tobytes() == want.tobytes(), (d, M, r, S)
+
+
+def whole_array_window(Y, r, S):
+    """_grid_window's separation on whole arrays, a rolled mirror of Y and a
+    separate 2A array, with the box then read by index."""
+    dim, M = Y.ndim, Y.shape[0]
+    mirror = np.conj(np.roll(np.flip(Y), 1, axis=tuple(range(dim))))  # conj Y(-k)
+    even = (Y.real + mirror.real) * 0.25
+    odd = Y - mirror
+    for axis in range(dim):
+        odd *= np.conj(tf._half_cell(M)).reshape((M,) + (1,) * (dim - 1 - axis))
+    odd = odd.imag * 0.25
+    k = np.arange(-r, r + 1)
+    at = np.ix_(*[k % M] * dim)
+    flips = sum(np.ix_(*[(k < 0).astype(int)] * dim)) % 2 == 1  # conj tau flips per negative axis
+    box = np.where(flips, even[at] - odd[at], even[at] + odd[at])
+    box[sum(np.ix_(*[np.abs(k)] * dim)) > S] = 0.0
+    return box
+
+
+class TestSymmetryCheck:
+    def test_scratch_is_a_block_of_slabs(self):
+        cube = tf.inverse_weight_cube(3, 20)  # 41^3
+        tracemalloc.start()
+        try:
+            tf._check_even(cube)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cube.nbytes / 4
+
+    @pytest.mark.parametrize("at", [(0, 20, 20), (20, 20, 21), (40, 19, 20)])
+    def test_every_block_is_read(self, at):
+        # the first, the middle and the last slab lie in different blocks
+        cube = tf.inverse_weight_cube(3, 20)
+        assert len(tf._slab_blocks(cube.shape, cube.itemsize)) > 2
+        lopsided = cube.copy()
+        lopsided[at] += 1e-10  # max|cube| is 1
+        with pytest.raises(ValueError, match=r"shape \(41, 41, 41\) is not even"):
+            tf._check_even(lopsided)
+        lopsided[at] = cube[at] + 1e-13  # roundoff passes
+        tf._check_even(lopsided)
 
 
 class TestMCBlocks:
