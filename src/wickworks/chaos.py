@@ -25,7 +25,7 @@ import numpy as np
 
 from . import polyalg
 from .pairings import MultivarPoly
-from .torusfield import _mc_blocks
+from .torusfield import _check_samples, _mc_blocks
 
 MAX_GRADE = 8
 MAX_DIM = 6
@@ -532,6 +532,7 @@ def mehler_mc(
     Returns lists (estimates, stderrs, references) over the points, the first two
     by torusfield._mc_blocks (samples >= 2): memory is one 4096-sample block plus values.
     """
+    _check_samples(samples, seed)
     nvars = poly.nvars
     if points is None:
         points = [

@@ -58,10 +58,12 @@ import numpy as np
 from .torusfield import (
     ModeLattice,
     _check_lattice,
+    _check_samples,
     _crop,
     _grid_values,
     _mc_blocks,
     _packed_rule_mean,
+    _slab_dot,
     _smooth_len,
     _symmetric,
     as_point,
@@ -801,15 +803,14 @@ class _Weight:
     transforms run. A reader of a whole weight (the two-point series, five of
     the K4 core's six bundles) asks for r = radius. A bundle read at its
     centre (r = 0: a vacuum value, a pendant edge, a series product under
-    either) is the constant term of its strands' product,
-    torusfield.constant_term. With two strands that is a dot product on
-    their common box, summed one slab at a time, and each strand comes as
-    its list of factors (_factors): a series strand that holds no window
-    of that radius hands over its parts' factors, so the slabs of the
-    pointwise product are formed one at a time and its box is never built.
-    Three or more strands take the two-grid lattice rule, with no inverse
-    transform. Any other window is torusfield.convolution_window, the same
-    rule on the grid exact for the box, with one inverse transform.
+    either) is the constant term of its strands' product. With two strands
+    that is a dot product on their common box, torusfield._slab_dot, which
+    asks each strand for one slab at a time (slab): a series strand that
+    holds no window of that radius multiplies its parts' slabs, so its box
+    is never built. Three or more strands take torusfield.constant_term, the
+    two-grid lattice rule with no inverse transform. Any other window is
+    torusfield.convolution_window, the same rule on the grid exact for the
+    box, with one inverse transform.
 
     Both reads need every strand even under k -> -k, and every weight is:
     the base cube depends on |k|^2, and bundles and series products of even
@@ -825,15 +826,16 @@ class _Weight:
     the same parts, in the same order, is one node (see _reduced). Each node
     keeps every window it was asked for, one per radius, so a shared node is
     transformed once per radius however many readers it has; a series node
-    read only through a centre's factors keeps none. The nodes, and with
+    read only through a centre's slabs keeps none. The nodes, and with
     them these caches, die with the valuation.
     """
 
-    __slots__ = ("cube", "radius", "move", "parts", "_windows")
+    __slots__ = ("cube", "radius", "move", "parts", "ndim", "_windows")
 
     def __init__(self, cube: np.ndarray | None, radius: int, move=None, parts=()):
         self.cube = cube
         self.radius = radius
+        self.ndim = parts[0].ndim if cube is None else cube.ndim
         self.move = move
         self.parts = parts
         self._windows: dict = {}
@@ -867,17 +869,14 @@ class _Weight:
             self._windows[r] = self._compute_window(r)
         return self._windows[r]
 
-    def _factors(self, r: int) -> list:
-        """window(r) as a list of factors for constant_term, whose product
-        taken left to right is that window to the bit: a series node that
-        does not hold it gives its parts' factors (a right part of several
-        as one nested list, so the order of the products is kept), and any
-        other node [window(r)]."""
+    def slab(self, r: int, i: int) -> np.ndarray:
+        """Slab i along the first axis of window(r). A series node that holds
+        no window of radius r multiplies its parts' slabs, the product window
+        takes, so its box is never built."""
         if self.move != "series" or r in self._windows:
-            return [self.window(r)]
+            return self.window(r)[i]
         a, b = self.parts
-        right = b._factors(r)
-        return a._factors(r) + (right if len(right) == 1 else [right])
+        return a.slab(r, i) * b.slab(r, i)
 
     def _compute_window(self, r: int) -> np.ndarray:
         if self.move is None:
@@ -890,9 +889,9 @@ class _Weight:
         total = self.radius
         radii = [min(w.radius, r + total - w.radius) for w in self.parts]
         if r == 0 and len(self.parts) == 2:
-            # a series strand is multiplied out slab by slab, never whole
-            a, b = (w._factors(ri) for w, ri in zip(self.parts, radii))
-            return np.full((1,) * a[0].ndim, constant_term(a, b))
+            # both strands are read at the smaller radius, a slab at a time
+            (ri, _), (a, b) = radii, self.parts
+            return np.full((1,) * self.ndim, _slab_dot(a.slab, b.slab, ri))
         strands = [w.window(ri) for w, ri in zip(self.parts, radii)]
         if r == 0:
             return np.full((1,) * strands[0].ndim, constant_term(*strands))
@@ -1066,6 +1065,11 @@ def _check_hyperoctahedral(cube: np.ndarray) -> None:
         )
 
 
+def _check_no_loops(g: Diagram) -> None:
+    if g.has_loop():
+        raise ValueError("self-contractions cannot be valuated; Wick-ordered vertices have none")
+
+
 def _reduced(g: Diagram, d, N: int, protected=()):
     """Give every line of g the base weight and reduce the graph.
 
@@ -1074,10 +1078,7 @@ def _reduced(g: Diagram, d, N: int, protected=()):
     Every line shares one base node, and the table of shared nodes, keyed by
     (move, parts), lives only here.
     """
-    if g.has_loop():
-        raise ValueError(
-            "self-contractions cannot be valuated; Wick-ordered vertices have none"
-        )
+    _check_no_loops(g)
     dim, s = _model(d)
     _check_lattice(dim, N)  # before the cache, which takes True for 1
     base = _Weight(_base_weight(dim, N, s), N)
@@ -1181,7 +1182,9 @@ def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
     """
     if not g.is_vacuum():
         raise ValueError("external legs present")
+    _check_no_loops(g)
     dim, s = _model(d)
+    _check_samples(samples, seed)
     lat = ModeLattice(dim, N)
     modes = np.array(lat.modes, dtype=float)
     # numpy's x ** -1.0 is 1 / x to the bit, so integer d keeps its draws
@@ -1243,7 +1246,7 @@ def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     integer.
     """
     dim, _ = _model(d)
-    xs = (0.0,) * dim if p is None else as_point(p, dim)
+    xs = (0.0,) * dim if p is None else as_point(p, dim, "external momentum p =")
     if not all(c.is_integer() for c in xs):
         raise ValueError(f"external momentum p = {p!r} needs finite integer coordinates")
     p = tuple(int(c) for c in xs)

@@ -262,7 +262,7 @@ def _external_value(g: Diagram, d, N: int, x, y) -> float:
     """Position-space value of a two-external-leg diagram at (x, y): the
     cosine sum of its reduced x-y weight at x - y."""
     dim, _ = fy._model(d)
-    diff = tuple(a - b for a, b in zip(as_point(x, dim), as_point(y, dim)))
+    diff = tuple(a - b for a, b in zip(as_point(x, dim, "x ="), as_point(y, dim, "y =")))
     scale, cube = fy._external_bundle(g, d, N)
     return scale * cosine_sum(cube, diff)
 
@@ -503,13 +503,7 @@ def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) ->
         # exp(-alpha X) has no finite mean for alpha < 0
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     _check_lattice(fy._model(d)[0], N)
-    for name, value in (("samples", samples), ("seed", seed)):
-        # a bool is an int to Python, but True is no count or seed
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    _check_samples(samples)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_samples(samples, seed)
 
 
 def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):

@@ -118,11 +118,17 @@ def c_variance(d: int, N: int) -> float:
     return math.fsum(inverse_weight_cube(d, N, 1.0).ravel().tolist())  # zero off K_N
 
 
-def as_point(x, d: int) -> tuple[float, ...]:
-    """x as a tuple of d floats; a bare number is a point of the circle (d = 1)."""
+def as_point(x, d: int, name: str = "point") -> tuple[float, ...]:
+    """x as a tuple of d finite floats; a bare number is a point of the circle
+    (d = 1). Raises ValueError naming x as name for a str or bytes, a
+    non-finite coordinate or the wrong number of coordinates."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{name} {x!r} is a string, not a number or a sequence of numbers")
     xs = tuple(float(c) for c in x) if hasattr(x, "__len__") else (float(x),)
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"{name} {x!r} needs finite coordinates")
     if len(xs) != d:
-        raise ValueError(f"point {x!r} has {len(xs)} coordinates, but the lattice dimension is {d}")
+        raise ValueError(f"{name} {x!r} has {len(xs)} coordinates, but the lattice dimension is {d}")
     return xs
 
 
@@ -352,55 +358,39 @@ def lattice_rule_size(deg: int) -> int:
     return deg // 2 + 1
 
 
-def constant_term(*cubes) -> float:
+def constant_term(*cubes: np.ndarray) -> float:
     """sum over k_1 + ... + k_n = 0 of prod_i cube_i(k_i), for centered
     odd-sided cubes, each supported on the l1 ball of its radius.
 
     This is the constant term of the product of their trigonometric
     polynomials. Two cubes give the dot product of a and the reversed b on
-    their common box, whatever their symmetry. Either of the two may come as
-    a list of factors, arrays of one shape whose pointwise product, taken
-    left to right, is the cube (a nested list is one factor, its own
-    product), so a series product read at a centre is never built whole.
-    The sum runs one slab along the first axis at a time: the slab of a and
-    the reversed slab of b are each multiplied out from their factors, their
-    product summed pairwise (a running dot loses ~1e-13) and the slab sums
-    by math.fsum, so no array of the box's size is built. Three or more
-    cubes must be arrays, each even under k -> -k, as every reducer weight
-    is: their constant term is convolution_window at radius 0, the mean of
-    the product over the two grids of lattice_rule_size, sized by the sum of
+    their common box, whatever their symmetry, summed slab by slab
+    (_slab_dot), so no array of the box's size is built. Three or more
+    cubes must each be even under k -> -k, as every reducer weight is:
+    their constant term is convolution_window at radius 0, the mean of the
+    product over the two grids of lattice_rule_size, sized by the sum of
     the radii, with no inverse transform.
     """
     if len(cubes) == 2:
-        a, b = (c if isinstance(c, list) else [c] for c in cubes)
-        r = min(_radius(a), _radius(b))
-
-        def crop(c):
-            return _crop(c, c.shape[0] // 2, r)
-
-        def flipped(c):
-            return np.flip(crop(c))
-
-        return math.fsum(
-            float(np.sum(_slab(a, i, crop) * _slab(b, i, flipped))) for i in range(2 * r + 1)
-        )
+        r = min(c.shape[0] // 2 for c in cubes)
+        a, b = (_crop(c, c.shape[0] // 2, r) for c in cubes)
+        return _slab_dot(lambda _, i: a[i], lambda _, i: b[i], r)
     return convolution_window(*cubes, radius=0).item()
 
 
-def _radius(factors) -> int:
-    """The radius of a list of factors: that of its first array."""
-    first = factors[0]
-    return _radius(first) if isinstance(first, list) else first.shape[0] // 2
+def _slab_dot(slab_a, slab_b, r: int) -> float:
+    """sum over k of a(k) b(-k) on the centered box of radius r, where
+    slab_a(r, i) and slab_b(r, i) give slab i along the first axis of a and
+    b on that box (_Weight.slab's signature).
 
-
-def _slab(factors, i: int, view):
-    """Slab i along the first axis of the pointwise product of view(f) over
-    the factors f, multiplied left to right; a nested list is one factor."""
-    out = None
-    for f in factors:
-        part = _slab(f, i, view) if isinstance(f, list) else view(f)[i]
-        out = part if out is None else out * part
-    return out
+    Slab i of a meets slab 2r - i of b reversed. Each pair's product is
+    summed pairwise (a running dot loses ~1e-13) and the slab sums by
+    math.fsum, so one slab of each is needed at a time: a slab may be formed
+    on demand, and the box it comes from need never be built.
+    """
+    return math.fsum(
+        [float(np.sum(slab_a(r, i) * np.flip(slab_b(r, 2 * r - i)))) for i in range(2 * r + 1)]
+    )
 
 
 def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
@@ -835,9 +825,19 @@ def batch_amplitudes(
     return z
 
 
-def _check_samples(samples: int) -> None:
+def _check_samples(samples: int, seed: int = 0) -> None:
+    """Raise ValueError naming the first of samples and seed that the Monte
+    Carlo estimators refuse: a non-integer or bool, samples < 2 (no standard
+    error) or seed < 0. Each estimator runs it before it draws; _mc_blocks,
+    which draws nothing, leaves seed at 0."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        # a bool is an int to Python, but True is no count or seed
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if samples < 2:
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _mc_blocks(samples: int, block: int, fill) -> tuple[float, float]:

@@ -1168,6 +1168,12 @@ class TestPositionMC:
             want_est, want_se = _position_mc_unblocked(g, d, N, samples, seed=3)
             assert (est.hex(), se.hex()) == (want_est.hex(), want_se.hex()), (g, d, N)
 
+    def test_refuses_a_self_loop_as_valuate_does(self):
+        loop = Diagram(1, [((0, 0), 1)])
+        for call in (lambda: valuate(loop, 1, 2), lambda: valuate_position_mc(loop, 1, 2, 10, 1)):
+            with pytest.raises(ValueError, match="self-contractions cannot be valuated"):
+                call()
+
     def test_several_components(self):
         # the seed was fixed before the first run, not chosen by its result
         g = banana(2).disjoint_union(double_triangle())
@@ -1506,16 +1512,17 @@ class TestSeriesWindow:
         ]
         cases = [(g, d, N) for g in classes for d, Ns in [(1, (1, 4)), (2, (1, 3)), (3, (1, 2))] for N in Ns]
         split = []
-        constant_term = fy.constant_term
+        slab = fy._Weight.slab
 
-        def recording(*strands):
-            split.append(any(isinstance(s, list) and len(s) > 1 for s in strands))
-            return constant_term(*strands)
+        def recording(self, r, i):
+            out = slab(self, r, i)
+            split.append(self.move == "series" and r not in self._windows)  # multiplied out
+            return out
 
-        monkeypatch.setattr(fy, "constant_term", recording)
+        monkeypatch.setattr(fy._Weight, "slab", recording)
         got = [valuate(*case) for case in cases]
         assert any(split)
-        monkeypatch.setattr(fy._Weight, "_factors", lambda self, r: [self.window(r)])
+        monkeypatch.setattr(fy._Weight, "slab", lambda self, r, i: self.window(r)[i])
         for case, value in zip(cases, got):
             assert valuate(*case) == value, case
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from wickworks import cumulants as cu
 from wickworks import feynman as fy
 from wickworks import phi4
 from wickworks import torusfield as tf
+from wickworks.chaos import mehler_mc
 from wickworks.feynman import DiagramSum, banana, double_triangle, sunset_with_tail
+from wickworks.pairings import MultivarPoly
 from wickworks.phi4 import (
     counterterms_d3,
     divergent_families_at,
@@ -320,6 +323,33 @@ def _plain_division(order):
     return quotient
 
 
+_TWO_POINT = fy.Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, d: tf.cosine_sum(ModeLattice(d, 2).inverse_weight_cube(), p),
+        lambda p, d: green_truncated(p, d, 2),
+        lambda p, d: two_point_series(d, 2, 2, p, (0.0,) * d),
+        lambda p, d: two_point_series(d, 2, 0, (0.0,) * d, p),
+        lambda p, d: fy.valuate_external(_TWO_POINT, d, 2, p),
+    ],
+    ids=["cosine_sum", "green_truncated", "two_point_series x", "two_point_series y", "valuate_external"],
+)
+def test_as_point_callers_refuse_strings_and_non_finite_points(call):
+    for point, d, message in [
+        ("123", 3, "is a string"),  # once read as the point (1, 2, 3)
+        ("0.3", 1, "is a string"),  # once failed on the character '.'
+        (b"12", 2, "is a string"),
+        (math.nan, 1, "needs finite coordinates"),  # once a NaN value
+        (-math.inf, 1, "needs finite coordinates"),
+        ((0.25, math.inf), 2, "needs finite coordinates"),
+    ]:
+        with pytest.raises(ValueError, match=f"{re.escape(repr(point))} {message}"):
+            call(point, d)
+
+
 class TestTwoPointDivision:
     def test_order4_classes_are_connected(self):
         sums = phi4._two_point_sums(4)
@@ -365,7 +395,7 @@ class TestCounterterms:
 
 
 class TestCommutativity:
-    @pytest.mark.parametrize("N", [4, 10, 16])
+    @pytest.mark.parametrize("N", [4, 8, 10, 16, 24])
     def test_low_orders_cancel_exactly(self, N):
         # the counterterm classes cancel in the exact diagram sums, so these
         # vanish whatever the transform lengths round to: log Z starts at
@@ -513,6 +543,28 @@ class TestMC:
         for call in (phi4.check_mc_arguments, mc_partition_ratio):
             with pytest.raises(ValueError, match=f"covers d = 1 and d = 2, got {d!r}$"):
                 call(d, 2, 0.05, 10, 1)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda samples, seed: mc_partition_ratio(1, 2, 0.05, samples, seed),
+            lambda samples, seed: fy.valuate_position_mc(banana(2), 1, 2, samples, seed),
+            lambda samples, seed: mehler_mc(MultivarPoly(1, {(1,): 1}), 0.5, samples, seed),
+        ],
+        ids=["mc_partition_ratio", "valuate_position_mc", "mehler_mc"],
+    )
+    def test_estimators_share_one_argument_rule(self, estimate):
+        # numpy once raised its own TypeError or message for some of these
+        for samples, seed, message in [
+            (3.0, 1, "samples must be an integer, got 3.0"),
+            (True, 1, "samples must be an integer, got True"),
+            (np.int64(1), 1, "samples must be at least 2 for a standard error, got 1"),
+            (10, 1.5, "seed must be an integer, got 1.5"),
+            (10, np.True_, "seed must be an integer, got np.True_"),
+            (10, -1, "seed must be >= 0, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                estimate(samples, seed)
 
     @pytest.mark.parametrize(
         "args, want",

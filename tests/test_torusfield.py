@@ -837,12 +837,14 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < a.nbytes
 
-    def test_factor_lists_build_no_product_of_the_box(self):
+    def test_slab_dot_of_lazy_slabs_builds_no_box(self):
+        # each slab of a strand is multiplied out when asked for, as a series
+        # node's are: only a few slabs are alive at a time, never a box
         rng = np.random.default_rng(14)
         a, b = (rng.standard_normal((41,) * 3) for _ in range(2))
         tracemalloc.start()
         try:
-            tf.constant_term([a, b, a], [b, [a, b]])
+            tf._slab_dot(lambda _, i: a[i] * b[i] * a[i], lambda _, i: b[i] * (a[i] * b[i]), 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -864,28 +866,23 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < box + grid + box // 2
 
-    def test_factor_lists_give_the_product_bits(self):
-        # a strand given as factors, nested as a series tree nests them,
-        # sums to the bit what the strand multiplied out first sums to
-        def multiplied(factors):
-            out = None
-            for f in factors:
-                f = multiplied(f) if isinstance(f, list) else f
-                out = f if out is None else out * f
-            return out
-
+    def test_slab_dot_gives_the_constant_term_bits(self):
+        # a strand whose slabs are products, nested as a series tree nests
+        # them, sums to the bit what the strand multiplied out first sums to
         rng = np.random.default_rng(13)
         for d in (1, 2, 3):
             a, b, c = (even_cube(rng, d, 4) for _ in range(3))
-            wide = rng.standard_normal((13,) * d)  # radius 6, no symmetry
+            wide = tf._crop(rng.standard_normal((13,) * d), 6, 4)  # no symmetry
+            cubes = (a, b, c, wide)
             for left, right in [
-                ([a, b], [c]),
-                ([a, [b, c]], [wide]),
-                ([wide], [a, b, c]),
-                ([[b, c], a], [a, [c, [b, a]]]),
+                (lambda x: x[0] * x[1], lambda x: x[2]),
+                (lambda x: x[0] * (x[1] * x[2]), lambda x: x[3]),
+                (lambda x: x[3], lambda x: x[0] * x[1] * x[2]),
+                (lambda x: (x[1] * x[2]) * x[0], lambda x: x[0] * (x[2] * (x[1] * x[0]))),
             ]:
-                want = tf.constant_term(multiplied(left), multiplied(right))
-                assert tf.constant_term(left, right) == want, (d, left, right)
+                want = tf.constant_term(left(cubes), right(cubes))
+                slabs = [lambda _, i, f=f: f([x[i] for x in cubes]) for f in (left, right)]
+                assert tf._slab_dot(*slabs, 4) == want, d
 
     def test_rejects_a_cube_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
