@@ -497,8 +497,9 @@ def wick_product(F: ChaosElement, G: ChaosElement) -> ChaosElement:
 
 def ou_semigroup(F: ChaosElement, t: float) -> ChaosElement:
     """T_t F: scale the grade-n part by exp(-n t)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        # NaN passes t < 0, and t = inf gives the constant term 0 * inf
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     return ChaosElement(
         F.dim, {k: float(c) * math.exp(-k.order * t) for k, c in F.coeffs.items()}
     )

@@ -62,7 +62,7 @@ from .torusfield import (
     _crop,
     _grid_values,
     _mc_blocks,
-    _packed_rule_mean,
+    _paired_rule_mean,
     _slab_dot,
     _smooth_len,
     _symmetric,
@@ -965,21 +965,41 @@ def _valuate_k4(lines: dict) -> float:
     depends only on its orbit: the loop visits one p per orbit and multiplies
     by the orbit size.
 
-    Each weight is read once, as a plain array: five whole, and F_cd on the
-    ball of radius r = min(R_ac + R_bc, R_cd) that q + r reaches. V_p is the
-    constant term of a_p b_p f, the product of the trigonometric polynomials
-    of A_p, B_p and F_cd, of l1 degree at most R_ac + R_bc + r. The two-grid
+    The doubled lines form a perfect matching, and the reducer's shared
+    nodes make ad and bc one node, and ac and bd another, so B_p(q + p) =
+    A_p(q) and V_p = sum_{q,s} A_p(q) A_p(s) F_cd(q + s + p). A core
+    without that identity raises ValuationBudgetError, after the symmetry
+    check.
+
+    Each distinct weight is read once, as a plain array: F_ab, F_ac and F_ad
+    whole, and F_cd on the ball of radius r = min(R_ac + R_ad, R_cd) that
+    (q + p) + s reaches. V_p is the constant term of a_p^2 e_p f, with a_p
+    and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
+    exp(-2 pi i p.x), of l1 degree at most R_ac + R_ad + r. The two-grid
     lattice rule of torusfield.lattice_rule_size, on a 5-smooth M,
-    integrates it exactly: V_p is the mean of a_p b_p f over both grids, with
-    no linear convolution and no inverse transform. The degree is taken from
-    the radii, and every window is read as it comes: a whole read is exactly
-    zero off its l1 ball (the base cube is zero off K_N, convolution_window
-    sets the entries beyond its strands' radii to 0, and a series node is a
-    product with a whole read), and _grid_values masks F_cd to its ball, so
-    the rule is exact for what is summed. A_p and B_p are sliced on their box
-    intersections into one packed block, and one call per orbit,
-    torusfield._packed_rule_mean, transforms it on both grids into buffers
-    of the core and reads the mean.
+    integrates it exactly: V_p is the mean of a_p^2 e_p f over both grids,
+    with no linear convolution and no inverse transform. The degree is
+    taken from the radii, and every window is read as it comes: a whole
+    read is exactly zero off its l1 ball (the base cube is zero off K_N,
+    convolution_window sets the entries beyond its strands' radii to 0, and
+    a series node is a product with a whole read), and _grid_values masks
+    F_cd to its ball, so the rule is exact for what is summed.
+
+    A_p is sliced on box_ac & (box_ad - p), with lower corner lo_p, so
+    a_p^2 e_p = psi_p alpha_p^2, alpha_p the block's polynomial with its
+    index as the momentum and psi_p = exp(-2 pi i (2 lo_p + p).x). The
+    orbits with a nonzero F_ab(p) go two at a time, in orbit order, as the
+    block A_p + i A_p' (an odd last one alone): one fold and one fftn give
+    Z = alpha_p + i alpha_p' on both grids. Both grids are symmetric under
+    x -> -x and a real block has alpha(-x) = conj alpha(x), so Z~(x) =
+    conj Z(-x) = alpha_p - i alpha_p'. With S = sum psi f Z^2 and X = sum
+    psi f Z Z~ over both grids, each with the orbit's own psi, and every
+    sum of psi f times two of these polynomials real (its summand at -x is
+    the conjugate of that at x), Re S = sum psi f (alpha_p^2 - alpha_p'^2)
+    and X = sum psi f (alpha_p^2 + alpha_p'^2). So V_p ~ (Re S_p + X_p)/2
+    and V_p' ~ (X_p' - Re S_p')/2, the sums of psi f alpha^2 that
+    torusfield._paired_rule_mean forms from alpha_p = (Z + Z~)/2 and
+    alpha_p' = (Z - Z~)/2i, into buffers of the core.
     """
     # the outer pair is the smallest-support bundle, the first in the map on a tie
     a, b = min(lines, key=lambda pair: lines[pair].radius)
@@ -988,36 +1008,42 @@ def _valuate_k4(lines: dict) -> float:
         lines[(min(x, y), max(x, y))]
         for x, y in ((a, b), (a, c), (a, dd), (b, c), (b, dd), (c, dd))
     )
-    R_ab, R_ac, R_ad, R_bc, R_bd = (w.radius for w in (ab, ac, ad, bc, bd))
-    r = min(R_ac + R_bc, cd.radius)
+    R_ab, R_ac, R_ad = (w.radius for w in (ab, ac, ad))
+    r = min(R_ac + R_ad, cd.radius)
     F_ab, F_ac, F_ad, F_bc, F_bd = (w.window(w.radius) for w in (ab, ac, ad, bc, bd))
     F_cd = cd.window(r)
-    for cube in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd):
+    # each distinct window once: a shared node's window is one array
+    for cube in {id(x): x for x in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd)}.values():
         _check_hyperoctahedral(cube)
+    if ad is not bc or ac is not bd:
+        raise ValuationBudgetError(
+            "K4 core whose lines ad and bc, or ac and bd, are not one shared node: "
+            "only the order-4 core with a doubled perfect matching can be valuated"
+        )
     dim = F_ab.ndim
-    M = _smooth_len(lattice_rule_size(R_ac + R_bc + r))
+    M = _smooth_len(lattice_rule_size(R_ac + R_ad + r))
     # f on the plain and the half-cell grid, once: real, since F_cd is even
     f = _grid_values(F_cd, M)
     f = np.stack((f.real, f.imag))
-    # A_p and B_p share one block, `side` long on every axis; the block and
-    # its spectra are buffers of the core, refilled per orbit
-    side = 2 * max(min(R_ac, R_ad), min(R_bc, R_bd)) + 1
-    block = np.empty((side,) * dim, complex)
+    # the block and its spectra are buffers of the core, refilled per pair
+    block = np.empty((2 * min(R_ac, R_ad) + 1,) * dim, complex)
     spec = np.empty((2,) + (M,) * dim, complex)
-    total = 0.0
+    orbits = []
     for p, size in _orbits(dim, R_ab):
         wp = float(F_ab[tuple(t + R_ab for t in p)])
-        if wp == 0.0:
-            continue
-        # A_p on box_ac & (box_ad - p), B_p on box_bc & (box_bd + p)
-        box_a = [_overlap(R_ac, R_ad, -t) for t in p]
-        box_b = [_overlap(R_bc, R_bd, t) for t in p]
+        if wp != 0.0:
+            orbits.append((p, size * wp))
+    total = 0.0
+    for k in range(0, len(orbits), 2):
+        pair = orbits[k : k + 2]
         block.fill(0)
-        np.multiply(_box(F_ac, box_a), _box(F_ad, box_a, p), out=block.real[_extent(box_a)])
-        minus_p = [-t for t in p]
-        np.multiply(_box(F_bc, box_b), _box(F_bd, box_b, minus_p), out=block.imag[_extent(box_b)])
-        offsets = [la + lb for (la, _), (lb, _) in zip(box_a, box_b)]
-        total += size * wp * _packed_rule_mean(block, offsets, f, spec)
+        offsets = []
+        for part, (p, _) in zip((block.real, block.imag), pair):
+            box = [_overlap(R_ac, R_ad, -t) for t in p]  # box_ac & (box_ad - p)
+            np.multiply(_box(F_ac, box), _box(F_ad, box, p), out=part[_extent(box)])
+            offsets.append([2 * lo + t for (lo, _), t in zip(box, p)])
+        for (_, weight), value in zip(pair, _paired_rule_mean(block, offsets, f, spec)):
+            total += weight * value
     return total / (4 * M**dim)
 
 

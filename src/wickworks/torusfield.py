@@ -605,37 +605,73 @@ def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
     return cube[tuple(sl for _ in range(cube.ndim))]
 
 
-def _packed_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> float:
-    """4 M^d times the two-grid mean of a b f, for the packed block A + i B
-    of two real blocks; out is a complex (2, M, ..., M) buffer, overwritten,
-    that a caller summing many blocks reuses.
+def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
+    """4 M^d times the two-grid mean of psi_o alpha_o^2 f for each real
+    block packed in block = A_0 + i A_1 (A_1 = 0 when offsets holds one
+    entry); out is a complex (2, M, ..., M) buffer, overwritten, that a
+    caller summing many blocks reuses.
 
-    block[i] holds the coefficients A(lo_A + i) + i B(lo_B + i), offsets the
-    sums lo_A + lo_B of the two blocks' lower corners, and f the real, even
-    polynomial to weigh by on the plain (f[0]) and the half-cell grid
-    (f[1]). The block is folded onto the M^d grid (_fold, with the index i
-    as the momentum), the half-cell factor applied to row 1 one axis at a
-    time, and both rows transformed at once: row g of Z is
-    sum_i block[i] exp(-2 pi i i.x_j), x_j = (j + g/2)/M. Both grids are
-    symmetric under x -> -x, and a(-x) = conj a(x) for real A, so a and b
-    are (Z(x) + conj Z(-x))/2 and (Z(x) - conj Z(-x))/2i up to their offset
-    phases. With f real and even, the sum of a b f over a grid is then
-    Im sum_x psi(x) Z(x)^2 f(x) / 2, psi = exp(-2 pi i (lo_A + lo_B).x): the
-    separable psi is contracted one axis at a time (_offset_phase). Nothing
-    larger than the block and out is built.
+    alpha_o(x) = sum_i A_o[i] exp(-2 pi i i.x), psi_o = exp(-2 pi i t_o.x)
+    for t_o = offsets[o], and f is the real, even polynomial to weigh by on
+    the plain (f[0]) and the half-cell grid (f[1]). The block is folded
+    (_fold), the half-cell factor applied to row 1 one axis at a time, and
+    both rows transformed at once: row g of Z is alpha_0 + i alpha_1 at
+    x_j = (j + g/2)/M. Both grids are symmetric under x -> -x (index -j mod
+    M on the plain grid, M - 1 - j on the half-cell one) and a real A_o has
+    alpha_o(-x) = conj alpha_o(x), so with Z~(x) = conj Z(-x), Z + Z~ =
+    2 alpha_0 and Z - Z~ = 2i alpha_1. The summand psi f alpha^2 at -x is
+    the conjugate of that at x, so a grid's sum is Re of the sum over its
+    first half of first-axis slabs, each read with its mirror slab and
+    counted twice (once for its own mirror). Those slabs are taken a block
+    at a time (_slab_blocks) in scratch of one block's size and contracted
+    as they are formed, one axis at a time (_offset_phase) down to one
+    value per slab, which is then summed against the first axis's phase.
     """
-    dim, M = block.ndim, out.shape[-1]
+    dim, M, n = block.ndim, out.shape[-1], len(offsets)
     out.fill(0)
     _fold(block, 0, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
     np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)
-    np.square(out, out=out)
-    out *= f
-    T = out
-    for t in reversed(offsets):
-        T = np.matmul(T.reshape(2, -1, M), _offset_phase(t, M)[:, :, None])
-    return float(T.sum().imag)
+    # per grid g, slab j meets slab (-j - g) mod M: the runs of the first
+    # half's slabs, each with the reversed run of its mirrors
+    runs = [(0, slice(0, 1), out[0, :1])]
+    for g in (0, 1):
+        mirrors = out[g, ::-1]  # mirrors[i] is slab M - 1 - i, the mirror of slab i + 1 - g
+        half = (M + g) // 2
+        for run in _slab_blocks((half,) + out.shape[2:], out.itemsize):
+            run = slice(run.start, min(run.stop, half))
+            runs.append((g, slice(run.start + 1 - g, run.stop + 1 - g), mirrors[run]))
+    size = (max(len(m) for _, _, m in runs),) + out.shape[2:]
+    scratch = np.empty((n,) + size, complex)
+    flip = (slice(None),) + (slice(None, None, -1),) * (dim - 1)
+    per_slab = np.zeros((n, 2, M), complex)
+    for g, rows, mirror in runs:
+        # parts[0] takes Z~, then 2 alpha_0 = Z + Z~; parts[1] takes 2i alpha_1 = Z - Z~
+        z, parts = out[g, rows], scratch[:, : len(mirror)]
+        if g:
+            np.conjugate(mirror[flip], out=parts[0])
+        else:
+            np.conjugate(_mirror(mirror, out=parts[0]), out=parts[0])
+        if n == 2:
+            np.subtract(z, parts[0], out=parts[1])
+        parts[0] += z
+        for o, part in enumerate(parts):
+            np.square(part, out=part)
+            part *= f[g, rows]
+            for lo in reversed(offsets[o][1:]):  # the axes after the first, one at a time
+                part = part.reshape(-1, M) @ _offset_phase(lo, M)[g]
+            per_slab[o, g, rows] = part
+    # the values are twice the grid sums of psi f alpha^2 = psi f (2 alpha)^2 / 4:
+    # weight 2 * 2 / 4 for a slab and its mirror, half that for a slab that
+    # is its own mirror
+    weight = np.ones((2, M))
+    weight[0, 0] = weight[M % 2, M // 2] = 0.5
+    values = []
+    for o, t in enumerate(offsets):
+        value = float(np.sum((per_slab[o] * _offset_phase(t[0], M)).real * weight))
+        values.append(-value if o else value)  # (2i alpha_1)^2 = -4 alpha_1^2
+    return values
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,10 @@ exit with the command's `status` (default 0) and keep its `pin`: a sha256 of
 stdout for exact outputs, or float values at dotted paths of stdout's JSON,
 each within 1e-12 relative (their last bits may differ between numpy builds).
 Each difference is reported with its first differing line; the exit status is
-1 if anything differs.
+1 if anything differs. When stdout differs and both runs print JSON, a
+`values` line adds what moved: the first exact part that differs (a key, an
+integer, a string, an exact [num, den] pair), or else how many floats moved
+and the largest relative move.
 """
 
 from __future__ import annotations
@@ -126,6 +129,48 @@ def first_difference(old: bytes, new: bytes) -> str | None:
     return f"line {k + 1}: {show(a)} -> {show(b)}"
 
 
+def _pair(x) -> bool:
+    """Whether x is an exact [num, den] pair, compared whole."""
+    return type(x) is list and len(x) == 2 and all(type(v) is int for v in x)
+
+
+def value_moves(old: bytes, new: bytes) -> str | None:
+    """What moved between two JSON documents, or None if either is not JSON.
+
+    Keys, integers, strings, booleans, nulls, list lengths and exact
+    [num, den] pairs must be equal, and the first that is not is named by
+    its dotted path. Otherwise the floats are counted: how many moved, and
+    the largest move relative to the larger magnitude of the two."""
+    try:
+        docs = json.loads(old), json.loads(new)
+    except ValueError:
+        return None
+    moves = []
+
+    def exact_difference(a, b, path):
+        if type(a) is float and type(b) is float:
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                moves.append(abs(a - b) / max(abs(a), abs(b)))
+            return None
+        if type(a) is dict and type(b) is dict and a.keys() == b.keys():
+            parts = [(a[k], b[k], f"{path}.{k}") for k in a]
+        elif type(a) is list and type(b) is list and len(a) == len(b) and not (_pair(a) and _pair(b)):
+            parts = [(x, y, f"{path}.{i}") for i, (x, y) in enumerate(zip(a, b))]
+        elif type(a) is type(b) and a == b:
+            return None
+        else:
+            show = [json.dumps(x)[:60] for x in (a, b)]
+            return f"exact part differs at {path.lstrip('.') or '<document>'}: {show[0]} -> {show[1]}"
+        return next((d for x, y, sub in parts if (d := exact_difference(x, y, sub))), None)
+
+    exact = exact_difference(*docs, "")
+    if exact is not None:
+        return exact
+    if not moves:
+        return "no value moved"
+    return f"{len(moves)} float{'s' * (len(moves) != 1)} moved, largest relative move {max(moves):.2g}"
+
+
 def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
     """One report line per command, with each difference between its run in
     rev (None: a first run here) and its run here, then each pin that the run
@@ -144,6 +189,8 @@ def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
                 out.mkdir()
             old, new = run(command, tree, outs[0]), run(command, ROOT, outs[1])
             diffs = [f"{key} {d}" for key in old if (d := first_difference(old[key], new[key]))]
+            if old["stdout"] != new["stdout"] and (moved := value_moves(old["stdout"], new["stdout"])):
+                diffs.insert(1, f"values {moved}")
             pinned = {"exit status": (str(command.status), new["exit status"].decode())}
             if isinstance(command.pin, str):
                 pinned["sha256"] = (command.pin, hashlib.sha256(new["stdout"]).hexdigest())

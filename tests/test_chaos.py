@@ -382,6 +382,11 @@ class TestOU:
         with pytest.raises(ValueError):
             ou_semigroup(ChaosElement.constant(1, 1), -0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_t_rejected(self, t):
+        with pytest.raises(ValueError, match=f"got {t}"):
+            ou_semigroup(ChaosElement.constant(1, 1), t)
+
 
 class TestMehler:
     def test_t0_exact(self):
@@ -430,6 +435,15 @@ class TestMehler:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 8 * 60_000 + 64 * 1024
+
+    def test_non_finite_t_raises_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("mehler_mc drew samples for a t it must refuse")
+
+        monkeypatch.setattr(chaos, "_mc_blocks", no_draws)
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {t}"):
+                mehler_mc(MultivarPoly(1, {(2,): 1}), t, samples=10, seed=1)
 
     def test_sample_count_validation(self):
         # one sample has no standard error

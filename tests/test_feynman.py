@@ -40,6 +40,7 @@ from wickworks.pairings import enumerate_matchings
 
 import canonical_reference as canon
 import hopf_reference as ref
+import k4_reference as k4_ref
 import reduction_reference as red
 from wickworks.torusfield import ModeLattice, convolve_cubes, wick_integral_variance
 
@@ -1113,13 +1114,46 @@ class TestK4Orbits:
             fy._valuate_k4(lines)
         assert not isinstance(err.value, ValuationBudgetError)
 
-    def test_orbit_transforms_share_one_buffer(self, monkeypatch):
-        # a core of six single edges (no bundle to transform): one transform
-        # of F_cd, then one per orbit with a nonzero outer weight, each
-        # written into the same buffer of the core
+    def test_unshared_lines_raise_budget_error(self):
+        # six equal but separate nodes: symmetric weights, but ad is not bc,
+        # so the pairing of orbits does not apply; the per-orbit reference
+        # still valuates the same core
         N = 2
-        base = fy._base_weight(3, N, 1.0)
+        base = ModeLattice(2, N).inverse_weight_cube()
         lines = {pair: fy._Weight(base, N) for pair in itertools.combinations(range(4), 2)}
+        with pytest.raises(ValuationBudgetError, match="ad and bc, or ac and bd, are not one shared node"):
+            fy._valuate_k4(lines)
+        shared = fy._Weight(base, N)
+        assert k4_ref.valuate_k4(lines) == pytest.approx(
+            fy._valuate_k4(dict.fromkeys(lines, shared)), rel=1e-15
+        )
+
+    def test_paired_core_matches_per_orbit_reference(self):
+        # the reducer's own core of k4_doubled; d = 1 at even N has an odd
+        # count of nonzero orbits (N = 2: p = 0, 1, 2), so its last orbit
+        # goes alone with a zero imaginary part
+        odd = []
+        for d in (1, 2, 3, 3.5):
+            for N in range(1, 13):
+                _, lines = fy._reduced(k4_doubled(), d, N)
+                got, want = fy._valuate_k4(lines), k4_ref.valuate_k4(lines)
+                assert got == pytest.approx(want, rel=1e-15, abs=0), (d, N)
+                ab = min(lines.values(), key=lambda w: w.radius)
+                F_ab = ab.window(ab.radius)
+                R = ab.radius
+                nonzero = sum(1 for p, _ in fy._orbits(int(d), R) if F_ab[tuple(t + R for t in p)])
+                odd += [(d, N)] * (nonzero % 2)
+        assert (1, 2) in odd
+
+    def test_orbit_transforms_share_one_buffer(self, monkeypatch):
+        # a core of six single edges, all one node as the reducer shares
+        # them (no bundle to transform): one transform of F_cd, then one per
+        # pair of orbits with a nonzero outer weight, each written into the
+        # same buffer of the core. N = 3 leaves seven such orbits, so the
+        # last pair is one orbit
+        N = 3
+        base = fy._Weight(fy._base_weight(3, N, 1.0), N)
+        lines = dict.fromkeys(itertools.combinations(range(4), 2), base)
         outs = []
         fftn = np.fft.fftn
 
@@ -1129,10 +1163,11 @@ class TestK4Orbits:
 
         monkeypatch.setattr(np.fft, "fftn", recording)
         fy._valuate_k4(lines)
-        f_out, *per_orbit = outs
-        assert len(per_orbit) == sum(1 for p, _ in fy._orbits(3, N) if sum(p) <= N)
-        assert per_orbit[0] is not None and per_orbit[0] is not f_out
-        assert len({id(out) for out in per_orbit}) == 1
+        f_out, *per_pair = outs
+        n = sum(1 for p, _ in fy._orbits(3, N) if sum(p) <= N)
+        assert n == 7 and len(per_pair) == (n + 1) // 2
+        assert per_pair[0] is not None and per_pair[0] is not f_out
+        assert len({id(out) for out in per_pair}) == 1
 
     def test_returns_plain_float(self):
         assert type(valuate(k4_doubled(), 1, 2)) is float

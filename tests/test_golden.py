@@ -58,3 +58,45 @@ def test_runner_reports_each_broken_contract(code, status, pin, detail):
         assert line == "same  c"
     else:
         assert line.startswith("DIFF  c\n") and detail in line
+
+
+# prints one exact prefactor and one float; the run whose {out} is out-new moves one of them
+MOVED = """
+import json, math, sys
+out, moved = sys.argv[1:]
+new = out.endswith("out-new")
+doc = {"prefactor": [1, 3 if new and moved == "prefactor" else 2],
+       "value": math.nextafter(0.5, 1) if new and moved == "float" else 0.5}
+print(json.dumps(doc))
+"""
+
+
+@pytest.mark.parametrize(
+    "moved, values",
+    [
+        ("float", "values 1 float moved, largest relative move 2.2e-16"),
+        ("prefactor", "values exact part differs at prefactor: [1, 2] -> [1, 3]"),
+    ],
+)
+def test_runner_reports_a_move_as_a_value(moved, values):
+    # the byte verdict and its first differing line stay; the value line follows them
+    (line,) = golden.compare(commands=(golden.Command("c", ("-c", MOVED, "{out}", moved)),))
+    head, stdout, value = line.split("\n")
+    assert head == "DIFF  c" and stdout.strip().startswith("stdout line 1: ")
+    assert value.strip() == values
+
+
+@pytest.mark.parametrize(
+    "old, new, moved",
+    [
+        (b"not json", b"{}", None),
+        (b'{"a": 1.0}', b'{"a": 1.0}\n', "no value moved"),
+        (b'{"a": [0.0, 4.0, NaN]}', b'{"a": [0.0, 4.5, NaN]}', "1 float moved, largest relative move 0.11"),
+        (b'{"a": 1, "b": 2.0}', b'{"a": 1.0, "b": 3.0}', "exact part differs at a: 1 -> 1.0"),
+        (b'{"a": {"b": "x"}}', b'{"a": {"c": "x"}}', 'exact part differs at a: {"b": "x"} -> {"c": "x"}'),
+        (b"[1, [2, 3]]", b"[1, [2, 3], 4]", "exact part differs at <document>: [1, [2, 3]] -> [1, [2, 3], 4]"),
+        (b'{"p": [1, 2]}', b'{"p": [1, 2.0]}', "exact part differs at p.1: 2 -> 2.0"),
+    ],
+)
+def test_value_moves(old, new, moved):
+    assert golden.value_moves(old, new) == moved

@@ -26,6 +26,7 @@ from wickworks.torusfield import (
     young_sum_check,
 )
 
+import k4_reference as k4_ref
 from exact_reference import (
     c_variance_exact,
     wick_integral_variance_bruteforce,
@@ -900,7 +901,8 @@ def _c_order_indices(n, d):
 
 
 class TestPackedRuleMean:
-    """The K4 core's orbit step against a dense sum over both grids."""
+    """The per-orbit reference's step (k4_reference) against a dense sum
+    over both grids."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_dense_sum(self, d):
@@ -914,7 +916,7 @@ class TestPackedRuleMean:
             out = np.empty((2,) + (M,) * d, complex)
             A, B = rng.standard_normal((2,) + (side,) * d)
             lo_a, lo_b = rng.integers(-2 * side, side, size=(2, d))  # per axis
-            got = tf._packed_rule_mean(A + 1j * B, (lo_a + lo_b).tolist(), f, out)
+            got = k4_ref._packed_rule_mean(A + 1j * B, (lo_a + lo_b).tolist(), f, out)
             i = _c_order_indices(side, d)
             want, scale = 0.0, 0.0
             for g in (0, 1):
@@ -926,6 +928,44 @@ class TestPackedRuleMean:
                 scale += 2 * np.abs(terms).sum()
             assert abs(want.imag) <= 1e-12 * scale
             assert abs(got - want.real) <= 1e-12 * scale, (d, M, side)
+
+
+class TestPairedRuleMean:
+    """The K4 core's paired step against a dense sum over both grids."""
+
+    @pytest.mark.parametrize("scratch", [tf._SCRATCH_BYTES, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_sum(self, d, scratch, monkeypatch):
+        # value o = 2 sum_g sum_j psi_o(x) alpha_o(x)^2 f(x), x = (j + g/2)/M,
+        # with alpha_o(x) = sum_i A_o[i] exp(-2 pi i i.x) and psi_o(x) =
+        # exp(-2 pi i t_o.x); a one-byte scratch reads one slab per block
+        monkeypatch.setattr(tf, "_SCRATCH_BYTES", scratch)
+        rng = np.random.default_rng(50 + d)
+        # odd and even M (the half-cell grid's mirror differs), each with
+        # blocks shorter than M, as long, and longer (folded onto M); one
+        # block alone and two packed, alternately
+        cases = [(5, 3), (5, 5), (5, 8), (4, 3), (4, 4), (4, 11), (1, 2), (2, 2), (3, 1)]
+        for k, (M, side) in enumerate(cases):
+            n = 1 + k % 2
+            f = tf._grid_values(even_cube(rng, d, 3), M)
+            f = np.stack((f.real, f.imag))
+            out = np.empty((2,) + (M,) * d, complex)
+            A = rng.standard_normal((n,) + (side,) * d)
+            t = rng.integers(-3 * side, 2 * side, size=(n, d))  # per block and axis
+            block = A[0] + 1j * A[1] if n == 2 else A[0].astype(complex)
+            got = tf._paired_rule_mean(block, t.tolist(), f, out)
+            i = _c_order_indices(side, d)
+            assert len(got) == n and all(type(v) is float for v in got)
+            for o in range(n):
+                want, scale = 0.0, 0.0
+                for g in (0, 1):
+                    x = (_c_order_indices(M, d) + g / 2) / M
+                    alpha = np.exp(-2j * np.pi * x @ i.T) @ A[o].ravel()
+                    terms = np.exp(-2j * np.pi * x @ t[o]) * alpha**2 * f[g].ravel()
+                    want += 2 * terms.sum()
+                    scale += 2 * np.abs(terms).sum()
+                assert abs(want.imag) <= 1e-12 * scale
+                assert abs(got[o] - want.real) <= 1e-12 * scale, (d, M, side, o)
 
 
 class TestConvolutionWindow:
