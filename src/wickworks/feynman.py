@@ -1018,7 +1018,10 @@ def _valuate_k4(lines: dict) -> float:
     if ad is not bc or ac is not bd:
         raise ValuationBudgetError(
             "K4 core whose lines ad and bc, or ac and bd, are not one shared node: "
-            "only the order-4 core with a doubled perfect matching can be valuated"
+            "the paired orbit loop valuates a K4 core only when the reducer makes "
+            "each pair one node, as for the 3-regular K4 and the doubled perfect "
+            "matching; the others wait for the per-orbit core or the general "
+            "engine (ROADMAP items 17 and 1)"
         )
     dim = F_ab.ndim
     M = _smooth_len(lattice_rule_size(R_ac + R_ad + r))
@@ -1132,32 +1135,33 @@ def _valuate_connected(g: Diagram, d, N: int) -> float:
     )
 
 
+@lru_cache(maxsize=None)
+def _valuate_cached(key, d, N) -> float:
+    """The value of the connected class with canonical key `key`, reduced on
+    its canonical form, so each class has one value per (d, N)."""
+    return _valuate_connected(Diagram(*key, _canonical=True), d, N)
+
+
 def valuate(g: Diagram, d, N: int) -> float:
     """Momentum-space value: sum over conserving mode assignments in K_N.
 
     Each edge carries weight lambda_k^(-s(d)); the value is multiplicative
     over connected components and equals the position-space integral of the
-    product of truncated Green functions.
+    product of truncated Green functions. It is the product of the cached
+    values of g's connected classes, in canonical-key order, so every
+    labelling of a class gets the same bits.
     """
     if not g.is_vacuum():
         raise ValueError("external legs present; use valuate_external")
-    _check_lattice(_model(d)[0], N)  # a diagram with no components is valuated nowhere else
+    _check_lattice(_model(d)[0], N)  # once: the cache takes True for 1, and EMPTY has no class
     total = 1.0
-    for comp in sorted(
-        connected_components(g), key=lambda c: c.canonical_key()
-    ):
-        total *= _valuate_connected(comp, d, N)
+    for key in sorted(c.canonical_key() for c in connected_components(g)):
+        total *= _valuate_cached(key, d, N)
     return total
 
 
-@lru_cache(maxsize=None)
-def _valuate_cached(key, d, N) -> float:
-    return valuate(Diagram(*key, _canonical=True), d, N)
-
-
-def valuate_cached(g: Diagram, d, N: int) -> float:
-    _check_lattice(_model(d)[0], N)  # before the cache, which takes True for 1
-    return _valuate_cached(g.canonical_key(), d, N)
+# the name perfbench's layer tracing patches; the same function
+valuate_cached = valuate
 
 
 def valuate_sum(s: DiagramSum, d, N: int) -> float:
@@ -1165,27 +1169,19 @@ def valuate_sum(s: DiagramSum, d, N: int) -> float:
     _check_lattice(_model(d)[0], N)  # the empty sum is 0.0 at a supported d and N only
     total = 0.0
     for g, c in s.sorted_terms():
-        total += float(c) * valuate_cached(g, d, N)
+        total += float(c) * valuate(g, d, N)
     return total
 
 
-def bphz_valuate(g: Diagram, d, N: int, route: str = "direct") -> float:
+def bphz_valuate(g: Diagram, d, N: int) -> float:
     """Renormalized valuation (Pi_N A-tilde x Pi_N) Delta_CK.
 
-    Both routes assemble the same exact rational diagram combination before
-    valuating, so they agree float-for-float: the direct route sums the
-    coproduct terms, the "lemma" route short-circuits to 0 for deg <= 0 and
-    -Pi_N(A(Gamma)) otherwise.
+    The coproduct terms are assembled as one exact rational diagram
+    combination before any of it is valuated.
     """
     if not is_connected(g):
         raise ValueError("bphz_valuate acts on connected diagrams")
-    _check_lattice(_model(d)[0], N)  # before the lemma route's early 0.0
-    if route == "lemma":
-        if degree(g, d) <= 0:
-            return 0.0
-        return -valuate_sum(antipode(g, d), d, N)
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
+    _check_lattice(_model(d)[0], N)  # before the exact assembly, which takes any d
     acc = DiagramSum.zero()
     for pair in ck_coproduct(g, d):
         left = _product(twisted_antipode(gl, d) * cl for gl, cl in pair.left.terms.items())
@@ -1255,8 +1251,8 @@ def _external_bundle(g: Diagram, d, N: int):
         raise ValueError("the two external legs must share a component")
     factor = 1.0
     for c in vacuum:
-        factor *= valuate_cached(c, d, N)
-    g = ext_comps[0]
+        factor *= valuate(c, d, N)
+    g = ext_comps[0].canonical()
     pendant, lines = _reduced(g, d, N, protected={v for v, _ in g.labels})
     if len(lines) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")

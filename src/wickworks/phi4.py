@@ -211,7 +211,7 @@ def plain_phi41_moments(N: int, n: int) -> float:
             g = Diagram(
                 len(used), [((relabel[i], relabel[j]), m) for (i, j), m in edges]
             )
-            val = fy.valuate_cached(g, 1, N)
+            val = fy.valuate(g, 1, N)
         else:
             val = 1.0
         total += cn**loops * val
@@ -294,9 +294,9 @@ def counterterms_d3(alpha: float, N: int) -> CountertermSet:
     pins down exactly (both the (log N)^2 and (log N) parts cancel only for
     this sign).
     """
-    pi_b3 = fy.valuate_cached(banana(3), 3, N)
-    pi_b4 = fy.valuate_cached(banana(4), 3, N)
-    pi_tri = fy.valuate_cached(double_triangle(), 3, N)
+    pi_b3 = fy.valuate(banana(3), 3, N)
+    pi_b4 = fy.valuate(banana(4), 3, N)
+    pi_tri = fy.valuate(double_triangle(), 3, N)
     return CountertermSet(
         beta_coeffs={2: 48.0 * pi_b3},
         gamma_coeffs={2: 12.0 * pi_b4, 3: -288.0 * pi_tri},
@@ -459,7 +459,7 @@ def sigma_counterterm(d, N: int, n: int) -> float:
     total = 0.0
     for g in fams:
         if fy.degree(g, d) <= 0:
-            total += fy.valuate_cached(g, d, N)
+            total += fy.valuate(g, d, N)
     return -96.0 * total if n == 2 else total
 
 

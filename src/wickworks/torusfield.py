@@ -248,6 +248,8 @@ def testfunction_from_values(lattice: ModeLattice, func, grid: int | None = None
     """
     if grid is None:
         grid = 8 * max(lattice.N, 1)
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     pts = grid_points(lattice.d, grid)
     vals = np.array([func(p) for p in pts])
     # synthesis_matrix rows in blocks: the whole (points x modes) matrix
@@ -970,6 +972,9 @@ def young_sum_check(d: int, n: int, m: int, kmax: int, truncation: int | None = 
         raise ValueError("need n + m > d")
     if truncation is None:
         truncation = 6 * kmax + 8
+    # the convolution holds k1 + k2 only for |k_j| <= 2 * truncation
+    if truncation < 0 or 2 * truncation < kmax:
+        raise ValueError(f"truncation must be >= 0 and >= kmax / 2 = {kmax / 2}, got {truncation}")
     ks = [
         k
         for k in _l1_ball(d, kmax)

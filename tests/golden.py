@@ -13,6 +13,9 @@ checked out into a temporary git worktree. Either way the run here must also
 exit with the command's `status` (default 0) and keep its `pin`: a sha256 of
 stdout for exact outputs, or float values at dotted paths of stdout's JSON,
 each within 1e-12 relative (their last bits may differ between numpy builds).
+An `exact` pin is the sha256 of stdout's JSON with every float replaced by
+null and the keys sorted (exact_digest): it holds every exact prefactor,
+coefficient and diagram however the floats move.
 Each difference is reported with its first differing line; the exit status is
 1 if anything differs. When stdout differs and both runs print JSON, a
 `values` line adds what moved: the first exact part that differs (a key, an
@@ -60,6 +63,7 @@ class Command:
     output: str | None = None  # a file under {out} the command writes
     status: int = 0
     pin: str | dict[str, float] | None = None  # sha256 of stdout, or JSON path -> float
+    exact: str | None = None  # exact_digest of stdout
 
 
 def _cli(name: str, *args, **kwargs) -> Command:
@@ -67,10 +71,15 @@ def _cli(name: str, *args, **kwargs) -> Command:
 
 
 MANIFEST = (
-    _cli("phi4 d3 N4", "phi4", "--d", 3, "--N", 4, "--order", 4),
-    _cli("phi4 d3 N8", "phi4", "--d", 3, "--N", 8, "--order", 4),
-    _cli("phi4 d3 N16", "phi4", "--d", 3, "--N", 16, "--order", 4),
-    _cli("phi4 d3.5 N4", "phi4", "--d", 3.5, "--N", 4, "--order", 4),
+    # the exact pins hold the prefactors, diagrams and coefficients of the series
+    _cli("phi4 d3 N4", "phi4", "--d", 3, "--N", 4, "--order", 4,
+         exact="46efcc9709b92745b6840b07808c89ff487afbb09dc92f2f712497e5b3a0b7cb"),
+    _cli("phi4 d3 N8", "phi4", "--d", 3, "--N", 8, "--order", 4,
+         exact="2a936fe48dce24ea4668ca740f5e73626ec883ebc9d2689887db3ee4df110e93"),
+    _cli("phi4 d3 N16", "phi4", "--d", 3, "--N", 16, "--order", 4,
+         exact="7d27166f311786a468441f75b4fda245a78297aa34211807b9e1df18abfa088e"),
+    _cli("phi4 d3.5 N4", "phi4", "--d", 3.5, "--N", 4, "--order", 4,
+         exact="37f47cd9c0385e10f47226fa934a6b47a647b95c561824798385197a1879bed1"),
     _cli("phi4 mc d2", "phi4", "--d", 2, "--N", 4, "--order", 2, "--mc", "--alpha", 0.05,
          "--samples", 200, "--seed", 1),
     # d = 1 reads the rule as the plain grid j/2M
@@ -114,6 +123,23 @@ def run(command: Command, tree: Path, out: Path) -> dict[str, bytes]:
         path = out / command.output
         seen[command.output] = path.read_bytes() if path.exists() else b"<missing>"
     return seen
+
+
+def exact_digest(stdout: bytes) -> str:
+    """sha256 of stdout's JSON with every float replaced by null, keys
+    sorted; raises ValueError if stdout is not JSON."""
+
+    def exact(x):
+        if type(x) is float:
+            return None
+        if type(x) is dict:
+            return {k: exact(v) for k, v in x.items()}
+        if type(x) is list:
+            return [exact(v) for v in x]
+        return x
+
+    text = json.dumps(exact(json.loads(stdout)), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def first_difference(old: bytes, new: bytes) -> str | None:
@@ -194,6 +220,11 @@ def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
             pinned = {"exit status": (str(command.status), new["exit status"].decode())}
             if isinstance(command.pin, str):
                 pinned["sha256"] = (command.pin, hashlib.sha256(new["stdout"]).hexdigest())
+            if command.exact is not None:
+                try:
+                    pinned["exact"] = (command.exact, exact_digest(new["stdout"]))
+                except ValueError:
+                    pinned["exact"] = (command.exact, "<unreadable>")
             for path, want in (command.pin.items() if isinstance(command.pin, dict) else ()):
                 try:
                     got = json.loads(new["stdout"])

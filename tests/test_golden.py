@@ -23,6 +23,9 @@ def test_manifest_adds_the_benchmark_run_and_verify():
     assert "uv-d3 routes" in names and "phi4 d3 N16" in names
     assert [c.name for c in golden.MANIFEST if c.status] == ["phi4 mc overflow"]
     assert [c.name for c in golden.MANIFEST if isinstance(c.pin, dict)] == ["phi4 mc d1", "phi4 mc-d2 seed 1"]
+    assert [c.name for c in golden.MANIFEST if c.exact] == [
+        "phi4 d3 N4", "phi4 d3 N8", "phi4 d3 N16", "phi4 d3.5 N4"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -32,6 +35,21 @@ def test_sha256_pins_hold_in_process(capsys, command):
     assert command.args[:2] == ("-m", "wickworks.cli")
     assert main(list(command.args[2:])) == command.status
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == command.pin
+
+
+@pytest.mark.parametrize("command", [c for c in golden.MANIFEST if c.exact], ids=lambda c: c.name)
+def test_exact_pins_hold_in_process(capsys, command):
+    assert command.args[:2] == ("-m", "wickworks.cli")
+    assert main(list(command.args[2:])) == command.status
+    assert golden.exact_digest(capsys.readouterr().out.encode()) == command.exact
+
+
+def test_exact_digest_drops_floats_and_key_order():
+    digest = golden.exact_digest
+    assert digest(b'{"b": [1, 2], "a": 0.5}') == digest(b'{"a": -0.0, "b": [1, 2]}')
+    assert digest(b'{"a": 1}') != digest(b'{"a": 1.0}')
+    with pytest.raises(ValueError):
+        digest(b"not json")
 
 
 JSON = "print('{\"x\": 0.5}')"
@@ -84,6 +102,22 @@ def test_runner_reports_a_move_as_a_value(moved, values):
     head, stdout, value = line.split("\n")
     assert head == "DIFF  c" and stdout.strip().startswith("stdout line 1: ")
     assert value.strip() == values
+
+
+@pytest.mark.parametrize("moved, kept", [("float", True), ("prefactor", False)])
+def test_exact_pin_holds_through_a_float_move(moved, kept):
+    # the pin is the digest of the unmoved document
+    exact = golden.exact_digest(b'{"prefactor": [1, 2], "value": 0.5}')
+    command = golden.Command("c", ("-c", MOVED, "{out}", moved), exact=exact)
+    (line,) = golden.compare(commands=(command,))
+    assert line.startswith("DIFF  c\n")
+    assert ("pinned exact line 1: " not in line) == kept
+
+
+def test_exact_pin_needs_json():
+    command = golden.Command("c", ("-c", "print('not json')"), exact="0" * 64)
+    (line,) = golden.compare(commands=(command,))
+    assert line.startswith("DIFF  c\n") and line.endswith("-> b'<unreadable>'")
 
 
 @pytest.mark.parametrize(

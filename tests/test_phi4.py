@@ -71,6 +71,55 @@ class TestPartitionSeries:
         assert blob["coefficients"][2]["prefactor"] == [1, 2]
 
 
+_LEGENDRE = np.polynomial.legendre.leggauss(200)
+
+
+def _gauss_legendre(a: float, b: float):
+    """Nodes and weights of the 200-point Gauss-Legendre rule on [a, b]."""
+    x, w = _LEGENDRE
+    return (b - a) / 2 * x + (a + b) / 2, (b - a) / 2 * w
+
+
+_green = np.vectorize(tf.green_exact_1d)
+
+
+def exact_c2_d1() -> float:
+    """The alpha^2 coefficient at d = 1, N = infinity: (1/2) 4! int G^4."""
+    x, w = _gauss_legendre(0.0, 1.0)
+    return 12.0 * float(w @ _green(x) ** 4)
+
+
+def exact_c3_d1() -> float:
+    """The alpha^3 coefficient at d = 1, N = infinity: -(1/6) 1728 int int
+    G(x)^2 G(y)^2 G(x - y)^2, the inner integral split at y = x, where
+    G(x - y) has its kink."""
+    x, w = _gauss_legendre(0.0, 1.0)
+    inner = []
+    for xi in x:
+        parts = [_gauss_legendre(a, b) for a, b in ((0.0, xi), (xi, 1.0))]
+        inner.append(sum(float(wy @ (_green(y) ** 2 * _green(xi - y) ** 2)) for y, wy in parts))
+    return -288.0 * float(w @ (_green(x) ** 2 * np.array(inner)))
+
+
+class TestInfiniteCutoffD1:
+    """At d = 1 the series converges to its N = infinity value as N^-3, with
+    the exact Green function torusfield.green_exact_1d in every line."""
+
+    def test_quadrature_matches_the_oscillator(self):
+        # the second and third Dyson terms of the quartic oscillator on the
+        # circle (ROADMAP item 16), an independent route to the same numbers
+        assert exact_c2_d1() == pytest.approx(15.337657048583749, rel=1e-13)
+        assert exact_c3_d1() == pytest.approx(-339.77474853108197, rel=1e-13)
+
+    @pytest.mark.parametrize("series", [partition_ratio_series, log_partition_series])
+    def test_richardson_limit(self, series):
+        # c1 = 0, so the log series has the same second and third coefficients
+        coarse, fine = series(1, 512, 3), series(1, 1024, 3)
+        for n, want in ((2, exact_c2_d1()), (3, exact_c3_d1())):
+            limit = (8 * fine.coefficient(n).value - coarse.coefficient(n).value) / 7
+            assert limit == pytest.approx(want, rel=1e-11), n
+
+
 class TestDimensionRule:
     @pytest.mark.parametrize("d", [5, 0.5, True])  # True is no dimension
     def test_entry_points_name_d(self, d):

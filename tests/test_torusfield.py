@@ -309,6 +309,14 @@ class TestPairing:
         se = prod.std(ddof=1) / math.sqrt(nsamples)
         assert abs(prod.mean() - target) < 4 * se
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_must_be_positive(self, grid):
+        def refuse(p):
+            raise AssertionError("no point is evaluated")
+
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
+            tf.testfunction_from_values(ModeLattice(1, 2), refuse, grid)
+
     @pytest.mark.parametrize("d, N, grid", [(1, 5, 16), (2, 3, 12)])
     def test_coefficients_match_per_mode_quadrature(self, d, N, grid):
         # the per-mode cosine and sine means synthesis_matrix replaced
@@ -557,6 +565,19 @@ class TestYoung:
                 inv(j, 2) * inv(r, 1.5) for j, r in zip(window, rest) if max(map(abs, r)) <= T
             )
             assert total == pytest.approx(want, rel=1e-12), k
+
+    @pytest.mark.parametrize("truncation", [1, -1])
+    def test_truncation_must_hold_kmax(self, truncation):
+        # the sums hold k1 + k2 only for |k_j| <= 2 * truncation; past that
+        # an index ran off the convolution, or a negative one wrapped
+        message = f"truncation must be >= 0 and >= kmax / 2 = 1.5, got {truncation}"
+        with pytest.raises(ValueError, match=message):
+            young_sum_check(3, 2, 2, 3, truncation=truncation)
+
+    def test_truncation_at_half_kmax_reads_the_edge(self):
+        rows, _ = young_sum_check(3, 2, 2, 2, truncation=1)
+        assert {(-2, 0, 0), (2, 0, 0)} <= {tuple(map(int, k)) for k, _, _ in rows}
+        assert all(total > 0 for _, total, _ in rows)
 
     def test_truncation_stable(self):
         _, sup1 = young_sum_check(3, 2, 2, 2, truncation=16)
