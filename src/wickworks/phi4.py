@@ -18,6 +18,7 @@ exact for the truncated trigonometric polynomial.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +36,6 @@ from .torusfield import (
     _check_samples,
     _mc_blocks,
     amplitude_weights,
-    batch_amplitudes,
     as_point,
     c_variance,
     cosine_sum,
@@ -488,8 +488,11 @@ def wick4_mean(quartic: np.ndarray, points: int, square: np.ndarray, cn: float) 
 
 MC_BLOCK = 2048
 # samples synthesized together: one chunk's rule values (2M^d x 64 floats,
-# about 1.1 MB at d = 2, N = 16) stay in cache through the quartic read
+# about 1.1 MB at d = 2, N = 16) stay in cache through the quartic read, and
+# a chunk's amplitudes are gathered from _MC_SLAB-row tiles of that width
 _MC_CHUNK = 64
+# mode rows drawn and weighted at a time: the tile height
+_MC_SLAB = 16
 
 
 def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) -> None:
@@ -506,6 +509,97 @@ def check_mc_arguments(d: int, N: int, alpha: float, samples: int, seed: int) ->
     _check_samples(samples, seed)
 
 
+class _Draws:
+    """The weighted amplitude blocks of one Monte Carlo run, drawn on a helper
+    thread while the caller synthesizes the block before.
+
+    Block b is the batch_amplitudes draw of child b of SeedSequence(seed),
+    bit for bit, but np.random.default_rng(child) fills it _MC_SLAB mode rows
+    at a time (the same stream), and each weighted slab is cut into
+    (_MC_SLAB, _MC_CHUNK) tiles of one pool. The pool holds one block's
+    tiles plus one slab's, and chunks() frees a chunk's tiles as soon as it
+    has gathered them, so the helper runs at most one slab ahead of the
+    caller and no more than that many draws are ever alive. Entering starts
+    the helper; leaving, on an error too, stops and joins it. An error in the
+    helper is raised by chunks().
+    """
+
+    def __init__(self, weights: np.ndarray, samples: int, seed: int):
+        self._weights = weights
+        self._sizes = [min(MC_BLOCK, samples - lo) for lo in range(0, samples, MC_BLOCK)]
+        self._seeds = np.random.SeedSequence(seed).spawn(len(self._sizes))
+        self._slabs = -(-len(weights) // _MC_SLAB)
+        width = -(-self._sizes[0] // _MC_CHUNK)  # the chunks of a full block
+        tiles = (self._slabs + (len(self._sizes) > 1)) * width
+        self._pool = np.empty((tiles, _MC_SLAB, _MC_CHUNK))
+        self._gathered = np.empty((self._slabs, _MC_SLAB, _MC_CHUNK))
+        self._free = list(range(tiles))
+        self._ready = []  # per drawn block its tile ids (slab, chunk), or the helper's error
+        self._stop = False
+        self._cond = threading.Condition()
+        self._thread = threading.Thread(target=self._draw)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._cond:
+            self._stop = True
+            self._cond.notify_all()
+        self._thread.join()
+
+    def _draw(self):
+        slab = np.empty(_MC_SLAB * self._sizes[0])
+        try:
+            for n, child in zip(self._sizes, self._seeds):
+                # looked up per block, where a tracer counts the blocks
+                rng = np.random.default_rng(child)
+                full = n - n % _MC_CHUNK  # the samples in whole chunks
+                width = -(-n // _MC_CHUNK)
+                ids = np.empty((self._slabs, width), dtype=np.intp)
+                for s in range(self._slabs):
+                    w = self._weights[s * _MC_SLAB : (s + 1) * _MC_SLAB]
+                    z = slab[: len(w) * n].reshape(len(w), n)
+                    rng.standard_normal(out=z)
+                    z *= w[:, None]
+                    with self._cond:
+                        self._cond.wait_for(lambda: self._stop or len(self._free) >= width)
+                        if self._stop:
+                            return
+                        ids[s] = self._free[-width:]
+                        del self._free[-width:]
+                    tiles = z[:, :full].reshape(len(w), full // _MC_CHUNK, _MC_CHUNK)
+                    self._pool[ids[s, : full // _MC_CHUNK], : len(w)] = tiles.transpose(1, 0, 2)
+                    if full < n:  # the partial last chunk
+                        self._pool[ids[s, -1], : len(w), : n - full] = z[:, full:]
+                with self._cond:
+                    self._ready.append(ids)
+                    self._cond.notify_all()
+        except BaseException as exc:  # handed to the caller, which raises it
+            with self._cond:
+                self._ready.append(exc)
+                self._cond.notify_all()
+
+    def chunks(self):
+        """Yield (j, amps) for each chunk of the next block: amps is a
+        contiguous (modes, _MC_CHUNK) view of one buffer, overwritten at the
+        next step, whose columns hold the block's draws from sample j on (in
+        a partial last chunk only the first columns do)."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._ready)
+            ids = self._ready.pop(0)
+        if isinstance(ids, BaseException):
+            raise ids
+        for c in range(ids.shape[1]):
+            # mode="clip" writes out directly; "raise" would gather into a temporary first
+            np.take(self._pool, ids[:, c], axis=0, out=self._gathered, mode="clip")
+            with self._cond:
+                self._free += ids[:, c].tolist()
+                self._cond.notify_all()
+            yield c * _MC_CHUNK, self._gathered.reshape(-1, _MC_CHUNK)[: len(self._weights)]
+
+
 def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     """Monte Carlo of E[exp(-alpha integral :field^4:)] for d in {1, 2}.
 
@@ -518,32 +612,39 @@ def mc_partition_ratio(d: int, N: int, alpha: float, samples: int, seed: int):
     v^2 is the sum of the squared amplitudes.
     Splitting rule: draws proceed in fixed blocks of MC_BLOCK samples whose
     generators are SeedSequence(seed).spawn children in block order, so a
-    given (config, seed) always produces the same stream. One
-    rule_synthesizer takes each block in chunks of _MC_CHUNK samples onto
-    every rule point at once, the plain grid j/2M at d = 1 and a rotated
-    2M x M product grid at d = 2, where both halves share the first axis
-    stage: at N = 16 about 110k multiply-adds per sample, in 18 GEMMs per
-    chunk. torusfield._mc_blocks (samples >= 2) averages each block's
-    exp(-alpha X): memory is the drawn block (only read), one chunk's 2M^d x
-    _MC_CHUNK values and the value vector. Raises ValueError naming alpha when
-    exp(-alpha X) overflows, as it can once 6 alpha C_N^2 > 709.8 (X >= -6 C_N^2).
+    given (config, seed) always produces the same stream, however the work
+    is spread over threads. A helper thread draws block b + 1 (see _Draws)
+    while this one synthesizes block b. One rule_synthesizer takes each
+    block in chunks of _MC_CHUNK samples onto every rule point at once, the
+    plain grid j/2M at d = 1 and a rotated 2M x M product grid at d = 2,
+    where both halves share the first axis stage: at N = 16 about 110k
+    multiply-adds per sample, in 18 GEMMs per chunk. torusfield._mc_blocks
+    (samples >= 2) averages each block's exp(-alpha X). Memory is one
+    block's draws plus one slab of _MC_SLAB modes, one gathered chunk, one
+    chunk's 2M^d x _MC_CHUNK rule values and the value vector. Raises
+    ValueError naming alpha when exp(-alpha X) overflows, as it can once
+    6 alpha C_N^2 > 709.8 (X >= -6 C_N^2).
     """
     check_mc_arguments(d, N, alpha, samples, seed)
     dim, _ = fy._model(d)
-    lat = ModeLattice(dim, N)
     synth = rule_synthesizer(dim, N, lattice_rule_size(4 * N))
-    cn = c_variance(dim, N)
-    weights = amplitude_weights(lat, GFF.exponent)
-    seeds = np.random.SeedSequence(seed).spawn(math.ceil(samples / MC_BLOCK))
+    cn, points = c_variance(dim, N), math.prod(synth.shape)
+    draws = _Draws(amplitude_weights(ModeLattice(dim, N), GFF.exponent), samples, seed)
 
     def fill(lo, out):
-        amps = batch_amplitudes(lat, GFF, len(out), seeds[lo // MC_BLOCK], weights)
-        for j in range(0, len(out), _MC_CHUNK):
-            out[j : j + _MC_CHUNK] = quartic_sum(synth(amps[:, j : j + _MC_CHUNK]))
-        x = wick4_mean(out, math.prod(synth.shape), np.einsum("ij,ij->j", amps, amps), cn)
+        square = np.empty(len(out))
+        for j, amps in draws.chunks():
+            w = min(_MC_CHUNK, len(out) - j)
+            # the bits of the whole block's draw: einsum sums a lone contiguous
+            # column (a one-sample block) in another order than a column of a
+            # wider array
+            chunk = amps[:, :w] if len(out) > 1 else np.ascontiguousarray(amps[:, :1])
+            square[j : j + w] = np.einsum("ij,ij->j", chunk, chunk)
+            out[j : j + w] = quartic_sum(synth(chunk))
+        x = wick4_mean(out, points, square, cn)
         np.exp(-alpha * x, out=out)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with draws, np.errstate(over="ignore", invalid="ignore"):
         est, stderr = _mc_blocks(samples, MC_BLOCK, fill)
     if not (math.isfinite(est) and math.isfinite(stderr)):
         raise ValueError(f"alpha = {alpha} overflows exp(-alpha X) at d = {d}, N = {N}")

@@ -846,17 +846,14 @@ def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:
 
 
 def batch_amplitudes(
-    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed, weights=None
+    lattice: ModeLattice, profile: SpectralProfile, nsamples: int, seed
 ) -> np.ndarray:
     """Weighted amplitudes for nsamples fields, shape (nmodes, nsamples).
 
     Column j is an independent field; the draw order is the fixed label order,
     so results are deterministic under the seed (an int or a SeedSequence).
-    A caller drawing many blocks of one lattice passes weights, the
-    amplitude_weights(lattice, profile.exponent) it built once.
     """
-    if weights is None:
-        weights = amplitude_weights(lattice, profile.exponent)
+    weights = amplitude_weights(lattice, profile.exponent)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((len(weights), nsamples))
     z *= weights[:, None]  # in place: the draws are not needed again

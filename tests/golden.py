@@ -90,6 +90,10 @@ MANIFEST = (
     _cli("phi4 mc-d2 seed 1", "phi4", "--d", 2, "--N", 16, "--order", 3, "--mc", "--alpha", 0.005,
          "--samples", 32768, "--seed", 1,
          pin={"mc.estimate": 1.0004820919299524, "mc.stderr": 0.00011411007074848279}),
+    # a partial last block of 65 samples: one whole chunk and a one-column chunk
+    _cli("phi4 mc partial block", "phi4", "--d", 2, "--N", 4, "--order", 2, "--mc", "--alpha", 0.05,
+         "--samples", 4161, "--seed", 5,
+         pin={"mc.estimate": 1.0160700382511876, "mc.stderr": 0.002679712048784807}),
     # exp(-alpha X) leaves the float range at this alpha: an error, not Infinity
     _cli("phi4 mc overflow", "phi4", "--d", 1, "--N", 8, "--order", 2, "--mc", "--alpha", 100,
          "--samples", 2000, "--seed", 1, status=2),

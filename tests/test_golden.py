@@ -22,7 +22,9 @@ def test_manifest_adds_the_benchmark_run_and_verify():
     assert sum(a.startswith("-c ") for a in args) == 4  # the two-point reruns and uv-d3
     assert "uv-d3 routes" in names and "phi4 d3 N16" in names
     assert [c.name for c in golden.MANIFEST if c.status] == ["phi4 mc overflow"]
-    assert [c.name for c in golden.MANIFEST if isinstance(c.pin, dict)] == ["phi4 mc d1", "phi4 mc-d2 seed 1"]
+    assert [c.name for c in golden.MANIFEST if isinstance(c.pin, dict)] == [
+        "phi4 mc d1", "phi4 mc-d2 seed 1", "phi4 mc partial block"
+    ]
     assert [c.name for c in golden.MANIFEST if c.exact] == [
         "phi4 d3 N4", "phi4 d3 N8", "phi4 d3 N16", "phi4 d3.5 N4"
     ]

@@ -1,6 +1,11 @@
 import math
 import re
+import sys
+import threading
+import tracemalloc
+import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +35,7 @@ from wickworks.phi4 import (
 from wickworks.torusfield import ModeLattice, c_variance, green_truncated
 
 import exact_reference as ref
+import mc_reference
 
 
 class TestPartitionSeries:
@@ -750,11 +756,144 @@ class TestMC:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * cn * cn)
 
     def test_drawn_block_is_only_read(self, monkeypatch):
-        def read_only(*args):
-            block = tf.batch_amplitudes(*args)
-            block.setflags(write=False)
-            return block
+        # every chunk reaches the synthesizer holding its block's draws, read-only
+        samples, seed = phi4.MC_BLOCK + 10, 5
+        lat = ModeLattice(2, 4)
+        children = np.random.SeedSequence(seed).spawn(2)
+        draws = np.hstack([tf.batch_amplitudes(lat, tf.GFF, n, ss)
+                           for n, ss in zip((phi4.MC_BLOCK, 10), children)])
+        seen = []
 
-        want = mc_partition_ratio(2, 4, 0.05, samples=phi4.MC_BLOCK + 10, seed=5)
-        monkeypatch.setattr(phi4, "batch_amplitudes", read_only)
-        assert mc_partition_ratio(2, 4, 0.05, samples=phi4.MC_BLOCK + 10, seed=5) == want
+        def read_only(*key):
+            synth = tf.rule_synthesizer(*key)
+
+            def call(amps):
+                seen.append(amps.copy())
+                amps.setflags(write=False)
+                try:
+                    return synth(amps)
+                finally:
+                    amps.setflags(write=True)
+
+            call.shape = synth.shape
+            return call
+
+        want = mc_partition_ratio(2, 4, 0.05, samples, seed)
+        monkeypatch.setattr(phi4, "rule_synthesizer", read_only)
+        assert mc_partition_ratio(2, 4, 0.05, samples, seed) == want
+        assert np.array_equal(np.hstack(seen), draws)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [1, 4, 16])
+    @pytest.mark.parametrize(
+        "samples",
+        [2, 63, 64, 65] + [phi4.MC_BLOCK + k for k in (-1, 1, 10)] + [3 * phi4.MC_BLOCK + 65],
+    )
+    def test_matches_serial_loop_to_the_bit(self, d, N, samples, monkeypatch):
+        # partial last blocks and chunks, a lone last column and a one-sample
+        # block, compared per sample as well as in the estimate
+        def recorded(module):
+            values = []
+
+            def blocks(samples, block, fill):
+                def keep(lo, out):
+                    fill(lo, out)
+                    values.append(out.copy())
+
+                return tf._mc_blocks(samples, block, keep)
+
+            monkeypatch.setattr(module, "_mc_blocks", blocks)
+            got = module.mc_partition_ratio(d, N, 0.05, samples, 3)
+            return [x.hex() for x in got], np.concatenate(values)
+
+        (got, got_values), (want, want_values) = recorded(phi4), recorded(mc_reference)
+        assert got == want
+        assert np.array_equal(got_values, want_values)
+
+    def test_draws_one_block_and_one_slab_at_a_time(self):
+        args = (2, 16, 0.005, 4 * phi4.MC_BLOCK, 1)
+        mc_partition_ratio(*args)  # the synthesizer and the lattice tables are cached
+        tracemalloc.start()
+        try:
+            mc_partition_ratio(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 545 * phi4.MC_BLOCK * 8  # the modes at d = 2, N = 16
+        slab = phi4._MC_SLAB * phi4.MC_BLOCK * 8
+        rule_values = 2 * 33 * 33 * phi4._MC_CHUNK * 8
+        # 2 MiB of slack: the pool's padded last slab, the slab being drawn,
+        # the gathered chunk, the synthesizer's stages and the value vectors
+        # (1.85 MB with 16-row slabs)
+        assert peak < block + slab + rule_values + 2 * 2**20
+        assert peak < 1.5 * block  # a second whole block would not fit
+
+    @staticmethod
+    def raises_and_joins(error, match, *args):
+        before = threading.active_count()
+        with pytest.raises(error, match=match):
+            mc_partition_ratio(*args)
+        assert threading.active_count() == before  # the helper thread is joined
+
+    def test_a_draw_error_reaches_the_caller(self, monkeypatch):
+        real, calls = np.random.default_rng, []
+
+        def broken(out):
+            raise RuntimeError("third block")
+
+        def failing(seed):
+            calls.append(seed)
+            return types.SimpleNamespace(standard_normal=broken) if len(calls) == 3 else real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", failing)
+        self.raises_and_joins(RuntimeError, "third block", 2, 8, 0.05, 4 * phi4.MC_BLOCK, 1)
+        assert len(calls) == 3
+
+    def test_a_synthesis_error_stops_the_draws(self, monkeypatch):
+        def failing(*key):
+            synth, calls = tf.rule_synthesizer(*key), []
+
+            def call(amps):
+                calls.append(1)
+                if len(calls) == 40:  # in the second block, with the third being drawn
+                    raise RuntimeError("chunk 40")
+                return synth(amps)
+
+            call.shape = synth.shape
+            return call
+
+        monkeypatch.setattr(phi4, "rule_synthesizer", failing)
+        self.raises_and_joins(RuntimeError, "chunk 40", 2, 8, 0.05, 4 * phi4.MC_BLOCK, 1)
+
+    def test_an_overflow_stops_the_draws(self):
+        self.raises_and_joins(ValueError, "alpha", 1, 8, 100.0, 2000, 1)  # test_overflow_names_alpha's
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # more threads than cores, switching often: a lost update to a tile
+        # pool would hand one tile out twice and move the bits
+        args = (2, 4, 0.05, 3 * phi4.MC_BLOCK + 65, 1)
+        want = mc_reference.mc_partition_ratio(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda _: mc_partition_ratio(*args), range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+    def test_one_generator_per_block_before_the_call_returns(self, monkeypatch):
+        # perfbench's layer trace counts MC blocks by these calls
+        real, calls, returned = np.random.default_rng, [], []
+
+        def counting(seed):
+            calls.append(bool(returned))
+            return real(seed)
+
+        samples = 3 * phi4.MC_BLOCK + 65
+        before = threading.active_count()
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        mc_partition_ratio(2, 4, 0.05, samples, 1)
+        returned.append(True)
+        assert threading.active_count() == before
+        assert calls == [False] * math.ceil(samples / phi4.MC_BLOCK)

@@ -115,13 +115,6 @@ class TestWeightTables:
             want = [float(lat.lam(k)) ** (-profile.exponent) for k, _ in tf.mode_labels(lat)]
             assert tf.amplitude_weights(lat, profile.exponent).tolist() == want
 
-    def test_passed_weights_give_the_same_draws(self):
-        lat = ModeLattice(2, 4)
-        weights = tf.amplitude_weights(lat, GFF.exponent)
-        a = tf.batch_amplitudes(lat, GFF, 5, seed=7)
-        b = tf.batch_amplitudes(lat, GFF, 5, seed=7, weights=weights)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("d, N", [(1, 0), (1, 40), (1, 128), (2, 12), (2, 16), (3, 6)])
     def test_c_variance_matches_per_mode_fsum(self, d, N):
         lat = ModeLattice(d, N)
