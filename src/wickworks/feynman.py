@@ -56,7 +56,9 @@ from math import factorial
 import numpy as np
 
 from .torusfield import (
+    Ball,
     ModeLattice,
+    _ball_dot,
     _check_lattice,
     _check_samples,
     _crop,
@@ -66,6 +68,7 @@ from .torusfield import (
     _slab_dot,
     _smooth_len,
     _symmetric,
+    _unpack,
     as_point,
     constant_term,
     convolution_window,
@@ -828,6 +831,18 @@ class _Weight:
     transformed once per radius however many readers it has; a series node
     read only through a centre's slabs keeps none. The nodes, and with
     them these caches, die with the valuation.
+
+    A node keeps a whole read packed on its l1 ball, a torusfield.Ball,
+    where it is exactly zero (_packs): a bundle's window(radius), written so
+    by convolution_window, and a series product of two packed parts, the
+    product of their entries. Every other window is kept as its box. The
+    centre reads unpack: slab gives a dense slab, and when both strands are
+    packed, torusfield._ball_dot multiplies their entries (_entries) and
+    unpacks only the product. convolution_window and _grid_values read a
+    Ball as they read a cube. window(r) unpacks a packed window into a box
+    that is not kept, so a reader that needs a box (the K4 core's _box
+    reads and symmetry check, _external_bundle) holds it for its own
+    lifetime only.
     """
 
     __slots__ = ("cube", "radius", "move", "parts", "ndim", "_windows")
@@ -859,46 +874,76 @@ class _Weight:
         return nodes[key]
 
     def window(self, r: int) -> np.ndarray:
-        """The weight on the centered box of radius r <= self.radius.
+        """The weight on the centered box of radius r <= self.radius; a
+        packed window is unpacked into a box the node does not keep.
 
         A bundle read at r needs strand i only up to min(r_i, r + sum of the
         other strands' radii): larger momenta on it cannot come back into
         the box.
         """
-        if r not in self._windows:
-            self._windows[r] = self._compute_window(r)
-        return self._windows[r]
+        kept = self._kept(r)
+        return kept.box() if isinstance(kept, Ball) else kept
 
     def slab(self, r: int, i: int) -> np.ndarray:
         """Slab i along the first axis of window(r). A series node that holds
         no window of radius r multiplies its parts' slabs, the product window
-        takes, so its box is never built."""
+        takes, so its box is never built; a packed one multiplies their ball
+        entries and unpacks the product."""
+        if self._packs(r):
+            return _unpack(self._entries(r, i, i + 1), self.ndim, r, i, i + 1)[0]
         if self.move != "series" or r in self._windows:
-            return self.window(r)[i]
+            return self._kept(r)[i]
         a, b = self.parts
         return a.slab(r, i) * b.slab(r, i)
 
-    def _compute_window(self, r: int) -> np.ndarray:
+    def _packs(self, r: int) -> bool:
+        """Whether window(r) is kept as a Ball: a bundle's whole read, or a
+        series product of two parts that both pack r."""
+        if self.move == "bundle":
+            return r == self.radius > 0
+        return self.move == "series" and all(w._packs(r) for w in self.parts)
+
+    def _entries(self, r: int, lo: int, hi: int) -> np.ndarray:
+        """The ball entries of slabs lo..hi - 1 of a window(r) that is
+        packed (Ball.entries)."""
+        if self.move == "series" and r not in self._windows:
+            a, b = self.parts
+            return a._entries(r, lo, hi) * b._entries(r, lo, hi)
+        return self._kept(r).entries(lo, hi)
+
+    def _kept(self, r: int):
+        """window(r) as the node keeps it, computed on first use."""
+        if r not in self._windows:
+            self._windows[r] = self._compute_window(r)
+        return self._windows[r]
+
+    def _compute_window(self, r: int):
         if self.move is None:
             return _crop(self.cube, self.radius, r)
         if self.move == "series":
             # a pointwise product reads its parts on the same box, so a bundle
             # under a series node transforms only on the grid that box needs
             a, b = self.parts
+            if self._packs(r):
+                return Ball(a._kept(r).values * b._kept(r).values, self.ndim, r)
             return a.window(r) * b.window(r)
         total = self.radius
         radii = [min(w.radius, r + total - w.radius) for w in self.parts]
         if r == 0 and len(self.parts) == 2:
             # both strands are read at the smaller radius, a slab at a time
             (ri, _), (a, b) = radii, self.parts
-            return np.full((1,) * self.ndim, _slab_dot(a.slab, b.slab, ri))
-        strands = [w.window(ri) for w, ri in zip(self.parts, radii)]
+            if a._packs(ri) and b._packs(ri):
+                value = _ball_dot(a._entries, b._entries, self.ndim, ri)
+            else:
+                value = _slab_dot(a.slab, b.slab, ri)
+            return np.full((1,) * self.ndim, value)
+        strands = [w._kept(ri) for w, ri in zip(self.parts, radii)]
         if r == 0:
-            return np.full((1,) * strands[0].ndim, constant_term(*strands))
-        return convolution_window(*strands, radius=r)
+            return np.full((1,) * self.ndim, constant_term(*strands))
+        return convolution_window(*strands, radius=r, packed=self._packs(r))
 
     def center(self) -> float:
-        return self.window(0).item()
+        return self._kept(0).item()
 
 
 @lru_cache(maxsize=None)
@@ -1010,10 +1055,19 @@ def _valuate_k4(lines: dict) -> float:
     )
     R_ab, R_ac, R_ad = (w.radius for w in (ab, ac, ad))
     r = min(R_ac + R_ad, cd.radius)
-    F_ab, F_ac, F_ad, F_bc, F_bd = (w.window(w.radius) for w in (ab, ac, ad, bc, bd))
-    F_cd = cd.window(r)
-    # each distinct window once: a shared node's window is one array
-    for cube in {id(x): x for x in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd)}.values():
+    # each distinct read once, as a box held for the core's lifetime: a
+    # shared node's window is one array
+    boxes: dict = {}
+    for w, rw in ((ab, R_ab), (ac, R_ac), (ad, R_ad), (bc, bc.radius), (bd, bd.radius), (cd, r)):
+        if (w, rw) not in boxes:
+            boxes[w, rw] = w.window(rw)
+    F_ab, F_ac, F_ad, F_bc, F_bd = (boxes[w, w.radius] for w in (ab, ac, ad, bc, bd))
+    F_cd = boxes[cd, r]
+    for w in (ab, ac, ad, bc, bd, cd):
+        # the core is its lines' last reader: no packed window is held beside
+        # the box read from it
+        w._windows.clear()
+    for cube in {id(x): x for x in boxes.values()}.values():
         _check_hyperoctahedral(cube)
     if ad is not bc or ac is not bd:
         raise ValuationBudgetError(

@@ -38,7 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from math import cosh, sinh, sqrt
 
 import numpy as np
@@ -360,7 +360,7 @@ def lattice_rule_size(deg: int) -> int:
     return deg // 2 + 1
 
 
-def constant_term(*cubes: np.ndarray) -> float:
+def constant_term(*cubes) -> float:
     """sum over k_1 + ... + k_n = 0 of prod_i cube_i(k_i), for centered
     odd-sided cubes, each supported on the l1 ball of its radius.
 
@@ -371,7 +371,7 @@ def constant_term(*cubes: np.ndarray) -> float:
     cubes must each be even under k -> -k, as every reducer weight is:
     their constant term is convolution_window at radius 0, the mean of the
     product over the two grids of lattice_rule_size, sized by the sum of
-    the radii, with no inverse transform.
+    the radii, with no inverse transform; any of them may be a Ball.
     """
     if len(cubes) == 2:
         r = min(c.shape[0] // 2 for c in cubes)
@@ -395,10 +395,84 @@ def _slab_dot(slab_a, slab_b, r: int) -> float:
     )
 
 
-def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
+def _ball_dot(entries_a, entries_b, dim: int, r: int) -> float:
+    """_slab_dot of two dim-dimensional strands that are zero off their l1
+    balls of radius r, given as entries_a(r, lo, hi) and entries_b(r, lo,
+    hi), the ball entries of slabs lo..hi - 1 (Ball.entries' layout).
+
+    A block of slabs i = lo..hi - 1 meets the slabs 2r - i, which hold the
+    same balls, and their entries reversed as one run are each of those
+    slabs reversed, in the block's order. So each block is multiplied on
+    the balls only and unpacked into one zero block (_unpack), and each of
+    its slabs is summed as _slab_dot sums a slab of a times slab 2r - i of
+    b reversed: the same products, the same zeros, the same bits.
+    """
+    sums = []
+    for rows in _slab_blocks((2 * r + 1,) * dim, 8, _FOLD_BYTES):
+        lo, hi, _ = rows.indices(2 * r + 1)
+        product = entries_a(r, lo, hi) * entries_b(r, 2 * r + 1 - hi, 2 * r + 1 - lo)[::-1]
+        sums += _unpack(product, dim, r, lo, hi).reshape(hi - lo, -1).sum(axis=1).tolist()
+    return math.fsum(sums)
+
+
+class Ball:
+    """A centered cube of radius r kept as its entries on the l1 ball
+    |k|_1 <= r only, about a sixth of the box at d = 3: first-axis slab by
+    slab, each slab's entries in C order, which is the box's C order.
+
+    Slab i (first momentum i - r) holds the (d-1)-dimensional ball of radius
+    r - |i - r| (_ball_starts); entries(lo, hi) is a view of the entries of
+    slabs lo..hi - 1, and box(rows) gives the dense slabs rows (all by
+    default), zero off the ball. The ball is symmetric, and reversed C
+    order is the C order of -k, so the entries reversed are the cube at -k.
+    ndim and shape are those of the box, so the readers of cubes take a
+    Ball where they read only its radius. convolution_window(...,
+    packed=True) writes one, and it and _grid_values read one as a cube.
+    """
+
+    __slots__ = ("values", "ndim", "radius")
+
+    def __init__(self, values: np.ndarray, ndim: int, radius: int):
+        self.values = values
+        self.ndim = ndim
+        self.radius = radius
+
+    @property
+    def shape(self) -> tuple:
+        return (2 * self.radius + 1,) * self.ndim
+
+    def entries(self, lo: int, hi: int) -> np.ndarray:
+        starts = _ball_starts(self.ndim, self.radius)
+        return self.values[starts[lo] : starts[hi]]
+
+    def box(self, rows: slice = slice(None)) -> np.ndarray:
+        lo, hi, _ = rows.indices(2 * self.radius + 1)
+        return _unpack(self.entries(lo, hi), self.ndim, self.radius, lo, hi)
+
+
+@lru_cache(maxsize=None)
+def _ball_starts(dim: int, radius: int) -> tuple:
+    """Where each first-axis slab's entries start in a Ball, and the total:
+    slab i holds the sum over j of 2^j C(dim - 1, j) C(rho, j) points,
+    rho = radius - |i - radius| (j of the dim - 1 coordinates nonzero)."""
+    rhos = (radius - abs(i - radius) for i in range(2 * radius + 1))
+    counts = (sum(2**j * math.comb(dim - 1, j) * math.comb(rho, j) for j in range(dim)) for rho in rhos)
+    return tuple(accumulate(counts, initial=0))
+
+
+def _unpack(entries: np.ndarray, dim: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """Slabs lo..hi - 1 of a dim-dimensional cube of radius r that holds
+    entries on its l1 ball (Ball.entries' layout) and zeros off it."""
+    out = np.zeros((hi - lo,) + (2 * r + 1,) * (dim - 1))
+    out[_l1_within(dim, r, r, slice(lo, hi))] = entries
+    return out
+
+
+def convolution_window(*cubes, radius: int, packed: bool = False):
     """The central box of radius r of the linear convolution W of centered
     odd-sided cubes, each even under k -> -k and supported on the l1 ball of
     its radius (the roundoff FFT-built cubes carry off it is masked away).
+    Any cube may be a Ball.
 
     The box is read off the cubes' trigonometric polynomials on the two
     grids j/M and (j + 1/2)/M. By the rank-2 lattice rule (see
@@ -418,12 +492,19 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
     (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ, which
     _grid_window separates and untwists in the transform's own buffer before
     it copies out the box. Of the box's size only the box itself is built.
-    Raises ValueError for a cube that is not even to roundoff.
+
+    packed=True asks for a whole read, r = S, and returns it as a Ball:
+    _grid_ball writes the ball's entries from the separated transform one
+    first-axis slab at a time, with the combines of _grid_window, and the
+    box is never built. Raises ValueError for a cube that is not even to
+    roundoff, and for packed=True with r < S.
     """
     dim = cubes[0].ndim
     S = sum(c.shape[0] // 2 for c in cubes)
     if not 0 <= radius <= S:
         raise ValueError(f"a window of radius {radius} needs cubes whose radii sum to at least it")
+    if packed and radius != S:
+        raise ValueError(f"a packed window is a whole read: radius {radius}, radii summing to {S}")
     M = _smooth_len(lattice_rule_size(S + min(dim * radius, S)))
     mults = Counter(id(c) for c in cubes)
     acc = None
@@ -440,17 +521,24 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
             np.multiply(acc.imag, grids.imag, out=acc.imag)
         del grids  # free it before the next transform allocates
     if radius == 0:
-        return np.full((1,) * dim, (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim))
-    return _grid_window(np.fft.ifftn(acc, out=acc), radius, S)
+        value = (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim)
+        return Ball(np.full(1, value), dim, 0) if packed else np.full((1,) * dim, value)
+    Y = np.fft.ifftn(acc, out=acc)
+    return _grid_ball(Y, radius) if packed else _grid_window(Y, radius, S)
 
 
 _SCRATCH_BYTES = 1 << 16  # per block of slabs: small scratch, few numpy calls
 
 
-def _slab_blocks(shape: tuple, itemsize: int) -> list[slice]:
+_FOLD_BYTES = 1 << 18  # per block of slabs _grid_values folds and _grid_ball packs
+
+
+def _slab_blocks(shape: tuple, itemsize: int, budget: int | None = None) -> list[slice]:
     """Runs of consecutive first-axis slabs of an array of the given shape,
-    each as many slabs as fit in _SCRATCH_BYTES of items (one at least)."""
-    step = max(1, _SCRATCH_BYTES // (itemsize * math.prod(shape[1:])))
+    each as many slabs as fit in budget (_SCRATCH_BYTES by default) bytes
+    of items, one at least."""
+    budget = _SCRATCH_BYTES if budget is None else budget
+    step = max(1, budget // (itemsize * math.prod(shape[1:])))
     return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
 
 
@@ -470,27 +558,35 @@ def _symmetric(cube: np.ndarray, *images) -> bool:
     return True
 
 
-def _check_even(cube: np.ndarray) -> None:
-    """Raise ValueError unless cube(-k) = cube(k) to roundoff."""
-    if not _symmetric(cube, np.flip(cube)):
+def _check_even(cube) -> None:
+    """Raise ValueError unless cube(-k) = cube(k) to roundoff; a Ball's
+    entries reversed are the cube at -k."""
+    values = cube.values if isinstance(cube, Ball) else cube
+    if not _symmetric(values, np.flip(values)):
         raise ValueError(
             f"a cube of shape {cube.shape} is not even under k -> -k; the two-grid "
             "lattice rule reads only even cubes"
         )
 
 
-def _fold(block: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """Add a block whose index i holds momentum lo + i on every axis onto
-    the length-M grids out[0] and out[1] at index (lo + i) mod M: out[0]
-    sums the aliases, and out[1] gives each the sign (-1)^(n_1 + ... + n_d),
-    n = floor((lo + i) / M) per axis, as the half-cell factor
-    exp(-pi i (lo + i)/M) flips sign from one alias to the next."""
-    M, hi = out.shape[-1], lo + block.shape[0] - 1
-    runs = []  # per alias n on one axis: block slice, grid slice, n mod 2
-    for n in range(lo // M, hi // M + 1):
-        a, b = max(lo, n * M), min(hi, n * M + M - 1)
-        runs.append((slice(a - lo, b - lo + 1), slice(a - n * M, b - n * M + 1), n % 2))
-    for parts in product(runs, repeat=block.ndim):
+def _fold(block: np.ndarray, lo, out) -> None:
+    """Add a block whose index i holds momentum lo + i on every axis (or
+    lo[a] + i on axis a, for a sequence lo) onto the length-M grids out[0]
+    and out[1] at index (lo + i) mod M: out[0] sums the aliases, and out[1]
+    gives each the sign (-1)^(n_1 + ... + n_d), n = floor((lo + i) / M) per
+    axis, as the half-cell factor exp(-pi i (lo + i)/M) flips sign from one
+    alias to the next. Each output entry takes its aliases in lexicographic
+    order of n."""
+    M = out[0].shape[-1]
+    los = lo if isinstance(lo, (list, tuple)) else [lo] * block.ndim
+    axes = []  # per axis, per alias n: block slice, grid slice, n mod 2
+    for start, size in zip(los, block.shape):
+        hi, runs = start + size - 1, []
+        for n in range(start // M, hi // M + 1):
+            a, b = max(start, n * M), min(hi, n * M + M - 1)
+            runs.append((slice(a - start, b - start + 1), slice(a - n * M, b - n * M + 1), n % 2))
+        axes.append(runs)
+    for parts in product(*axes):
         src = tuple(s for s, _, _ in parts)
         dst = tuple(t for _, t, _ in parts)
         out[0][dst] += block[src]
@@ -500,27 +596,41 @@ def _fold(block: np.ndarray, lo: int, out: np.ndarray) -> None:
             out[1][dst] += block[src]
 
 
-def _grid_values(cube: np.ndarray, M: int) -> np.ndarray:
+def _grid_values(cube, M: int) -> np.ndarray:
     """The polynomial of an even cube, masked to its l1 ball, on both grids:
     u + iv with u(j) = sum_k c(k) exp(-2 pi i k.j/M) and v(j) the same at
-    j + 1/2, both real since c is even.
+    j + 1/2, both real since c is even. The cube may be a Ball.
 
     One FFT of fold(c) + i fold(c tau), tau(k) = exp(-pi i (k_1 + ... +
     k_d)/M) taken at the true momentum, gives u + iv: fold puts momentum k at
     index k mod M, where tau(k) is tau(k mod M) times (-1)^(n_1 + ... + n_d),
     n = floor(k / M). So the half-cell fold alternates the signs of the
     aliases and takes the factor tau one axis at a time.
+
+    The cube is folded a block of first-axis slabs at a time
+    (_slab_blocks), masked (or a Ball unpacked) per block: the half-cell
+    fold straight into the real part of the transform's buffer and the plain
+    fold into one real grid, added after the twist. Blocks come in order of
+    their first momentum, so each grid entry takes its aliases in the
+    lexicographic order of a fold of the whole masked cube, to the bit.
     """
     dim, R = cube.ndim, cube.shape[0] // 2
-    folds = np.zeros((2,) + (M,) * dim)
-    _fold(cube * _l1_mask(dim, R), -R, folds)
+    out = np.zeros((M,) * dim, complex)
+    plain = np.zeros((M,) * dim)
+    for rows in _slab_blocks(cube.shape, 8, _FOLD_BYTES):
+        if isinstance(cube, Ball):
+            block = cube.box(rows)
+        else:
+            block = cube[rows] * _l1_mask(dim, R)[rows]
+        _fold(block, [rows.start - R] + [-R] * (dim - 1), (plain, out.real))
+        del block
     # i fold(c tau): the factor i rides on the first axis's half-cell factor
     half = _half_cell(M)
-    out = np.multiply(folds[1], (1j * half).reshape((M,) + (1,) * (dim - 1)))
+    out *= (1j * half).reshape((M,) + (1,) * (dim - 1))
     for axis in range(1, dim):
         out *= half.reshape((M,) + (1,) * (dim - 1 - axis))
-    out.real += folds[0]
-    del folds
+    out.real += plain
+    del plain
     return np.fft.fftn(out, out=out)
 
 
@@ -530,26 +640,65 @@ def _grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
 
     With A = ifftn(P) and B = ifftn(Q), the box value at k is
     (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. _separate
-    leaves (2A, Im conj tau 2iB) / 4 in Y's real and imaginary parts. Per
-    axis, momenta 0..r sit at indices 0..r and -r..-1 at M - r..M - 1
-    (r < M), where conj tau flips sign, so the box is 2^d slice copies of
-    Y.real +- Y.imag. Box entries with |k|_1 > S are then set to 0, a block
-    of slabs at a time (_slab_blocks).
+    leaves (2A, Im conj tau 2iB) / 4 in Y's real and imaginary parts, and
+    _untwisted copies them out as 2^d slice combines of Y.real +- Y.imag.
+    Box entries with |k|_1 > S are then set to 0, a block of slabs at a time
+    (_slab_blocks).
     """
     _separate(Y)
     dim, M = Y.ndim, Y.shape[0]
     box = np.empty((2 * r + 1,) * dim)
-    halves = [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
-    for parts in product(halves, repeat=dim):
-        dst = tuple(t for t, _, _ in parts)
-        src = tuple(s for _, s, _ in parts)
-        combine = np.subtract if sum(neg for _, _, neg in parts) % 2 else np.add
-        combine(Y.real[src], Y.imag[src], out=box[dst])
+    _untwisted(Y, [_halves(r, M)] * dim, box)
     if dim * r > S:
         for rows in _slab_blocks(box.shape, 1):  # one byte per entry of the mask
             inside = _l1_within(dim, r, S, rows)
             box[rows][np.logical_not(inside, out=inside)] = 0.0
     return box
+
+
+def _grid_ball(Y: np.ndarray, r: int) -> Ball:
+    """The whole read of radius r from Y (overwritten; see _grid_window) as
+    a Ball, the entries _grid_window keeps at S = r: the combines of
+    _grid_window fill a block of first-axis slabs at a time (_slab_blocks)
+    in scratch of one block's size, and the block's entries on the ball,
+    in C order, are taken from it."""
+    _separate(Y)
+    dim, M = Y.ndim, Y.shape[0]
+    starts = _ball_starts(dim, r)
+    ball = Ball(np.empty(starts[-1]), dim, r)
+    blocks = _slab_blocks(ball.shape, 8, _FOLD_BYTES)
+    scratch = np.empty((min(blocks[0].stop, 2 * r + 1),) + ball.shape[1:])
+    halves = _halves(r, M)
+    for rows in blocks:
+        lo, hi, _ = rows.indices(2 * r + 1)
+        first = []  # the first axis's halves cut to the block's slabs
+        for t, s, flip in halves:
+            a, b = max(t.start, lo), min(t.stop, hi)
+            if a < b:
+                shift = s.start - t.start
+                first.append((slice(a - lo, b - lo), slice(a + shift, b + shift), flip))
+        _untwisted(Y, [first] + [halves] * (dim - 1), scratch)
+        inside = _l1_within(dim, r, r, slice(lo, hi))
+        ball.values[starts[lo] : starts[hi]] = scratch[: hi - lo][inside]
+    return ball
+
+
+def _halves(r: int, M: int) -> list:
+    """Per axis of a box of radius r read from a length-M grid (r < M), its
+    momenta 0..r at grid indices 0..r and -r..-1 at M - r..M - 1, as (box
+    slice, grid slice, whether conj tau flips sign)."""
+    return [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
+
+
+def _untwisted(Y: np.ndarray, axes, out: np.ndarray) -> None:
+    """Write Y.real +- Y.imag, separated (_separate), into out: axes gives
+    per axis its (out slice, grid slice, flip) parts, and each combination
+    of parts is one slice combine, + when an even number of its parts flip."""
+    for parts in product(*axes):
+        dst = tuple(t for t, _, _ in parts)
+        src = tuple(s for _, s, _ in parts)
+        combine = np.subtract if sum(flip for _, _, flip in parts) % 2 else np.add
+        combine(Y.real[src], Y.imag[src], out=out[dst])
 
 
 def _separate(Y: np.ndarray) -> None:

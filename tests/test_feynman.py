@@ -39,6 +39,7 @@ from wickworks.feynman import (
 from wickworks.pairings import enumerate_matchings
 
 import canonical_reference as canon
+import dense_reference as dense_ref
 import hopf_reference as ref
 import k4_reference as k4_ref
 import reduction_reference as red
@@ -1504,15 +1505,16 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
 
 @pytest.fixture
 def full_length(monkeypatch):
-    """Reference valuation: every node computed whole and every convolution
-    run on its full linear length, then cut to the window the reader asked
-    for."""
-    window = fy._Weight.window
+    """Reference valuation: every node computed whole and kept as a box, and
+    every convolution run on its full linear length, then cut to the window
+    the reader asked for."""
+    kept = fy._Weight._kept
 
     def whole(self, r):
-        return fy._crop(window(self, self.radius), self.radius, r)
+        return fy._crop(kept(self, self.radius), self.radius, r)
 
-    def full(*cubes, radius):
+    def full(*cubes, radius, packed=False):
+        assert not packed  # no node packs a window here
         out = convolve_cubes(*cubes)
         half = out.shape[0] // 2
         return out[(slice(half - radius, half + radius + 1),) * out.ndim]
@@ -1522,7 +1524,8 @@ def full_length(monkeypatch):
         fy._valuate_cached.cache_clear()
         try:
             with monkeypatch.context() as m:
-                m.setattr(fy._Weight, "window", whole)
+                m.setattr(fy._Weight, "_kept", whole)
+                m.setattr(fy._Weight, "_packs", lambda self, r: False)
                 m.setattr(fy, "convolution_window", full)
                 return fn(g, d, N)
         finally:
@@ -1576,9 +1579,9 @@ class TestWindowedTransforms:
         windows, lengths = [], []
         convolution_window, irfftn = fy.convolution_window, np.fft.irfftn
 
-        def window(*cubes, radius):
+        def window(*cubes, radius, **kwargs):
             windows.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius)
+            return convolution_window(*cubes, radius=radius, **kwargs)
 
         def recording(a, s=None, axes=None, **kwargs):
             lengths.append(s[0])
@@ -1617,9 +1620,9 @@ class TestSeriesWindow:
         radii = []
         convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius):
+        def recording(*cubes, radius, **kwargs):
             radii.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius)
+            return convolution_window(*cubes, radius=radius, **kwargs)
 
         # every node whole, on full-length convolutions
         strand = fy._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
@@ -1653,6 +1656,7 @@ class TestSeriesWindow:
         got = [valuate(*case) for case in cases]
         assert any(split)
         monkeypatch.setattr(fy._Weight, "slab", lambda self, r, i: self.window(r)[i])
+        monkeypatch.setattr(fy._Weight, "_packs", lambda self, r: False)  # every window a box
         fy._valuate_cached.cache_clear()
         for case, value in zip(cases, got):
             assert valuate(*case) == value, case
@@ -1666,6 +1670,49 @@ class TestSeriesWindow:
         ring = fy._Weight.bundle([bubble, square], nodes)
         assert ring.center() == valuate(bubble_ring(), 3, N)
         assert list(bubble._windows) == [2 * N] and square._windows == {}
+        assert isinstance(bubble._windows[2 * N], tf.Ball)  # read whole: kept on its ball
+
+
+def connected_classes():
+    """Every connected class of k quartic and m quadratic vertices with
+    k + 2m <= 4, then the connected windowed classes."""
+    classes = [
+        g
+        for k in range(5)
+        for m in range((4 - k) // 2 + 1)
+        if k or m
+        for g in phi4._quartic_diagrams(k, m).filter_connected().terms
+    ]
+    return classes + [g for g in windowed_classes() if is_connected(g) and g not in classes]
+
+
+class TestPackedWindows:
+    @pytest.mark.parametrize("d, Ns", [(1, (3, 8)), (2, (2, 5)), (3, (2, 6)), (3.5, (2, 4))])
+    def test_classes_keep_the_dense_bits(self, d, Ns):
+        # every window a box, kept per radius, and centres read from dense
+        # slabs (dense_reference): the same value to the last bit
+        for g in connected_classes():
+            for N in Ns:
+                want = dense_ref.valuate(g, d, N)
+                assert fy._valuate_connected(g, d, N).hex() == want.hex(), (g, d, N)
+
+    def test_whole_reads_are_kept_on_their_balls(self):
+        # the ring's bubble B is kept packed; a reader of its box gets a box
+        # of its own, which the node does not keep
+        N = 3
+        base = fy._Weight(fy._base_weight(3, N, 1.0), N)
+        nodes: dict = {}
+        bubble = fy._Weight.bundle([base, base], nodes)
+        ring = fy._Weight.bundle([bubble, bubble.series(bubble, nodes)], nodes)
+        ring.center()
+        kept = bubble._windows[2 * N]
+        first, second = bubble.window(2 * N), bubble.window(2 * N)
+        assert first is not second and np.array_equal(first, kept.box())
+        assert list(bubble._windows.values()) == [kept]
+        want = tf.convolution_window(base.cube, base.cube, radius=2 * N)
+        assert np.array_equal(first, want)
+        # a window short of the whole read stays a box
+        assert type(bubble._kept(N)) is np.ndarray
 
 
 def bubble_ring() -> Diagram:
@@ -1682,9 +1729,9 @@ class TestSharedNodes:
         calls, transforms = [], []
         convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius):
+        def recording(*cubes, radius, **kwargs):
             calls.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius)
+            return convolution_window(*cubes, radius=radius, **kwargs)
 
         def counting(fn):
             def wrapper(*args, **kwargs):

@@ -461,6 +461,21 @@ class TestCommutativity:
         series = partition_ratio_series(3, N, 3)
         assert [c.value for c in series.coefficients] == [1.0, 0.0, 0.0, 0.0]
 
+    def test_peak_stays_below_one_dense_box_of_the_bubble(self):
+        # the ring of bubbles reads its bubble B, radius 2N, whole: as a
+        # dense box that is 8 (4N + 1)^3 bytes, 7.3 MB at N = 24, while B
+        # kept on its l1 ball is about a sixth of it
+        N = 24
+        wick_map_commutativity_check(4, order=3)  # the diagram sums are cached
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        tracemalloc.start()
+        try:
+            wick_map_commutativity_check(N, order=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (4 * N + 1) ** 3
+
     def test_order5_is_beyond_the_valuation_limit(self):
         with pytest.raises(ValueError, match="valuation limit"):
             wick_map_commutativity_check(4, 5)

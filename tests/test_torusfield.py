@@ -26,6 +26,7 @@ from wickworks.torusfield import (
     young_sum_check,
 )
 
+import dense_reference as dense_ref
 import k4_reference as k4_ref
 from exact_reference import (
     c_variance_exact,
@@ -866,20 +867,21 @@ class TestConstantTerm:
         assert peak < a.nbytes / 4
 
     def test_double_triangle_holds_one_box_at_a_time(self):
-        # the ring reads [B, B.B] at its centre: B is one box of radius 2N,
-        # and its window transform one complex M^3 grid; the series square
-        # B.B, a rolled mirror of the grid and a box-sized mask are not built
-        N = 16
+        # the ring reads [B, B.B] at its centre: B, radius 2N, is kept on its
+        # l1 ball and its window transform is one complex M^3 grid; no box
+        # of B, nor the series square B.B, a rolled mirror of the grid or a
+        # box-sized mask, is built, so the peak stays below one box of B
+        N = 24
         fy._base_weight(3, N, 1.0)
+        fy._valuate_cached.cache_clear()  # the ring valuates, not the class cache
         box = 8 * (4 * N + 1) ** 3
-        grid = 16 * tf._smooth_len(tf.lattice_rule_size(4 * N)) ** 3
         tracemalloc.start()
         try:
             fy.valuate(fy.double_triangle(), 3, N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < box + grid + box // 2
+        assert peak < box
 
     def test_slab_dot_gives_the_constant_term_bits(self):
         # a strand whose slabs are products, nested as a series tree nests
@@ -1058,6 +1060,119 @@ def whole_array_window(Y, r, S):
     box = np.where(flips, even[at] - odd[at], even[at] + odd[at])
     box[sum(np.ix_(*[np.abs(k)] * dim)) > S] = 0.0
     return box
+
+
+def packed(cube) -> tf.Ball:
+    """A cube's entries on its l1 ball, as a Ball."""
+    R = cube.shape[0] // 2
+    return tf.Ball(cube[tf._l1_mask(cube.ndim, R)], cube.ndim, R)
+
+
+class TestBall:
+    """Whole reads kept on their l1 balls, against the dense boxes."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_layout_is_the_ball_in_c_order(self, d):
+        rng = np.random.default_rng(60 + d)
+        for R in (0, 1, 4):
+            cube = even_cube(rng, d, R)
+            ball = packed(cube)
+            assert ball.shape == cube.shape and ball.radius == R
+            starts = tf._ball_starts(d, R)
+            assert starts[-1] == len(ball.values) == int(np.count_nonzero(tf._l1_mask(d, R)))
+            assert np.array_equal(ball.box(), cube)
+            assert np.array_equal(ball.box(slice(1, 3)), cube[1:3])
+            # reversed entries are the cube at -k
+            assert np.array_equal(ball.values[::-1], np.flip(cube)[tf._l1_mask(d, R)])
+            for i in range(2 * R + 1):
+                assert starts[i + 1] - starts[i] == int(np.count_nonzero(tf._l1_mask(d, R)[i]))
+                assert np.array_equal(ball.entries(i, i + 1), cube[i][tf._l1_mask(d, R)[i]])
+                assert np.array_equal(tf._unpack(ball.entries(i, i + 1), d, R, i, i + 1)[0], cube[i])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_packed_whole_read_unpacks_to_the_dense_box(self, d):
+        # odd and even M, M = 1 and 2, and radii up to M - 1: the ball's
+        # entries are the dense whole read's, to the bit, and it is 0 off them
+        rng = np.random.default_rng(70 + d)
+        for M in range(1, 12 if d == 3 else 20):
+            Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
+            for r in sorted({0, 1, M // 2, M - 1} - {M}):
+                ball = tf._grid_ball(Y.copy(), r)
+                want = tf._grid_window(Y.copy(), r, r)
+                assert np.array_equal(ball.box(), want), (d, M, r)
+                assert ball.box().tobytes() == whole_array_window(Y, r, r).tobytes(), (d, M, r)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_convolution_window_reads_and_writes_balls(self, d):
+        # a packed whole read is the dense one's ball, and packed strands
+        # give every window the dense strands give, to the bit
+        rng = np.random.default_rng(80 + d)
+        base = ModeLattice(d, 2).inverse_weight_cube()
+        for radii in [(1, 6), (2, 2, 0), (3,), (1, 2, 1, 3)]:
+            cubes = [even_cube(rng, d, r) for r in radii] + [base, base]
+            S = sum(c.shape[0] // 2 for c in cubes)
+            whole = tf.convolution_window(*cubes, radius=S)
+            got = tf.convolution_window(*cubes, radius=S, packed=True)
+            assert isinstance(got, tf.Ball) and np.array_equal(got.box(), whole), (d, radii)
+            balls = [packed(c) for c in cubes[:-2]] + [packed(base)] * 2
+            for r in sorted({0, 1, S // 2, S}):
+                want = tf.convolution_window(*cubes, radius=r)
+                assert np.array_equal(tf.convolution_window(*balls, radius=r), want), (d, radii, r)
+            again = tf.convolution_window(*balls, radius=S, packed=True)
+            assert np.array_equal(again.values, got.values)
+
+    def test_packed_is_a_whole_read(self):
+        a = ModeLattice(2, 2).inverse_weight_cube()
+        with pytest.raises(ValueError, match="whole read"):
+            tf.convolution_window(a, a, radius=3, packed=True)
+        lopsided = packed(a)
+        lopsided.values[1] += 1e-6
+        with pytest.raises(ValueError, match=r"shape \(5, 5\) is not even"):
+            tf.convolution_window(a, lopsided, radius=4)
+
+    @pytest.mark.parametrize("fold_bytes", [tf._FOLD_BYTES, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_grid_values_keep_the_whole_fold_bits(self, d, fold_bytes, monkeypatch):
+        # folded a block of slabs at a time (one slab per block with a
+        # one-byte budget) into the transform's buffer, a cube and its Ball
+        # give the bits of the whole masked cube folded into two real grids;
+        # sides longer than M fold several aliases onto one entry
+        monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
+        rng = np.random.default_rng(90 + d)
+        for R in (0, 3, 7):
+            cube = even_cube(rng, d, R)
+            noisy = cube + (1 - tf._l1_mask(d, R))  # masked away
+            for M in (1, 2, 5, 6, 2 * R + 1, 2 * R + 4):
+                want = dense_ref.grid_values(cube, M).tobytes()
+                assert tf._grid_values(noisy, M).tobytes() == want, (d, R, M)
+                assert tf._grid_values(packed(cube), M).tobytes() == want, (d, R, M)
+
+    @pytest.mark.parametrize("fold_bytes", [tf._FOLD_BYTES, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_dot_gives_the_slab_dot_bits(self, d, fold_bytes, monkeypatch):
+        # blocks of several slabs, and of one
+        monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
+        rng = np.random.default_rng(100 + d)
+        for R in (0, 2, 5, 12):
+            a, b = even_cube(rng, d, R), even_cube(rng, d, R)
+            want = tf._slab_dot(lambda _, i: a[i], lambda _, i: (a * b)[i], R)
+            A, AB = packed(a), tf.Ball(packed(a).values * packed(b).values, d, R)
+            got = tf._ball_dot(lambda _, lo, hi: A.entries(lo, hi), lambda _, lo, hi: AB.entries(lo, hi), d, R)
+            assert got == want, (d, R)
+
+    def test_ball_dot_unpacks_one_block_at_a_time(self, monkeypatch):
+        # a centre read of two radius-20 balls at d = 3 builds no box: each
+        # block of slabs, one slab here, is multiplied on the ball and
+        # unpacked alone
+        monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
+        ball = tf.convolution_window(*[tf.inverse_weight_cube(3, 10)] * 2, radius=20, packed=True)
+        tracemalloc.start()
+        try:
+            tf._ball_dot(*[lambda _, lo, hi: ball.entries(lo, hi)] * 2, 3, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 41**3 / 8
 
 
 class TestSymmetryCheck:
