@@ -940,7 +940,7 @@ class _Weight:
         strands = [w._kept(ri) for w, ri in zip(self.parts, radii)]
         if r == 0:
             return np.full((1,) * self.ndim, constant_term(*strands))
-        return convolution_window(*strands, radius=r, packed=self._packs(r))
+        return convolution_window(*strands, radius=r)
 
     def center(self) -> float:
         return self._kept(0).item()

@@ -426,8 +426,8 @@ class Ball:
     default), zero off the ball. The ball is symmetric, and reversed C
     order is the C order of -k, so the entries reversed are the cube at -k.
     ndim and shape are those of the box, so the readers of cubes take a
-    Ball where they read only its radius. convolution_window(...,
-    packed=True) writes one, and it and _grid_values read one as a cube.
+    Ball where they read only its radius. convolution_window writes one
+    for a whole read, and it and _grid_values read one as a cube.
     """
 
     __slots__ = ("values", "ndim", "radius")
@@ -468,7 +468,7 @@ def _unpack(entries: np.ndarray, dim: int, r: int, lo: int, hi: int) -> np.ndarr
     return out
 
 
-def convolution_window(*cubes, radius: int, packed: bool = False):
+def convolution_window(*cubes, radius: int):
     """The central box of radius r of the linear convolution W of centered
     odd-sided cubes, each even under k -> -k and supported on the l1 ball of
     its radius (the roundoff FFT-built cubes carry off it is masked away).
@@ -493,18 +493,16 @@ def convolution_window(*cubes, radius: int, packed: bool = False):
     _grid_window separates and untwists in the transform's own buffer before
     it copies out the box. Of the box's size only the box itself is built.
 
-    packed=True asks for a whole read, r = S, and returns it as a Ball:
-    _grid_ball writes the ball's entries from the separated transform one
-    first-axis slab at a time, with the combines of _grid_window, and the
-    box is never built. Raises ValueError for a cube that is not even to
-    roundoff, and for packed=True with r < S.
+    A whole read, r = S > 0, is 0 off its l1 ball and is returned as a Ball:
+    _grid_ball writes the ball's entries from the separated transform a
+    block of first-axis slabs at a time, with the combines of _grid_window,
+    and the box is never built. Raises ValueError for a cube that is not
+    even to roundoff.
     """
     dim = cubes[0].ndim
     S = sum(c.shape[0] // 2 for c in cubes)
     if not 0 <= radius <= S:
         raise ValueError(f"a window of radius {radius} needs cubes whose radii sum to at least it")
-    if packed and radius != S:
-        raise ValueError(f"a packed window is a whole read: radius {radius}, radii summing to {S}")
     M = _smooth_len(lattice_rule_size(S + min(dim * radius, S)))
     mults = Counter(id(c) for c in cubes)
     acc = None
@@ -521,10 +519,9 @@ def convolution_window(*cubes, radius: int, packed: bool = False):
             np.multiply(acc.imag, grids.imag, out=acc.imag)
         del grids  # free it before the next transform allocates
     if radius == 0:
-        value = (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim)
-        return Ball(np.full(1, value), dim, 0) if packed else np.full((1,) * dim, value)
+        return np.full((1,) * dim, (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim))
     Y = np.fft.ifftn(acc, out=acc)
-    return _grid_ball(Y, radius) if packed else _grid_window(Y, radius, S)
+    return _grid_ball(Y, radius) if radius == S else _grid_window(Y, radius, S)
 
 
 _SCRATCH_BYTES = 1 << 16  # per block of slabs: small scratch, few numpy calls
@@ -569,18 +566,16 @@ def _check_even(cube) -> None:
         )
 
 
-def _fold(block: np.ndarray, lo, out) -> None:
-    """Add a block whose index i holds momentum lo + i on every axis (or
-    lo[a] + i on axis a, for a sequence lo) onto the length-M grids out[0]
-    and out[1] at index (lo + i) mod M: out[0] sums the aliases, and out[1]
-    gives each the sign (-1)^(n_1 + ... + n_d), n = floor((lo + i) / M) per
-    axis, as the half-cell factor exp(-pi i (lo + i)/M) flips sign from one
-    alias to the next. Each output entry takes its aliases in lexicographic
-    order of n."""
+def _fold(block: np.ndarray, lo: list[int], out) -> None:
+    """Add a block whose index i on axis a holds momentum lo[a] + i onto
+    the length-M grids out[0] and out[1] at index (lo[a] + i) mod M: out[0]
+    sums the aliases, and out[1] gives each the sign (-1)^(n_1 + ... + n_d),
+    n = floor((lo + i) / M) per axis, as the half-cell factor
+    exp(-pi i (lo + i)/M) flips sign from one alias to the next. Each output
+    entry takes its aliases in lexicographic order of n."""
     M = out[0].shape[-1]
-    los = lo if isinstance(lo, (list, tuple)) else [lo] * block.ndim
     axes = []  # per axis, per alias n: block slice, grid slice, n mod 2
-    for start, size in zip(los, block.shape):
+    for start, size in zip(lo, block.shape):
         hi, runs = start + size - 1, []
         for n in range(start // M, hi // M + 1):
             a, b = max(start, n * M), min(hi, n * M + M - 1)
@@ -780,7 +775,7 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
     """
     dim, M, n = block.ndim, out.shape[-1], len(offsets)
     out.fill(0)
-    _fold(block, 0, out)
+    _fold(block, [0] * block.ndim, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
     np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)

@@ -36,7 +36,7 @@ def grid_values(cube: np.ndarray, M: int) -> np.ndarray:
     into two real grids, then twisted into a new complex array."""
     dim, R = cube.ndim, cube.shape[0] // 2
     folds = np.zeros((2,) + (M,) * dim)
-    _fold(cube * _l1_mask(dim, R), -R, folds)
+    _fold(cube * _l1_mask(dim, R), [-R] * dim, folds)
     half = _half_cell(M)
     out = np.multiply(folds[1], (1j * half).reshape((M,) + (1,) * (dim - 1)))
     for axis in range(1, dim):

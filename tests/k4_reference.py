@@ -37,7 +37,7 @@ def _packed_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
     """
     dim, M = block.ndim, out.shape[-1]
     out.fill(0)
-    _fold(block, 0, out)
+    _fold(block, [0] * dim, out)
     for axis in range(dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
     np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)

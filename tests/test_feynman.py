@@ -1513,8 +1513,7 @@ def full_length(monkeypatch):
     def whole(self, r):
         return fy._crop(kept(self, self.radius), self.radius, r)
 
-    def full(*cubes, radius, packed=False):
-        assert not packed  # no node packs a window here
+    def full(*cubes, radius):
         out = convolve_cubes(*cubes)
         half = out.shape[0] // 2
         return out[(slice(half - radius, half + radius + 1),) * out.ndim]
@@ -1579,9 +1578,9 @@ class TestWindowedTransforms:
         windows, lengths = [], []
         convolution_window, irfftn = fy.convolution_window, np.fft.irfftn
 
-        def window(*cubes, radius, **kwargs):
+        def window(*cubes, radius):
             windows.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius, **kwargs)
+            return convolution_window(*cubes, radius=radius)
 
         def recording(a, s=None, axes=None, **kwargs):
             lengths.append(s[0])
@@ -1620,9 +1619,9 @@ class TestSeriesWindow:
         radii = []
         convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius, **kwargs):
+        def recording(*cubes, radius):
             radii.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius, **kwargs)
+            return convolution_window(*cubes, radius=radius)
 
         # every node whole, on full-length convolutions
         strand = fy._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
@@ -1656,7 +1655,7 @@ class TestSeriesWindow:
         got = [valuate(*case) for case in cases]
         assert any(split)
         monkeypatch.setattr(fy._Weight, "slab", lambda self, r, i: self.window(r)[i])
-        monkeypatch.setattr(fy._Weight, "_packs", lambda self, r: False)  # every window a box
+        monkeypatch.setattr(fy._Weight, "_packs", lambda self, r: False)  # series products of boxes
         fy._valuate_cached.cache_clear()
         for case, value in zip(cases, got):
             assert valuate(*case) == value, case
@@ -1709,7 +1708,7 @@ class TestPackedWindows:
         first, second = bubble.window(2 * N), bubble.window(2 * N)
         assert first is not second and np.array_equal(first, kept.box())
         assert list(bubble._windows.values()) == [kept]
-        want = tf.convolution_window(base.cube, base.cube, radius=2 * N)
+        want = dense_ref.convolution_window(base.cube, base.cube, radius=2 * N)
         assert np.array_equal(first, want)
         # a window short of the whole read stays a box
         assert type(bubble._kept(N)) is np.ndarray
@@ -1729,9 +1728,9 @@ class TestSharedNodes:
         calls, transforms = [], []
         convolution_window = fy.convolution_window
 
-        def recording(*cubes, radius, **kwargs):
+        def recording(*cubes, radius):
             calls.append((len(cubes), radius))
-            return convolution_window(*cubes, radius=radius, **kwargs)
+            return convolution_window(*cubes, radius=radius)
 
         def counting(fn):
             def wrapper(*args, **kwargs):

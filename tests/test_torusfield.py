@@ -991,7 +991,7 @@ class TestConvolutionWindow:
     def test_matches_convolve_cubes(self, d):
         rng = np.random.default_rng(7 + d)
         base = ModeLattice(d, 2).inverse_weight_cube()
-        bubble = tf.convolution_window(base, base, radius=4)  # a reducer's whole read
+        bubble = tf.convolution_window(base, base, radius=4).box()  # a reducer's whole read
         radii_sets = [(0,), (3,), (1, 6), (2, 2, 0), (6, 1, 1), (1, 2, 1, 3)]
         cases = [[even_cube(rng, d, r) for r in radii] for radii in radii_sets]
         cases += [[base] * 4, [bubble, base, base], [bubble, bubble], [bubble, base, bubble]]
@@ -1005,6 +1005,8 @@ class TestConvolutionWindow:
                     M = tf._smooth_len(tf.lattice_rule_size(S + min(d * r, S)))
                     folds += max(c.shape[0] // 2 for c in args) >= M
                     got = tf.convolution_window(*args, radius=r)
+                    if r == S > 0:  # a whole read comes on its l1 ball
+                        got = got.box()
                     want = full[(slice(S - r, S + r + 1),) * d]
                     assert got.shape == want.shape, (d, S, r)
                     assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, (d, S, r)
@@ -1104,27 +1106,25 @@ class TestBall:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_convolution_window_reads_and_writes_balls(self, d):
-        # a packed whole read is the dense one's ball, and packed strands
-        # give every window the dense strands give, to the bit
+        # a whole read is the dense one's ball, the rest are boxes, and
+        # packed strands give every window the dense strands give, to the bit
         rng = np.random.default_rng(80 + d)
         base = ModeLattice(d, 2).inverse_weight_cube()
         for radii in [(1, 6), (2, 2, 0), (3,), (1, 2, 1, 3)]:
             cubes = [even_cube(rng, d, r) for r in radii] + [base, base]
-            S = sum(c.shape[0] // 2 for c in cubes)
-            whole = tf.convolution_window(*cubes, radius=S)
-            got = tf.convolution_window(*cubes, radius=S, packed=True)
-            assert isinstance(got, tf.Ball) and np.array_equal(got.box(), whole), (d, radii)
             balls = [packed(c) for c in cubes[:-2]] + [packed(base)] * 2
+            S = sum(c.shape[0] // 2 for c in cubes)
             for r in sorted({0, 1, S // 2, S}):
-                want = tf.convolution_window(*cubes, radius=r)
-                assert np.array_equal(tf.convolution_window(*balls, radius=r), want), (d, radii, r)
-            again = tf.convolution_window(*balls, radius=S, packed=True)
-            assert np.array_equal(again.values, got.values)
+                want = dense_ref.convolution_window(*cubes, radius=r)
+                for args in (cubes, balls):
+                    got = tf.convolution_window(*args, radius=r)
+                    if r == S:
+                        assert isinstance(got, tf.Ball), (d, radii)
+                        got = got.box()
+                    assert type(got) is np.ndarray and np.array_equal(got, want), (d, radii, r)
 
-    def test_packed_is_a_whole_read(self):
+    def test_rejects_a_ball_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
-        with pytest.raises(ValueError, match="whole read"):
-            tf.convolution_window(a, a, radius=3, packed=True)
         lopsided = packed(a)
         lopsided.values[1] += 1e-6
         with pytest.raises(ValueError, match=r"shape \(5, 5\) is not even"):
@@ -1165,7 +1165,7 @@ class TestBall:
         # block of slabs, one slab here, is multiplied on the ball and
         # unpacked alone
         monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
-        ball = tf.convolution_window(*[tf.inverse_weight_cube(3, 10)] * 2, radius=20, packed=True)
+        ball = tf.convolution_window(*[tf.inverse_weight_cube(3, 10)] * 2, radius=20)
         tracemalloc.start()
         try:
             tf._ball_dot(*[lambda _, lo, hi: ball.entries(lo, hi)] * 2, 3, 20)
