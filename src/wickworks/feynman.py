@@ -24,11 +24,12 @@ sum is evaluated by series, parallel and pendant reduction of spectral weight
 arrays (one convolution per parallel bundle, pointwise product along series
 chains, the zero-momentum weight for a pendant edge), with a dedicated
 evaluator for the K4 core. The reduction only records its moves; each reader
-then computes a bundle on the central window it uses (the whole weight for
+then computes a bundle on the central l1 ball it uses (the whole weight for
 the K4 core and the two-point series) by the two-grid lattice rule of
-torusfield.convolution_window, on the smallest grid exact for that window,
-and a vacuum value reads a bundle at its centre as a constant term, with no
-inverse transform. These moves
+torusfield.convolution_window, on the smallest grid exact for that ball's
+box, and a vacuum value reads a bundle at its centre as a constant term,
+with no inverse transform. Every window is kept on its l1 ball, as a
+torusfield.Ball. These moves
 reduce exactly the graphs without a K4 minor (Duffin 1965), so a leftover
 core has every degree >= 3: on four vertices it is K4, and a larger one is
 rejected. The K4 evaluator's outer momentum loop visits one momentum per
@@ -61,16 +62,13 @@ from .torusfield import (
     _ball_dot,
     _check_lattice,
     _check_samples,
-    _crop,
     _grid_values,
+    _l1_mask,
     _mc_blocks,
     _paired_rule_mean,
-    _slab_dot,
     _smooth_len,
     _symmetric,
-    _unpack,
     as_point,
-    constant_term,
     convolution_window,
     inverse_weight_cube,
     lattice_rule_size,
@@ -795,59 +793,51 @@ def _model(d) -> tuple[int, float]:
 
 
 class _Weight:
-    """Spectral weight on a centered cube of given radius: a given array, or
+    """Spectral weight on a centered cube of given radius: a given Ball, or
     a recorded bundle or series move on other weights.
 
     The reducer records moves without computing them. A bundle (parallel
     strands: the total momentum splits, so a linear convolution) has the sum
     of its strands' radii; a series product (one momentum through both: the
     pointwise product on the overlap) has the smaller radius. A reader asks
-    window(r) for the central box of radius r it needs, and only then do the
-    transforms run. A reader of a whole weight (the two-point series, five of
-    the K4 core's six bundles) asks for r = radius. A bundle read at its
-    centre (r = 0: a vacuum value, a pendant edge, a series product under
-    either) is the constant term of its strands' product. With two strands
-    that is a dot product on their common box, torusfield._slab_dot, which
-    asks each strand for one slab at a time (slab): a series strand that
-    holds no window of that radius multiplies its parts' slabs, so its box
-    is never built. Three or more strands take torusfield.constant_term, the
-    two-grid lattice rule with no inverse transform. Any other window is
-    torusfield.convolution_window, the same rule on the grid exact for the
-    box, with one inverse transform.
+    for the window of radius r it needs, and only then do the transforms
+    run. A reader of a whole weight (the two-point series, five of the K4
+    core's six bundles) asks for r = radius. A bundle read at its centre
+    (r = 0: a vacuum value, a pendant edge, a series product under either)
+    is the constant term of its strands' product. With two strands that is
+    a dot product on their common ball, torusfield._ball_dot, which asks
+    each strand for one block of slabs at a time (_entries): a series
+    strand that holds no window of that radius multiplies its parts'
+    entries, so its window is never built. Any other window, three or more
+    strands at the centre included, is torusfield.convolution_window, the
+    two-grid lattice rule on the grid exact for the box of radius r.
 
-    Both reads need every strand even under k -> -k, and every weight is:
-    the base cube depends on |k|^2, and bundles and series products of even
-    weights are even. They also read each strand only on the l1 ball of the
-    radius it was read at, which is all that the window's own l1 ball of
-    radius r draws on. Every reader in turn uses only the l1 ball of radius
-    r of a window(r) (a whole read is its support, and _grid_values masks
-    the K4 core's F_cd to it), so a window's entries off that ball, which
-    need not match the linear convolution when a strand was cut to a
-    smaller box, are never read.
+    Every window is kept as a torusfield.Ball of its radius r, its entries
+    on the l1 ball |k|_1 <= r only: a given weight's crop (Ball.crop), a
+    bundle's convolution_window and a series product's product of its
+    parts' entries. Every reader uses only that ball: a whole read is its
+    support, a strand's read and the K4 core's F_cd are masked to it
+    (torusfield._grid_values), and a series product reads its parts on it.
+    A two-strand centre read pairs a whole read, zero off its ball, with
+    the other strand, so the entries off the ball that a box would hold
+    only ever met zeros. Both reads need every strand even under k -> -k,
+    and every weight is: the base cube depends on |k|^2, and bundles and
+    series products of even weights are even.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
     keeps every window it was asked for, one per radius, so a shared node is
     transformed once per radius however many readers it has; a series node
-    read only through a centre's slabs keeps none. The nodes, and with
-    them these caches, die with the valuation.
-
-    A node keeps a whole read packed on its l1 ball, a torusfield.Ball,
-    where it is exactly zero (_packs): a bundle's window(radius), written so
-    by convolution_window, and a series product of two packed parts, the
-    product of their entries. Every other window is kept as its box. The
-    centre reads unpack: slab gives a dense slab, and when both strands are
-    packed, torusfield._ball_dot multiplies their entries (_entries) and
-    unpacks only the product. convolution_window and _grid_values read a
-    Ball as they read a cube. window(r) unpacks a packed window into a box
-    that is not kept, so a reader that needs a box (the K4 core's _box
-    reads and symmetry check, _external_bundle) holds it for its own
-    lifetime only.
+    read only through a centre's entries keeps none. The nodes, and with
+    them these caches, die with the valuation. window(r) unpacks a kept
+    window into a box that is not kept, so a reader that needs a box (the
+    K4 core's _box reads and symmetry check, _external_bundle) holds it for
+    its own lifetime only.
     """
 
     __slots__ = ("cube", "radius", "move", "parts", "ndim", "_windows")
 
-    def __init__(self, cube: np.ndarray | None, radius: int, move=None, parts=()):
+    def __init__(self, cube: Ball | None, radius: int, move=None, parts=()):
         self.cube = cube
         self.radius = radius
         self.ndim = parts[0].ndim if cube is None else cube.ndim
@@ -874,84 +864,58 @@ class _Weight:
         return nodes[key]
 
     def window(self, r: int) -> np.ndarray:
-        """The weight on the centered box of radius r <= self.radius; a
-        packed window is unpacked into a box the node does not keep.
-
-        A bundle read at r needs strand i only up to min(r_i, r + sum of the
-        other strands' radii): larger momenta on it cannot come back into
-        the box.
-        """
-        kept = self._kept(r)
-        return kept.box() if isinstance(kept, Ball) else kept
-
-    def slab(self, r: int, i: int) -> np.ndarray:
-        """Slab i along the first axis of window(r). A series node that holds
-        no window of radius r multiplies its parts' slabs, the product window
-        takes, so its box is never built; a packed one multiplies their ball
-        entries and unpacks the product."""
-        if self._packs(r):
-            return _unpack(self._entries(r, i, i + 1), self.ndim, r, i, i + 1)[0]
-        if self.move != "series" or r in self._windows:
-            return self._kept(r)[i]
-        a, b = self.parts
-        return a.slab(r, i) * b.slab(r, i)
-
-    def _packs(self, r: int) -> bool:
-        """Whether window(r) is kept as a Ball: a bundle's whole read, or a
-        series product of two parts that both pack r."""
-        if self.move == "bundle":
-            return r == self.radius > 0
-        return self.move == "series" and all(w._packs(r) for w in self.parts)
+        """The weight on the centered box of radius r <= self.radius, zero
+        off its l1 ball, in a box the node does not keep."""
+        return self._kept(r).box()
 
     def _entries(self, r: int, lo: int, hi: int) -> np.ndarray:
-        """The ball entries of slabs lo..hi - 1 of a window(r) that is
-        packed (Ball.entries)."""
+        """The ball entries of slabs lo..hi - 1 of the window of radius r
+        (Ball.entries); a series node that keeps no window of radius r
+        multiplies its parts' entries."""
         if self.move == "series" and r not in self._windows:
             a, b = self.parts
             return a._entries(r, lo, hi) * b._entries(r, lo, hi)
         return self._kept(r).entries(lo, hi)
 
-    def _kept(self, r: int):
-        """window(r) as the node keeps it, computed on first use."""
+    def _kept(self, r: int) -> Ball:
+        """The window of radius r as the node keeps it, computed on first use.
+
+        A bundle read at r needs strand i only up to min(r_i, r + sum of the
+        other strands' radii): larger momenta on it cannot come back into
+        the ball.
+        """
         if r not in self._windows:
             self._windows[r] = self._compute_window(r)
         return self._windows[r]
 
-    def _compute_window(self, r: int):
+    def _compute_window(self, r: int) -> Ball:
         if self.move is None:
-            return _crop(self.cube, self.radius, r)
+            return self.cube.crop(r)
         if self.move == "series":
-            # a pointwise product reads its parts on the same box, so a bundle
-            # under a series node transforms only on the grid that box needs
+            # a pointwise product reads its parts on the same ball, so a bundle
+            # under a series node transforms only on the grid that ball needs
             a, b = self.parts
-            if self._packs(r):
-                return Ball(a._kept(r).values * b._kept(r).values, self.ndim, r)
-            return a.window(r) * b.window(r)
+            return Ball(a._kept(r).values * b._kept(r).values, self.ndim, r)
         total = self.radius
         radii = [min(w.radius, r + total - w.radius) for w in self.parts]
         if r == 0 and len(self.parts) == 2:
-            # both strands are read at the smaller radius, a slab at a time
+            # both strands are read at the smaller radius, a block of slabs at a time
             (ri, _), (a, b) = radii, self.parts
-            if a._packs(ri) and b._packs(ri):
-                value = _ball_dot(a._entries, b._entries, self.ndim, ri)
-            else:
-                value = _slab_dot(a.slab, b.slab, ri)
-            return np.full((1,) * self.ndim, value)
-        strands = [w._kept(ri) for w, ri in zip(self.parts, radii)]
-        if r == 0:
-            return np.full((1,) * self.ndim, constant_term(*strands))
-        return convolution_window(*strands, radius=r)
+            return Ball(np.array([_ball_dot(a._entries, b._entries, self.ndim, ri)]), self.ndim, 0)
+        return convolution_window(*[w._kept(ri) for w, ri in zip(self.parts, radii)], radius=r)
 
     def center(self) -> float:
-        return self._kept(0).item()
+        return self._kept(0).values.item()
 
 
 @lru_cache(maxsize=None)
-def _base_weight(dim: int, N: int, s: float) -> np.ndarray:
-    """lambda_k^(-s) on K_N; read-only, since every valuation shares the cached cube."""
+def _base_weight(dim: int, N: int, s: float) -> Ball:
+    """lambda_k^(-s) on K_N, packed on the l1 ball once per (dim, N, s);
+    read-only, since every valuation shares it."""
     cube = inverse_weight_cube(dim, N, s)
-    cube.setflags(write=False)
-    return cube
+    ball = Ball(cube[_l1_mask(dim, N)], dim, N)
+    ball.values.setflags(write=False)
+    return ball
 
 
 class ValuationBudgetError(ValueError):
@@ -1016,7 +980,7 @@ def _valuate_k4(lines: dict) -> float:
     without that identity raises ValuationBudgetError, after the symmetry
     check.
 
-    Each distinct weight is read once, as a plain array: F_ab, F_ac and F_ad
+    Each distinct weight is read once, as a box: F_ab, F_ac and F_ad
     whole, and F_cd on the ball of radius r = min(R_ac + R_ad, R_cd) that
     (q + p) + s reaches. V_p is the constant term of a_p^2 e_p f, with a_p
     and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
@@ -1024,11 +988,13 @@ def _valuate_k4(lines: dict) -> float:
     lattice rule of torusfield.lattice_rule_size, on a 5-smooth M,
     integrates it exactly: V_p is the mean of a_p^2 e_p f over both grids,
     with no linear convolution and no inverse transform. The degree is
-    taken from the radii, and every window is read as it comes: a whole
-    read is exactly zero off its l1 ball (the base cube is zero off K_N,
-    convolution_window sets the entries beyond its strands' radii to 0, and
-    a series node is a product with a whole read), and _grid_values masks
-    F_cd to its ball, so the rule is exact for what is summed.
+    taken from the radii, and every window is read as it comes: each is
+    unpacked from its torusfield.Ball, so it is exactly zero off its l1
+    ball, and the rule is exact for what is summed.
+
+    Every orbit's p has p_i >= 0, so only F_ac and the corner of F_ad that
+    q + p reaches are held through the orbit loop, whose buffers are made
+    after the other boxes are let go.
 
     A_p is sliced on box_ac & (box_ad - p), with lower corner lo_p, so
     a_p^2 e_p = psi_p alpha_p^2, alpha_p the block's polynomial with its
@@ -1055,8 +1021,8 @@ def _valuate_k4(lines: dict) -> float:
     )
     R_ab, R_ac, R_ad = (w.radius for w in (ab, ac, ad))
     r = min(R_ac + R_ad, cd.radius)
-    # each distinct read once, as a box held for the core's lifetime: a
-    # shared node's window is one array
+    # each distinct read once, unpacked into a box held for the core's
+    # lifetime: a shared node's window is one array
     boxes: dict = {}
     for w, rw in ((ab, R_ab), (ac, R_ac), (ad, R_ad), (bc, bc.radius), (bd, bd.radius), (cd, r)):
         if (w, rw) not in boxes:
@@ -1064,8 +1030,8 @@ def _valuate_k4(lines: dict) -> float:
     F_ab, F_ac, F_ad, F_bc, F_bd = (boxes[w, w.radius] for w in (ab, ac, ad, bc, bd))
     F_cd = boxes[cd, r]
     for w in (ab, ac, ad, bc, bd, cd):
-        # the core is its lines' last reader: no packed window is held beside
-        # the box read from it
+        # the core is its lines' last reader: no Ball is held beside the box
+        # unpacked from it
         w._windows.clear()
     for cube in {id(x): x for x in boxes.values()}.values():
         _check_hyperoctahedral(cube)
@@ -1082,14 +1048,21 @@ def _valuate_k4(lines: dict) -> float:
     # f on the plain and the half-cell grid, once: real, since F_cd is even
     f = _grid_values(F_cd, M)
     f = np.stack((f.real, f.imag))
-    # the block and its spectra are buffers of the core, refilled per pair
-    block = np.empty((2 * min(R_ac, R_ad) + 1,) * dim, complex)
-    spec = np.empty((2,) + (M,) * dim, complex)
     orbits = []
     for p, size in _orbits(dim, R_ab):
         wp = float(F_ab[tuple(t + R_ab for t in p)])
         if wp != 0.0:
             orbits.append((p, size * wp))
+    if R_ac < R_ad:
+        # with p_i in [0, R_ab] and |q_i| <= R_ac (_overlap), the loop reads
+        # F_ad(q + p) on [-R_ac, R_ac + R_ab] per axis only: that corner of
+        # its box is kept
+        F_ad = _box(F_ad, [(-R_ac, min(R_ac + R_ab, R_ad))] * dim).copy()
+    first = -min(R_ac, R_ad)  # the momentum at index 0 of F_ad
+    del boxes, cube, F_ab, F_bc, F_bd, F_cd  # read only above
+    # the block and its spectra are buffers of the core, refilled per pair
+    block = np.empty((2 * min(R_ac, R_ad) + 1,) * dim, complex)
+    spec = np.empty((2,) + (M,) * dim, complex)
     total = 0.0
     for k in range(0, len(orbits), 2):
         pair = orbits[k : k + 2]
@@ -1097,7 +1070,7 @@ def _valuate_k4(lines: dict) -> float:
         offsets = []
         for part, (p, _) in zip((block.real, block.imag), pair):
             box = [_overlap(R_ac, R_ad, -t) for t in p]  # box_ac & (box_ad - p)
-            np.multiply(_box(F_ac, box), _box(F_ad, box, p), out=part[_extent(box)])
+            np.multiply(_box(F_ac, box), _box(F_ad, box, p, first), out=part[_extent(box)])
             offsets.append([2 * lo + t for (lo, _), t in zip(box, p)])
         for (_, weight), value in zip(pair, _paired_rule_mean(block, offsets, f, spec)):
             total += weight * value
@@ -1110,10 +1083,12 @@ def _overlap(R: int, R_other: int, shift: int) -> tuple[int, int]:
     return max(-R, shift - R_other), min(R, shift + R_other)
 
 
-def _box(cube: np.ndarray, box, p=None) -> np.ndarray:
-    """cube(q + p) for q on the box [lo, hi] per axis (p = 0 when omitted)."""
+def _box(cube: np.ndarray, box, p=None, first=None) -> np.ndarray:
+    """cube(q + p) for q on the box [lo, hi] per axis (p = 0 when omitted),
+    where index 0 of the cube holds momentum first on every axis (-radius,
+    a centred cube, when omitted)."""
     p = p or [0] * len(box)
-    R = cube.shape[0] // 2
+    R = cube.shape[0] // 2 if first is None else -first
     return cube[tuple(slice(lo + t + R, hi + t + R + 1) for (lo, hi), t in zip(box, p))]
 
 

@@ -96,21 +96,22 @@ def _check_lattice(d: int, N: int) -> None:
 def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:
     """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N.
 
-    Each value is looked up by |k|^2 in _weight_table (on K_N, |k|^2 <=
-    |k|_1^2 <= N^2). The table keeps Python's float pow: np.power can differ
-    from it in the last bit.
+    Each value is looked up by |k|^2 (_weights_by_norm2).
     """
     _check_lattice(d, N)
     norm2 = sum(a * a for a in np.ix_(*[np.arange(-N, N + 1)] * d))
     ball = _l1_mask(d, N)
     cube = np.zeros(norm2.shape)
-    cube[ball] = _weight_table(d, N, s)[norm2[ball]]
+    cube[ball] = _weights_by_norm2(d, s, norm2[ball])
     return cube
 
 
-def _weight_table(d: int, N: int, s: float) -> np.ndarray:
-    """lambda^(-s) for |k|^2 = 0..N^2, each (1 + (2 pi)^d |k|^2) ** (-float(s))."""
-    return np.array([(1 + TWO_PI**d * n) ** (-float(s)) for n in range(N * N + 1)])
+def _weights_by_norm2(d: int, s: float, norm2: np.ndarray) -> np.ndarray:
+    """(1 + (2 pi)^d n) ** (-float(s)) for each integer n = |k|^2 of a 1-d
+    array, Python's float pow taken once per distinct n: np.power can differ
+    from it in the last bit."""
+    values, at = np.unique(norm2, return_inverse=True)
+    return np.array([(1 + TWO_PI**d * n) ** (-float(s)) for n in values.tolist()])[at]
 
 
 def c_variance(d: int, N: int) -> float:
@@ -377,7 +378,7 @@ def constant_term(*cubes) -> float:
         r = min(c.shape[0] // 2 for c in cubes)
         a, b = (_crop(c, c.shape[0] // 2, r) for c in cubes)
         return _slab_dot(lambda _, i: a[i], lambda _, i: b[i], r)
-    return convolution_window(*cubes, radius=0).item()
+    return convolution_window(*cubes, radius=0).values.item()
 
 
 def _slab_dot(slab_a, slab_b, r: int) -> float:
@@ -426,8 +427,9 @@ class Ball:
     default), zero off the ball. The ball is symmetric, and reversed C
     order is the C order of -k, so the entries reversed are the cube at -k.
     ndim and shape are those of the box, so the readers of cubes take a
-    Ball where they read only its radius. convolution_window writes one
-    for a whole read, and it and _grid_values read one as a cube.
+    Ball where they read only its radius. convolution_window returns one
+    for every read, and it and _grid_values read one as a cube; crop(r)
+    gives the Ball of a smaller radius.
     """
 
     __slots__ = ("values", "ndim", "radius")
@@ -449,6 +451,16 @@ class Ball:
         lo, hi, _ = rows.indices(2 * self.radius + 1)
         return _unpack(self.entries(lo, hi), self.ndim, self.radius, lo, hi)
 
+    def crop(self, r: int) -> "Ball":
+        """The Ball of radius r <= radius that holds this one's entries on
+        its own ball; this one at r = radius."""
+        R = self.radius
+        if r == R:
+            return self
+        rows = slice(R - r, R + r + 1)
+        box = self.box(rows)[(slice(None),) + (rows,) * (self.ndim - 1)]
+        return Ball(box[_l1_within(self.ndim, r)], self.ndim, r)
+
 
 @lru_cache(maxsize=None)
 def _ball_starts(dim: int, radius: int) -> tuple:
@@ -464,40 +476,36 @@ def _unpack(entries: np.ndarray, dim: int, r: int, lo: int, hi: int) -> np.ndarr
     """Slabs lo..hi - 1 of a dim-dimensional cube of radius r that holds
     entries on its l1 ball (Ball.entries' layout) and zeros off it."""
     out = np.zeros((hi - lo,) + (2 * r + 1,) * (dim - 1))
-    out[_l1_within(dim, r, r, slice(lo, hi))] = entries
+    out[_l1_within(dim, r, slice(lo, hi))] = entries
     return out
 
 
-def convolution_window(*cubes, radius: int):
-    """The central box of radius r of the linear convolution W of centered
-    odd-sided cubes, each even under k -> -k and supported on the l1 ball of
-    its radius (the roundoff FFT-built cubes carry off it is masked away).
-    Any cube may be a Ball.
+def convolution_window(*cubes, radius: int) -> Ball:
+    """The linear convolution W of centered odd-sided cubes, each even under
+    k -> -k and supported on the l1 ball of its radius (the roundoff
+    FFT-built cubes carry off it is masked away), on the l1 ball of radius
+    r, as a Ball. Any cube may be a Ball.
 
-    The box is read off the cubes' trigonometric polynomials on the two
+    The ball is read off the cubes' trigonometric polynomials on the two
     grids j/M and (j + 1/2)/M. By the rank-2 lattice rule (see
     lattice_rule_size), the mean over both grids of their product times
     exp(2 pi i k.x) is the sum of W(k + M m) over m in Z^d with an even
     m_1 + ... + m_d. An alias m != 0 has |k + M m|_1 >= 2M - |k|_1, beyond
     the support |k|_1 <= S of W (S the sum of the radii) once
-    2M > S + |k|_1. So M, the least 5-smooth length at or above
-    lattice_rule_size(S + min(d r, S)), reads every box entry with
-    |k|_1 <= S exactly;
-    the entries beyond are 0 and are set so. At r = 0 the box is the
+    2M > S + |k|_1. M is the least 5-smooth length at or above
+    lattice_rule_size(S + min(d r, S)), exact on the whole box of radius r
+    within the support, so on the ball (the ball alone needs only S + r,
+    but the smaller grid would move the bits). At r = 0 the ball is the
     constant term, the mean itself, with no inverse transform.
 
     An even cube has a real polynomial on both grids, so one complex FFT
     gives both (_grid_values). Inputs are matched by identity: each distinct
     array is transformed once and raised to its multiplicity. The products P
-    (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ, which
-    _grid_window separates and untwists in the transform's own buffer before
-    it copies out the box. Of the box's size only the box itself is built.
-
-    A whole read, r = S > 0, is 0 off its l1 ball and is returned as a Ball:
-    _grid_ball writes the ball's entries from the separated transform a
-    block of first-axis slabs at a time, with the combines of _grid_window,
-    and the box is never built. Raises ValueError for a cube that is not
-    even to roundoff.
+    (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ,
+    which _grid_ball separates and untwists in the transform's own buffer
+    and packs onto the ball a block of first-axis slabs at a time, so no
+    array of the box's size is built. Raises ValueError for a cube that is
+    not even to roundoff.
     """
     dim = cubes[0].ndim
     S = sum(c.shape[0] // 2 for c in cubes)
@@ -519,9 +527,8 @@ def convolution_window(*cubes, radius: int):
             np.multiply(acc.imag, grids.imag, out=acc.imag)
         del grids  # free it before the next transform allocates
     if radius == 0:
-        return np.full((1,) * dim, (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim))
-    Y = np.fft.ifftn(acc, out=acc)
-    return _grid_ball(Y, radius) if radius == S else _grid_window(Y, radius, S)
+        return Ball(np.array([(np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim)]), dim, 0)
+    return _grid_ball(np.fft.ifftn(acc, out=acc), radius)
 
 
 _SCRATCH_BYTES = 1 << 16  # per block of slabs: small scratch, few numpy calls
@@ -582,13 +589,11 @@ def _fold(block: np.ndarray, lo: list[int], out) -> None:
             runs.append((slice(a - start, b - start + 1), slice(a - n * M, b - n * M + 1), n % 2))
         axes.append(runs)
     for parts in product(*axes):
-        src = tuple(s for s, _, _ in parts)
-        dst = tuple(t for _, t, _ in parts)
-        out[0][dst] += block[src]
-        if sum(odd for _, _, odd in parts) % 2:
-            out[1][dst] -= block[src]
-        else:
-            out[1][dst] += block[src]
+        src = block[tuple(s for s, _, _ in parts)]
+        plain, half = (grid[tuple(t for _, t, _ in parts)] for grid in out)
+        # into the views: an item assignment of a view onto itself buffers a copy
+        np.add(plain, src, out=plain)
+        (np.subtract if sum(odd for _, _, odd in parts) % 2 else np.add)(half, src, out=half)
 
 
 def _grid_values(cube, M: int) -> np.ndarray:
@@ -629,34 +634,17 @@ def _grid_values(cube, M: int) -> np.ndarray:
     return np.fft.fftn(out, out=out)
 
 
-def _grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
-    """The box of radius r from Y = ifftn(P + iQ) (overwritten), for real
-    products P and Q on the plain and the half-cell grid (_grid_values).
+def _grid_ball(Y: np.ndarray, r: int) -> Ball:
+    """The read of radius r from Y = ifftn(P + iQ) (overwritten), for real
+    products P and Q on the plain and the half-cell grid (_grid_values), as
+    a Ball.
 
-    With A = ifftn(P) and B = ifftn(Q), the box value at k is
+    With A = ifftn(P) and B = ifftn(Q), the value at k is
     (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. _separate
     leaves (2A, Im conj tau 2iB) / 4 in Y's real and imaginary parts, and
-    _untwisted copies them out as 2^d slice combines of Y.real +- Y.imag.
-    Box entries with |k|_1 > S are then set to 0, a block of slabs at a time
-    (_slab_blocks).
-    """
-    _separate(Y)
-    dim, M = Y.ndim, Y.shape[0]
-    box = np.empty((2 * r + 1,) * dim)
-    _untwisted(Y, [_halves(r, M)] * dim, box)
-    if dim * r > S:
-        for rows in _slab_blocks(box.shape, 1):  # one byte per entry of the mask
-            inside = _l1_within(dim, r, S, rows)
-            box[rows][np.logical_not(inside, out=inside)] = 0.0
-    return box
-
-
-def _grid_ball(Y: np.ndarray, r: int) -> Ball:
-    """The whole read of radius r from Y (overwritten; see _grid_window) as
-    a Ball, the entries _grid_window keeps at S = r: the combines of
-    _grid_window fill a block of first-axis slabs at a time (_slab_blocks)
-    in scratch of one block's size, and the block's entries on the ball,
-    in C order, are taken from it."""
+    _untwisted writes them as 2^d slice combines of Y.real +- Y.imag into
+    scratch of one block of first-axis slabs (_slab_blocks), from which the
+    block's entries on the ball, in C order, are taken."""
     _separate(Y)
     dim, M = Y.ndim, Y.shape[0]
     starts = _ball_starts(dim, r)
@@ -673,7 +661,7 @@ def _grid_ball(Y: np.ndarray, r: int) -> Ball:
                 shift = s.start - t.start
                 first.append((slice(a - lo, b - lo), slice(a + shift, b + shift), flip))
         _untwisted(Y, [first] + [halves] * (dim - 1), scratch)
-        inside = _l1_within(dim, r, r, slice(lo, hi))
+        inside = _l1_within(dim, r, slice(lo, hi))
         ball.values[starts[lo] : starts[hi]] = scratch[: hi - lo][inside]
     return ball
 
@@ -697,37 +685,44 @@ def _untwisted(Y: np.ndarray, axes, out: np.ndarray) -> None:
 
 
 def _separate(Y: np.ndarray) -> None:
-    """Overwrite Y = ifftn(P + iQ) (see _grid_window) with
+    """Overwrite Y = ifftn(P + iQ) (see _grid_ball) with
     (2A, Im conj tau 2iB) / 4 in its real and imaginary parts.
 
     Hermitian separation gives 2A = Y(k) + conj Y(-k) and
     2iB = Y(k) - conj Y(-k), and both terms are real: A since P is even on
     the plain grid, conj tau B since Q is even on the half-cell one. It runs
-    in Y's own storage, first-axis slab i against slab -i mod M, in two
-    blocks: the slabs that are their own mirror (0, and M/2 for an even M),
-    and the slabs 1..ceil(M/2) - 1 with the reversed block of their mirrors,
-    whose 2A is the first's mirrored. 2iB is left in Y and untwisted by
-    conj tau one axis at a time, and 2A, kept for the first half only, then
-    replaces its real part. These are the float operations of a whole-array
-    separation, with copies of at most half of Y.
+    in Y's own storage, first-axis slab i against slab -i mod M: the slabs
+    that are their own mirror (0, and M/2 for an even M) as one block, then
+    the slabs 1..ceil(M/2) - 1 a block at a time (_slab_blocks), each with
+    the reversed block of its mirrors, whose 2A is the first's mirrored, so
+    two mirrored blocks are copied at a time. 2iB is left in Y and
+    untwisted by conj tau one axis at a time, each over the whole of Y (a
+    complex product's bits can depend on the length numpy loops over), and
+    2A, kept for the first half only, then replaces its real part. These
+    are the float operations of a whole-array separation.
     """
     dim, M = Y.ndim, Y.shape[0]
-    own = slice(None, None, M // 2) if M % 2 == 0 else slice(0, 1)
     h = (M + 1) // 2
-    evens = []
-    for P, Q in [(own, own), (slice(1, h), slice(M - 1, M - h, -1))]:  # slabs i and -i mod M
+    own = slice(None, None, M // 2) if M % 2 == 0 else slice(0, 1)
+    pairs = [(own, own)]
+    for run in _slab_blocks((h - 1,) + Y.shape[1:], Y.itemsize, _FOLD_BYTES):
+        lo, hi = run.start + 1, min(run.stop, h - 1) + 1
+        pairs.append((slice(lo, hi), slice(M - lo, M - hi, -1)))  # slabs i and -i mod M
+    evens = []  # 2A on the first slab of each pair
+    for P, Q in pairs:
         rows = [P] if P == Q else [P, Q]
         mirrored = [_mirror(Y[s]) for s in reversed(rows)]  # Y(-k) on each of rows
-        evens.append(np.add(Y[P].real, mirrored[0].real))  # 2A
+        evens.append(np.add(Y[P].real, mirrored[0].real))
         for s, m in zip(rows, mirrored):
             np.subtract(Y[s], np.conjugate(m, out=m), out=Y[s])  # 2iB
         del mirrored, m
     untwist = np.conj(_half_cell(M))
     for axis in range(dim):
         Y *= untwist.reshape((M,) + (1,) * (dim - 1 - axis))
-    Y[own].real = evens[0]
-    Y[1:h].real = evens[1]
-    _mirror(evens[1], out=Y[M - 1 : M - h : -1].real)
+    for (P, Q), even in zip(pairs, evens):
+        Y[P].real = even
+        if P != Q:
+            _mirror(even, out=Y[Q].real)
     Y.real *= 0.25
     Y.imag *= 0.25
 
@@ -815,7 +810,10 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
     weight[0, 0] = weight[M % 2, M // 2] = 0.5
     values = []
     for o, t in enumerate(offsets):
-        value = float(np.sum((per_slab[o] * _offset_phase(t[0], M)).real * weight))
+        # the first axis's phase is not kept: its offsets take about 2N values
+        # per core, so at d = 1 (M about 4N) the cache would grow like N^2
+        phase = _offset_phase.__wrapped__(t[0], M)
+        value = float(np.sum((per_slab[o] * phase).real * weight))
         values.append(-value if o else value)  # (2i alpha_1)^2 = -4 alpha_1^2
     return values
 
@@ -823,7 +821,8 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
 @lru_cache(maxsize=None)
 def _offset_phase(lo: int, M: int) -> np.ndarray:
     """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and half-cell
-    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
+    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first.
+    Kept for the axes after the first; __wrapped__ computes it unkept."""
     g = np.arange(2)[:, None]
     out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
     out.setflags(write=False)
@@ -847,19 +846,19 @@ def _half_cell(M: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _l1_mask(dim: int, radius: int) -> np.ndarray:
     """Indicator of |k|_1 <= radius on the centred box of that radius."""
-    mask = _l1_within(dim, radius, radius)
+    mask = _l1_within(dim, radius)
     mask.setflags(write=False)
     return mask
 
 
-def _l1_within(dim: int, radius: int, bound: int, rows: slice = slice(None)) -> np.ndarray:
-    """Indicator of |k|_1 <= bound on the first-axis slabs rows (all by
-    default) of the centred box of the given radius, compared axis against
-    the rest, so that no integer array of that size is built."""
+def _l1_within(dim: int, radius: int, rows: slice = slice(None)) -> np.ndarray:
+    """Indicator of |k|_1 <= radius on the first-axis slabs rows (all by
+    default) of the centred box of that radius, compared axis against the
+    rest, so that no integer array of that size is built."""
     a = np.abs(np.arange(-radius, radius + 1))
     axes = [a[rows]] + [a] * (dim - 1)
     rest = sum(np.ix_(*axes[:-1]))  # |k|_1 over the first dim - 1 axes
-    return np.expand_dims(rest, -1) <= bound - axes[-1]
+    return np.expand_dims(rest, -1) <= radius - axes[-1]
 
 
 class GridSynthesizer:
@@ -986,7 +985,7 @@ def rule_synthesizer(d: int, N: int, M: int) -> GridSynthesizer:
 def amplitude_weights(lattice: ModeLattice, exponent: float) -> np.ndarray:
     """lambda_k^(-exponent) per real-basis amplitude, in mode_labels order."""
     keys = np.array([k for k, _ in mode_labels(lattice)]).reshape(-1, lattice.d)
-    return _weight_table(lattice.d, lattice.N, exponent)[(keys * keys).sum(axis=1)]
+    return _weights_by_norm2(lattice.d, exponent, (keys * keys).sum(axis=1))
 
 
 def batch_amplitudes(

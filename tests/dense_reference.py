@@ -1,10 +1,12 @@
 """The valuation with every window kept as a dense box, as it was before
-whole reads were packed on their l1 balls (torusfield.Ball).
+windows were kept on their l1 balls (torusfield.Ball).
 
 DenseWeight is feynman._Weight with no packing: each node keeps every
-window it computes as a box, a centre read of two strands multiplies
-dense slabs (torusfield._slab_dot), and grid_values folds the whole masked
-cube into a (2, M^d) pair of real grids before the transform. valuate
+window it computes as a box (grid_window, with the entries the box holds
+off its l1 ball), a centre read of two strands multiplies dense slabs
+(torusfield._slab_dot), a series product multiplies its parts' boxes, and
+grid_values folds the whole masked cube into a (2, M^d) pair of real grids
+before the transform. valuate
 reduces a connected class with feynman's reducer, which only records its
 moves, rebuilds the recorded nodes as DenseWeight nodes (shared where the
 reducer shares them) and reads them. A K4 core goes to feynman._valuate_k4,
@@ -22,11 +24,13 @@ from wickworks.torusfield import (
     _check_even,
     _crop,
     _fold,
-    _grid_window,
     _half_cell,
+    _halves,
     _l1_mask,
+    _separate,
     _slab_dot,
     _smooth_len,
+    _untwisted,
     lattice_rule_size,
 )
 
@@ -43,6 +47,19 @@ def grid_values(cube: np.ndarray, M: int) -> np.ndarray:
         out *= half.reshape((M,) + (1,) * (dim - 1 - axis))
     out.real += folds[0]
     return np.fft.fftn(out, out=out)
+
+
+def grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
+    """The box of radius r from Y = ifftn(P + iQ) (overwritten), separated
+    and untwisted as torusfield._grid_ball does, with the box's entries
+    beyond the support |k|_1 <= S set to 0."""
+    _separate(Y)
+    dim, M = Y.ndim, Y.shape[0]
+    box = np.empty((2 * r + 1,) * dim)
+    _untwisted(Y, [_halves(r, M)] * dim, box)
+    k = np.abs(np.arange(-r, r + 1))
+    box[sum(np.ix_(*[k] * dim)) > S] = 0.0
+    return box
 
 
 def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
@@ -66,7 +83,7 @@ def convolution_window(*cubes: np.ndarray, radius: int) -> np.ndarray:
             np.multiply(acc.imag, grids.imag, out=acc.imag)
     if radius == 0:
         return np.full((1,) * dim, (np.sum(acc.real) + np.sum(acc.imag)) / (2 * M**dim))
-    return _grid_window(np.fft.ifftn(acc, out=acc), radius, S)
+    return grid_window(np.fft.ifftn(acc, out=acc), radius, S)
 
 
 class DenseWeight:
@@ -113,7 +130,8 @@ def _dense(w, made: dict) -> DenseWeight:
     """The DenseWeight of a recorded feynman._Weight node, one per node."""
     if id(w) not in made:
         parts = tuple(_dense(p, made) for p in w.parts)
-        made[id(w)] = DenseWeight(w.cube, w.radius, w.move, parts)
+        cube = None if w.cube is None else w.cube.box()
+        made[id(w)] = DenseWeight(cube, w.radius, w.move, parts)
     return made[id(w)]
 
 

@@ -84,6 +84,12 @@ def _shifted(w: fy._Weight, target_radius: int, p: tuple) -> np.ndarray:
     return out
 
 
+def given_weight(cube: np.ndarray) -> fy._Weight:
+    """A given weight node: a centred cube's entries on its l1 ball."""
+    R = cube.shape[0] // 2
+    return fy._Weight(tf.Ball(cube[tf._l1_mask(cube.ndim, R)], cube.ndim, R), R)
+
+
 def k4_doubled_per_momentum(d: int, N: int) -> float:
     """Independent oracle for valuate(k4_doubled(), d, N): the K4 sum with the
     outer momentum p on the single edge (0, 2) run over every point of K_N.
@@ -1177,7 +1183,7 @@ class TestK4Orbits:
         skewed = base.copy()
         skewed[N + 1, N] *= 1.5  # breaks the swap of the two axes
         lines = {
-            pair: fy._Weight(skewed if k == 5 else base, N)
+            pair: given_weight(skewed if k == 5 else base)
             for k, pair in enumerate(itertools.combinations(range(4), 2))
         }
         # a broken symmetry is a bad input, not a core past the engine's limit
@@ -1191,10 +1197,10 @@ class TestK4Orbits:
         # still valuates the same core
         N = 2
         base = ModeLattice(2, N).inverse_weight_cube()
-        lines = {pair: fy._Weight(base, N) for pair in itertools.combinations(range(4), 2)}
+        lines = {pair: given_weight(base) for pair in itertools.combinations(range(4), 2)}
         with pytest.raises(ValuationBudgetError, match="ad and bc, or ac and bd, are not one shared node"):
             fy._valuate_k4(lines)
-        shared = fy._Weight(base, N)
+        shared = given_weight(base)
         assert k4_ref.valuate_k4(lines) == pytest.approx(
             fy._valuate_k4(dict.fromkeys(lines, shared)), rel=1e-15
         )
@@ -1260,9 +1266,9 @@ class TestK4Orbits:
         assert type(valuate(k4_doubled(), 1, 2)) is float
 
     def test_base_cube_is_read_only(self):
-        cube = fy._base_weight(1, 4, 1.0)
+        ball = fy._base_weight(1, 4, 1.0)
         with pytest.raises(ValueError):
-            cube[0] = 1.0
+            ball.values[0] = 1.0
 
 
 class TestPositionMC:
@@ -1505,18 +1511,19 @@ def test_fft_lengths_are_5_smooth(monkeypatch):
 
 @pytest.fixture
 def full_length(monkeypatch):
-    """Reference valuation: every node computed whole and kept as a box, and
-    every convolution run on its full linear length, then cut to the window
-    the reader asked for."""
+    """Reference valuation: every node computed whole, and every convolution
+    run on its full linear length of dense boxes, then cut to the ball the
+    reader asked for."""
     kept = fy._Weight._kept
 
     def whole(self, r):
-        return fy._crop(kept(self, self.radius), self.radius, r)
+        return kept(self, self.radius).crop(r)
 
     def full(*cubes, radius):
-        out = convolve_cubes(*cubes)
-        half = out.shape[0] // 2
-        return out[(slice(half - radius, half + radius + 1),) * out.ndim]
+        out = convolve_cubes(*(c.box() for c in cubes))
+        half, dim = out.shape[0] // 2, out.ndim
+        box = out[(slice(half - radius, half + radius + 1),) * dim]
+        return tf.Ball(box[tf._l1_mask(dim, radius)], dim, radius)
 
     def run(g, d, N, fn=valuate):
         # the reference neither reads the class cache nor leaves its values in it
@@ -1524,7 +1531,6 @@ def full_length(monkeypatch):
         try:
             with monkeypatch.context() as m:
                 m.setattr(fy._Weight, "_kept", whole)
-                m.setattr(fy._Weight, "_packs", lambda self, r: False)
                 m.setattr(fy, "convolution_window", full)
                 return fn(g, d, N)
         finally:
@@ -1572,9 +1578,10 @@ class TestWindowedTransforms:
 
     def test_reference_transforms_whole(self, full_length, monkeypatch):
         # the reference is not the windowed path in disguise: the windowed
-        # path reads a centre with no window and the ring's bubble B on its
-        # whole radius 2N by the lattice rule, with no real inverse transform;
-        # the reference convolves every bundle on its full linear length
+        # path reads a centre as a window of radius 0 (the rule's mean, with
+        # no inverse transform) and the ring's bubble B on its whole radius
+        # 2N by the lattice rule, with no real inverse transform; the
+        # reference convolves every bundle on its full linear length
         windows, lengths = [], []
         convolution_window, irfftn = fy.convolution_window, np.fft.irfftn
 
@@ -1590,7 +1597,8 @@ class TestWindowedTransforms:
         monkeypatch.setattr(np.fft, "irfftn", recording)
         fy._valuate_cached.cache_clear()  # a cached class runs no transform
         valuate(banana(4), 3, 3)
-        assert windows == [] and lengths == []
+        assert windows == [(4, 0)] and lengths == []
+        windows.clear()
         full_length(banana(4), 3, 3)
         assert windows == [] and lengths == [tf._smooth_len(25)]
         N = 3
@@ -1612,7 +1620,7 @@ class TestSeriesWindow:
         base = ModeLattice(1, N).inverse_weight_cube()
 
         def build():
-            leaf = fy._Weight(base, N)
+            leaf = given_weight(base)
             strand = fy._Weight.bundle([leaf, leaf, leaf], {}).series(leaf, {})
             return fy._Weight.bundle([strand, leaf], {})
 
@@ -1624,8 +1632,8 @@ class TestSeriesWindow:
             return convolution_window(*cubes, radius=radius)
 
         # every node whole, on full-length convolutions
-        strand = fy._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
-        reference = fy._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
+        strand = tf._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
+        reference = tf._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
         monkeypatch.setattr(fy, "convolution_window", recording)
         value = build().center()
         assert radii == [(3, N)]
@@ -1643,19 +1651,20 @@ class TestSeriesWindow:
         ]
         cases = [(g, d, N) for g in classes for d, Ns in [(1, (1, 4)), (2, (1, 3)), (3, (1, 2))] for N in Ns]
         split = []
-        slab = fy._Weight.slab
+        entries = fy._Weight._entries
 
-        def recording(self, r, i):
-            out = slab(self, r, i)
+        def recording(self, r, lo, hi):
+            out = entries(self, r, lo, hi)
             split.append(self.move == "series" and r not in self._windows)  # multiplied out
             return out
 
-        monkeypatch.setattr(fy._Weight, "slab", recording)
+        monkeypatch.setattr(fy._Weight, "_entries", recording)
         fy._valuate_cached.cache_clear()  # each route valuates, not the cache
         got = [valuate(*case) for case in cases]
         assert any(split)
-        monkeypatch.setattr(fy._Weight, "slab", lambda self, r, i: self.window(r)[i])
-        monkeypatch.setattr(fy._Weight, "_packs", lambda self, r: False)  # series products of boxes
+        # every series strand's whole Ball kept first (centres read from
+        # dense slabs are dense_reference's, held by TestPackedWindows)
+        monkeypatch.setattr(fy._Weight, "_entries", lambda self, r, lo, hi: self._kept(r).entries(lo, hi))
         fy._valuate_cached.cache_clear()
         for case, value in zip(cases, got):
             assert valuate(*case) == value, case
@@ -1695,6 +1704,28 @@ class TestPackedWindows:
                 want = dense_ref.valuate(g, d, N)
                 assert fy._valuate_connected(g, d, N).hex() == want.hex(), (g, d, N)
 
+    def test_no_node_keeps_a_dense_window(self, monkeypatch):
+        # every vacuum class of order <= 4: whole reads, reads short of a
+        # node's radius (a bundle under a series node, the K4 core's F_cd),
+        # base lines and centres are all kept on their l1 balls
+        kept = []
+        compute = fy._Weight._compute_window
+
+        def recording(self, r):
+            out = compute(self, r)
+            kept.append((self.radius, r, out))
+            return out
+
+        monkeypatch.setattr(fy._Weight, "_compute_window", recording)
+        for d, N in [(3, 4), (2, 8)]:
+            for g in connected_classes():
+                try:
+                    fy._valuate_connected(g, d, N)
+                except ValuationBudgetError:
+                    continue
+        assert all(type(out) is tf.Ball and out.radius == r for _, r, out in kept)
+        assert any(0 < r < radius for radius, r, _ in kept)
+
     def test_whole_reads_are_kept_on_their_balls(self):
         # the ring's bubble B is kept packed; a reader of its box gets a box
         # of its own, which the node does not keep
@@ -1708,10 +1739,17 @@ class TestPackedWindows:
         first, second = bubble.window(2 * N), bubble.window(2 * N)
         assert first is not second and np.array_equal(first, kept.box())
         assert list(bubble._windows.values()) == [kept]
-        want = dense_ref.convolution_window(base.cube, base.cube, radius=2 * N)
+        cube = base.cube.box()
+        want = dense_ref.convolution_window(cube, cube, radius=2 * N)
         assert np.array_equal(first, want)
-        # a window short of the whole read stays a box
-        assert type(bubble._kept(N)) is np.ndarray
+        # a window short of the whole read is kept on its own ball too, with
+        # the dense box's entries there
+        short = bubble._kept(N)
+        assert isinstance(short, tf.Ball) and short.radius == N
+        want = dense_ref.convolution_window(cube, cube, radius=N)
+        assert np.array_equal(short.box(), want * tf._l1_mask(3, N))
+        # and so is a base line read short of K_N
+        assert np.array_equal(base._kept(1).box(), cube[(slice(N - 1, N + 2),) * 3] * tf._l1_mask(3, 1))
 
 
 def bubble_ring() -> Diagram:

@@ -60,6 +60,22 @@ class TestPartitionSeries:
         # (-1)^3/3! * 1728 = -288: the displayed magnitude is 288
         assert abs(parts[double_triangle()]) == 288
 
+    def test_d1_keeps_no_memory_that_grows_with_n(self):
+        # the K4 core's first-axis phases, about 2N arrays of (2, M) with M
+        # about 4N, once held 71.3 MB after this series at N = 1024; with
+        # the class cache cleared, what stays is a few small caches
+        fy._valuate_cached.cache_clear()
+        phases = tf._offset_phase.cache_info().currsize
+        tracemalloc.start()
+        try:
+            partition_ratio_series(1, 1024, 4)
+            fy._valuate_cached.cache_clear()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2e6
+        assert tf._offset_phase.cache_info().currsize == phases  # d = 1 has no inner axis
+
     def test_integral_float_dimension(self):
         # the caches key 1.0 and 1 alike: cleared, so the float runs
         fy._valuate_cached.cache_clear()
@@ -475,6 +491,23 @@ class TestCommutativity:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (4 * N + 1) ** 3
+
+    def test_route_check_peak_at_n16_and_24(self):
+        # both routes and the counterterms at N = 16 and 24, from cold
+        # weights: the peak was _separate mirroring both halves of the
+        # bubble's inverse transform at once (6.3 MB traced)
+        wick_map_commutativity_check(4, order=3)  # the diagram sums are cached
+        fy._valuate_cached.cache_clear()
+        fy._base_weight.cache_clear()
+        tracemalloc.start()
+        try:
+            for N in (16, 24):
+                wick_map_commutativity_check(N, order=3)
+                counterterms_d3(0.0, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
 
     def test_order5_is_beyond_the_valuation_limit(self):
         with pytest.raises(ValueError, match="valuation limit"):

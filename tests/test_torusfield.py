@@ -109,6 +109,22 @@ class TestWeightTables:
         assert np.array_equal(tf.inverse_weight_cube(d, N, s), want)
         assert np.array_equal(ModeLattice(d, N).inverse_weight_cube(s), want)
 
+    @pytest.mark.parametrize("d, N, s", [(1, 4096, 1), (2, 128, 1), (3, 24, 0.25)])
+    def test_cube_matches_the_table_route(self, d, N, s):
+        # a table by |k|^2, each entry Python's (1 + (2 pi)^d n) ** (-s) as
+        # the table of all n = 0..N^2 had it, read at every mode of K_N
+        lat = ModeLattice(d, N)
+        table: dict = {}
+        want = np.zeros((2 * N + 1,) * d)
+        for k in lat.modes:
+            n = sum(c * c for c in k)
+            if n not in table:
+                table[n] = (1 + tf.TWO_PI**d * n) ** (-float(s))
+            want[tuple(c + N for c in k)] = table[n]
+        assert tf.inverse_weight_cube(d, N, s).tobytes() == want.tobytes()
+        amps = [table[sum(c * c for c in k)] for k, _ in tf.mode_labels(lat)]
+        assert tf.amplitude_weights(lat, s).tolist() == amps
+
     @pytest.mark.parametrize("d, N", [(1, 0), (1, 9), (2, 4), (3, 3)])
     def test_amplitude_weights_match_per_label_loop(self, d, N):
         lat = ModeLattice(d, N)
@@ -1005,15 +1021,15 @@ class TestConvolutionWindow:
                     M = tf._smooth_len(tf.lattice_rule_size(S + min(d * r, S)))
                     folds += max(c.shape[0] // 2 for c in args) >= M
                     got = tf.convolution_window(*args, radius=r)
-                    if r == S > 0:  # a whole read comes on its l1 ball
-                        got = got.box()
+                    assert isinstance(got, tf.Ball) and got.radius == r, (d, S, r)
+                    # every read comes on its l1 ball, and its box is 0 off it
+                    ball = tf._l1_mask(d, r)
                     want = full[(slice(S - r, S + r + 1),) * d]
+                    got = got.box()
                     assert got.shape == want.shape, (d, S, r)
-                    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, (d, S, r)
-                    # entries beyond the support |k|_1 <= S are exactly 0
-                    off = sum(np.abs(a) for a in np.ix_(*[np.arange(-r, r + 1)] * d)) > S
-                    off_ball += int(off.sum())
-                    assert np.all(got[off] == 0.0), (d, S, r)
+                    assert float(np.max(np.abs(got - want)[ball])) <= 1e-12 * scale, (d, S, r)
+                    off_ball += int(np.count_nonzero(~ball & (want != 0.0)))
+                    assert np.all(got[~ball] == 0.0), (d, S, r)
         assert folds
         assert off_ball or d == 1
 
@@ -1042,13 +1058,40 @@ class TestConvolutionWindow:
                 for r in sorted({0, M // 2, M - 1}):
                     for S in sorted({r, max(r, d * r - 1)}):
                         want = whole_array_window(Y, r, S)
-                        got = tf._grid_window(Y.copy(), r, S)
+                        got = dense_ref.grid_window(Y.copy(), r, S)
                         assert got.tobytes() == want.tobytes(), (d, M, r, S)
+
+    def test_separation_copies_under_half_of_the_grid(self):
+        # two mirrored blocks of slabs and the 2A half, a quarter of Y's
+        # bytes, at a time; mirroring the two halves whole took more than Y
+        Y = np.ones((50,) * 3, complex)
+        tracemalloc.start()
+        try:
+            tf._separate(Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes * 3 / 4
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_separation_mirrors_one_block_at_a_time(self, d, monkeypatch):
+        # one slab per block (a one-byte budget) and the default blocks give
+        # the same bits
+        rng = np.random.default_rng(30 + d)
+        for M in range(1, 13 if d == 3 else 26):
+            Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
+            want = Y.copy()
+            tf._separate(want)
+            monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
+            got = Y.copy()
+            tf._separate(got)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes(), (d, M)
 
 
 def whole_array_window(Y, r, S):
-    """_grid_window's separation on whole arrays, a rolled mirror of Y and a
-    separate 2A array, with the box then read by index."""
+    """dense_reference.grid_window's separation on whole arrays, a rolled
+    mirror of Y and a separate 2A array, with the box then read by index."""
     dim, M = Y.ndim, Y.shape[0]
     mirror = np.conj(np.roll(np.flip(Y), 1, axis=tuple(range(dim))))  # conj Y(-k)
     even = (Y.real + mirror.real) * 0.25
@@ -1094,20 +1137,23 @@ class TestBall:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_packed_whole_read_unpacks_to_the_dense_box(self, d):
         # odd and even M, M = 1 and 2, and radii up to M - 1: the ball's
-        # entries are the dense whole read's, to the bit, and it is 0 off them
+        # entries are the dense read's, to the bit, and it is 0 off them
         rng = np.random.default_rng(70 + d)
         for M in range(1, 12 if d == 3 else 20):
             Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
             for r in sorted({0, 1, M // 2, M - 1} - {M}):
                 ball = tf._grid_ball(Y.copy(), r)
-                want = tf._grid_window(Y.copy(), r, r)
+                want = dense_ref.grid_window(Y.copy(), r, r)
                 assert np.array_equal(ball.box(), want), (d, M, r)
                 assert ball.box().tobytes() == whole_array_window(Y, r, r).tobytes(), (d, M, r)
+                # a read short of the support keeps the dense box's ball
+                wide = dense_ref.grid_window(Y.copy(), r, d * r)
+                assert np.array_equal(ball.box(), wide * tf._l1_mask(d, r)), (d, M, r)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_convolution_window_reads_and_writes_balls(self, d):
-        # a whole read is the dense one's ball, the rest are boxes, and
-        # packed strands give every window the dense strands give, to the bit
+        # every read is the dense box's ball, and packed strands give every
+        # window the dense strands give, to the bit
         rng = np.random.default_rng(80 + d)
         base = ModeLattice(d, 2).inverse_weight_cube()
         for radii in [(1, 6), (2, 2, 0), (3,), (1, 2, 1, 3)]:
@@ -1118,10 +1164,8 @@ class TestBall:
                 want = dense_ref.convolution_window(*cubes, radius=r)
                 for args in (cubes, balls):
                     got = tf.convolution_window(*args, radius=r)
-                    if r == S:
-                        assert isinstance(got, tf.Ball), (d, radii)
-                        got = got.box()
-                    assert type(got) is np.ndarray and np.array_equal(got, want), (d, radii, r)
+                    assert isinstance(got, tf.Ball) and got.radius == r, (d, radii, r)
+                    assert np.array_equal(got.box(), want * tf._l1_mask(d, r)), (d, radii, r)
 
     def test_rejects_a_ball_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
