@@ -110,8 +110,9 @@ def _weights_by_norm2(d: int, s: float, norm2: np.ndarray) -> np.ndarray:
     """(1 + (2 pi)^d n) ** (-float(s)) for each integer n = |k|^2 of a 1-d
     array, Python's float pow taken once per distinct n: np.power can differ
     from it in the last bit."""
-    values, at = np.unique(norm2, return_inverse=True)
-    return np.array([(1 + TWO_PI**d * n) ** (-float(s)) for n in values.tolist()])[at]
+    norms = norm2.tolist()
+    weight = {n: (1 + TWO_PI**d * n) ** (-float(s)) for n in set(norms)}
+    return np.array([weight[n] for n in norms])
 
 
 def c_variance(d: int, N: int) -> float:
@@ -589,11 +590,13 @@ def _fold(block: np.ndarray, lo: list[int], out) -> None:
             runs.append((slice(a - start, b - start + 1), slice(a - n * M, b - n * M + 1), n % 2))
         axes.append(runs)
     for parts in product(*axes):
-        src = block[tuple(s for s, _, _ in parts)]
-        plain, half = (grid[tuple(t for _, t, _ in parts)] for grid in out)
-        # into the views: an item assignment of a view onto itself buffers a copy
-        np.add(plain, src, out=plain)
-        (np.subtract if sum(odd for _, _, odd in parts) % 2 else np.add)(half, src, out=half)
+        src = tuple(s for s, _, _ in parts)
+        dst = tuple(t for _, t, _ in parts)
+        out[0][dst] += block[src]
+        if sum(odd for _, _, odd in parts) % 2:
+            out[1][dst] -= block[src]
+        else:
+            out[1][dst] += block[src]
 
 
 def _grid_values(cube, M: int) -> np.ndarray:
@@ -702,17 +705,17 @@ def _separate(Y: np.ndarray) -> None:
     are the float operations of a whole-array separation.
     """
     dim, M = Y.ndim, Y.shape[0]
-    h = (M + 1) // 2
     own = slice(None, None, M // 2) if M % 2 == 0 else slice(0, 1)
+    h = (M + 1) // 2
     pairs = [(own, own)]
     for run in _slab_blocks((h - 1,) + Y.shape[1:], Y.itemsize, _FOLD_BYTES):
         lo, hi = run.start + 1, min(run.stop, h - 1) + 1
         pairs.append((slice(lo, hi), slice(M - lo, M - hi, -1)))  # slabs i and -i mod M
-    evens = []  # 2A on the first slab of each pair
+    evens = []
     for P, Q in pairs:
         rows = [P] if P == Q else [P, Q]
         mirrored = [_mirror(Y[s]) for s in reversed(rows)]  # Y(-k) on each of rows
-        evens.append(np.add(Y[P].real, mirrored[0].real))
+        evens.append(np.add(Y[P].real, mirrored[0].real))  # 2A
         for s, m in zip(rows, mirrored):
             np.subtract(Y[s], np.conjugate(m, out=m), out=Y[s])  # 2iB
         del mirrored, m
