@@ -63,14 +63,13 @@ from .torusfield import (
     _check_lattice,
     _check_samples,
     _grid_values,
-    _l1_mask,
     _mc_blocks,
     _paired_rule_mean,
     _smooth_len,
     _symmetric,
     as_point,
     convolution_window,
-    inverse_weight_cube,
+    inverse_weight_ball,
     lattice_rule_size,
 )
 
@@ -816,12 +815,12 @@ class _Weight:
     on the l1 ball |k|_1 <= r only: a given weight's crop (Ball.crop), a
     bundle's convolution_window and a series product's product of its
     parts' entries. Every reader uses only that ball: a whole read is its
-    support, a strand's read and the K4 core's F_cd are masked to it
+    support, a strand's read and the K4 core's F_cd are read as Balls
     (torusfield._grid_values), and a series product reads its parts on it.
     A two-strand centre read pairs a whole read, zero off its ball, with
     the other strand, so the entries off the ball that a box would hold
     only ever met zeros. Both reads need every strand even under k -> -k,
-    and every weight is: the base cube depends on |k|^2, and bundles and
+    and every weight is: the base weight depends on |k|^2, and bundles and
     series products of even weights are even.
 
     Within one valuation the reducer shares nodes: a move it records twice on
@@ -830,9 +829,9 @@ class _Weight:
     transformed once per radius however many readers it has; a series node
     read only through a centre's entries keeps none. The nodes, and with
     them these caches, die with the valuation. window(r) unpacks a kept
-    window into a box that is not kept, so a reader that needs a box (the
-    K4 core's _box reads and symmetry check, _external_bundle) holds it for
-    its own lifetime only.
+    window into a box that is not kept, so the one reader that needs boxes,
+    the K4 core (its _box reads and symmetry check), holds them for its own
+    lifetime only.
     """
 
     __slots__ = ("cube", "radius", "move", "parts", "ndim", "_windows")
@@ -910,10 +909,9 @@ class _Weight:
 
 @lru_cache(maxsize=None)
 def _base_weight(dim: int, N: int, s: float) -> Ball:
-    """lambda_k^(-s) on K_N, packed on the l1 ball once per (dim, N, s);
-    read-only, since every valuation shares it."""
-    cube = inverse_weight_cube(dim, N, s)
-    ball = Ball(cube[_l1_mask(dim, N)], dim, N)
+    """lambda_k^(-s) on K_N (torusfield.inverse_weight_ball), built once per
+    (dim, N, s); read-only, since every valuation shares it."""
+    ball = inverse_weight_ball(dim, N, s)
     ball.values.setflags(write=False)
     return ball
 
@@ -980,21 +978,22 @@ def _valuate_k4(lines: dict) -> float:
     without that identity raises ValuationBudgetError, after the symmetry
     check.
 
-    Each distinct weight is read once, as a box: F_ab, F_ac and F_ad
-    whole, and F_cd on the ball of radius r = min(R_ac + R_ad, R_cd) that
-    (q + p) + s reaches. V_p is the constant term of a_p^2 e_p f, with a_p
+    Each distinct weight is read once: F_ab, F_ac and F_ad whole, as boxes,
+    and F_cd as the Ball of radius r = min(R_ac + R_ad, R_cd) that
+    (q + p) + s reaches, unpacked only for the symmetry check; f is formed
+    after both checks. V_p is the constant term of a_p^2 e_p f, with a_p
     and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
     exp(-2 pi i p.x), of l1 degree at most R_ac + R_ad + r. The two-grid
     lattice rule of torusfield.lattice_rule_size, on a 5-smooth M,
     integrates it exactly: V_p is the mean of a_p^2 e_p f over both grids,
     with no linear convolution and no inverse transform. The degree is
-    taken from the radii, and every window is read as it comes: each is
-    unpacked from its torusfield.Ball, so it is exactly zero off its l1
-    ball, and the rule is exact for what is summed.
+    taken from the radii, and every window is read as it comes: each is a
+    torusfield.Ball or a box unpacked from one, so it is exactly zero off
+    its l1 ball, and the rule is exact for what is summed.
 
     Every orbit's p has p_i >= 0, so only F_ac and the corner of F_ad that
-    q + p reaches are held through the orbit loop, whose buffers are made
-    after the other boxes are let go.
+    q + p reaches are held through the orbit loop; f and the loop's buffers
+    are made after the other boxes are let go.
 
     A_p is sliced on box_ac & (box_ad - p), with lower corner lo_p, so
     a_p^2 e_p = psi_p alpha_p^2, alpha_p the block's polynomial with its
@@ -1021,17 +1020,18 @@ def _valuate_k4(lines: dict) -> float:
     )
     R_ab, R_ac, R_ad = (w.radius for w in (ab, ac, ad))
     r = min(R_ac + R_ad, cd.radius)
-    # each distinct read once, unpacked into a box held for the core's
-    # lifetime: a shared node's window is one array
+    # each distinct read once, unpacked into a box for the symmetry check: a
+    # shared node's window is one array. F_cd is read on the grids as its
+    # Ball, and only F_ab, F_ac and F_ad are read as boxes after the checks
     boxes: dict = {}
     for w, rw in ((ab, R_ab), (ac, R_ac), (ad, R_ad), (bc, bc.radius), (bd, bd.radius), (cd, r)):
         if (w, rw) not in boxes:
             boxes[w, rw] = w.window(rw)
-    F_ab, F_ac, F_ad, F_bc, F_bd = (boxes[w, w.radius] for w in (ab, ac, ad, bc, bd))
-    F_cd = boxes[cd, r]
+    F_cd = cd._kept(r)
+    F_ab, F_ac, F_ad = (boxes[w, w.radius] for w in (ab, ac, ad))
     for w in (ab, ac, ad, bc, bd, cd):
-        # the core is its lines' last reader: no Ball is held beside the box
-        # unpacked from it
+        # the core is its lines' last reader: no Ball but F_cd's is held
+        # beside the boxes unpacked from them
         w._windows.clear()
     for cube in {id(x): x for x in boxes.values()}.values():
         _check_hyperoctahedral(cube)
@@ -1045,9 +1045,6 @@ def _valuate_k4(lines: dict) -> float:
         )
     dim = F_ab.ndim
     M = _smooth_len(lattice_rule_size(R_ac + R_ad + r))
-    # f on the plain and the half-cell grid, once: real, since F_cd is even
-    f = _grid_values(F_cd, M)
-    f = np.stack((f.real, f.imag))
     orbits = []
     for p, size in _orbits(dim, R_ab):
         wp = float(F_ab[tuple(t + R_ab for t in p)])
@@ -1059,7 +1056,11 @@ def _valuate_k4(lines: dict) -> float:
         # its box is kept
         F_ad = _box(F_ad, [(-R_ac, min(R_ac + R_ab, R_ad))] * dim).copy()
     first = -min(R_ac, R_ad)  # the momentum at index 0 of F_ad
-    del boxes, cube, F_ab, F_bc, F_bd, F_cd  # read only above
+    del boxes, cube, F_ab  # read only above
+    # f on the plain and the half-cell grid, once: real, since F_cd is even
+    f = _grid_values(F_cd, M)
+    f = np.stack((f.real, f.imag))
+    del F_cd
     # the block and its spectra are buffers of the core, refilled per pair
     block = np.empty((2 * min(R_ac, R_ad) + 1,) * dim, complex)
     spec = np.empty((2,) + (M,) * dim, complex)
@@ -1261,7 +1262,7 @@ def valuate_position_mc(g: Diagram, d, N: int, samples: int, seed: int):
 
 def _external_bundle(g: Diagram, d, N: int):
     """Scale factor and reduced x-y weight of a two-point diagram, the weight
-    read whole: a centered cube of the radius of its support.
+    read whole: the Ball of the radius of its support, as its node keeps it.
 
     The two labeled legs fix the momentum flowing through the diagram. With
     the labeled vertices protected, the external component must reduce to a
@@ -1286,26 +1287,28 @@ def _external_bundle(g: Diagram, d, N: int):
     if len(lines) != 1:
         raise ValuationBudgetError("external valuation needs a two-terminal reduction")
     (w,) = lines.values()
-    return factor * pendant, w.window(w.radius)
+    return factor * pendant, w._kept(w.radius)
 
 
 def valuate_external(g: Diagram, d, N: int, p=None) -> float:
     """Two-terminal valuation at external momentum p (default: the zero mode).
 
-    The reduced x-y cube of _external_bundle, scaled and read at p; 0.0
-    outside it. Raises ValueError unless every coordinate of p is a finite
-    integer.
+    The reduced x-y weight of _external_bundle, scaled and read at p from
+    the one slab of its Ball that holds p; 0.0 off its box, and the slab's
+    zero off its ball. Raises ValueError unless every coordinate of p is a
+    finite integer.
     """
     dim, _ = _model(d)
     xs = (0.0,) * dim if p is None else as_point(p, dim, "external momentum p =")
     if not all(c.is_integer() for c in xs):
         raise ValueError(f"external momentum p = {p!r} needs finite integer coordinates")
     p = tuple(int(c) for c in xs)
-    scale, cube = _external_bundle(g, d, N)
-    R = cube.shape[0] // 2
+    scale, ball = _external_bundle(g, d, N)
+    R = ball.radius
     if any(abs(c) > R for c in p):
         return 0.0
-    return scale * float(cube[tuple(c + R for c in p)])
+    (slab,) = ball.box(slice(p[0] + R, p[0] + R + 1))
+    return scale * float(slab[tuple(c + R for c in p[1:])])
 
 
 def diagram_sum_to_json(s: DiagramSum) -> list:

@@ -260,11 +260,11 @@ def _two_point_sums(order: int) -> list[DiagramSum]:
 
 def _external_value(g: Diagram, d, N: int, x, y) -> float:
     """Position-space value of a two-external-leg diagram at (x, y): the
-    cosine sum of its reduced x-y weight at x - y."""
+    cosine sum of its reduced x-y weight, a Ball, at x - y."""
     dim, _ = fy._model(d)
     diff = tuple(a - b for a, b in zip(as_point(x, dim, "x ="), as_point(y, dim, "y =")))
-    scale, cube = fy._external_bundle(g, d, N)
-    return scale * cosine_sum(cube, diff)
+    scale, ball = fy._external_bundle(g, d, N)
+    return scale * cosine_sum(ball, diff)
 
 
 # ---------------------------------------------------------------------------

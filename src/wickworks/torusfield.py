@@ -20,15 +20,19 @@ the grid routes are tested against.
 One builder, _l1_within (cached as _l1_mask), gives K_N for everything
 here: the mode list (the mask's true entries in C order, which is
 lexicographic, so mode_labels and the seeded amplitude stream keep one
-order), the weight cubes and the masks the sums and the lattice rule read.
+order), the layout of a Ball and the masks the lattice rule reads.
 
 Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
-noise. Weights are looked up by |k|^2, C_N is the fsum of the weight cube,
-and one cosine sum (cosine_sum) gives the Green function and every
-two-point value in position space. The padded-FFT linear convolution
-convolve_cubes gives young_sum_check its constrained sums, and is the
-reference the windowed convolution_window is tested against.
+noise. Every lattice-sum read here takes its weights in one format, a Ball:
+a centred cube kept as its entries on its l1 ball. lambda_k^(-s) is built
+on K_N as one (inverse_weight_ball), each value looked up by |k|^2; C_N and
+the other weight sums are the fsum of its entries, one cosine sum
+(cosine_sum) gives the Green function and every two-point value in position
+space, and constant_term and convolution_window read Balls and return one.
+The padded-FFT linear convolution convolve_cubes, on box-supported cubes,
+gives young_sum_check its constrained sums, and is the reference the
+windowed convolution_window is tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +54,12 @@ TWO_PI = 2.0 * math.pi
 
 def _l1_ball(d: int, N: int) -> list[tuple[int, ...]]:
     """K_N in lexicographic order: the C order of the mask's true entries."""
-    return [tuple(k) for k in (np.argwhere(_l1_mask(d, N)) - N).tolist()]
+    return [tuple(k) for k in _ball_points(d, N).tolist()]
+
+
+def _ball_points(d: int, N: int) -> np.ndarray:
+    """The points of K_N as rows of an integer array, in a Ball's order."""
+    return np.argwhere(_l1_mask(d, N)) - N
 
 
 class ModeLattice:
@@ -93,17 +102,20 @@ def _check_lattice(d: int, N: int) -> None:
         raise ValueError(f"N must be >= 0, got {N}")
 
 
-def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:
-    """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N.
+def inverse_weight_ball(d: int, N: int, s: float = 1.0) -> Ball:
+    """lambda_k^(-s) on K_N, as a Ball of radius N.
 
     Each value is looked up by |k|^2 (_weights_by_norm2).
     """
     _check_lattice(d, N)
-    norm2 = sum(a * a for a in np.ix_(*[np.arange(-N, N + 1)] * d))
-    ball = _l1_mask(d, N)
-    cube = np.zeros(norm2.shape)
-    cube[ball] = _weights_by_norm2(d, s, norm2[ball])
-    return cube
+    k = _ball_points(d, N)
+    return Ball(_weights_by_norm2(d, s, (k * k).sum(axis=1)), d, N)
+
+
+def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:
+    """lambda_k^(-s) over the centered box [-N, N]^d, zero off K_N: the box
+    of inverse_weight_ball."""
+    return inverse_weight_ball(d, N, s).box()
 
 
 def _weights_by_norm2(d: int, s: float, norm2: np.ndarray) -> np.ndarray:
@@ -117,7 +129,7 @@ def _weights_by_norm2(d: int, s: float, norm2: np.ndarray) -> np.ndarray:
 
 def c_variance(d: int, N: int) -> float:
     """C_N = sum over K_N of 1/lambda_k, the truncated-field variance."""
-    return math.fsum(inverse_weight_cube(d, N, 1.0).ravel().tolist())  # zero off K_N
+    return math.fsum(inverse_weight_ball(d, N, 1.0).values.tolist())
 
 
 def as_point(x, d: int, name: str = "point") -> tuple[float, ...]:
@@ -134,22 +146,22 @@ def as_point(x, d: int, name: str = "point") -> tuple[float, ...]:
     return xs
 
 
-def cosine_sum(cube: np.ndarray, x) -> float:
-    """sum over the l1 ball K_R of cube[k] cos(2 pi k.x), by math.fsum, for a
-    centered cube of radius R that is even under k -> -k (sines cancel).
+def cosine_sum(ball: Ball, x) -> float:
+    """sum over the l1 ball K_R of w(k) cos(2 pi k.x), by math.fsum, for a
+    Ball w of radius R that is even under k -> -k (sines cancel).
 
-    Only the ball is summed: FFT-built weights carry roundoff off it. The
-    phase of each k is summed axis by axis, as the scalar k.x would be.
+    The phase of each k is summed axis by axis, as the scalar k.x would be.
     """
-    d, R = cube.ndim, cube.shape[0] // 2
+    d = ball.ndim
     xs = as_point(x, d)
-    phase = sum(k * xi for k, xi in zip(np.ix_(*[np.arange(-R, R + 1)] * d), xs))
-    return math.fsum((cube * np.cos(TWO_PI * phase))[_l1_mask(d, R)].tolist())
+    k = _ball_points(d, ball.radius)
+    phase = sum(k[:, a] * xi for a, xi in enumerate(xs))
+    return math.fsum((ball.values * np.cos(TWO_PI * phase)).tolist())
 
 
 def green_truncated(x, d: int, N: int) -> float:
     """G_N(x) = sum over K_N of cos(2 pi k.x)/lambda_k (sines cancel by k <-> -k)."""
-    return cosine_sum(inverse_weight_cube(d, N, 1.0), x)
+    return cosine_sum(inverse_weight_ball(d, N, 1.0), x)
 
 
 def green_exact_1d(x: float) -> float:
@@ -207,8 +219,8 @@ class FieldSample:
 
     def variance_target(self) -> float:
         """E[field(x)^2] = sum over all of K_N of lambda^(-2 exponent)."""
-        cube = self.lattice.inverse_weight_cube(2 * self.profile.exponent)
-        return math.fsum(cube.ravel().tolist())  # the cube is zero off K_N
+        weights = inverse_weight_ball(self.lattice.d, self.lattice.N, 2 * self.profile.exponent)
+        return math.fsum(weights.values.tolist())
 
     def _amplitude_vector(self) -> np.ndarray:
         return np.array([self.amplitudes[label] for label in self.labels])
@@ -272,7 +284,7 @@ def sobolev_sum(s: float, d: int, N: int, profile: SpectralProfile) -> float:
         expo = s - 1.0
     else:
         raise ValueError("sobolev_sum supports the white and gff profiles")
-    return math.fsum(inverse_weight_cube(d, N, -expo).ravel().tolist())
+    return math.fsum(inverse_weight_ball(d, N, -expo).values.tolist())
 
 
 def wick_power_field(sample: FieldSample, n: int, grid: int) -> np.ndarray:
@@ -362,52 +374,39 @@ def lattice_rule_size(deg: int) -> int:
     return deg // 2 + 1
 
 
-def constant_term(*cubes) -> float:
-    """sum over k_1 + ... + k_n = 0 of prod_i cube_i(k_i), for centered
-    odd-sided cubes, each supported on the l1 ball of its radius.
+def constant_term(*balls: Ball) -> float:
+    """sum over k_1 + ... + k_n = 0 of prod_i w_i(k_i), for Balls w_i.
 
     This is the constant term of the product of their trigonometric
-    polynomials. Two cubes give the dot product of a and the reversed b on
-    their common box, whatever their symmetry, summed slab by slab
-    (_slab_dot), so no array of the box's size is built. Three or more
-    cubes must each be even under k -> -k, as every reducer weight is:
-    their constant term is convolution_window at radius 0, the mean of the
-    product over the two grids of lattice_rule_size, sized by the sum of
-    the radii, with no inverse transform; any of them may be a Ball.
+    polynomials. Two Balls give the dot product of a and the reversed b on
+    the ball of their common radius (Ball.crop), whatever their symmetry,
+    summed a block of slabs at a time (_ball_dot), so no array of the box's
+    size is built. Three or more must each be even under k -> -k, as every
+    reducer weight is: their constant term is convolution_window at radius
+    0, the mean of the product over the two grids of lattice_rule_size,
+    sized by the sum of the radii, with no inverse transform.
     """
-    if len(cubes) == 2:
-        r = min(c.shape[0] // 2 for c in cubes)
-        a, b = (_crop(c, c.shape[0] // 2, r) for c in cubes)
-        return _slab_dot(lambda _, i: a[i], lambda _, i: b[i], r)
-    return convolution_window(*cubes, radius=0).values.item()
-
-
-def _slab_dot(slab_a, slab_b, r: int) -> float:
-    """sum over k of a(k) b(-k) on the centered box of radius r, where
-    slab_a(r, i) and slab_b(r, i) give slab i along the first axis of a and
-    b on that box (_Weight.slab's signature).
-
-    Slab i of a meets slab 2r - i of b reversed. Each pair's product is
-    summed pairwise (a running dot loses ~1e-13) and the slab sums by
-    math.fsum, so one slab of each is needed at a time: a slab may be formed
-    on demand, and the box it comes from need never be built.
-    """
-    return math.fsum(
-        [float(np.sum(slab_a(r, i) * np.flip(slab_b(r, 2 * r - i)))) for i in range(2 * r + 1)]
-    )
+    if len(balls) == 2:
+        a, b = (w.crop(min(w.radius for w in balls)) for w in balls)
+        entries = [lambda _, lo, hi, w=w: w.entries(lo, hi) for w in (a, b)]
+        return _ball_dot(*entries, a.ndim, a.radius)
+    return convolution_window(*balls, radius=0).values.item()
 
 
 def _ball_dot(entries_a, entries_b, dim: int, r: int) -> float:
-    """_slab_dot of two dim-dimensional strands that are zero off their l1
-    balls of radius r, given as entries_a(r, lo, hi) and entries_b(r, lo,
-    hi), the ball entries of slabs lo..hi - 1 (Ball.entries' layout).
+    """sum over k of a(k) b(-k) for two dim-dimensional strands on the l1
+    ball of radius r, given as entries_a(r, lo, hi) and entries_b(r, lo,
+    hi), the ball entries of slabs lo..hi - 1 (Ball.entries' layout), so a
+    block may be formed on demand.
 
-    A block of slabs i = lo..hi - 1 meets the slabs 2r - i, which hold the
-    same balls, and their entries reversed as one run are each of those
-    slabs reversed, in the block's order. So each block is multiplied on
-    the balls only and unpacked into one zero block (_unpack), and each of
-    its slabs is summed as _slab_dot sums a slab of a times slab 2r - i of
-    b reversed: the same products, the same zeros, the same bits.
+    Slab i of a meets slab 2r - i of b reversed. A block of slabs i =
+    lo..hi - 1 meets the slabs 2r - i, which hold the same balls, and their
+    entries reversed as one run are each of those slabs reversed, in the
+    block's order. So each block is multiplied on the balls only and
+    unpacked into one zero block (_unpack), each of its slabs is summed
+    pairwise, zeros included, as one dense slab of a times the dense slab
+    2r - i of b reversed would be (a running dot loses ~1e-13), and the
+    slab sums by math.fsum.
     """
     sums = []
     for rows in _slab_blocks((2 * r + 1,) * dim, 8, _FOLD_BYTES):
@@ -427,10 +426,10 @@ class Ball:
     slabs lo..hi - 1, and box(rows) gives the dense slabs rows (all by
     default), zero off the ball. The ball is symmetric, and reversed C
     order is the C order of -k, so the entries reversed are the cube at -k.
-    ndim and shape are those of the box, so the readers of cubes take a
-    Ball where they read only its radius. convolution_window returns one
-    for every read, and it and _grid_values read one as a cube; crop(r)
-    gives the Ball of a smaller radius.
+    ndim and shape are those of the box. It is the one weight format of the
+    lattice-sum reads (constant_term, cosine_sum, convolution_window and
+    _grid_values), and convolution_window returns one for every read;
+    crop(r) gives the Ball of a smaller radius.
     """
 
     __slots__ = ("values", "ndim", "radius")
@@ -452,7 +451,7 @@ class Ball:
         lo, hi, _ = rows.indices(2 * self.radius + 1)
         return _unpack(self.entries(lo, hi), self.ndim, self.radius, lo, hi)
 
-    def crop(self, r: int) -> "Ball":
+    def crop(self, r: int) -> Ball:
         """The Ball of radius r <= radius that holds this one's entries on
         its own ball; this one at r = radius."""
         R = self.radius
@@ -481,13 +480,11 @@ def _unpack(entries: np.ndarray, dim: int, r: int, lo: int, hi: int) -> np.ndarr
     return out
 
 
-def convolution_window(*cubes, radius: int) -> Ball:
-    """The linear convolution W of centered odd-sided cubes, each even under
-    k -> -k and supported on the l1 ball of its radius (the roundoff
-    FFT-built cubes carry off it is masked away), on the l1 ball of radius
-    r, as a Ball. Any cube may be a Ball.
+def convolution_window(*balls: Ball, radius: int) -> Ball:
+    """The linear convolution W of Balls, each even under k -> -k, on the
+    l1 ball of radius r, as a Ball.
 
-    The ball is read off the cubes' trigonometric polynomials on the two
+    The ball is read off the Balls' trigonometric polynomials on the two
     grids j/M and (j + 1/2)/M. By the rank-2 lattice rule (see
     lattice_rule_size), the mean over both grids of their product times
     exp(2 pi i k.x) is the sum of W(k + M m) over m in Z^d with an even
@@ -499,23 +496,23 @@ def convolution_window(*cubes, radius: int) -> Ball:
     but the smaller grid would move the bits). At r = 0 the ball is the
     constant term, the mean itself, with no inverse transform.
 
-    An even cube has a real polynomial on both grids, so one complex FFT
+    An even Ball has a real polynomial on both grids, so one complex FFT
     gives both (_grid_values). Inputs are matched by identity: each distinct
-    array is transformed once and raised to its multiplicity. The products P
+    Ball is transformed once and raised to its multiplicity. The products P
     (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ,
     which _grid_ball separates and untwists in the transform's own buffer
     and packs onto the ball a block of first-axis slabs at a time, so no
-    array of the box's size is built. Raises ValueError for a cube that is
+    array of the box's size is built. Raises ValueError for a Ball that is
     not even to roundoff.
     """
-    dim = cubes[0].ndim
-    S = sum(c.shape[0] // 2 for c in cubes)
+    dim = balls[0].ndim
+    S = sum(w.radius for w in balls)
     if not 0 <= radius <= S:
-        raise ValueError(f"a window of radius {radius} needs cubes whose radii sum to at least it")
+        raise ValueError(f"a window of radius {radius} needs Balls whose radii sum to at least it")
     M = _smooth_len(lattice_rule_size(S + min(dim * radius, S)))
-    mults = Counter(id(c) for c in cubes)
+    mults = Counter(id(w) for w in balls)
     acc = None
-    for c in {id(c): c for c in cubes}.values():
+    for c in {id(w): w for w in balls}.values():
         _check_even(c)
         grids = _grid_values(c, M)
         if mults[id(c)] > 1:
@@ -563,13 +560,12 @@ def _symmetric(cube: np.ndarray, *images) -> bool:
     return True
 
 
-def _check_even(cube) -> None:
-    """Raise ValueError unless cube(-k) = cube(k) to roundoff; a Ball's
-    entries reversed are the cube at -k."""
-    values = cube.values if isinstance(cube, Ball) else cube
-    if not _symmetric(values, np.flip(values)):
+def _check_even(ball: Ball) -> None:
+    """Raise ValueError unless w(-k) = w(k) to roundoff for the Ball w,
+    whose entries reversed are the cube at -k."""
+    if not _symmetric(ball.values, ball.values[::-1]):
         raise ValueError(
-            f"a cube of shape {cube.shape} is not even under k -> -k; the two-grid "
+            f"a cube of shape {ball.shape} is not even under k -> -k; the two-grid "
             "lattice rule reads only even cubes"
         )
 
@@ -599,10 +595,10 @@ def _fold(block: np.ndarray, lo: list[int], out) -> None:
             out[1][dst] += block[src]
 
 
-def _grid_values(cube, M: int) -> np.ndarray:
-    """The polynomial of an even cube, masked to its l1 ball, on both grids:
-    u + iv with u(j) = sum_k c(k) exp(-2 pi i k.j/M) and v(j) the same at
-    j + 1/2, both real since c is even. The cube may be a Ball.
+def _grid_values(ball: Ball, M: int) -> np.ndarray:
+    """The polynomial of an even Ball c on both grids: u + iv with u(j) =
+    sum_k c(k) exp(-2 pi i k.j/M) and v(j) the same at j + 1/2, both real
+    since c is even.
 
     One FFT of fold(c) + i fold(c tau), tau(k) = exp(-pi i (k_1 + ... +
     k_d)/M) taken at the true momentum, gives u + iv: fold puts momentum k at
@@ -610,21 +606,18 @@ def _grid_values(cube, M: int) -> np.ndarray:
     n = floor(k / M). So the half-cell fold alternates the signs of the
     aliases and takes the factor tau one axis at a time.
 
-    The cube is folded a block of first-axis slabs at a time
-    (_slab_blocks), masked (or a Ball unpacked) per block: the half-cell
-    fold straight into the real part of the transform's buffer and the plain
-    fold into one real grid, added after the twist. Blocks come in order of
-    their first momentum, so each grid entry takes its aliases in the
-    lexicographic order of a fold of the whole masked cube, to the bit.
+    The Ball is unpacked and folded a block of first-axis slabs at a time
+    (_slab_blocks): the half-cell fold straight into the real part of the
+    transform's buffer and the plain fold into one real grid, added after
+    the twist. Blocks come in order of their first momentum, so each grid
+    entry takes its aliases in the lexicographic order of a fold of the
+    whole box, to the bit.
     """
-    dim, R = cube.ndim, cube.shape[0] // 2
+    dim, R = ball.ndim, ball.radius
     out = np.zeros((M,) * dim, complex)
     plain = np.zeros((M,) * dim)
-    for rows in _slab_blocks(cube.shape, 8, _FOLD_BYTES):
-        if isinstance(cube, Ball):
-            block = cube.box(rows)
-        else:
-            block = cube[rows] * _l1_mask(dim, R)[rows]
+    for rows in _slab_blocks(ball.shape, 8, _FOLD_BYTES):
+        block = ball.box(rows)
         _fold(block, [rows.start - R] + [-R] * (dim - 1), (plain, out.real))
         del block
     # i fold(c tau): the factor i rides on the first axis's half-cell factor
@@ -739,14 +732,6 @@ def _mirror(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     for parts in product(halves, repeat=block.ndim - 1):
         out[(slice(None),) + tuple(t for t, _ in parts)] = block[(slice(None),) + tuple(s for _, s in parts)]
     return out
-
-
-def _crop(cube: np.ndarray, radius: int, target: int) -> np.ndarray:
-    """The central box of radius target of a centred cube of the given radius."""
-    if radius == target:
-        return cube
-    sl = slice(radius - target, radius + target + 1)
-    return cube[tuple(sl for _ in range(cube.ndim))]
 
 
 def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
@@ -1091,14 +1076,13 @@ def wick_integral_variance(d: int, N: int, n: int) -> float:
     """n! * sum over k_1+...+k_n = 0 (each k_i in K_N) of prod 1/lambda_{k_i}.
 
     This is the variance of integral :field^n: for the truncated free field,
-    computed as the constant term of the n-th power of the inverse-weight
-    array's trigonometric polynomial (constant_term).
+    computed as the constant term of the n-th power of the inverse weights'
+    trigonometric polynomial (constant_term).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    lat = _lattice(d, N)
-    cube = lat.inverse_weight_cube(1.0)
-    return math.factorial(n) * constant_term(*[cube] * n)
+    weights = inverse_weight_ball(d, N, 1.0)
+    return math.factorial(n) * constant_term(*[weights] * n)
 
 
 def young_sum_check(d: int, n: int, m: int, kmax: int, truncation: int | None = None):

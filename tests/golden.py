@@ -47,6 +47,28 @@ x = (0.1, 0.2, 0.3)[: min(int(d), 3)]
 print(repr([c.value for c in two_point_series(d, 8, 2, x, (0.4,) * len(x)).coefficients]))
 """
 
+# the lattice-sum reads on torusfield's weights: the Wick-integral variances,
+# C_N, the Green function, the other weight sums, and valuate_external on and
+# off the ball of its box
+READS = """
+from wickworks.feynman import Diagram, valuate_external
+from wickworks.torusfield import (GFF, WHITE, FieldSample, ModeLattice, SpectralProfile, c_variance,
+                                  green_truncated, sobolev_sum, wick_integral_variance)
+direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+chain = Diagram(4, [((0, 1), 3), ((0, 2), 1), ((1, 3), 1)], labels=[(2, "x"), (3, "y")])
+for d, N in ((1, 64), (2, 8), (3, 4)):
+    x = (0.1, 0.2, 0.3)[:d]
+    print(repr([wick_integral_variance(d, N, n) for n in (2, 3, 4)]))
+    print(repr([c_variance(d, N), green_truncated(x, d, N), sobolev_sum(0.5, d, N, GFF),
+                sobolev_sum(-1.0, d, N, WHITE)]))
+    print(repr([FieldSample(ModeLattice(d, N), SpectralProfile("fractional", s), 0).variance_target()
+                for s in (0.0, 0.5, 0.75)]))
+    # a point inside, one on the ball's edge |p|_1 = N and, at d > 1, one in its box off it
+    ps = [(1,) * d, (N,) if d == 1 else (N // 2, N // 2 - N) + (0,) * (d - 2)]
+    ps += [(N, 1) + (0,) * (d - 2)] * (d > 1)
+    print(repr([valuate_external(g, d, N, p) for g in (direct, chain) for p in ps]))
+"""
+
 # perfbench's uv-d3 inputs: the ring of bubbles' centre read and the large windows
 UV_D3 = """
 from wickworks.phi4 import counterterms_d3, wick_map_commutativity_check
@@ -111,7 +133,8 @@ MANIFEST = (
          "--out", "{out}/gff.npy", output="gff.npy"),
     _cli("field fractional", "field", "--profile", "fractional", "--s", 0.75, "--d", 2, "--N", 8,
          "--grid", 32, "--seed", 3, "--out", "{out}/frac.csv", output="frac.csv"),
-    *(Command(f"two-point d{d}", ("-c", TWO_POINT, d)) for d in ("2", "3", "3.5")),
+    *(Command(f"two-point d{d}", ("-c", TWO_POINT, d)) for d in ("1", "2", "3", "3.5")),
+    Command("lattice-sum reads", ("-c", READS)),
     Command("uv-d3 routes", ("-c", UV_D3)),
     _cli("verify", "verify"),
 )

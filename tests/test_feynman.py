@@ -1006,10 +1006,10 @@ class TestOneValuePerClass:
             if len(connected_components(g)) > 1:
                 continue
             for d, N in [(1, 6), (3, 2)]:
-                scale, cube = fy._external_bundle(g, d, N)
+                scale, ball = fy._external_bundle(g, d, N)
                 for h in relabellings(g, 6, rng):
                     got_scale, got = fy._external_bundle(h, d, N)
-                    assert got_scale == scale and got.tobytes() == cube.tobytes(), (g, h, d, N)
+                    assert got_scale == scale and got.values.tobytes() == ball.values.tobytes(), (g, h, d, N)
 
     def test_each_connected_class_reduces_once(self, monkeypatch):
         # the order-4 series has 5 connected classes; disconnected terms
@@ -1447,6 +1447,28 @@ class TestExternal:
             assert valuate_external(direct, 1, 4, p=p) == 0.0
         assert valuate_external(direct, 2, 4, p=(0, -5)) == 0.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_momentum_on_the_edge_and_off_the_ball(self, d):
+        # p with |p|_1 = N, on the edge of the x-y weight's ball, reads the
+        # entry of its box; p inside the box but off the ball reads 0.0
+        N = 4
+        direct = Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
+        chain = Diagram(4, [((0, 1), 3), ((0, 2), 1), ((1, 3), 1)], labels=[(2, "x"), (3, "y")])
+        pad = (0,) * (d - 2)
+        for g in (direct, chain):
+            scale, ball = fy._external_bundle(g, d, N)
+            box = ball.box()
+            assert ball.radius == N
+            for p in [(2, -2) + pad, (-1, 3) + pad, (0, -4) + pad] + [(1, 1, -2)] * (d == 3):
+                assert sum(map(abs, p)) == N
+                want = scale * float(box[tuple(c + N for c in p)])
+                assert want != 0.0
+                assert valuate_external(g, d, N, p=p).hex() == want.hex(), (g, p)
+            for p in [(4, 1) + pad, (-3, -3) + pad, (4,) * d]:
+                assert valuate_external(g, d, N, p=p) == 0.0, (g, p)
+        p = (2, -2) + pad
+        assert valuate_external(direct, d, N, p=p) == 1.0 / ModeLattice(d, N).lam(p)
+
     def test_order4_classes_with_a_core_raise(self):
         # with both terminals protected, two of the twelve order-4 two-point
         # classes reduce to a core rather than one x-y bundle
@@ -1565,10 +1587,10 @@ class TestWindowedTransforms:
                 if len(connected_components(g)) > 1:
                     continue
                 for d, N in [(1, 6), (2, 4), (3, 2)]:
-                    scale, cube = fy._external_bundle(g, d, N)
+                    scale, ball = fy._external_bundle(g, d, N)
                     want_scale, want = full_length(g, d, N, fy._external_bundle)
-                    assert scale == want_scale
-                    np.testing.assert_allclose(cube, want, rtol=1e-12, err_msg=f"{g} {d} {N}")
+                    assert scale == want_scale and ball.radius == want.radius
+                    np.testing.assert_allclose(ball.values, want.values, rtol=1e-12, err_msg=f"{g} {d} {N}")
 
     def test_matches_bruteforce(self):
         for g in windowed_classes():
@@ -1632,8 +1654,8 @@ class TestSeriesWindow:
             return convolution_window(*cubes, radius=radius)
 
         # every node whole, on full-length convolutions
-        strand = tf._crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
-        reference = tf._crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
+        strand = dense_ref.crop(tf.convolve_cubes(base, base, base), 3 * N, N) * base
+        reference = dense_ref.crop(tf.convolve_cubes(strand, base), 2 * N, 0).item()
         monkeypatch.setattr(fy, "convolution_window", recording)
         value = build().center()
         assert radii == [(3, N)]
@@ -1692,6 +1714,41 @@ def connected_classes():
         for g in phi4._quartic_diagrams(k, m).filter_connected().terms
     ]
     return classes + [g for g in windowed_classes() if is_connected(g) and g not in classes]
+
+
+class TestBallReads:
+    def test_only_balls_reach_the_reads(self, monkeypatch):
+        # every weight that reaches torusfield's lattice-sum reads, from each
+        # connected class of order <= 4, the two-point series and the
+        # Wick-integral variances, is a Ball
+        seen = []
+        for name in ("_grid_values", "convolution_window", "constant_term", "cosine_sum"):
+            read = getattr(tf, name)
+
+            def recording(*args, read=read, **kwargs):
+                seen.append((read.__name__, args))
+                return read(*args, **kwargs)
+
+            for module in (tf, fy, phi4):
+                if getattr(module, name, None) is read:
+                    monkeypatch.setattr(module, name, recording)
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        for d, N in [(1, 4), (2, 3), (3, 2), (3.5, 2)]:
+            for g in connected_classes():
+                try:
+                    fy._valuate_connected(g, d, N)
+                except ValuationBudgetError:
+                    continue
+            x = (0.1, 0.2, 0.3)[: int(d)]
+            phi4.two_point_series(d, 8, 2, x, (0.4,) * len(x))
+            if d in (1, 2, 3):
+                for n in (2, 3, 4):
+                    wick_integral_variance(d, N, n)
+        fy._valuate_cached.cache_clear()
+        assert {name for name, _ in seen} == {"_grid_values", "convolution_window", "constant_term", "cosine_sum"}
+        for name, args in seen:
+            weights = args[:1] if name in ("_grid_values", "cosine_sum") else args
+            assert all(type(w) is tf.Ball for w in weights), (name, [type(w) for w in weights])
 
 
 class TestPackedWindows:

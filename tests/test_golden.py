@@ -19,8 +19,9 @@ def test_manifest_adds_the_benchmark_run_and_verify():
     args = [" ".join(c.args) for c in golden.MANIFEST]
     assert "-m wickworks.cli verify" in args
     assert any(a.endswith("--N 16 --order 3 --mc --alpha 0.005 --samples 32768 --seed 1") for a in args)
-    assert sum(a.startswith("-c ") for a in args) == 4  # the two-point reruns and uv-d3
+    assert sum(a.startswith("-c ") for a in args) == 6  # the two-point reruns, the reads and uv-d3
     assert "uv-d3 routes" in names and "phi4 d3 N16" in names
+    assert "two-point d1" in names and "lattice-sum reads" in names
     assert [c.name for c in golden.MANIFEST if c.status] == ["phi4 mc overflow"]
     assert [c.name for c in golden.MANIFEST if isinstance(c.pin, dict)] == [
         "phi4 mc d1", "phi4 mc-d2 seed 1", "phi4 mc partial block"

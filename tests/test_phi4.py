@@ -34,6 +34,7 @@ from wickworks.phi4 import (
 )
 from wickworks.torusfield import ModeLattice, c_variance, green_truncated
 
+import dense_reference as dense_ref
 import exact_reference as ref
 import mc_reference
 
@@ -356,10 +357,9 @@ class TestTwoPoint:
         def per_mode(g, d, N, x, y):
             dim, _ = fy._model(d)
             diff = tuple(a - b for a, b in zip(tf.as_point(x, dim), tf.as_point(y, dim)))
-            cube = np.zeros((2 * N + 1,) * dim)
-            for p in ModeLattice(dim, N).modes:
-                cube[tuple(c + N for c in p)] = fy.valuate_external(g, d, N, p=p)
-            return tf.cosine_sum(cube, diff)
+            # the modes of K_N are in a Ball's order
+            values = [fy.valuate_external(g, d, N, p=p) for p in ModeLattice(dim, N).modes]
+            return tf.cosine_sum(tf.Ball(np.array(values), dim, N), diff)
 
         calls = []
         convolution_window = fy.convolution_window
@@ -397,10 +397,22 @@ def _plain_division(order):
 _TWO_POINT = fy.Diagram(2, [((0, 1), 1)], labels=[(0, "x"), (1, "y")])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_two_point_series_keeps_the_box_route_bits(monkeypatch, d):
+    # each x-y weight read as its Ball, against its box (dense_reference)
+    x, y = (0.1, 0.2, 0.3)[:d], (0.4,) * d
+    for N in (2, 5, 8):
+        got = [c.value for c in two_point_series(d, N, 2, x, y).coefficients]
+        with monkeypatch.context() as m:
+            m.setattr(phi4, "_external_value", dense_ref.external_value)
+            want = [c.value for c in two_point_series(d, N, 2, x, y).coefficients]
+        assert [v.hex() for v in got] == [v.hex() for v in want], (d, N)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, d: tf.cosine_sum(ModeLattice(d, 2).inverse_weight_cube(), p),
+        lambda p, d: tf.cosine_sum(tf.inverse_weight_ball(d, 2), p),
         lambda p, d: green_truncated(p, d, 2),
         lambda p, d: two_point_series(d, 2, 2, p, (0.0,) * d),
         lambda p, d: two_point_series(d, 2, 0, (0.0,) * d, p),

@@ -839,48 +839,62 @@ class TestConstantTerm:
                     S = full.shape[0] // 2
                     want = full[(S,) * d]
                     scale = float(np.max(np.abs(full)))
-                    assert abs(tf.constant_term(*args) - want) <= 1e-13 * scale, (d, radii)
+                    got = tf.constant_term(*packed_all(args))
+                    assert abs(got - want) <= 1e-13 * scale, (d, radii)
 
     def test_rule_reads_only_the_l1_balls(self):
-        # roundoff off a ball lies beyond the rule's degree and is dropped
+        # roundoff off a ball lies beyond the rule's degree: the dense route
+        # masks it away, and a Ball never holds it
         a = ModeLattice(2, 3).inverse_weight_cube()
         noisy = a + 1e-3 * (1 - tf._l1_mask(2, 3))
-        assert tf.constant_term(noisy, a, a) == tf.constant_term(a.copy(), a, a)
+        want = dense_ref.constant_term(a.copy(), a, a)
+        assert dense_ref.constant_term(noisy, a, a) == want
+        A = packed(a)
+        assert tf.constant_term(packed(noisy), A, A) == tf.constant_term(packed(a.copy()), A, A) == want
 
     @pytest.mark.parametrize("d, radii", [(1, (7, 3)), (2, (2, 6)), (3, (5, 4))])
     def test_two_cubes_match_fsum_of_the_product(self, d, radii):
-        # no symmetry and no l1 support: the common box, b reversed
+        # two lopsided Balls, of unequal radii and with no symmetry: the
+        # common box, b reversed
         rng = np.random.default_rng(11)
-        a, b = (rng.standard_normal((2 * R + 1,) * d) for R in radii)
+        a, b = (rng.standard_normal((2 * R + 1,) * d) * tf._l1_mask(d, R) for R in radii)
         r = min(radii)
-        a_box, b_box = (tf._crop(c, R, r) for c, R in zip((a, b), radii))
+        a_box, b_box = (dense_ref.crop(c, R, r) for c, R in zip((a, b), radii))
         terms = (a_box * np.flip(b_box)).ravel().tolist()
-        got = tf.constant_term(a, b)
+        got = tf.constant_term(packed(a), packed(b))
         assert abs(got - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
 
     def test_two_cubes_build_no_product_of_the_box(self):
         rng = np.random.default_rng(12)
-        a, b = (rng.standard_normal((41,) * 3) for _ in range(2))
+        a, b = (packed(rng.standard_normal((41,) * 3)) for _ in range(2))
         tracemalloc.start()
         try:
             tf.constant_term(a, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < a.nbytes
+        assert peak < 8 * 41**3
 
-    def test_slab_dot_of_lazy_slabs_builds_no_box(self):
-        # each slab of a strand is multiplied out when asked for, as a series
-        # node's are: only a few slabs are alive at a time, never a box
+    def test_ball_dot_of_lazy_entries_builds_no_box(self, monkeypatch):
+        # each block of a strand's entries, one slab here, is multiplied out
+        # when asked for, as a series node's are: only a few slabs are alive
+        # at a time, never a box
+        monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
         rng = np.random.default_rng(14)
-        a, b = (rng.standard_normal((41,) * 3) for _ in range(2))
+        a, b = (packed(rng.standard_normal((41,) * 3)) for _ in range(2))
+        ab = [lambda lo, hi, w=w: w.entries(lo, hi) for w in (a, b)]
         tracemalloc.start()
         try:
-            tf._slab_dot(lambda _, i: a[i] * b[i] * a[i], lambda _, i: b[i] * (a[i] * b[i]), 20)
+            tf._ball_dot(
+                lambda _, lo, hi: ab[0](lo, hi) * ab[1](lo, hi) * ab[0](lo, hi),
+                lambda _, lo, hi: ab[1](lo, hi) * (ab[0](lo, hi) * ab[1](lo, hi)),
+                3,
+                20,
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < a.nbytes / 4
+        assert peak < 8 * 41**3 / 4
 
     def test_double_triangle_holds_one_box_at_a_time(self):
         # the ring reads [B, B.B] at its centre: B, radius 2N, is kept on its
@@ -899,32 +913,35 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < box
 
-    def test_slab_dot_gives_the_constant_term_bits(self):
-        # a strand whose slabs are products, nested as a series tree nests
-        # them, sums to the bit what the strand multiplied out first sums to
+    def test_ball_dot_of_lazy_entries_gives_the_constant_term_bits(self):
+        # a strand whose entries are products, nested as a series tree nests
+        # them, sums to the bit what the strand multiplied out first sums
+        # to, and what the dense route sums its boxes to
         rng = np.random.default_rng(13)
         for d in (1, 2, 3):
-            a, b, c = (even_cube(rng, d, 4) for _ in range(3))
-            wide = tf._crop(rng.standard_normal((13,) * d), 6, 4)  # no symmetry
-            cubes = (a, b, c, wide)
+            cubes = [even_cube(rng, d, 4) for _ in range(3)]
+            cubes.append(dense_ref.crop(rng.standard_normal((13,) * d), 6, 4) * tf._l1_mask(d, 4))  # no symmetry
+            balls = [packed(c) for c in cubes]
             for left, right in [
                 (lambda x: x[0] * x[1], lambda x: x[2]),
                 (lambda x: x[0] * (x[1] * x[2]), lambda x: x[3]),
                 (lambda x: x[3], lambda x: x[0] * x[1] * x[2]),
                 (lambda x: (x[1] * x[2]) * x[0], lambda x: x[0] * (x[2] * (x[1] * x[0]))),
             ]:
-                want = tf.constant_term(left(cubes), right(cubes))
-                slabs = [lambda _, i, f=f: f([x[i] for x in cubes]) for f in (left, right)]
-                assert tf._slab_dot(*slabs, 4) == want, d
+                want = tf.constant_term(*(tf.Ball(f([w.values for w in balls]), d, 4) for f in (left, right)))
+                assert dense_ref.constant_term(left(cubes), right(cubes)) == want, d
+                entries = [lambda _, lo, hi, f=f: f([w.entries(lo, hi) for w in balls]) for f in (left, right)]
+                assert tf._ball_dot(*entries, d, 4) == want, d
 
     def test_rejects_a_cube_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
         lopsided = a.copy()
         lopsided[1, 2] += 1e-6
+        A, lopsided = packed(a), packed(lopsided)
         with pytest.raises(ValueError, match=r"shape \(5, 5\) is not even"):
-            tf.constant_term(a, a, lopsided)
-        # two cubes are a dot product, which needs no symmetry
-        assert tf.constant_term(a, lopsided) == pytest.approx(tf.constant_term(a, a), abs=1e-5)
+            tf.constant_term(A, A, lopsided)
+        # two Balls are a dot product, which needs no symmetry
+        assert tf.constant_term(A, lopsided) == pytest.approx(tf.constant_term(A, A), abs=1e-5)
 
 
 def _c_order_indices(n, d):
@@ -943,7 +960,7 @@ class TestPackedRuleMean:
         rng = np.random.default_rng(40 + d)
         # blocks shorter than M, as long, and longer (folded onto M)
         for M, side in [(5, 3), (4, 4), (5, 8), (4, 11)]:
-            f = tf._grid_values(even_cube(rng, d, 3), M)
+            f = tf._grid_values(packed(even_cube(rng, d, 3)), M)
             f = np.stack((f.real, f.imag))
             out = np.empty((2,) + (M,) * d, complex)
             A, B = rng.standard_normal((2,) + (side,) * d)
@@ -979,7 +996,7 @@ class TestPairedRuleMean:
         cases = [(5, 3), (5, 5), (5, 8), (4, 3), (4, 4), (4, 11), (1, 2), (2, 2), (3, 1)]
         for k, (M, side) in enumerate(cases):
             n = 1 + k % 2
-            f = tf._grid_values(even_cube(rng, d, 3), M)
+            f = tf._grid_values(packed(even_cube(rng, d, 3)), M)
             f = np.stack((f.real, f.imag))
             out = np.empty((2,) + (M,) * d, complex)
             A = rng.standard_normal((n,) + (side,) * d)
@@ -1007,7 +1024,7 @@ class TestConvolutionWindow:
     def test_matches_convolve_cubes(self, d):
         rng = np.random.default_rng(7 + d)
         base = ModeLattice(d, 2).inverse_weight_cube()
-        bubble = tf.convolution_window(base, base, radius=4).box()  # a reducer's whole read
+        bubble = tf.convolution_window(*packed_all([base, base]), radius=4).box()  # a reducer's whole read
         radii_sets = [(0,), (3,), (1, 6), (2, 2, 0), (6, 1, 1), (1, 2, 1, 3)]
         cases = [[even_cube(rng, d, r) for r in radii] for radii in radii_sets]
         cases += [[base] * 4, [bubble, base, base], [bubble, bubble], [bubble, base, bubble]]
@@ -1020,7 +1037,7 @@ class TestConvolutionWindow:
                 for r in sorted(r for r in {0, 1, S // 3, S // 2, S} if r <= S):
                     M = tf._smooth_len(tf.lattice_rule_size(S + min(d * r, S)))
                     folds += max(c.shape[0] // 2 for c in args) >= M
-                    got = tf.convolution_window(*args, radius=r)
+                    got = tf.convolution_window(*packed_all(args), radius=r)
                     assert isinstance(got, tf.Ball) and got.radius == r, (d, S, r)
                     # every read comes on its l1 ball, and its box is 0 off it
                     ball = tf._l1_mask(d, r)
@@ -1038,10 +1055,10 @@ class TestConvolutionWindow:
         lopsided = a.copy()
         lopsided[0, 1, 1] = 0.5
         with pytest.raises(ValueError, match=r"shape \(3, 3, 3\) is not even"):
-            tf.convolution_window(a, lopsided, radius=1)
+            tf.convolution_window(packed(a), packed(lopsided), radius=1)
 
     def test_radius_within_the_support(self):
-        a = ModeLattice(1, 2).inverse_weight_cube()
+        a = tf.inverse_weight_ball(1, 2)
         with pytest.raises(ValueError, match="radius 5"):
             tf.convolution_window(a, a, radius=5)
 
@@ -1113,6 +1130,13 @@ def packed(cube) -> tf.Ball:
     return tf.Ball(cube[tf._l1_mask(cube.ndim, R)], cube.ndim, R)
 
 
+def packed_all(cubes) -> list:
+    """The Balls of cubes, one per distinct array, so a repeated cube is a
+    repeated Ball."""
+    balls = {id(c): packed(c) for c in cubes}
+    return [balls[id(c)] for c in cubes]
+
+
 class TestBall:
     """Whole reads kept on their l1 balls, against the dense boxes."""
 
@@ -1158,29 +1182,28 @@ class TestBall:
         base = ModeLattice(d, 2).inverse_weight_cube()
         for radii in [(1, 6), (2, 2, 0), (3,), (1, 2, 1, 3)]:
             cubes = [even_cube(rng, d, r) for r in radii] + [base, base]
-            balls = [packed(c) for c in cubes[:-2]] + [packed(base)] * 2
             S = sum(c.shape[0] // 2 for c in cubes)
             for r in sorted({0, 1, S // 2, S}):
                 want = dense_ref.convolution_window(*cubes, radius=r)
-                for args in (cubes, balls):
-                    got = tf.convolution_window(*args, radius=r)
-                    assert isinstance(got, tf.Ball) and got.radius == r, (d, radii, r)
-                    assert np.array_equal(got.box(), want * tf._l1_mask(d, r)), (d, radii, r)
+                got = tf.convolution_window(*packed_all(cubes), radius=r)
+                assert isinstance(got, tf.Ball) and got.radius == r, (d, radii, r)
+                assert np.array_equal(got.box(), want * tf._l1_mask(d, r)), (d, radii, r)
 
     def test_rejects_a_ball_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
         lopsided = packed(a)
         lopsided.values[1] += 1e-6
         with pytest.raises(ValueError, match=r"shape \(5, 5\) is not even"):
-            tf.convolution_window(a, lopsided, radius=4)
+            tf.convolution_window(packed(a), lopsided, radius=4)
 
     @pytest.mark.parametrize("fold_bytes", [tf._FOLD_BYTES, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grid_values_keep_the_whole_fold_bits(self, d, fold_bytes, monkeypatch):
         # folded a block of slabs at a time (one slab per block with a
-        # one-byte budget) into the transform's buffer, a cube and its Ball
-        # give the bits of the whole masked cube folded into two real grids;
-        # sides longer than M fold several aliases onto one entry
+        # one-byte budget) into the transform's buffer, a Ball gives the bits
+        # of the whole masked cube folded into two real grids, which drop
+        # what a cube holds off its ball; sides longer than M fold several
+        # aliases onto one entry
         monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
         rng = np.random.default_rng(90 + d)
         for R in (0, 3, 7):
@@ -1188,7 +1211,7 @@ class TestBall:
             noisy = cube + (1 - tf._l1_mask(d, R))  # masked away
             for M in (1, 2, 5, 6, 2 * R + 1, 2 * R + 4):
                 want = dense_ref.grid_values(cube, M).tobytes()
-                assert tf._grid_values(noisy, M).tobytes() == want, (d, R, M)
+                assert dense_ref.grid_values(noisy, M).tobytes() == want, (d, R, M)
                 assert tf._grid_values(packed(cube), M).tobytes() == want, (d, R, M)
 
     @pytest.mark.parametrize("fold_bytes", [tf._FOLD_BYTES, 1])
@@ -1199,7 +1222,7 @@ class TestBall:
         rng = np.random.default_rng(100 + d)
         for R in (0, 2, 5, 12):
             a, b = even_cube(rng, d, R), even_cube(rng, d, R)
-            want = tf._slab_dot(lambda _, i: a[i], lambda _, i: (a * b)[i], R)
+            want = dense_ref.slab_dot(lambda _, i: a[i], lambda _, i: (a * b)[i], R)
             A, AB = packed(a), tf.Ball(packed(a).values * packed(b).values, d, R)
             got = tf._ball_dot(lambda _, lo, hi: A.entries(lo, hi), lambda _, lo, hi: AB.entries(lo, hi), d, R)
             assert got == want, (d, R)
@@ -1209,7 +1232,7 @@ class TestBall:
         # block of slabs, one slab here, is multiplied on the ball and
         # unpacked alone
         monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
-        ball = tf.convolution_window(*[tf.inverse_weight_cube(3, 10)] * 2, radius=20)
+        ball = tf.convolution_window(*[tf.inverse_weight_ball(3, 10)] * 2, radius=20)
         tracemalloc.start()
         try:
             tf._ball_dot(*[lambda _, lo, hi: ball.entries(lo, hi)] * 2, 3, 20)
@@ -1221,26 +1244,51 @@ class TestBall:
 
 class TestSymmetryCheck:
     def test_scratch_is_a_block_of_slabs(self):
-        cube = tf.inverse_weight_cube(3, 20)  # 41^3
+        ball = tf.inverse_weight_ball(3, 40)  # 88 641 entries
         tracemalloc.start()
         try:
-            tf._check_even(cube)
+            tf._check_even(ball)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < cube.nbytes / 4
+        assert peak < ball.values.nbytes / 4
 
-    @pytest.mark.parametrize("at", [(0, 20, 20), (20, 20, 21), (40, 19, 20)])
+    @pytest.mark.parametrize("at", [(0, 40, 40), (40, 40, 41), (80, 40, 40)])
     def test_every_block_is_read(self, at):
         # the first, the middle and the last slab lie in different blocks
-        cube = tf.inverse_weight_cube(3, 20)
-        assert len(tf._slab_blocks(cube.shape, cube.itemsize)) > 2
+        ball = tf.inverse_weight_ball(3, 40)
+        assert len(tf._slab_blocks(ball.values.shape, ball.values.itemsize)) > 2
+        cube = ball.box()
         lopsided = cube.copy()
         lopsided[at] += 1e-10  # max|cube| is 1
-        with pytest.raises(ValueError, match=r"shape \(41, 41, 41\) is not even"):
-            tf._check_even(lopsided)
+        with pytest.raises(ValueError, match=r"shape \(81, 81, 81\) is not even"):
+            tf._check_even(packed(lopsided))
         lopsided[at] = cube[at] + 1e-13  # roundoff passes
-        tf._check_even(lopsided)
+        tf._check_even(packed(lopsided))
+
+
+class TestBoxRouteBits:
+    """The readers of lambda_k^(-s) on K_N, which read it as a Ball, against
+    the box route of dense_reference, by float.hex."""
+
+    @pytest.mark.parametrize("d, Ns", [(1, (0, 5, 64)), (2, (1, 6, 16)), (3, (1, 4, 8))])
+    def test_readers_keep_the_box_route_bits(self, d, Ns):
+        rng = np.random.default_rng(110 + d)
+        for N in Ns:
+            got = [wick_integral_variance(d, N, n) for n in (2, 3, 4)]
+            want = [dense_ref.wick_integral_variance(d, N, n) for n in (2, 3, 4)]
+            got.append(c_variance(d, N))
+            want.append(dense_ref.weight_sum(d, N, 1.0))
+            for x in [(0.0,) * d, (0.5,) * d, tuple(rng.uniform(-1.0, 1.0, d)), tuple(rng.uniform(-1.0, 1.0, d))]:
+                got.append(green_truncated(x, d, N))
+                want.append(dense_ref.green_truncated(x, d, N))
+            for s in (-1.0, 0.5):
+                got += [sobolev_sum(s, d, N, WHITE), sobolev_sum(s, d, N, GFF)]
+                want += [dense_ref.weight_sum(d, N, -s), dense_ref.weight_sum(d, N, 1.0 - s)]
+            for s in (0.0, 0.5, 0.75):
+                got.append(FieldSample(ModeLattice(d, N), SpectralProfile("fractional", s), 0).variance_target())
+                want.append(dense_ref.weight_sum(d, N, 2 * s))
+            assert [v.hex() for v in got] == [v.hex() for v in want], (d, N)
 
 
 class TestMCBlocks:
