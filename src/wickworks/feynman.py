@@ -984,7 +984,8 @@ def _valuate_k4(lines: dict) -> float:
     after both checks. V_p is the constant term of a_p^2 e_p f, with a_p
     and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
     exp(-2 pi i p.x), of l1 degree at most R_ac + R_ad + r. The two-grid
-    lattice rule of torusfield.lattice_rule_size, on a 5-smooth M,
+    lattice rule of torusfield.lattice_rule_size, on a 5-smooth M no
+    shorter than the blocks below (side at most 2 min(R_ac, R_ad) + 1),
     integrates it exactly: V_p is the mean of a_p^2 e_p f over both grids,
     with no linear convolution and no inverse transform. The degree is
     taken from the radii, and every window is read as it comes: each is a
@@ -999,7 +1000,8 @@ def _valuate_k4(lines: dict) -> float:
     a_p^2 e_p = psi_p alpha_p^2, alpha_p the block's polynomial with its
     index as the momentum and psi_p = exp(-2 pi i (2 lo_p + p).x). The
     orbits with a nonzero F_ab(p) go two at a time, in orbit order, as the
-    block A_p + i A_p' (an odd last one alone): one fold and one fftn give
+    block A_p + i A_p' (an odd last one alone), written at index 0 of the
+    plain grid's row of the core's one transform buffer: one fftn gives
     Z = alpha_p + i alpha_p' on both grids. Both grids are symmetric under
     x -> -x and a real block has alpha(-x) = conj alpha(x), so Z~(x) =
     conj Z(-x) = alpha_p - i alpha_p'. With S = sum psi f Z^2 and X = sum
@@ -1009,7 +1011,7 @@ def _valuate_k4(lines: dict) -> float:
     and X = sum psi f (alpha_p^2 + alpha_p'^2). So V_p ~ (Re S_p + X_p)/2
     and V_p' ~ (X_p' - Re S_p')/2, the sums of psi f alpha^2 that
     torusfield._paired_rule_mean forms from alpha_p = (Z + Z~)/2 and
-    alpha_p' = (Z - Z~)/2i, into buffers of the core.
+    alpha_p' = (Z - Z~)/2i, in that buffer.
     """
     # the outer pair is the smallest-support bundle, the first in the map on a tie
     a, b = min(lines, key=lambda pair: lines[pair].radius)
@@ -1040,11 +1042,12 @@ def _valuate_k4(lines: dict) -> float:
             "K4 core whose lines ad and bc, or ac and bd, are not one shared node: "
             "the paired orbit loop valuates a K4 core only when the reducer makes "
             "each pair one node, as for the 3-regular K4 and the doubled perfect "
-            "matching; the others wait for the per-orbit core or the general "
-            "engine (ROADMAP items 17 and 1)"
+            "matching; the others wait for the valuation engine for cores beyond "
+            "K4 (ROADMAP item 1)"
         )
     dim = F_ab.ndim
-    M = _smooth_len(lattice_rule_size(R_ac + R_ad + r))
+    # the grid integrates the rule exactly and holds every block unfolded
+    M = _smooth_len(max(lattice_rule_size(R_ac + R_ad + r), 2 * min(R_ac, R_ad) + 1))
     orbits = []
     for p, size in _orbits(dim, R_ab):
         wp = float(F_ab[tuple(t + R_ab for t in p)])
@@ -1061,19 +1064,19 @@ def _valuate_k4(lines: dict) -> float:
     f = _grid_values(F_cd, M)
     f = np.stack((f.real, f.imag))
     del F_cd
-    # the block and its spectra are buffers of the core, refilled per pair
-    block = np.empty((2 * min(R_ac, R_ad) + 1,) * dim, complex)
+    # the spectra are a buffer of the core: each pair's blocks are written
+    # into spec[0] at index 0, refilled per pair
     spec = np.empty((2,) + (M,) * dim, complex)
     total = 0.0
     for k in range(0, len(orbits), 2):
         pair = orbits[k : k + 2]
-        block.fill(0)
+        spec[0].fill(0)
         offsets = []
-        for part, (p, _) in zip((block.real, block.imag), pair):
+        for part, (p, _) in zip((spec[0].real, spec[0].imag), pair):
             box = [_overlap(R_ac, R_ad, -t) for t in p]  # box_ac & (box_ad - p)
             np.multiply(_box(F_ac, box), _box(F_ad, box, p, first), out=part[_extent(box)])
             offsets.append([2 * lo + t for (lo, _), t in zip(box, p)])
-        for (_, weight), value in zip(pair, _paired_rule_mean(block, offsets, f, spec)):
+        for (_, weight), value in zip(pair, _paired_rule_mean(offsets, f, spec)):
             total += weight * value
     return total / (4 * M**dim)
 

@@ -734,32 +734,34 @@ def _mirror(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
+def _paired_rule_mean(offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
     """4 M^d times the two-grid mean of psi_o alpha_o^2 f for each real
-    block packed in block = A_0 + i A_1 (A_1 = 0 when offsets holds one
-    entry); out is a complex (2, M, ..., M) buffer, overwritten, that a
+    block packed in out[0] = A_0 + i A_1 (A_1 = 0 when offsets holds one
+    entry), every block at index 0 and no longer than M on any axis, zero
+    elsewhere; out is a complex (2, M, ..., M) buffer, overwritten, that a
     caller summing many blocks reuses.
 
     alpha_o(x) = sum_i A_o[i] exp(-2 pi i i.x), psi_o = exp(-2 pi i t_o.x)
     for t_o = offsets[o], and f is the real, even polynomial to weigh by on
-    the plain (f[0]) and the half-cell grid (f[1]). The block is folded
-    (_fold), the half-cell factor applied to row 1 one axis at a time, and
-    both rows transformed at once: row g of Z is alpha_0 + i alpha_1 at
-    x_j = (j + g/2)/M. Both grids are symmetric under x -> -x (index -j mod
-    M on the plain grid, M - 1 - j on the half-cell one) and a real A_o has
-    alpha_o(-x) = conj alpha_o(x), so with Z~(x) = conj Z(-x), Z + Z~ =
-    2 alpha_0 and Z - Z~ = 2i alpha_1. The summand psi f alpha^2 at -x is
-    the conjugate of that at x, so a grid's sum is Re of the sum over its
-    first half of first-axis slabs, each read with its mirror slab and
-    counted twice (once for its own mirror). Those slabs are taken a block
-    at a time (_slab_blocks) in scratch of one block's size and contracted
-    as they are formed, one axis at a time (_offset_phase) down to one
-    value per slab, which is then summed against the first axis's phase.
+    the plain (f[0]) and the half-cell grid (f[1]). Row 1 is row 0 times the
+    half-cell factor, applied one axis at a time, each a product over the
+    whole row, and both rows are transformed at once: row g of Z is
+    alpha_0 + i alpha_1 at x_j = (j + g/2)/M. Both grids are symmetric
+    under x -> -x (index -j mod M on the plain grid, M - 1 - j on the
+    half-cell one) and a real A_o has alpha_o(-x) = conj alpha_o(x), so
+    with Z~(x) = conj Z(-x), Z + Z~ = 2 alpha_0 and Z - Z~ = 2i alpha_1.
+    The summand psi f alpha^2 at -x is the conjugate of that at x, so a
+    grid's sum is Re of the sum over its first half of first-axis slabs,
+    each read with its mirror slab and counted twice (once for its own
+    mirror). Those slabs are taken a block at a time (_slab_blocks) in
+    scratch of one block's size and contracted as they are formed, one axis
+    at a time against the phases of t_o (_offset_phase, formed once per
+    call) down to one value per slab, which is then summed against the
+    first axis's phase.
     """
-    dim, M, n = block.ndim, out.shape[-1], len(offsets)
-    out.fill(0)
-    _fold(block, [0] * block.ndim, out)
-    for axis in range(dim):
+    dim, M, n = out.ndim - 1, out.shape[-1], len(offsets)
+    np.multiply(out[0], _half_cell(M).reshape((M,) + (1,) * (dim - 1)), out=out[1])
+    for axis in range(1, dim):
         out[1] *= _half_cell(M).reshape((M,) + (1,) * (dim - 1 - axis))
     np.fft.fftn(out, axes=tuple(range(1, dim + 1)), out=out)
     # per grid g, slab j meets slab (-j - g) mod M: the runs of the first
@@ -775,6 +777,7 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
     scratch = np.empty((n,) + size, complex)
     flip = (slice(None),) + (slice(None, None, -1),) * (dim - 1)
     per_slab = np.zeros((n, 2, M), complex)
+    inner = [[_offset_phase(lo, M) for lo in reversed(t[1:])] for t in offsets]  # the axes after the first
     for g, rows, mirror in runs:
         # parts[0] takes Z~, then 2 alpha_0 = Z + Z~; parts[1] takes 2i alpha_1 = Z - Z~
         z, parts = out[g, rows], scratch[:, : len(mirror)]
@@ -788,8 +791,8 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
         for o, part in enumerate(parts):
             np.square(part, out=part)
             part *= f[g, rows]
-            for lo in reversed(offsets[o][1:]):  # the axes after the first, one at a time
-                part = part.reshape(-1, M) @ _offset_phase(lo, M)[g]
+            for phase in inner[o]:  # one axis at a time
+                part = part.reshape(-1, M) @ phase[g]
             per_slab[o, g, rows] = part
     # the values are twice the grid sums of psi f alpha^2 = psi f (2 alpha)^2 / 4:
     # weight 2 * 2 / 4 for a slab and its mirror, half that for a slab that
@@ -798,23 +801,16 @@ def _paired_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray
     weight[0, 0] = weight[M % 2, M // 2] = 0.5
     values = []
     for o, t in enumerate(offsets):
-        # the first axis's phase is not kept: its offsets take about 2N values
-        # per core, so at d = 1 (M about 4N) the cache would grow like N^2
-        phase = _offset_phase.__wrapped__(t[0], M)
-        value = float(np.sum((per_slab[o] * phase).real * weight))
+        value = float(np.sum((per_slab[o] * _offset_phase(t[0], M)).real * weight))
         values.append(-value if o else value)  # (2i alpha_1)^2 = -4 alpha_1^2
     return values
 
 
-@lru_cache(maxsize=None)
 def _offset_phase(lo: int, M: int) -> np.ndarray:
     """exp(-2 pi i lo x) at x = (j + g/2)/M on the plain (g = 0) and half-cell
-    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first.
-    Kept for the axes after the first; __wrapped__ computes it unkept."""
+    (g = 1) grid, shape (2, M); lo (2j + g) is reduced mod 2M exactly first."""
     g = np.arange(2)[:, None]
-    out = _cis(lo * (2 * np.arange(M) + g), 2 * M)
-    out.setflags(write=False)
-    return out
+    return _cis(lo * (2 * np.arange(M) + g), 2 * M)
 
 
 def _cis(num, den: int) -> np.ndarray:

@@ -1217,7 +1217,7 @@ class TestK4Orbits:
         message = str(err.value)
         assert "ad and bc, or ac and bd, are not one shared node" in message
         assert "only when the reducer makes each pair one node" in message
-        assert "ROADMAP items 17 and 1" in message
+        assert "the valuation engine for cores beyond K4 (ROADMAP item 1)" in message
         # the 3-regular K4 itself valuates
         assert valuate(k4(), 3.5, 1) == pytest.approx(valuate_loop_sum(k4(), 3.5, 1), rel=1e-12)
 
@@ -1237,6 +1237,62 @@ class TestK4Orbits:
                 nonzero = sum(1 for p, _ in fy._orbits(int(d), R) if F_ab[tuple(t + R for t in p)])
                 odd += [(d, N)] * (nonzero % 2)
         assert (1, 2) in odd
+
+    @pytest.mark.parametrize("d, Ns", [(1, (1, 2, 5, 8)), (2, (1, 2, 4, 6)), (3, (1, 2, 3)), (3.5, (1, 2, 3))])
+    def test_three_regular_core_on_its_enlarged_grid(self, d, Ns, monkeypatch):
+        # six single edges, one base node: blocks of side 2N + 1 outgrow the
+        # rule's grid for degree 3N, so the core enlarges M to hold them
+        # whole; the per-orbit reference folds them onto the rule's grid
+        grids = []
+        paired = fy._paired_rule_mean
+
+        def recording(offsets, f, out):
+            grids.append(out.shape[1:])
+            return paired(offsets, f, out)
+
+        monkeypatch.setattr(fy, "_paired_rule_mean", recording)
+        dim = int(d)
+        for N in Ns:
+            assert tf._smooth_len(tf.lattice_rule_size(3 * N)) < 2 * N + 1
+            _, lines = fy._reduced(k4(), d, N)
+            grids.clear()
+            got = fy._valuate_k4(lines)
+            assert set(grids) == {(tf._smooth_len(2 * N + 1),) * dim}, (d, N)
+            assert got == pytest.approx(k4_ref.valuate_k4(lines), rel=1e-13, abs=0), (d, N)
+            assert got == pytest.approx(valuate_loop_sum(k4(), d, N), rel=1e-12, abs=0), (d, N)
+
+    def test_series_cores_keep_the_rule_grid(self, monkeypatch):
+        # every K4 core of a connected class of order <= 4 holds its blocks
+        # on the grid its degree asks for: no series grid is enlarged
+        calls = []
+        rule, paired, core = fy.lattice_rule_size, fy._paired_rule_mean, fy._valuate_k4
+
+        def sizing(deg):
+            calls[-1]["deg"] = deg
+            return rule(deg)
+
+        def pairing(offsets, f, out):
+            calls[-1]["grids"].add(out.shape[1:])
+            return paired(offsets, f, out)
+
+        def valuating(lines):
+            calls.append({"grids": set()})
+            return core(lines)
+
+        monkeypatch.setattr(fy, "lattice_rule_size", sizing)
+        monkeypatch.setattr(fy, "_paired_rule_mean", pairing)
+        monkeypatch.setattr(fy, "_valuate_k4", valuating)
+        cores = 0
+        for d in (1, 2, 3, 3.5):
+            for N in range(1, 9):
+                for g in connected_classes():
+                    fy._valuate_connected(g, d, N)
+                    for call in calls:
+                        M = tf._smooth_len(rule(call["deg"]))
+                        assert call["grids"] == {(M,) * int(d)}, (g, d, N)
+                    cores += len(calls)
+                    calls.clear()
+        assert cores
 
     def test_orbit_transforms_share_one_buffer(self, monkeypatch):
         # a core of six single edges, all one node as the reducer shares

@@ -24,7 +24,7 @@ def test_manifest_adds_the_benchmark_run_and_verify():
     assert "two-point d1" in names and "lattice-sum reads" in names
     assert [c.name for c in golden.MANIFEST if c.status] == ["phi4 mc overflow"]
     assert [c.name for c in golden.MANIFEST if isinstance(c.pin, dict)] == [
-        "phi4 mc d1", "phi4 mc-d2 seed 1", "phi4 mc partial block"
+        "phi4 d3 N16", "phi4 mc d1", "phi4 mc-d2 seed 1", "phi4 mc partial block"
     ]
     assert [c.name for c in golden.MANIFEST if c.exact] == [
         "phi4 d3 N4", "phi4 d3 N8", "phi4 d3 N16", "phi4 d3.5 N4"
@@ -56,6 +56,7 @@ def test_exact_digest_drops_floats_and_key_order():
 
 
 JSON = "print('{\"x\": 0.5}')"
+LIST = "print('{\"c\": [{\"v\": 0.5}, {\"v\": 0.25}]}')"
 
 
 @pytest.mark.parametrize(
@@ -69,9 +70,13 @@ JSON = "print('{\"x\": 0.5}')"
         (JSON, 0, hashlib.sha256(b"other\n").hexdigest(), "pinned sha256 line 1: "),
         (JSON, 0, {"x": 0.5 * (1 + 1e-11)}, "pinned x line 1: b'0.500000000005' -> b'0.5'"),
         ("print('not json')", 0, {"x": 0.5}, "pinned x line 1: b'0.5' -> b'<unreadable>'"),
+        (LIST, 0, {"c.1.v": 0.25}, None),
+        (LIST, 0, {"c.1.v": 0.3}, "pinned c.1.v line 1: b'0.3' -> b'0.25'"),
+        (LIST, 0, {"c.2.v": 0.25}, "pinned c.2.v line 1: b'0.25' -> b'<unreadable>'"),
     ],
     ids=["value within 1e-12", "sha256", "nondeterministic", "expected exit status",
-         "exit status", "wrong sha256", "value off", "no JSON"],
+         "exit status", "wrong sha256", "value off", "no JSON", "list value", "list value moved",
+         "no such list entry"],
 )
 def test_runner_reports_each_broken_contract(code, status, pin, detail):
     (line,) = golden.compare(commands=(golden.Command("c", ("-c", code), status=status, pin=pin),))

@@ -63,10 +63,10 @@ class TestPartitionSeries:
 
     def test_d1_keeps_no_memory_that_grows_with_n(self):
         # the K4 core's first-axis phases, about 2N arrays of (2, M) with M
-        # about 4N, once held 71.3 MB after this series at N = 1024; with
-        # the class cache cleared, what stays is a few small caches
+        # about 4N, once held 71.3 MB after this series at N = 1024 when they
+        # were cached; with the class cache cleared, what stays is a few
+        # small caches
         fy._valuate_cached.cache_clear()
-        phases = tf._offset_phase.cache_info().currsize
         tracemalloc.start()
         try:
             partition_ratio_series(1, 1024, 4)
@@ -75,7 +75,22 @@ class TestPartitionSeries:
         finally:
             tracemalloc.stop()
         assert retained < 2e6
-        assert tf._offset_phase.cache_info().currsize == phases  # d = 1 has no inner axis
+
+    def test_order4_series_peak_at_n24(self):
+        # from cold caches; the K4 core writes each orbit pair straight into
+        # its spectra: with a separate block of (2 N + 1)^3 complex, folded
+        # into them, the traced peak was 12.7 MB
+        for cache in (fy._valuate_cached, fy._base_weight, phi4._quartic_diagrams, tf._lattice,
+                      tf._ball_starts, tf._half_cell, tf._l1_mask):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            partition_ratio_series(3, 24, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fy._valuate_cached.cache_clear()
+        assert peak < 12.3e6
 
     def test_integral_float_dimension(self):
         # the caches key 1.0 and 1 alike: cleared, so the float runs

@@ -991,18 +991,19 @@ class TestPairedRuleMean:
         monkeypatch.setattr(tf, "_SCRATCH_BYTES", scratch)
         rng = np.random.default_rng(50 + d)
         # odd and even M (the half-cell grid's mirror differs), each with
-        # blocks shorter than M, as long, and longer (folded onto M); one
-        # block alone and two packed, alternately
-        cases = [(5, 3), (5, 5), (5, 8), (4, 3), (4, 4), (4, 11), (1, 2), (2, 2), (3, 1)]
+        # blocks shorter than M and as long, written into out[0] at index 0
+        # with row 1 left stale; one block alone and two packed, alternately
+        cases = [(5, 3), (5, 5), (4, 3), (4, 4), (1, 1), (2, 2), (3, 1), (3, 2)]
         for k, (M, side) in enumerate(cases):
             n = 1 + k % 2
             f = tf._grid_values(packed(even_cube(rng, d, 3)), M)
             f = np.stack((f.real, f.imag))
-            out = np.empty((2,) + (M,) * d, complex)
+            out = np.full((2,) + (M,) * d, np.nan, complex)
             A = rng.standard_normal((n,) + (side,) * d)
             t = rng.integers(-3 * side, 2 * side, size=(n, d))  # per block and axis
-            block = A[0] + 1j * A[1] if n == 2 else A[0].astype(complex)
-            got = tf._paired_rule_mean(block, t.tolist(), f, out)
+            out[0].fill(0)
+            out[0][(slice(0, side),) * d] = A[0] + 1j * A[1] if n == 2 else A[0]
+            got = tf._paired_rule_mean(t.tolist(), f, out)
             i = _c_order_indices(side, d)
             assert len(got) == n and all(type(v) is float for v in got)
             for o in range(n):
