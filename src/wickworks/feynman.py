@@ -59,7 +59,6 @@ import numpy as np
 from .torusfield import (
     Ball,
     ModeLattice,
-    _ball_dot,
     _check_lattice,
     _check_samples,
     _grid_values,
@@ -68,6 +67,7 @@ from .torusfield import (
     _smooth_len,
     _symmetric,
     as_point,
+    constant_term,
     convolution_window,
     inverse_weight_ball,
     lattice_rule_size,
@@ -799,39 +799,33 @@ class _Weight:
     strands: the total momentum splits, so a linear convolution) has the sum
     of its strands' radii; a series product (one momentum through both: the
     pointwise product on the overlap) has the smaller radius. A reader asks
-    for the window of radius r it needs, and only then do the transforms
-    run. A reader of a whole weight (the two-point series, five of the K4
-    core's six bundles) asks for r = radius. A bundle read at its centre
-    (r = 0: a vacuum value, a pendant edge, a series product under either)
-    is the constant term of its strands' product. With two strands that is
-    a dot product on their common ball, torusfield._ball_dot, which asks
-    each strand for one block of slabs at a time (_entries): a series
-    strand that holds no window of that radius multiplies its parts'
-    entries, so its window is never built. Any other window, three or more
-    strands at the centre included, is torusfield.convolution_window, the
-    two-grid lattice rule on the grid exact for the box of radius r.
+    for the window of radius r it needs, _kept(r), and only then do the
+    transforms run. A reader of a whole weight (the two-point series, five
+    of the K4 core's six bundles) asks for r = radius. A bundle read at its
+    centre (r = 0: a vacuum value, a pendant edge, a series product under
+    either) is torusfield.constant_term of its strands' windows: a dot
+    product on their common ball for two strands, the two-grid mean for
+    more. Any other window is torusfield.convolution_window, the two-grid
+    lattice rule on the grid exact for the box of radius r.
 
     Every window is kept as a torusfield.Ball of its radius r, its entries
     on the l1 ball |k|_1 <= r only: a given weight's crop (Ball.crop), a
-    bundle's convolution_window and a series product's product of its
-    parts' entries. Every reader uses only that ball: a whole read is its
-    support, a strand's read and the K4 core's F_cd are read as Balls
-    (torusfield._grid_values), and a series product reads its parts on it.
-    A two-strand centre read pairs a whole read, zero off its ball, with
-    the other strand, so the entries off the ball that a box would hold
-    only ever met zeros. Both reads need every strand even under k -> -k,
-    and every weight is: the base weight depends on |k|^2, and bundles and
-    series products of even weights are even.
+    bundle's convolution_window or centre and a series product's product of
+    its parts' entries. Every reader uses only that ball: a whole read is
+    its support, a strand's read and the K4 core's F_cd are read as Balls
+    (torusfield._grid_values), the core unpacks the boxes it slices from its
+    Balls, and a series product reads its parts on it. A two-strand centre
+    read pairs a whole read, zero off its ball, with the other strand, so
+    the entries off the ball that a box would hold only ever met zeros.
+    Both reads need every strand even under k -> -k, and every weight is:
+    the base weight depends on |k|^2, and bundles and series products of
+    even weights are even.
 
     Within one valuation the reducer shares nodes: a move it records twice on
     the same parts, in the same order, is one node (see _reduced). Each node
     keeps every window it was asked for, one per radius, so a shared node is
-    transformed once per radius however many readers it has; a series node
-    read only through a centre's entries keeps none. The nodes, and with
-    them these caches, die with the valuation. window(r) unpacks a kept
-    window into a box that is not kept, so the one reader that needs boxes,
-    the K4 core (its _box reads and symmetry check), holds them for its own
-    lifetime only.
+    transformed once per radius however many readers it has. The nodes, and
+    with them these caches, die with the valuation.
     """
 
     __slots__ = ("cube", "radius", "move", "parts", "ndim", "_windows")
@@ -862,20 +856,6 @@ class _Weight:
             nodes[key] = cls(None, radius, move, parts)
         return nodes[key]
 
-    def window(self, r: int) -> np.ndarray:
-        """The weight on the centered box of radius r <= self.radius, zero
-        off its l1 ball, in a box the node does not keep."""
-        return self._kept(r).box()
-
-    def _entries(self, r: int, lo: int, hi: int) -> np.ndarray:
-        """The ball entries of slabs lo..hi - 1 of the window of radius r
-        (Ball.entries); a series node that keeps no window of radius r
-        multiplies its parts' entries."""
-        if self.move == "series" and r not in self._windows:
-            a, b = self.parts
-            return a._entries(r, lo, hi) * b._entries(r, lo, hi)
-        return self._kept(r).entries(lo, hi)
-
     def _kept(self, r: int) -> Ball:
         """The window of radius r as the node keeps it, computed on first use.
 
@@ -897,11 +877,10 @@ class _Weight:
             return Ball(a._kept(r).values * b._kept(r).values, self.ndim, r)
         total = self.radius
         radii = [min(w.radius, r + total - w.radius) for w in self.parts]
-        if r == 0 and len(self.parts) == 2:
-            # both strands are read at the smaller radius, a block of slabs at a time
-            (ri, _), (a, b) = radii, self.parts
-            return Ball(np.array([_ball_dot(a._entries, b._entries, self.ndim, ri)]), self.ndim, 0)
-        return convolution_window(*[w._kept(ri) for w, ri in zip(self.parts, radii)], radius=r)
+        strands = [w._kept(ri) for w, ri in zip(self.parts, radii)]
+        if r == 0:
+            return Ball(np.array([constant_term(*strands)]), self.ndim, 0)
+        return convolution_window(*strands, radius=r)
 
     def center(self) -> float:
         return self._kept(0).values.item()
@@ -978,11 +957,13 @@ def _valuate_k4(lines: dict) -> float:
     without that identity raises ValuationBudgetError, after the symmetry
     check.
 
-    Each distinct weight is read once: F_ab, F_ac and F_ad whole, as boxes,
-    and F_cd as the Ball of radius r = min(R_ac + R_ad, R_cd) that
-    (q + p) + s reaches, unpacked only for the symmetry check; f is formed
-    after both checks. V_p is the constant term of a_p^2 e_p f, with a_p
-    and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
+    Each distinct weight is read once, as its node's Ball (_Weight._kept),
+    which the core unpacks into a box for the symmetry check: F_ab, F_ac
+    and F_ad whole, sliced as boxes, and F_cd as the Ball of radius r =
+    min(R_ac + R_ad, R_cd) that (q + p) + s reaches, read on the grids as
+    it is; f, its values u + iv on both grids (torusfield._grid_values), is
+    formed after both checks. V_p is the constant term of a_p^2 e_p f, with
+    a_p and f the trigonometric polynomials of A_p and F_cd and e_p(x) =
     exp(-2 pi i p.x), of l1 degree at most R_ac + R_ad + r. The two-grid
     lattice rule of torusfield.lattice_rule_size, on a 5-smooth M no
     shorter than the blocks below (side at most 2 min(R_ac, R_ad) + 1),
@@ -1028,7 +1009,7 @@ def _valuate_k4(lines: dict) -> float:
     boxes: dict = {}
     for w, rw in ((ab, R_ab), (ac, R_ac), (ad, R_ad), (bc, bc.radius), (bd, bd.radius), (cd, r)):
         if (w, rw) not in boxes:
-            boxes[w, rw] = w.window(rw)
+            boxes[w, rw] = w._kept(rw).box()
     F_cd = cd._kept(r)
     F_ab, F_ac, F_ad = (boxes[w, w.radius] for w in (ab, ac, ad))
     for w in (ab, ac, ad, bc, bd, cd):
@@ -1053,16 +1034,14 @@ def _valuate_k4(lines: dict) -> float:
         wp = float(F_ab[tuple(t + R_ab for t in p)])
         if wp != 0.0:
             orbits.append((p, size * wp))
-    if R_ac < R_ad:
-        # with p_i in [0, R_ab] and |q_i| <= R_ac (_overlap), the loop reads
-        # F_ad(q + p) on [-R_ac, R_ac + R_ab] per axis only: that corner of
-        # its box is kept
-        F_ad = _box(F_ad, [(-R_ac, min(R_ac + R_ab, R_ad))] * dim).copy()
-    first = -min(R_ac, R_ad)  # the momentum at index 0 of F_ad
+    # with p_i in [0, R_ab] and |q_i| <= min(R_ac, R_ad) (_overlap), the
+    # loop reads F_ad(q + p) on [first, min(R_ac + R_ab, R_ad)] per axis
+    # only: that corner of its box is kept, with momentum first at index 0
+    first = -min(R_ac, R_ad)
+    F_ad = _box(F_ad, [(first, min(R_ac + R_ab, R_ad))] * dim).copy()
     del boxes, cube, F_ab  # read only above
-    # f on the plain and the half-cell grid, once: real, since F_cd is even
+    # f on the plain and the half-cell grid, once, as u + iv
     f = _grid_values(F_cd, M)
-    f = np.stack((f.real, f.imag))
     del F_cd
     # the spectra are a buffer of the core: each pair's blocks are written
     # into spec[0] at index 0, refilled per pair

@@ -655,12 +655,17 @@ def coefficient_ladder_csv(d, Ns, order: int) -> str:
     """CSV table of series coefficients over a ladder of cutoffs.
 
     One row per N, one column per alpha-order; useful for eyeballing how the
-    valuations drift with the cutoff.
+    valuations drift with the cutoff. The order and every cutoff are checked
+    before the first series runs.
     """
+    _check_order(order)
+    dim, _ = fy._model(d)
+    for N in Ns:
+        _check_lattice(dim, N)
     header = ["N"] + [f"c{n}" for n in range(order + 1)]
     lines = [",".join(header)]
     for N in Ns:
-        series = partition_ratio_series(d, int(N), order)
-        row = [str(int(N))] + [repr(c.value) for c in series.coefficients]
+        series = partition_ratio_series(d, N, order)
+        row = [str(N)] + [repr(c.value) for c in series.coefficients]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -387,17 +387,12 @@ def constant_term(*balls: Ball) -> float:
     sized by the sum of the radii, with no inverse transform.
     """
     if len(balls) == 2:
-        a, b = (w.crop(min(w.radius for w in balls)) for w in balls)
-        entries = [lambda _, lo, hi, w=w: w.entries(lo, hi) for w in (a, b)]
-        return _ball_dot(*entries, a.ndim, a.radius)
+        return _ball_dot(*(w.crop(min(w.radius for w in balls)) for w in balls))
     return convolution_window(*balls, radius=0).values.item()
 
 
-def _ball_dot(entries_a, entries_b, dim: int, r: int) -> float:
-    """sum over k of a(k) b(-k) for two dim-dimensional strands on the l1
-    ball of radius r, given as entries_a(r, lo, hi) and entries_b(r, lo,
-    hi), the ball entries of slabs lo..hi - 1 (Ball.entries' layout), so a
-    block may be formed on demand.
+def _ball_dot(a: Ball, b: Ball) -> float:
+    """sum over k of a(k) b(-k) for two Balls of one radius r.
 
     Slab i of a meets slab 2r - i of b reversed. A block of slabs i =
     lo..hi - 1 meets the slabs 2r - i, which hold the same balls, and their
@@ -408,10 +403,11 @@ def _ball_dot(entries_a, entries_b, dim: int, r: int) -> float:
     2r - i of b reversed would be (a running dot loses ~1e-13), and the
     slab sums by math.fsum.
     """
+    dim, r = a.ndim, a.radius
     sums = []
     for rows in _slab_blocks((2 * r + 1,) * dim, 8, _FOLD_BYTES):
         lo, hi, _ = rows.indices(2 * r + 1)
-        product = entries_a(r, lo, hi) * entries_b(r, 2 * r + 1 - hi, 2 * r + 1 - lo)[::-1]
+        product = a.entries(lo, hi) * b.entries(2 * r + 1 - hi, 2 * r + 1 - lo)[::-1]
         sums += _unpack(product, dim, r, lo, hi).reshape(hi - lo, -1).sum(axis=1).tolist()
     return math.fsum(sums)
 
@@ -742,10 +738,11 @@ def _paired_rule_mean(offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
     caller summing many blocks reuses.
 
     alpha_o(x) = sum_i A_o[i] exp(-2 pi i i.x), psi_o = exp(-2 pi i t_o.x)
-    for t_o = offsets[o], and f is the real, even polynomial to weigh by on
-    the plain (f[0]) and the half-cell grid (f[1]). Row 1 is row 0 times the
-    half-cell factor, applied one axis at a time, each a product over the
-    whole row, and both rows are transformed at once: row g of Z is
+    for t_o = offsets[o], and f holds the real, even polynomial to weigh by
+    on the plain grid (f.real) and the half-cell one (f.imag), as
+    _grid_values returns it. Row 1 is row 0 times the half-cell factor,
+    applied one axis at a time, each a product over the whole row, and
+    both rows are transformed at once: row g of Z is
     alpha_0 + i alpha_1 at x_j = (j + g/2)/M. Both grids are symmetric
     under x -> -x (index -j mod M on the plain grid, M - 1 - j on the
     half-cell one) and a real A_o has alpha_o(-x) = conj alpha_o(x), so
@@ -790,7 +787,7 @@ def _paired_rule_mean(offsets, f: np.ndarray, out: np.ndarray) -> list[float]:
         parts[0] += z
         for o, part in enumerate(parts):
             np.square(part, out=part)
-            part *= f[g, rows]
+            part *= (f.real, f.imag)[g][rows]
             for phase in inner[o]:  # one axis at a time
                 part = part.reshape(-1, M) @ phase[g]
             per_slab[o, g, rows] = part

@@ -2,6 +2,7 @@
 
     python tests/golden.py               # every command twice in this checkout
     python tests/golden.py --against REV # every command here and in REV
+    python tests/golden.py --against DIR # every command here and in a copy of a tree
 
 MANIFEST is the one list of rerun commands and pins. Each command runs as
 `python ARGS` in a tree's root with PYTHONPATH set to that tree's src; `{out}`
@@ -9,7 +10,9 @@ in an argument names a scratch directory of the run, and a command with an
 `output` also compares that file. Without --against both runs are in this
 checkout (its working tree, uncommitted edits included), so a difference means
 the command is not deterministic; with --against the first run is in REV,
-checked out into a temporary git worktree. Either way the run here must also
+checked out into a temporary git worktree, or in DIR as it stands when the
+argument names a directory (a plain copy of a tree, such as `git archive`
+gives). Either way the run here must also
 exit with the command's `status` (default 0) and keep its `pin`: a sha256 of
 stdout for exact outputs, or float values at dotted paths of stdout's JSON
 (a digit component indexes a list), each within 1e-12 relative (their last
@@ -230,12 +233,13 @@ def value_moves(old: bytes, new: bytes) -> str | None:
 
 def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
     """One report line per command, with each difference between its run in
-    rev (None: a first run here) and its run here, then each pin that the run
-    here does not keep."""
+    rev (None: a first run here; a directory: the tree there) and its run
+    here, then each pin that the run here does not keep."""
     scratch = Path(tempfile.mkdtemp(prefix="golden-"))
-    tree = ROOT if rev is None else scratch / "tree"
+    worktree = rev is not None and not Path(rev).is_dir()
+    tree = scratch / "tree" if worktree else ROOT if rev is None else Path(rev).resolve()
     try:
-        if rev is not None:
+        if worktree:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev],
                            check=True)
         report = []
@@ -271,7 +275,7 @@ def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
                           + "".join(f"\n      {d}" for d in diffs))
         return report
     finally:
-        if rev is not None:
+        if worktree:
             if tree.exists():
                 subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)])
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
@@ -281,8 +285,8 @@ def compare(rev: str | None = None, commands=MANIFEST) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", metavar="REV",
-                        help="git revision to compare this checkout's outputs with "
-                        "(default: run every command here twice)")
+                        help="git revision, or directory holding a copy of a tree, to compare "
+                        "this checkout's outputs with (default: run every command here twice)")
     args = parser.parse_args(argv)
     report = compare(args.against)
     print("\n".join(report))

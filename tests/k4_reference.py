@@ -62,7 +62,7 @@ def valuate_k4(lines: dict) -> float:
     )
     R_ab, R_ac, R_ad, R_bc, R_bd = (w.radius for w in (ab, ac, ad, bc, bd))
     r = min(R_ac + R_bc, cd.radius)
-    F_ab, F_ac, F_ad, F_bc, F_bd = (w.window(w.radius) for w in (ab, ac, ad, bc, bd))
+    F_ab, F_ac, F_ad, F_bc, F_bd = (w._kept(w.radius).box() for w in (ab, ac, ad, bc, bd))
     F_cd = cd._kept(r)  # a Ball, as the grids read it
     for cube in (F_ab, F_ac, F_ad, F_bc, F_bd, F_cd.box()):
         _check_hyperoctahedral(cube)

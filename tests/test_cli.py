@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wickworks
-from wickworks import torusfield
+from wickworks import phi4, torusfield
 from wickworks.cli import build_parser, main
 
 
@@ -154,8 +154,6 @@ class TestPhi4Cmd:
         ],
     )
     def test_mc_rejects_arguments_before_the_series(self, capsys, monkeypatch, argv, name):
-        from wickworks import phi4
-
         def refuse(*args, **kwargs):
             raise AssertionError("series work before the --mc arguments were checked")
 
@@ -226,6 +224,14 @@ class TestPhi4Cmd:
         assert code == 2
         assert stdout == ""
         assert "--ladder" in err and "','" in err
+
+    def test_ladder_checks_every_cutoff_before_the_first_series(self, capsys, monkeypatch):
+        # -1 exits 2 by name before the series of N = 8 runs
+        calls = []
+        monkeypatch.setattr(phi4, "partition_ratio_series", lambda *args: calls.append(args))
+        code, stdout, err = run(capsys, "phi4", "--d", "2", "--ladder", "8,-1", "--order", "4")
+        assert code == 2 and stdout == "" and calls == []
+        assert "N must be >= 0, got -1" in err
 
     def test_ladder_rejects_mc(self, capsys, tmp_path):
         out = tmp_path / "ladder.csv"

@@ -1167,7 +1167,7 @@ class TestK4Orbits:
         two = fy._Weight.bundle([leaf, leaf], nodes)
         three = fy._Weight.bundle([leaf, two, leaf], nodes)
         for w in (leaf, two, three, three.series(two, nodes)):
-            cube = w.window(w.radius)
+            cube = w._kept(w.radius).box()
             assert np.any(cube != 0.0)
             assert np.all(cube[~tf._l1_mask(d, w.radius)] == 0.0), (d, w.move, w.radius)
 
@@ -1232,7 +1232,7 @@ class TestK4Orbits:
                 got, want = fy._valuate_k4(lines), k4_ref.valuate_k4(lines)
                 assert got == pytest.approx(want, rel=1e-15, abs=0), (d, N)
                 ab = min(lines.values(), key=lambda w: w.radius)
-                F_ab = ab.window(ab.radius)
+                F_ab = ab._kept(ab.radius).box()
                 R = ab.radius
                 nonzero = sum(1 for p, _ in fy._orbits(int(d), R) if F_ab[tuple(t + R for t in p)])
                 odd += [(d, N)] * (nonzero % 2)
@@ -1260,6 +1260,29 @@ class TestK4Orbits:
             assert set(grids) == {(tf._smooth_len(2 * N + 1),) * dim}, (d, N)
             assert got == pytest.approx(k4_ref.valuate_k4(lines), rel=1e-13, abs=0), (d, N)
             assert got == pytest.approx(valuate_loop_sum(k4(), d, N), rel=1e-12, abs=0), (d, N)
+
+    def test_core_weighs_by_the_grid_values_as_returned(self, monkeypatch):
+        # f reaches every pair step as _grid_values returned it, u + iv,
+        # with no copy of its parts
+        returned, received = [], []
+        grid_values, paired = fy._grid_values, fy._paired_rule_mean
+
+        def gridding(ball, M):
+            returned.append(grid_values(ball, M))
+            return returned[-1]
+
+        def pairing(offsets, f, out):
+            received.append(f)
+            return paired(offsets, f, out)
+
+        monkeypatch.setattr(fy, "_grid_values", gridding)
+        monkeypatch.setattr(fy, "_paired_rule_mean", pairing)
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        for d in (1, 2, 3, 3.5):
+            fy._valuate_connected(k4_doubled(), d, 3)
+        fy._valuate_cached.cache_clear()
+        assert len(returned) == 4 and received
+        assert all(any(f is g for g in returned) for f in received)
 
     def test_series_cores_keep_the_rule_grid(self, monkeypatch):
         # every K4 core of a connected class of order <= 4 holds its blocks
@@ -1609,7 +1632,9 @@ def full_length(monkeypatch):
         try:
             with monkeypatch.context() as m:
                 m.setattr(fy._Weight, "_kept", whole)
-                m.setattr(fy, "convolution_window", full)
+                # a centre of three or more strands too, through constant_term
+                for module in (fy, tf):
+                    m.setattr(module, "convolution_window", full)
                 return fn(g, d, N)
         finally:
             fy._valuate_cached.cache_clear()
@@ -1656,12 +1681,13 @@ class TestWindowedTransforms:
 
     def test_reference_transforms_whole(self, full_length, monkeypatch):
         # the reference is not the windowed path in disguise: the windowed
-        # path reads a centre as a window of radius 0 (the rule's mean, with
-        # no inverse transform) and the ring's bubble B on its whole radius
-        # 2N by the lattice rule, with no real inverse transform; the
-        # reference convolves every bundle on its full linear length
+        # path reads a centre as a window of radius 0 (constant_term's rule
+        # mean, with no inverse transform) and the ring's bubble B on its
+        # whole radius 2N by the lattice rule, with no real inverse
+        # transform; the reference convolves every bundle on its full linear
+        # length
         windows, lengths = [], []
-        convolution_window, irfftn = fy.convolution_window, np.fft.irfftn
+        convolution_window, irfftn = tf.convolution_window, np.fft.irfftn
 
         def window(*cubes, radius):
             windows.append((len(cubes), radius))
@@ -1671,7 +1697,8 @@ class TestWindowedTransforms:
             lengths.append(s[0])
             return irfftn(a, s, axes=axes, **kwargs)
 
-        monkeypatch.setattr(fy, "convolution_window", window)
+        for module in (fy, tf):
+            monkeypatch.setattr(module, "convolution_window", window)
         monkeypatch.setattr(np.fft, "irfftn", recording)
         fy._valuate_cached.cache_clear()  # a cached class runs no transform
         valuate(banana(4), 3, 3)
@@ -1717,37 +1744,9 @@ class TestSeriesWindow:
         assert radii == [(3, N)]
         assert value == pytest.approx(reference, rel=1e-12)
 
-    def test_centre_reads_keep_the_materialized_bits(self, monkeypatch):
-        # every connected class of k quartic and m quadratic vertices with
-        # k + 2m <= 4, against series strands multiplied out whole first
-        classes = [
-            g
-            for k in range(5)
-            for m in range((4 - k) // 2 + 1)
-            if k or m
-            for g in phi4._quartic_diagrams(k, m).filter_connected().terms
-        ]
-        cases = [(g, d, N) for g in classes for d, Ns in [(1, (1, 4)), (2, (1, 3)), (3, (1, 2))] for N in Ns]
-        split = []
-        entries = fy._Weight._entries
-
-        def recording(self, r, lo, hi):
-            out = entries(self, r, lo, hi)
-            split.append(self.move == "series" and r not in self._windows)  # multiplied out
-            return out
-
-        monkeypatch.setattr(fy._Weight, "_entries", recording)
-        fy._valuate_cached.cache_clear()  # each route valuates, not the cache
-        got = [valuate(*case) for case in cases]
-        assert any(split)
-        # every series strand's whole Ball kept first (centres read from
-        # dense slabs are dense_reference's, held by TestPackedWindows)
-        monkeypatch.setattr(fy._Weight, "_entries", lambda self, r, lo, hi: self._kept(r).entries(lo, hi))
-        fy._valuate_cached.cache_clear()
-        for case, value in zip(cases, got):
-            assert valuate(*case) == value, case
-
-    def test_series_read_at_a_centre_keeps_no_window(self):
+    def test_series_read_at_a_centre_keeps_its_product(self):
+        # the ring's series node B.B, read at the ring's centre, keeps the
+        # Ball of its radius: the product of its parts' Balls, to the byte
         N = 2
         base = fy._Weight(fy._base_weight(3, N, 1.0), N)
         nodes: dict = {}
@@ -1755,8 +1754,43 @@ class TestSeriesWindow:
         square = bubble.series(bubble, nodes)
         ring = fy._Weight.bundle([bubble, square], nodes)
         assert ring.center() == valuate(bubble_ring(), 3, N)
-        assert list(bubble._windows) == [2 * N] and square._windows == {}
-        assert isinstance(bubble._windows[2 * N], tf.Ball)  # read whole: kept on its ball
+        assert list(bubble._windows) == [2 * N] and list(square._windows) == [2 * N]
+        kept, part = square._windows[2 * N], bubble._windows[2 * N]
+        assert type(kept) is tf.Ball and kept.radius == 2 * N
+        assert kept.values.tobytes() == (part.values * part.values).tobytes()
+
+    def test_every_bundle_centre_is_a_constant_term(self, monkeypatch):
+        # every bundle read at its centre, of two strands or more, in every
+        # connected class of order <= 4, is one call to constant_term on its
+        # strands' Balls, whose value the node keeps
+        centres, terms, strands = [], [], set()
+        compute, constant_term = fy._Weight._compute_window, fy.constant_term
+
+        def computing(self, r):
+            out = compute(self, r)
+            if self.move == "bundle" and r == 0:
+                centres.append(out.values.item())
+            return out
+
+        def reading(*balls):
+            assert all(type(w) is tf.Ball for w in balls)
+            strands.add(min(len(balls), 3))
+            terms.append(constant_term(*balls))
+            return terms[-1]
+
+        monkeypatch.setattr(fy._Weight, "_compute_window", computing)
+        monkeypatch.setattr(fy, "constant_term", reading)
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        for d in (1, 2, 3, 3.5):
+            for N in (1, 3):
+                for g in connected_classes():
+                    try:
+                        fy._valuate_connected(g, d, N)
+                    except ValuationBudgetError:
+                        continue
+        fy._valuate_cached.cache_clear()
+        assert centres and [c.hex() for c in centres] == [t.hex() for t in terms]
+        assert strands == {2, 3}
 
 
 def connected_classes():
@@ -1849,7 +1883,7 @@ class TestPackedWindows:
         ring = fy._Weight.bundle([bubble, bubble.series(bubble, nodes)], nodes)
         ring.center()
         kept = bubble._windows[2 * N]
-        first, second = bubble.window(2 * N), bubble.window(2 * N)
+        first, second = bubble._kept(2 * N).box(), bubble._kept(2 * N).box()
         assert first is not second and np.array_equal(first, kept.box())
         assert list(bubble._windows.values()) == [kept]
         cube = base.cube.box()

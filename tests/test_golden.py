@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 
 import pytest
 
@@ -54,6 +55,19 @@ def test_exact_digest_drops_floats_and_key_order():
     with pytest.raises(ValueError):
         digest(b"not json")
 
+
+def test_against_a_directory_runs_its_src(tmp_path):
+    # a plain copy of the tree, with no git worktree: its src is what runs
+    # there, so an edit to the copy shows as a difference
+    tree = tmp_path / "tree"
+    shutil.copytree(golden.ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    command = golden.Command("c", ("-m", "wickworks.cli", "hermite", "4"))
+    assert golden.compare(str(tree), commands=(command,)) == ["same  c"]
+    init = tree / "src" / "wickworks" / "__init__.py"
+    init.write_text(init.read_text() + "print('copy')\n")
+    (line,) = golden.compare(str(tree), commands=(command,))
+    assert line.startswith("DIFF  c\n") and "line 1: b'copy' -> b'1x^4 -6x^2 +3'" in line
+    assert init.exists()  # the copy is left as it was given
 
 JSON = "print('{\"x\": 0.5}')"
 LIST = "print('{\"c\": [{\"v\": 0.5}, {\"v\": 0.25}]}')"

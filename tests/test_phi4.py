@@ -180,8 +180,9 @@ class TestDimensionRule:
             lambda N: fy.valuate_position_mc(banana(2), 1, N, 10, 1),
             lambda N: partition_ratio_series(1, N, 2),
             lambda N: phi4.mc_partition_ratio(1, N, 0.05, 10, 1),
+            lambda N: phi4.coefficient_ladder_csv(1, [N], 2),
         ],
-        ids=["lattice", "c_variance", "valuate", "position mc", "series", "mc"],
+        ids=["lattice", "c_variance", "valuate", "position mc", "series", "mc", "ladder"],
     )
     @pytest.mark.parametrize("N", [2.5, True])
     def test_entry_points_name_a_non_integer_cutoff(self, call, N):
@@ -191,6 +192,19 @@ class TestDimensionRule:
         partition_ratio_series(1, 1, 2)
         with pytest.raises(ValueError, match=rf"N must be an integer, got {N!r}$"):
             call(N)
+
+    def test_ladder_checks_every_cutoff_before_the_first_series(self, monkeypatch):
+        # a bad cutoff anywhere in the ladder, or a bad order, raises before
+        # any series runs, and no cutoff is rounded to an integer
+        calls = []
+        monkeypatch.setattr(phi4, "partition_ratio_series", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"N must be an integer, got 2.7$"):
+            phi4.coefficient_ladder_csv(1, [2.7], 1)
+        with pytest.raises(ValueError, match=r"N must be >= 0, got -1$"):
+            phi4.coefficient_ladder_csv(2, [8, -1], 4)
+        with pytest.raises(ValueError, match="order 5 beyond the valuation limit"):
+            phi4.coefficient_ladder_csv(1, [2], 5)
+        assert calls == []
 
 
 class TestRenormalizedSeries:

@@ -875,22 +875,17 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < 8 * 41**3
 
-    def test_ball_dot_of_lazy_entries_builds_no_box(self, monkeypatch):
-        # each block of a strand's entries, one slab here, is multiplied out
-        # when asked for, as a series node's are: only a few slabs are alive
-        # at a time, never a box
+    def test_ball_dot_of_product_balls_builds_no_box(self, monkeypatch):
+        # two strands kept as products on their balls, as series nodes keep
+        # theirs: each block, one slab here, is multiplied and unpacked alone,
+        # so only a few slabs are alive at a time, never a box
         monkeypatch.setattr(tf, "_FOLD_BYTES", 1)
         rng = np.random.default_rng(14)
-        a, b = (packed(rng.standard_normal((41,) * 3)) for _ in range(2))
-        ab = [lambda lo, hi, w=w: w.entries(lo, hi) for w in (a, b)]
+        a, b = (packed(rng.standard_normal((41,) * 3)).values for _ in range(2))
+        left, right = (tf.Ball(v, 3, 20) for v in (a * b * a, b * (a * b)))
         tracemalloc.start()
         try:
-            tf._ball_dot(
-                lambda _, lo, hi: ab[0](lo, hi) * ab[1](lo, hi) * ab[0](lo, hi),
-                lambda _, lo, hi: ab[1](lo, hi) * (ab[0](lo, hi) * ab[1](lo, hi)),
-                3,
-                20,
-            )
+            tf._ball_dot(left, right)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -913,10 +908,9 @@ class TestConstantTerm:
             tracemalloc.stop()
         assert peak < box
 
-    def test_ball_dot_of_lazy_entries_gives_the_constant_term_bits(self):
+    def test_ball_dot_of_product_balls_gives_the_constant_term_bits(self):
         # a strand whose entries are products, nested as a series tree nests
-        # them, sums to the bit what the strand multiplied out first sums
-        # to, and what the dense route sums its boxes to
+        # them, sums to the bit what the dense route sums its boxes to
         rng = np.random.default_rng(13)
         for d in (1, 2, 3):
             cubes = [even_cube(rng, d, 4) for _ in range(3)]
@@ -928,10 +922,10 @@ class TestConstantTerm:
                 (lambda x: x[3], lambda x: x[0] * x[1] * x[2]),
                 (lambda x: (x[1] * x[2]) * x[0], lambda x: x[0] * (x[2] * (x[1] * x[0]))),
             ]:
-                want = tf.constant_term(*(tf.Ball(f([w.values for w in balls]), d, 4) for f in (left, right)))
-                assert dense_ref.constant_term(left(cubes), right(cubes)) == want, d
-                entries = [lambda _, lo, hi, f=f: f([w.entries(lo, hi) for w in balls]) for f in (left, right)]
-                assert tf._ball_dot(*entries, d, 4) == want, d
+                strands = [tf.Ball(f([w.values for w in balls]), d, 4) for f in (left, right)]
+                want = dense_ref.constant_term(left(cubes), right(cubes))
+                assert tf._ball_dot(*strands) == want, d
+                assert tf.constant_term(*strands) == want, d
 
     def test_rejects_a_cube_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
@@ -996,8 +990,7 @@ class TestPairedRuleMean:
         cases = [(5, 3), (5, 5), (4, 3), (4, 4), (1, 1), (2, 2), (3, 1), (3, 2)]
         for k, (M, side) in enumerate(cases):
             n = 1 + k % 2
-            f = tf._grid_values(packed(even_cube(rng, d, 3)), M)
-            f = np.stack((f.real, f.imag))
+            f = tf._grid_values(packed(even_cube(rng, d, 3)), M)  # u + iv, as the core passes it
             out = np.full((2,) + (M,) * d, np.nan, complex)
             A = rng.standard_normal((n,) + (side,) * d)
             t = rng.integers(-3 * side, 2 * side, size=(n, d))  # per block and axis
@@ -1011,7 +1004,7 @@ class TestPairedRuleMean:
                 for g in (0, 1):
                     x = (_c_order_indices(M, d) + g / 2) / M
                     alpha = np.exp(-2j * np.pi * x @ i.T) @ A[o].ravel()
-                    terms = np.exp(-2j * np.pi * x @ t[o]) * alpha**2 * f[g].ravel()
+                    terms = np.exp(-2j * np.pi * x @ t[o]) * alpha**2 * (f.real, f.imag)[g].ravel()
                     want += 2 * terms.sum()
                     scale += 2 * np.abs(terms).sum()
                 assert abs(want.imag) <= 1e-12 * scale
@@ -1225,7 +1218,7 @@ class TestBall:
             a, b = even_cube(rng, d, R), even_cube(rng, d, R)
             want = dense_ref.slab_dot(lambda _, i: a[i], lambda _, i: (a * b)[i], R)
             A, AB = packed(a), tf.Ball(packed(a).values * packed(b).values, d, R)
-            got = tf._ball_dot(lambda _, lo, hi: A.entries(lo, hi), lambda _, lo, hi: AB.entries(lo, hi), d, R)
+            got = tf._ball_dot(A, AB)
             assert got == want, (d, R)
 
     def test_ball_dot_unpacks_one_block_at_a_time(self, monkeypatch):
@@ -1236,7 +1229,7 @@ class TestBall:
         ball = tf.convolution_window(*[tf.inverse_weight_ball(3, 10)] * 2, radius=20)
         tracemalloc.start()
         try:
-            tf._ball_dot(*[lambda _, lo, hi: ball.entries(lo, hi)] * 2, 3, 20)
+            tf._ball_dot(ball, ball)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
