@@ -20,7 +20,8 @@ the grid routes are tested against.
 One builder, _l1_within (cached as _l1_mask), gives K_N for everything
 here: the mode list (the mask's true entries in C order, which is
 lexicographic, so mode_labels and the seeded amplitude stream keep one
-order), the layout of a Ball and the masks the lattice rule reads.
+order) and the layout of a Ball's box. The lattice rule's reads need no
+mask: they move a Ball's entries on and off the grid by flat index.
 
 Lattice sums accumulate with math.fsum / exact convolutions so the
 Cauchy-convergence tests downstream are about the sums, not about float
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,11 +122,12 @@ def inverse_weight_cube(d: int, N: int, s: float = 1.0) -> np.ndarray:
 
 def _weights_by_norm2(d: int, s: float, norm2: np.ndarray) -> np.ndarray:
     """(1 + (2 pi)^d n) ** (-float(s)) for each integer n = |k|^2 of a 1-d
-    array, Python's float pow taken once per distinct n: np.power can differ
-    from it in the last bit."""
-    norms = norm2.tolist()
-    weight = {n: (1 + TWO_PI**d * n) ** (-float(s)) for n in set(norms)}
-    return np.array([weight[n] for n in norms])
+    array, Python's float pow taken once per distinct n (np.power can differ
+    from it in the last bit) and mapped back by one np.searchsorted over the
+    sorted distinct n."""
+    distinct = sorted(set(norm2.tolist()))
+    weights = np.array([(1 + TWO_PI**d * n) ** (-float(s)) for n in distinct])
+    return weights[np.searchsorted(np.array(distinct, dtype=norm2.dtype), norm2)]
 
 
 def c_variance(d: int, N: int) -> float:
@@ -425,7 +428,10 @@ class Ball:
     ndim and shape are those of the box. It is the one weight format of the
     lattice-sum reads (constant_term, cosine_sum, convolution_window and
     _grid_values), and convolution_window returns one for every read;
-    crop(r) gives the Ball of a smaller radius.
+    crop(r) gives the Ball of a smaller radius. Each row of the ball, one
+    prefix of k on the first d - 1 axes, is one run of entries on the last
+    axis, so the entries move on and off a transform grid by flat index
+    (_grid_places), with no box.
     """
 
     __slots__ = ("values", "ndim", "radius")
@@ -496,10 +502,11 @@ def convolution_window(*balls: Ball, radius: int) -> Ball:
     gives both (_grid_values). Inputs are matched by identity: each distinct
     Ball is transformed once and raised to its multiplicity. The products P
     (plain grid) and Q (half-cell grid) share one inverse FFT of P + iQ,
-    which _grid_ball separates and untwists in the transform's own buffer
-    and packs onto the ball a block of first-axis slabs at a time, so no
-    array of the box's size is built. Raises ValueError for a Ball that is
-    not even to roundoff.
+    which _grid_ball separates in the transform's own buffer and gathers
+    onto the ball. Each Ball goes onto the grid and the read comes off it by
+    flat index, a block of first-axis slabs at a time (_grid_places), so no
+    box, fold or l1 mask is built. Raises ValueError for a Ball that is not
+    even to roundoff.
     """
     dim = balls[0].ndim
     S = sum(w.radius for w in balls)
@@ -528,7 +535,7 @@ def convolution_window(*balls: Ball, radius: int) -> Ball:
 _SCRATCH_BYTES = 1 << 16  # per block of slabs: small scratch, few numpy calls
 
 
-_FOLD_BYTES = 1 << 18  # per block of slabs _grid_values folds and _grid_ball packs
+_FOLD_BYTES = 1 << 18  # per block of slabs: _grid_values, _grid_ball, _separate and _ball_dot
 
 
 def _slab_blocks(shape: tuple, itemsize: int, budget: int | None = None) -> list[slice]:
@@ -566,29 +573,60 @@ def _check_even(ball: Ball) -> None:
         )
 
 
-def _fold(block: np.ndarray, lo: list[int], out) -> None:
-    """Add a block whose index i on axis a holds momentum lo[a] + i onto
-    the length-M grids out[0] and out[1] at index (lo[a] + i) mod M: out[0]
-    sums the aliases, and out[1] gives each the sign (-1)^(n_1 + ... + n_d),
-    n = floor((lo + i) / M) per axis, as the half-cell factor
-    exp(-pi i (lo + i)/M) flips sign from one alias to the next. Each output
-    entry takes its aliases in lexicographic order of n."""
-    M = out[0].shape[-1]
-    axes = []  # per axis, per alias n: block slice, grid slice, n mod 2
-    for start, size in zip(lo, block.shape):
-        hi, runs = start + size - 1, []
-        for n in range(start // M, hi // M + 1):
-            a, b = max(start, n * M), min(hi, n * M + M - 1)
-            runs.append((slice(a - start, b - start + 1), slice(a - n * M, b - n * M + 1), n % 2))
-        axes.append(runs)
-    for parts in product(*axes):
-        src = tuple(s for s, _, _ in parts)
-        dst = tuple(t for _, t, _ in parts)
-        out[0][dst] += block[src]
-        if sum(odd for _, _, odd in parts) % 2:
-            out[1][dst] -= block[src]
-        else:
-            out[1][dst] += block[src]
+def _grid_places(dim: int, radius: int, M: int):
+    """Where a Ball's entries sit on the M^d grid, a block of first-axis
+    slabs at a time, each as many slabs as hold at most _FOLD_BYTES bytes
+    at 32 bytes an entry (its value, its index and the index's scratch),
+    one slab at least. Yields lo, hi and, for the entries of slabs
+    lo..hi - 1 in Ball.entries' order, each one's flat C-order index of
+    k mod M on every axis and whether its alias parity, the sum over axes
+    of floor(k_a / M), is odd.
+
+    Each row of the ball, one prefix of k on the first d - 1 axes with
+    room = radius - |prefix|_1, is one run -room..room on the last axis. The
+    rows are the points of the (d-1)-dimensional ball, laid out an axis at
+    a time: each row so far spans -room..room on the next axis, so one
+    np.repeat of the rows and one arange give every next coordinate, read
+    through per-axis tables of k mod M and floor(k / M) mod 2. On the last
+    axis each row's run is cut where k crosses a multiple of M into pieces
+    of one alias each, and a piece's indices are consecutive: a block's
+    indices are one arange plus one np.repeat of its pieces' offsets.
+    """
+    starts = _ball_starts(dim, radius)
+    blocks, lo = [], 0
+    while lo < 2 * radius + 1:
+        hi = max(lo + 1, bisect_right(starts, starts[lo] + _FOLD_BYTES // 32) - 1)
+        blocks.append((lo, hi))
+        lo = hi
+    k = np.arange(-radius, radius + 1)
+    mods, odds = k % M, (k // M) % 2 == 1
+    if dim == 1:
+        for lo, hi in blocks:
+            yield lo, hi, mods[lo:hi], odds[lo:hi]
+        return
+    index, odd, room = mods, odds, radius - np.abs(k)
+    for _ in range(dim - 2):
+        lengths = 2 * room + 1
+        ends = np.cumsum(lengths)
+        at = np.arange(ends[-1]) - np.repeat(ends - lengths + room - radius, lengths)
+        index = np.repeat(index * M, lengths) + mods[at]
+        odd = np.repeat(odd, lengths) ^ odds[at]
+        room = np.repeat(room, lengths) - np.abs(at - radius)
+    # per row (axis 0) and alias n = floor(k / M) of the last axis (axis 1), the piece
+    # of the row's run on [first, stop), whose entries sit at consecutive indices
+    edges = np.array(sorted({-radius, radius + 1, *range(-(radius // M) * M, radius + 1, M)}))
+    first = np.maximum(edges[:-1], -room[:, None])
+    sizes = np.maximum(np.minimum(edges[1:], room[:, None] + 1) - first, 0).ravel()
+    n = edges[:-1] // M
+    # each entry's index is its position in the Ball plus its piece's shift
+    shift = (index[:, None] * M + first - n * M).ravel() - (np.cumsum(sizes) - sizes)
+    odd = (odd[:, None] ^ (n % 2 == 1)).ravel()
+    rows = _ball_starts(dim - 1, radius)  # the rows of slab i are rows[i]..rows[i + 1] - 1
+    for lo, hi in blocks:
+        pieces = slice(rows[lo] * len(n), rows[hi] * len(n))
+        flat = np.repeat(shift[pieces], sizes[pieces])
+        flat += np.arange(starts[lo], starts[hi])
+        yield lo, hi, flat, np.repeat(odd[pieces], sizes[pieces])
 
 
 def _grid_values(ball: Ball, M: int) -> np.ndarray:
@@ -599,81 +637,72 @@ def _grid_values(ball: Ball, M: int) -> np.ndarray:
     One FFT of fold(c) + i fold(c tau), tau(k) = exp(-pi i (k_1 + ... +
     k_d)/M) taken at the true momentum, gives u + iv: fold puts momentum k at
     index k mod M, where tau(k) is tau(k mod M) times (-1)^(n_1 + ... + n_d),
-    n = floor(k / M). So the half-cell fold alternates the signs of the
-    aliases and takes the factor tau one axis at a time.
+    n = floor(k / M). So the half-cell fold gives each alias that sign and
+    takes the factor tau one axis at a time, over the whole grid.
 
-    The Ball is unpacked and folded a block of first-axis slabs at a time
-    (_slab_blocks): the half-cell fold straight into the real part of the
-    transform's buffer and the plain fold into one real grid, added after
-    the twist. Blocks come in order of their first momentum, so each grid
-    entry takes its aliases in the lexicographic order of a fold of the
-    whole box, to the bit.
+    The Ball's entries go onto the grid by flat index, a block of
+    first-axis slabs at a time (_grid_places): the signed values straight
+    into the real part of the transform's buffer, which is then twisted,
+    and the plain values added after. When 2R + 1 <= M no two entries share
+    an index, so the signed values are assigned and the plain ones added
+    onto the twisted grid at their own indices, with no second grid.
+    Otherwise both are summed by np.add.at, the plain ones into one real
+    grid added after the twist, in the entries' C order: that takes each
+    grid entry's aliases in the lexicographic order of n, as a fold of the
+    whole box does, so the transform has the fold's bits.
     """
     dim, R = ball.ndim, ball.radius
     out = np.zeros((M,) * dim, complex)
-    plain = np.zeros((M,) * dim)
-    for rows in _slab_blocks(ball.shape, 8, _FOLD_BYTES):
-        block = ball.box(rows)
-        _fold(block, [rows.start - R] + [-R] * (dim - 1), (plain, out.real))
-        del block
+    real = out.reshape(-1).real
+    aliased = 2 * R + 1 > M
+    plain = np.zeros(M**dim) if aliased else None
+    placed = []  # unaliased: each block's indices, for its plain values
+    for lo, hi, index, odd in _grid_places(dim, R, M):
+        values = ball.entries(lo, hi)
+        signed = np.negative(values, out=values.copy(), where=odd)
+        if aliased:
+            np.add.at(plain, index, values)
+            np.add.at(real, index, signed)
+        else:
+            real[index] = signed
+            placed.append((index, values))
     # i fold(c tau): the factor i rides on the first axis's half-cell factor
     half = _half_cell(M)
     out *= (1j * half).reshape((M,) + (1,) * (dim - 1))
     for axis in range(1, dim):
         out *= half.reshape((M,) + (1,) * (dim - 1 - axis))
-    out.real += plain
-    del plain
+    if aliased:
+        out.real += plain.reshape(out.shape)
+        del plain
+    for index, values in placed:
+        real[index] += values
+    del placed
     return np.fft.fftn(out, out=out)
 
 
 def _grid_ball(Y: np.ndarray, r: int) -> Ball:
-    """The read of radius r from Y = ifftn(P + iQ) (overwritten), for real
-    products P and Q on the plain and the half-cell grid (_grid_values), as
-    a Ball.
+    """The read of radius r < M from Y = ifftn(P + iQ) (overwritten), for
+    real products P and Q on the plain and the half-cell grid
+    (_grid_values), as a Ball.
 
     With A = ifftn(P) and B = ifftn(Q), the value at k is
     (A(k) + conj tau(k) B(k)) / 2, tau at the true momentum. _separate
     leaves (2A, Im conj tau 2iB) / 4 in Y's real and imaginary parts, and
-    _untwisted writes them as 2^d slice combines of Y.real +- Y.imag into
-    scratch of one block of first-axis slabs (_slab_blocks), from which the
-    block's entries on the ball, in C order, are taken."""
+    conj tau(k) is conj tau(k mod M) times -1 per negative coordinate. So
+    each entry of the ball is gathered by its flat index, a block of
+    first-axis slabs at a time (_grid_places), as Y.real + Y.imag, or
+    Y.real - Y.imag when an odd number of its coordinates are negative: no
+    scratch of the box's size and no l1 mask.
+    """
     _separate(Y)
     dim, M = Y.ndim, Y.shape[0]
-    starts = _ball_starts(dim, r)
-    ball = Ball(np.empty(starts[-1]), dim, r)
-    blocks = _slab_blocks(ball.shape, 8, _FOLD_BYTES)
-    scratch = np.empty((min(blocks[0].stop, 2 * r + 1),) + ball.shape[1:])
-    halves = _halves(r, M)
-    for rows in blocks:
-        lo, hi, _ = rows.indices(2 * r + 1)
-        first = []  # the first axis's halves cut to the block's slabs
-        for t, s, flip in halves:
-            a, b = max(t.start, lo), min(t.stop, hi)
-            if a < b:
-                shift = s.start - t.start
-                first.append((slice(a - lo, b - lo), slice(a + shift, b + shift), flip))
-        _untwisted(Y, [first] + [halves] * (dim - 1), scratch)
-        inside = _l1_within(dim, r, slice(lo, hi))
-        ball.values[starts[lo] : starts[hi]] = scratch[: hi - lo][inside]
+    ball = Ball(np.empty(_ball_starts(dim, r)[-1]), dim, r)
+    flat = Y.reshape(-1)
+    for lo, hi, index, odd in _grid_places(dim, r, M):
+        imag = flat.imag[index]
+        np.negative(imag, out=imag, where=odd)
+        np.add(flat.real[index], imag, out=ball.entries(lo, hi))
     return ball
-
-
-def _halves(r: int, M: int) -> list:
-    """Per axis of a box of radius r read from a length-M grid (r < M), its
-    momenta 0..r at grid indices 0..r and -r..-1 at M - r..M - 1, as (box
-    slice, grid slice, whether conj tau flips sign)."""
-    return [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
-
-
-def _untwisted(Y: np.ndarray, axes, out: np.ndarray) -> None:
-    """Write Y.real +- Y.imag, separated (_separate), into out: axes gives
-    per axis its (out slice, grid slice, flip) parts, and each combination
-    of parts is one slice combine, + when an even number of its parts flip."""
-    for parts in product(*axes):
-        dst = tuple(t for t, _, _ in parts)
-        src = tuple(s for _, s, _ in parts)
-        combine = np.subtract if sum(flip for _, _, flip in parts) % 2 else np.add
-        combine(Y.real[src], Y.imag[src], out=out[dst])
 
 
 def _separate(Y: np.ndarray) -> None:

@@ -4,10 +4,14 @@ torusfield's reads took their weights as Balls (entries on the l1 ball).
 The box route of each read: constant_term (two cubes by slab_dot on their
 common box, cut by crop, more by convolution_window at radius 0),
 cosine_sum over the ball of a box, convolution_window on boxes,
-grid_values, which masks the whole cube to its l1 ball and folds it into a
-(2, M^d) pair of real grids before the transform, and the readers built on
-them (wick_integral_variance, weight_sum, green_truncated, external_value),
-all from torusfield.inverse_weight_cube.
+grid_values, which masks the whole cube to its l1 ball and folds it
+(_fold) into a (2, M^d) pair of real grids before the transform,
+grid_window, which reads a box off the grid by 2^d slice combines
+(_untwisted over _halves), and the readers built on them
+(wick_integral_variance, weight_sum, green_truncated, external_value), all
+from torusfield.inverse_weight_cube. grid_values and grid_window are the
+bit reference for torusfield._grid_values and _grid_ball, which move a
+Ball's entries on and off the grid by flat index instead.
 
 DenseWeight is feynman._Weight with no packing: each node keeps every
 window it computes as a box (grid_window, with the entries the box holds
@@ -25,6 +29,7 @@ reference by float.hex. Nothing here is called by the package.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -32,14 +37,11 @@ from wickworks import feynman as fy
 from wickworks.torusfield import (
     TWO_PI,
     Ball,
-    _fold,
     _half_cell,
-    _halves,
     _l1_mask,
     _separate,
     _smooth_len,
     _symmetric,
-    _untwisted,
     as_point,
     inverse_weight_cube,
     lattice_rule_size,
@@ -113,6 +115,49 @@ def check_even(cube: np.ndarray) -> None:
         raise ValueError(f"a cube of shape {cube.shape} is not even under k -> -k")
 
 
+def _fold(block: np.ndarray, lo: list[int], out) -> None:
+    """Add a block whose index i on axis a holds momentum lo[a] + i onto
+    the length-M grids out[0] and out[1] at index (lo[a] + i) mod M: out[0]
+    sums the aliases, and out[1] gives each the sign (-1)^(n_1 + ... + n_d),
+    n = floor((lo + i) / M) per axis, as the half-cell factor
+    exp(-pi i (lo + i)/M) flips sign from one alias to the next. Each output
+    entry takes its aliases in lexicographic order of n."""
+    M = out[0].shape[-1]
+    axes = []  # per axis, per alias n: block slice, grid slice, n mod 2
+    for start, size in zip(lo, block.shape):
+        hi, runs = start + size - 1, []
+        for n in range(start // M, hi // M + 1):
+            a, b = max(start, n * M), min(hi, n * M + M - 1)
+            runs.append((slice(a - start, b - start + 1), slice(a - n * M, b - n * M + 1), n % 2))
+        axes.append(runs)
+    for parts in product(*axes):
+        src = tuple(s for s, _, _ in parts)
+        dst = tuple(t for _, t, _ in parts)
+        out[0][dst] += block[src]
+        if sum(odd for _, _, odd in parts) % 2:
+            out[1][dst] -= block[src]
+        else:
+            out[1][dst] += block[src]
+
+
+def _halves(r: int, M: int) -> list:
+    """Per axis of a box of radius r read from a length-M grid (r < M), its
+    momenta 0..r at grid indices 0..r and -r..-1 at M - r..M - 1, as (box
+    slice, grid slice, whether conj tau flips sign)."""
+    return [(slice(r, 2 * r + 1), slice(0, r + 1), 0), (slice(0, r), slice(M - r, M), 1)]
+
+
+def _untwisted(Y: np.ndarray, axes, out: np.ndarray) -> None:
+    """Write Y.real +- Y.imag, separated (_separate), into out: axes gives
+    per axis its (out slice, grid slice, flip) parts, and each combination
+    of parts is one slice combine, + when an even number of its parts flip."""
+    for parts in product(*axes):
+        dst = tuple(t for t, _, _ in parts)
+        src = tuple(s for _, s, _ in parts)
+        combine = np.subtract if sum(flip for _, _, flip in parts) % 2 else np.add
+        combine(Y.real[src], Y.imag[src], out=out[dst])
+
+
 def grid_values(cube: np.ndarray, M: int) -> np.ndarray:
     """torusfield._grid_values on a dense cube, masked to its l1 ball (what
     it holds off the ball is dropped) and folded whole at once into two
@@ -130,8 +175,8 @@ def grid_values(cube: np.ndarray, M: int) -> np.ndarray:
 
 def grid_window(Y: np.ndarray, r: int, S: int) -> np.ndarray:
     """The box of radius r from Y = ifftn(P + iQ) (overwritten), separated
-    and untwisted as torusfield._grid_ball does, with the box's entries
-    beyond the support |k|_1 <= S set to 0."""
+    as torusfield._grid_ball does and untwisted by slice combines, with the
+    box's entries beyond the support |k|_1 <= S set to 0."""
     _separate(Y)
     dim, M = Y.ndim, Y.shape[0]
     box = np.empty((2 * r + 1,) * dim)

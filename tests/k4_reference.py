@@ -1,5 +1,6 @@
 """The K4 core as it was evaluated before orbits were paired: one packed
-block A_p + i B_p, one fold and one transform per outer-momentum orbit.
+block A_p + i B_p, one fold and one transform per outer-momentum orbit,
+weighed by F_cd's grid values from dense_reference's fold route.
 
 It needs no node shared between the core's lines, so it valuates any
 six-line core whose weights have the hyperoctahedral symmetry. The tests
@@ -13,13 +14,13 @@ import numpy as np
 
 from wickworks.feynman import _box, _check_hyperoctahedral, _extent, _orbits, _overlap
 from wickworks.torusfield import (
-    _fold,
-    _grid_values,
     _half_cell,
     _offset_phase,
     _smooth_len,
     lattice_rule_size,
 )
+
+from dense_reference import _fold, grid_values
 
 
 def _packed_rule_mean(block: np.ndarray, offsets, f: np.ndarray, out: np.ndarray) -> float:
@@ -68,7 +69,7 @@ def valuate_k4(lines: dict) -> float:
         _check_hyperoctahedral(cube)
     dim = F_ab.ndim
     M = _smooth_len(lattice_rule_size(R_ac + R_bc + r))
-    f = _grid_values(F_cd, M)
+    f = grid_values(F_cd.box(), M)  # the fold route's bits of the core's f
     f = np.stack((f.real, f.imag))
     side = 2 * max(min(R_ac, R_ad), min(R_bc, R_bd)) + 1
     block = np.empty((side,) * dim, complex)

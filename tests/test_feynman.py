@@ -1284,6 +1284,34 @@ class TestK4Orbits:
         assert len(returned) == 4 and received
         assert all(any(f is g for g in returned) for f in received)
 
+    def test_core_grid_values_keep_the_reference_bits(self, monkeypatch):
+        # the f each K4 core weighs by, scattered from F_cd's Ball by flat
+        # index, is to the byte the f k4_reference takes by the fold route,
+        # for the 3-regular K4 and every K4 core of order <= 4
+        seen = []
+        grid_values = fy._grid_values
+
+        def gridding(ball, M):
+            seen.append((ball, M, grid_values(ball, M)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(fy, "_grid_values", gridding)
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        for d, N in [(1, 6), (2, 4), (3, 3), (3.5, 3)]:
+            fy._valuate_k4(fy._reduced(k4(), d, N)[1])
+            for g in connected_classes():
+                try:
+                    fy._valuate_connected(g, d, N)
+                except ValuationBudgetError:
+                    continue
+        fy._valuate_cached.cache_clear()
+        assert len(seen) > 4
+        assert any(2 * ball.radius + 1 > M for ball, M, _ in seen)  # aliased
+        assert any(2 * ball.radius + 1 <= M for ball, M, _ in seen)  # not
+        for ball, M, f in seen:
+            want = k4_ref.grid_values(ball.box(), M)
+            assert f.tobytes() == want.tobytes(), (ball.ndim, ball.radius, M)
+
     def test_series_cores_keep_the_rule_grid(self, monkeypatch):
         # every K4 core of a connected class of order <= 4 holds its blocks
         # on the grid its degree asks for: no series grid is enlarged
@@ -1839,6 +1867,44 @@ class TestBallReads:
         for name, args in seen:
             weights = args[:1] if name in ("_grid_values", "cosine_sum") else args
             assert all(type(w) is tf.Ball for w in weights), (name, [type(w) for w in weights])
+
+
+    def test_window_reads_build_no_box_or_mask(self, monkeypatch):
+        # convolution_window and _grid_values move every Ball on and off the
+        # transform grid by flat index: over every connected class of order
+        # <= 4, no box is unpacked and no l1 mask built inside either
+        depth, inside = [0], []
+        for name in ("convolution_window", "_grid_values"):
+            read = getattr(tf, name)
+
+            def counting(*args, read=read, **kwargs):
+                depth[0] += 1
+                try:
+                    return read(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            for module in (tf, fy, phi4):
+                if getattr(module, name, None) is read:
+                    monkeypatch.setattr(module, name, counting)
+        for owner, name in ((tf.Ball, "box"), (tf, "_unpack"), (tf, "_l1_within")):
+            made = getattr(owner, name)
+
+            def recording(*args, made=made, name=name, **kwargs):
+                if depth[0]:
+                    inside.append(name)
+                return made(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recording)
+        fy._valuate_cached.cache_clear()  # each class valuates, not the cache
+        for d, N in [(1, 4), (2, 3), (3, 2), (3.5, 2)]:
+            for g in connected_classes():
+                try:
+                    fy._valuate_connected(g, d, N)
+                except ValuationBudgetError:
+                    continue
+        fy._valuate_cached.cache_clear()
+        assert not inside, Counter(inside)
 
 
 class TestPackedWindows:

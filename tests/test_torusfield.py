@@ -1153,35 +1153,42 @@ class TestBall:
                 assert np.array_equal(tf._unpack(ball.entries(i, i + 1), d, R, i, i + 1)[0], cube[i])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_packed_whole_read_unpacks_to_the_dense_box(self, d):
-        # odd and even M, M = 1 and 2, and radii up to M - 1: the ball's
-        # entries are the dense read's, to the bit, and it is 0 off them
+    def test_packed_whole_read_unpacks_to_the_dense_box(self, d, monkeypatch):
+        # odd and even M, M = 1 and 2, and radii up to M - 1, gathered a
+        # block of slabs at a time (one slab per block with a one-byte
+        # budget): the ball's entries are the bytes of the slice combines of
+        # the untwisted dense read, and its box is 0 off them
         rng = np.random.default_rng(70 + d)
-        for M in range(1, 12 if d == 3 else 20):
-            Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
-            for r in sorted({0, 1, M // 2, M - 1} - {M}):
-                ball = tf._grid_ball(Y.copy(), r)
-                want = dense_ref.grid_window(Y.copy(), r, r)
-                assert np.array_equal(ball.box(), want), (d, M, r)
-                assert ball.box().tobytes() == whole_array_window(Y, r, r).tobytes(), (d, M, r)
-                # a read short of the support keeps the dense box's ball
-                wide = dense_ref.grid_window(Y.copy(), r, d * r)
-                assert np.array_equal(ball.box(), wide * tf._l1_mask(d, r)), (d, M, r)
+        for fold_bytes in (tf._FOLD_BYTES, 1):
+            monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
+            for M in range(1, 12 if d == 3 else 20):
+                Y = rng.standard_normal((M,) * d) + 1j * rng.standard_normal((M,) * d)
+                for r in sorted({0, 1, M // 2, M - 1} - {M}):
+                    ball = tf._grid_ball(Y.copy(), r)
+                    want = dense_ref.grid_window(Y.copy(), r, r)
+                    assert ball.box().tobytes() == want.tobytes(), (d, M, r, fold_bytes)
+                    assert ball.box().tobytes() == whole_array_window(Y, r, r).tobytes(), (d, M, r, fold_bytes)
+                    # a read short of the support, r < S, keeps the dense box's ball
+                    wide = dense_ref.grid_window(Y.copy(), r, d * r)
+                    assert ball.values.tobytes() == wide[tf._l1_mask(d, r)].tobytes(), (d, M, r, fold_bytes)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_convolution_window_reads_and_writes_balls(self, d):
+    def test_convolution_window_reads_and_writes_balls(self, d, monkeypatch):
         # every read is the dense box's ball, and packed strands give every
-        # window the dense strands give, to the bit
+        # window the dense strands give, to the bit, in blocks of several
+        # slabs and of one
         rng = np.random.default_rng(80 + d)
         base = ModeLattice(d, 2).inverse_weight_cube()
         for radii in [(1, 6), (2, 2, 0), (3,), (1, 2, 1, 3)]:
             cubes = [even_cube(rng, d, r) for r in radii] + [base, base]
             S = sum(c.shape[0] // 2 for c in cubes)
             for r in sorted({0, 1, S // 2, S}):
-                want = dense_ref.convolution_window(*cubes, radius=r)
-                got = tf.convolution_window(*packed_all(cubes), radius=r)
-                assert isinstance(got, tf.Ball) and got.radius == r, (d, radii, r)
-                assert np.array_equal(got.box(), want * tf._l1_mask(d, r)), (d, radii, r)
+                want = dense_ref.convolution_window(*cubes, radius=r)[tf._l1_mask(d, r)].tobytes()
+                for fold_bytes in (tf._FOLD_BYTES, 1):
+                    monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
+                    got = tf.convolution_window(*packed_all(cubes), radius=r)
+                    assert isinstance(got, tf.Ball) and got.radius == r, (d, radii, r)
+                    assert got.values.tobytes() == want, (d, radii, r, fold_bytes)
 
     def test_rejects_a_ball_that_is_not_even(self):
         a = ModeLattice(2, 2).inverse_weight_cube()
@@ -1193,17 +1200,20 @@ class TestBall:
     @pytest.mark.parametrize("fold_bytes", [tf._FOLD_BYTES, 1])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_grid_values_keep_the_whole_fold_bits(self, d, fold_bytes, monkeypatch):
-        # folded a block of slabs at a time (one slab per block with a
-        # one-byte budget) into the transform's buffer, a Ball gives the bits
-        # of the whole masked cube folded into two real grids, which drop
-        # what a cube holds off its ball; sides longer than M fold several
-        # aliases onto one entry
+        # scattered by flat index a block of slabs at a time (one slab per
+        # block with a one-byte budget) into the transform's buffer, a Ball
+        # gives the bits of the whole masked cube folded into two real grids,
+        # which drop what a cube holds off its ball. Odd and even M; with
+        # 2R + 1 > M several aliases sum onto one entry, with 2R + 1 <= M
+        # none do, and an exact zero entry is scattered like any other
         monkeypatch.setattr(tf, "_FOLD_BYTES", fold_bytes)
         rng = np.random.default_rng(90 + d)
         for R in (0, 3, 7):
             cube = even_cube(rng, d, R)
+            if R:
+                cube[(R + 1,) + (R,) * (d - 1)] = cube[(R - 1,) + (R,) * (d - 1)] = 0.0
             noisy = cube + (1 - tf._l1_mask(d, R))  # masked away
-            for M in (1, 2, 5, 6, 2 * R + 1, 2 * R + 4):
+            for M in sorted({1, 2, 5, 6, max(2 * R, 1), 2 * R + 1, 2 * R + 4}):
                 want = dense_ref.grid_values(cube, M).tobytes()
                 assert dense_ref.grid_values(noisy, M).tobytes() == want, (d, R, M)
                 assert tf._grid_values(packed(cube), M).tobytes() == want, (d, R, M)
